@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload structure_n3000 --seed 0 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload structure_n3000 --seed 0 --seconds 50 --trace 0
 
 The run starts a fresh workload process (``workload.py``) that sets up the
 inputs, warms up, and times cold operations for ``--seconds`` seconds (and
