@@ -20,7 +20,7 @@ import numpy as np
 from repro.clustering.base import BaseClusterer
 from repro.clustering.distances import euclidean_distances
 from repro.clustering.kmeans import kmeans_plus_plus_init
-from repro.constraints.closure import transitive_closure
+from repro.constraints.closure import _must_link_roots, _ordered_components, transitive_closure
 from repro.constraints.constraint import ConstraintSet
 from repro.utils.rng import RandomStateLike, check_random_state
 from repro.utils.validation import check_array_2d, check_positive_int
@@ -146,24 +146,15 @@ class COPKMeans(BaseClusterer):
     def _components(
         n_samples: int, closure: ConstraintSet
     ) -> tuple[list[list[int]], np.ndarray]:
-        """Must-link components (singletons for unconstrained objects)."""
-        from repro.utils.disjoint_set import DisjointSet
+        """Must-link components (singletons for unconstrained objects).
 
-        ds = DisjointSet(range(n_samples))
-        for constraint in closure.must_links:
-            ds.union(constraint.i, constraint.j)
-        component_of = np.empty(n_samples, dtype=np.int64)
-        components: list[list[int]] = []
-        root_to_id: dict[int, int] = {}
-        for index in range(n_samples):
-            root = ds.find(index)
-            if root not in root_to_id:
-                root_to_id[root] = len(components)
-                components.append([])
-            component_id = root_to_id[root]
-            components[component_id].append(index)
-            component_of[index] = component_id
-        return components, component_of
+        Components are numbered in order of their smallest member.
+        """
+        roots = np.arange(n_samples)
+        objects, object_roots = _must_link_roots(closure)
+        roots[objects] = object_roots
+        component_of, members, _, starts = _ordered_components(np.arange(n_samples), roots)
+        return [group.tolist() for group in np.split(members, starts[1:])], component_of
 
     @staticmethod
     def _component_cannot_links(

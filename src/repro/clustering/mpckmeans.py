@@ -203,8 +203,8 @@ class MPCKMeans(BaseClusterer):
     ) -> np.ndarray:
         """Seed centroids from must-link neighbourhoods, topped up with k-means++."""
         ds = DisjointSet()
-        for constraint in closure.must_links:
-            ds.union(constraint.i, constraint.j)
+        for i, j in closure.must_link_array().tolist():
+            ds.union(i, j)
         neighbourhoods = sorted(ds.groups(), key=len, reverse=True)
         seeds = [X[list(group)].mean(axis=0) for group in neighbourhoods[:n_clusters]]
         if len(seeds) < n_clusters:

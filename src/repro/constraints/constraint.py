@@ -102,25 +102,41 @@ def cannot_link(i: int, j: int) -> Constraint:
 class ConstraintSet:
     """A deduplicated collection of pairwise constraints.
 
-    The container behaves like a set of :class:`Constraint` objects but also
-    offers the array views and per-object lookups the clustering algorithms
-    and the CVCP cross-validation machinery need.
+    The constraints are stored as three read-only integer columns
+    ``(i, j, kind)``, one row per constraint with ``i < j``, in insertion
+    order; iteration yields :class:`Constraint` views of the rows.
 
     Adding the same pair twice with the same kind is a no-op; adding the same
     pair with *conflicting* kinds raises :class:`ValueError` (such a set
     could never be satisfied and almost always indicates a bookkeeping bug
     upstream).
+
+    :func:`repro.constraints.closure.transitive_closure` memoises its result
+    on the set; any mutation clears the memo, and pickling keeps only the
+    columns and the closed flag.
     """
 
     def __init__(self, constraints: Iterable[Constraint] = ()) -> None:
-        self._by_pair: dict[tuple[int, int], Constraint] = {}
+        self._columns = (_frozen(()),) * 3
+        # {(i, j): kind} in set order, built on the first add, discard or
+        # lookup; ``_stale`` marks adds and discards not yet in the columns.
+        self._kinds: dict[tuple[int, int], int] | None = None
+        self._stale = False
         self._closed = False
-        for constraint in constraints:
-            self.add(constraint)
+        self._closure = None
+        self.update(constraints)
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+    @classmethod
+    def _of(cls, i: np.ndarray, j: np.ndarray, kind: np.ndarray, *, closed: bool = False) -> "ConstraintSet":
+        """Wrap canonical columns (``i < j``, distinct pairs) without checking them."""
+        result = cls()
+        result._columns = (_frozen(i), _frozen(j), _frozen(kind))
+        result._closed = closed
+        return result
+
     @classmethod
     def from_arrays(
         cls,
@@ -133,38 +149,52 @@ class ConstraintSet:
         return cls(constraints)
 
     def copy(self) -> "ConstraintSet":
-        """Return a shallow copy (constraints are immutable)."""
-        clone = ConstraintSet()
-        clone._by_pair = dict(self._by_pair)
-        clone._closed = self._closed
+        """Return a copy sharing the (immutable) columns and the closure memo."""
+        clone = ConstraintSet._of(*self.as_arrays(), closed=self._closed)
+        clone._closure = self._closure
         return clone
 
     @property
     def is_closed(self) -> bool:
         """Whether this set is a known transitive closure.
 
-        Set by :func:`repro.constraints.closure.transitive_closure` (and
-        the other closure constructors) on their results and cleared by
-        any mutation; closure is idempotent, so re-closing a marked set
-        short-circuits — the win that makes the CVCP grid's per-cell
-        re-closures of the already-closed fold constraints free.
+        Set on the results of :func:`repro.constraints.closure.transitive_closure`
+        and :func:`~repro.constraints.closure.closure_of_labels`, and cleared
+        by any mutation.  Re-closing a marked set returns an O(1) copy in the
+        set's own order.  Sets derived from labels are closed as sets but
+        not marked: closing them emits the closure order (see
+        :func:`~repro.constraints.generation.constraints_from_labels`), and
+        the result is memoised on the set instead.
         """
         return self._closed
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def _mutated(self) -> None:
+        self._closed = False
+        self._closure = None
+
+    def _lookup(self) -> dict[tuple[int, int], int]:
+        if self._kinds is None:
+            i, j, kind = self._columns
+            self._kinds = dict(zip(zip(i.tolist(), j.tolist()), kind.tolist()))
+        return self._kinds
+
     def add(self, constraint: Constraint) -> None:
         """Add one constraint, rejecting direct contradictions."""
-        existing = self._by_pair.get(constraint.pair)
-        if existing is not None and existing.kind != constraint.kind:
+        kinds = self._lookup()
+        existing = kinds.get(constraint.pair)
+        if existing is not None and existing != constraint.kind:
             raise ValueError(
                 f"conflicting constraint for pair {constraint.pair}: "
-                f"{_KIND_NAMES[existing.kind]} already present, tried to add "
+                f"{_KIND_NAMES[existing]} already present, tried to add "
                 f"{_KIND_NAMES[constraint.kind]}"
             )
-        self._by_pair[constraint.pair] = constraint
-        self._closed = False
+        if existing is None:
+            kinds[constraint.pair] = constraint.kind
+            self._stale = True
+        self._mutated()
 
     def add_must_link(self, i: int, j: int) -> None:
         """Add a must-link constraint between objects ``i`` and ``j``."""
@@ -181,28 +211,36 @@ class ConstraintSet:
 
     def discard(self, constraint: Constraint) -> None:
         """Remove a constraint if present (matching pair and kind)."""
-        existing = self._by_pair.get(constraint.pair)
-        if existing is not None and existing.kind == constraint.kind:
-            del self._by_pair[constraint.pair]
-            self._closed = False
+        if constraint in self:
+            del self._kinds[constraint.pair]
+            self._stale = True
+            self._mutated()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._by_pair)
+        return len(self._kinds) if self._stale else len(self._columns[0])
 
     def __iter__(self) -> Iterator[Constraint]:
-        return iter(self._by_pair.values())
+        i, j, kind = self.as_arrays()
+        return map(Constraint, i.tolist(), j.tolist(), kind.tolist())
 
     def __contains__(self, constraint: Constraint) -> bool:
-        existing = self._by_pair.get(constraint.pair)
-        return existing is not None and existing.kind == constraint.kind
+        return self._lookup().get(constraint.pair) == constraint.kind
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConstraintSet):
             return NotImplemented
-        return self._by_pair == other._by_pair
+        return self._lookup() == other._lookup()
+
+    def __getstate__(self) -> dict:
+        return {"columns": self.as_arrays(), "closed": self._closed}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__()
+        self._columns = tuple(_frozen(column) for column in state["columns"])
+        self._closed = state["closed"]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -215,8 +253,7 @@ class ConstraintSet:
         if i == j:
             return None
         pair = (i, j) if i < j else (j, i)
-        existing = self._by_pair.get(pair)
-        return None if existing is None else existing.kind
+        return self._lookup().get(pair)
 
     @property
     def must_links(self) -> list[Constraint]:
@@ -231,64 +268,63 @@ class ConstraintSet:
     @property
     def n_must_link(self) -> int:
         """Number of must-link constraints in the set."""
-        return sum(1 for c in self if c.is_must_link)
+        return int(np.count_nonzero(self.as_arrays()[2] == MUST_LINK))
 
     @property
     def n_cannot_link(self) -> int:
         """Number of cannot-link constraints in the set."""
-        return sum(1 for c in self if c.is_cannot_link)
+        return len(self) - self.n_must_link
 
     def involved_objects(self) -> list[int]:
         """Sorted list of every object index touched by any constraint."""
-        objects: set[int] = set()
-        for constraint in self:
-            objects.add(constraint.i)
-            objects.add(constraint.j)
-        return sorted(objects)
+        i, j, _ = self.as_arrays()
+        return np.unique(np.concatenate((i, j))).tolist()
 
     # ------------------------------------------------------------------
     # Array views
     # ------------------------------------------------------------------
     def must_link_array(self) -> np.ndarray:
         """``(m, 2)`` integer array of must-link pairs (may be empty)."""
-        pairs = [c.pair for c in self if c.is_must_link]
-        if not pairs:
-            return np.empty((0, 2), dtype=np.intp)
-        return np.asarray(pairs, dtype=np.intp)
+        i, j, kind = self.as_arrays()
+        must = kind == MUST_LINK
+        return np.column_stack((i[must], j[must]))
 
     def cannot_link_array(self) -> np.ndarray:
         """``(m, 2)`` integer array of cannot-link pairs (may be empty)."""
-        pairs = [c.pair for c in self if c.is_cannot_link]
-        if not pairs:
-            return np.empty((0, 2), dtype=np.intp)
-        return np.asarray(pairs, dtype=np.intp)
+        i, j, kind = self.as_arrays()
+        cannot = kind == CANNOT_LINK
+        return np.column_stack((i[cannot], j[cannot]))
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(pairs, kinds)`` flattened into ``(i, j, kind)`` arrays."""
-        if not self._by_pair:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty.copy(), empty.copy()
-        i_idx = np.fromiter((c.i for c in self), dtype=np.intp, count=len(self))
-        j_idx = np.fromiter((c.j for c in self), dtype=np.intp, count=len(self))
-        kinds = np.fromiter((c.kind for c in self), dtype=np.intp, count=len(self))
-        return i_idx, j_idx, kinds
+        """The read-only ``(i, j, kind)`` columns, one entry per constraint in set order."""
+        if self._stale:
+            # Rebuilt whole from the lookup, so concurrent readers of one
+            # set that race here compute identical columns.
+            kinds = self._kinds
+            pairs = np.array(list(kinds), dtype=np.intp).reshape(-1, 2)
+            kind = np.fromiter(kinds.values(), dtype=np.intp, count=len(kinds))
+            self._columns = (_frozen(pairs[:, 0]), _frozen(pairs[:, 1]), _frozen(kind))
+            self._stale = False
+        return self._columns
 
     # ------------------------------------------------------------------
     # Subsetting / mapping
     # ------------------------------------------------------------------
+    def _masked(self, keep: np.ndarray) -> "ConstraintSet":
+        i, j, kind = self.as_arrays()
+        return ConstraintSet._of(i[keep], j[keep], kind[keep])
+
     def restricted_to(self, objects: Iterable[int]) -> "ConstraintSet":
         """Keep only constraints whose *both* endpoints are in ``objects``."""
-        allowed = set(int(o) for o in objects)
-        return ConstraintSet(
-            c for c in self if c.i in allowed and c.j in allowed
-        )
+        allowed = np.fromiter((int(o) for o in objects), dtype=np.intp)
+        i, j, _ = self.as_arrays()
+        return self._masked(np.isin(i, allowed) & np.isin(j, allowed))
 
     def without_objects(self, objects: Iterable[int]) -> "ConstraintSet":
         """Drop every constraint touching any object in ``objects``."""
-        banned = set(int(o) for o in objects)
-        return ConstraintSet(
-            c for c in self if c.i not in banned and c.j not in banned
-        )
+        banned = np.fromiter((int(o) for o in objects), dtype=np.intp)
+        i, j, _ = self.as_arrays()
+        return self._masked(~(np.isin(i, banned) | np.isin(j, banned)))
 
     def remap(self, index_map: dict[int, int]) -> "ConstraintSet":
         """Re-index constraints through ``index_map`` (old index -> new index).
@@ -297,13 +333,15 @@ class ConstraintSet:
         This is useful when clustering a subset of the data where objects
         have been re-indexed.
         """
-        remapped = ConstraintSet()
-        for constraint in self:
-            if constraint.i in index_map and constraint.j in index_map:
-                remapped.add(
-                    Constraint(index_map[constraint.i], index_map[constraint.j], constraint.kind)
-                )
-        return remapped
+        old = np.fromiter(index_map.keys(), dtype=np.intp, count=len(index_map))
+        new = np.fromiter(index_map.values(), dtype=np.intp, count=len(index_map))
+        order = np.argsort(old)
+        old, new = old[order], new[order]
+        i, j, kind = self.as_arrays()
+        keep = np.isin(i, old) & np.isin(j, old)
+        new_i = new[np.searchsorted(old, i[keep])].tolist()
+        new_j = new[np.searchsorted(old, j[keep])].tolist()
+        return ConstraintSet(map(Constraint, new_i, new_j, kind[keep].tolist()))
 
     def merged_with(self, other: "ConstraintSet") -> "ConstraintSet":
         """Return the union of this set and ``other``."""
@@ -318,20 +356,13 @@ class ConstraintSet:
         a noise object is never in the same cluster as any other object.
         """
         labels = np.asarray(labels)
-        satisfied = 0
-        for constraint in self:
-            same = _same_cluster(labels, constraint.i, constraint.j)
-            if constraint.is_must_link and same:
-                satisfied += 1
-            elif constraint.is_cannot_link and not same:
-                satisfied += 1
-        return satisfied
+        i, j, kind = self.as_arrays()
+        same = (labels[i] >= 0) & (labels[j] >= 0) & (labels[i] == labels[j])
+        return int(np.count_nonzero(same == (kind == MUST_LINK)))
 
 
-def _same_cluster(labels: np.ndarray, i: int, j: int) -> bool:
-    """Whether objects ``i`` and ``j`` share a (non-noise) cluster."""
-    label_i = labels[i]
-    label_j = labels[j]
-    if label_i < 0 or label_j < 0:
-        return False
-    return bool(label_i == label_j)
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """``column`` as a contiguous read-only ``intp`` array (in place when possible)."""
+    column = np.ascontiguousarray(column, dtype=np.intp)
+    column.flags.writeable = False
+    return column

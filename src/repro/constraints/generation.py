@@ -15,7 +15,6 @@ side information from the ground-truth class labels:
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -84,8 +83,11 @@ def constraints_from_labels(labeled: dict[int, int] | Sequence[tuple[int, int]])
     """Derive all pairwise constraints implied by a partial labelling.
 
     Two objects with the same label yield a must-link, with different labels
-    a cannot-link (Section 3.1.1).  The result is transitively closed by
-    construction.
+    a cannot-link (Section 3.1.1).  The result is transitively closed as a
+    set, in lexicographic ``(i, j)`` order, but not marked closed:
+    :func:`~repro.constraints.closure.transitive_closure` re-emits it in
+    closure order (the order MPCK-Means' float sums consume) and memoises
+    that on the set.
 
     Parameters
     ----------
@@ -95,12 +97,12 @@ def constraints_from_labels(labeled: dict[int, int] | Sequence[tuple[int, int]])
     """
     if not isinstance(labeled, dict):
         labeled = dict(labeled)
-    constraints = ConstraintSet()
     items = sorted(labeled.items())
-    for (i, label_i), (j, label_j) in combinations(items, 2):
-        kind = MUST_LINK if label_i == label_j else CANNOT_LINK
-        constraints.add(Constraint(i, j, kind))
-    return constraints
+    objects = np.array([index for index, _ in items], dtype=np.intp)
+    classes = np.array([label for _, label in items])
+    first, second = np.triu_indices(len(items), 1)
+    kind = np.where(classes[first] == classes[second], MUST_LINK, CANNOT_LINK)
+    return ConstraintSet._of(objects[first], objects[second], kind)
 
 
 def _n_selected_per_class(class_size: int, fraction_per_class: float, min_per_class: int) -> int:
@@ -190,13 +192,13 @@ def sample_constraint_subset(
     fraction = check_fraction(fraction, name="fraction")
     rng = check_random_state(random_state)
 
-    all_constraints = list(pool)
-    if not all_constraints:
+    n_pool = len(pool)
+    if not n_pool:
         return ConstraintSet()
-    n_select = max(int(round(fraction * len(all_constraints))), min_constraints)
-    n_select = min(n_select, len(all_constraints))
-    chosen = rng.choice(len(all_constraints), size=n_select, replace=False)
-    return ConstraintSet(all_constraints[int(index)] for index in chosen)
+    n_select = min(max(int(round(fraction * n_pool)), min_constraints), n_pool)
+    chosen = rng.choice(n_pool, size=n_select, replace=False)
+    i, j, kind = pool.as_arrays()
+    return ConstraintSet._of(i[chosen], j[chosen], kind[chosen])
 
 
 def random_constraints(

@@ -14,8 +14,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.constraints.constraint import CANNOT_LINK, MUST_LINK, Constraint, ConstraintSet
-from repro.utils.disjoint_set import DisjointSet
+from repro.constraints.closure import must_link_components
+from repro.constraints.constraint import MUST_LINK, ConstraintSet
 
 
 class ConstraintGraph:
@@ -71,13 +71,11 @@ class ConstraintGraph:
             must-link components used by the transitive closure); otherwise
             both constraint kinds are treated as edges.
         """
-        ds = DisjointSet(self._adjacency)
-        for constraint in self._constraints:
-            if must_link_only and not constraint.is_must_link:
-                continue
-            ds.union(constraint.i, constraint.j)
-        groups = ds.groups()
-        return sorted((sorted(group) for group in groups), key=lambda g: g[0])
+        constraints = self._constraints
+        if not must_link_only:
+            i, j, _ = constraints.as_arrays()
+            constraints = ConstraintSet._of(i, j, np.full(i.size, MUST_LINK))
+        return must_link_components(constraints)
 
     def component_of(self, index: int, *, must_link_only: bool = False) -> list[int]:
         """The component containing object ``index`` (empty if unknown)."""
@@ -120,10 +118,8 @@ class ConstraintGraph:
         constrained clustering algorithms.
         """
         matrix = np.zeros((n_objects, n_objects), dtype=np.int8)
-        for constraint in self._constraints:
-            value = 1 if constraint.kind == MUST_LINK else -1
-            matrix[constraint.i, constraint.j] = value
-            matrix[constraint.j, constraint.i] = value
+        i, j, kind = self._constraints.as_arrays()
+        matrix[i, j] = matrix[j, i] = np.where(kind == MUST_LINK, 1, -1)
         return matrix
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -135,9 +131,4 @@ def graph_from_pairs(
     cannot_links: Iterable[tuple[int, int]] = (),
 ) -> ConstraintGraph:
     """Convenience constructor mirroring :meth:`ConstraintSet.from_arrays`."""
-    constraints = ConstraintSet()
-    for i, j in must_links:
-        constraints.add(Constraint(i, j, MUST_LINK))
-    for i, j in cannot_links:
-        constraints.add(Constraint(i, j, CANNOT_LINK))
-    return ConstraintGraph(constraints)
+    return ConstraintGraph(ConstraintSet.from_arrays(list(must_links), list(cannot_links)))

@@ -50,7 +50,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from repro.constraints.closure import must_link_components
+from repro.constraints.closure import _must_link_roots
 from repro.constraints.constraint import CANNOT_LINK, MUST_LINK, Constraint, ConstraintSet
 from repro.constraints.generation import (
     build_constraint_pool,
@@ -291,16 +291,11 @@ def repair_closure_consistency(constraints: ConstraintSet) -> ConstraintSet:
     The repair is conservative: it never invents constraints, so the output
     is a subset of the input.
     """
-    component_of: dict[int, int] = {}
-    for component_id, members in enumerate(must_link_components(constraints)):
-        for index in members:
-            component_of[index] = component_id
-    repaired = ConstraintSet()
-    for constraint in constraints:
-        if constraint.is_cannot_link and component_of[constraint.i] == component_of[constraint.j]:
-            continue
-        repaired.add(constraint)
-    return repaired
+    objects, roots = _must_link_roots(constraints)
+    i, j, kind = constraints.as_arrays()
+    same_component = roots[np.searchsorted(objects, i)] == roots[np.searchsorted(objects, j)]
+    keep = ~((kind == CANNOT_LINK) & same_component)
+    return ConstraintSet._of(i[keep], j[keep], kind[keep])
 
 
 @register_oracle

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constraints.constraint import ConstraintSet
+from repro.constraints.constraint import MUST_LINK, ConstraintSet
 from repro.utils.validation import check_labels
 
 
@@ -104,21 +104,14 @@ def constraint_confusion(
     in the same cluster as any other object (including other noise objects).
     """
     labels = check_labels(labels)
-    tp = fn = tn = fp = 0
-    for constraint in constraints:
-        label_i = labels[constraint.i]
-        label_j = labels[constraint.j]
-        same = label_i >= 0 and label_j >= 0 and label_i == label_j
-        if constraint.is_must_link:
-            if same:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if same:
-                fp += 1
-            else:
-                tn += 1
+    i, j, kind = constraints.as_arrays()
+    label_i, label_j = labels[i], labels[j]
+    same = (label_i >= 0) & (label_j >= 0) & (label_i == label_j)
+    must = kind == MUST_LINK
+    tp = int(np.count_nonzero(must & same))
+    fn = int(np.count_nonzero(must)) - tp
+    fp = int(np.count_nonzero(same)) - tp
+    tn = len(kind) - tp - fn - fp
     return ConstraintConfusion(tp=tp, fn=fn, tn=tn, fp=fp)
 
 

@@ -154,3 +154,103 @@ class TestConstraintSet:
         labels = np.array([-1, -1, -1, -1])
         # Noise objects are never in the same cluster: ML violated, CL satisfied.
         assert constraints.satisfied_by(labels) == 1
+
+
+def _fold_constraints() -> ConstraintSet:
+    """The training-side constraint set of one label-scenario fold."""
+    from repro.core.folds import label_scenario_folds
+
+    labelled = {index: index % 3 for index in range(0, 60, 2)}
+    return label_scenario_folds(labelled, n_folds=5, random_state=0)[0].training_constraints
+
+
+def _rows(constraints: ConstraintSet) -> list[tuple[int, int, int]]:
+    return [(c.i, c.j, c.kind) for c in constraints]
+
+
+class TestArrayStorage:
+    def test_columns_are_read_only_and_copy_shares_them(self):
+        constraints = _fold_constraints()
+        columns = constraints.as_arrays()
+        assert all(not column.flags.writeable for column in columns)
+        clone = constraints.copy()
+        assert all(a is b for a, b in zip(clone.as_arrays(), columns))
+        clone.add_must_link(1000, 1001)
+        assert len(clone) == len(constraints) + 1
+        assert (1000, 1001, MUST_LINK) not in _rows(constraints)
+
+    def test_pickles_arrays_only_and_round_trips_equal(self):
+        import pickle
+        import pickletools
+
+        from repro.constraints import transitive_closure
+
+        constraints = _fold_constraints()
+        transitive_closure(constraints, strict=False)
+        assert constraints._closure is not None
+        state = constraints.__getstate__()
+        assert set(state) == {"columns", "closed"}
+        assert all(isinstance(column, np.ndarray) for column in state["columns"])
+        payload = pickle.dumps(constraints)
+        strings = {arg for _, arg, _ in pickletools.genops(payload) if isinstance(arg, str)}
+        assert "ConstraintSet" in strings
+        assert "Constraint" not in strings and "_closure" not in strings
+        restored = pickle.loads(payload)
+        assert restored == constraints
+        assert _rows(restored) == _rows(constraints)
+        assert restored._closure is None
+        assert all(not column.flags.writeable for column in restored.as_arrays())
+
+    def test_equality_ignores_order(self):
+        forward = ConstraintSet([must_link(0, 1), cannot_link(1, 2)])
+        backward = ConstraintSet([cannot_link(2, 1), must_link(1, 0)])
+        assert _rows(forward) != _rows(backward)
+        assert forward == backward
+        assert forward != ConstraintSet([must_link(0, 1), must_link(1, 2)])
+
+    def test_threads_closing_one_shared_set_agree(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.constraints import transitive_closure
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for shared in (_fold_constraints(), ConstraintSet()):
+                # Pending single-pair adds: the first readers rebuild the columns.
+                for index in range(0, 40, 3):
+                    shared.add(Constraint(index, index + 1, index % 2))
+                expected = _rows(transitive_closure(ConstraintSet(list(shared)), strict=False))
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [
+                        pool.submit(lambda: _rows(transitive_closure(shared, strict=False)))
+                        for _ in range(32)
+                    ]
+                    results = [future.result(timeout=60) for future in futures]
+                assert all(result == expected for result in results)
+                assert len(shared.as_arrays()[0]) == len(shared)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda s: s.add(must_link(500, 501)),
+            lambda s: s.update([cannot_link(500, 502)]),
+            lambda s: s.discard(next(iter(s))),
+        ],
+        ids=["add", "update", "discard"],
+    )
+    def test_mutation_clears_the_memo_and_the_closed_flag(self, mutate):
+        from repro.constraints import transitive_closure
+
+        constraints = _fold_constraints()
+        closed = transitive_closure(constraints, strict=False)
+        assert closed.is_closed and constraints._closure is not None
+        mutate(constraints)
+        mutate(closed)
+        assert constraints._closure is None
+        assert not closed.is_closed
+        fresh = transitive_closure(ConstraintSet(list(constraints)), strict=False)
+        assert _rows(transitive_closure(constraints, strict=False)) == _rows(fresh)
