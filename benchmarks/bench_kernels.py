@@ -1,7 +1,7 @@
 """Parity + timing micro-benchmarks for the vectorised clustering kernels.
 
 Runs the same kernel cases as ``repro bench kernels`` (see
-:mod:`repro.cli.bench_kernels`, which also defines the sizes and input
+:mod:`repro.bench.kernels`, which also defines the sizes and input
 seeds) through pytest-benchmark: every case first asserts that the
 ``reference`` and ``vectorized`` implementations produce bit-identical
 results, then times the requested implementation.  CI runs this file with
@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro.cli.bench_kernels import KERNEL_BENCH_SIZES, KERNEL_NAMES, make_cases
+from repro.bench.kernels import KERNEL_BENCH_SIZES, KERNEL_NAMES, make_cases
 from repro.clustering.kernels import KERNEL_MODES
 
 _SIZE = os.environ.get("REPRO_BENCH_KERNEL_SIZE", "medium")

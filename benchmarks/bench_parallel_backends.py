@@ -1,6 +1,6 @@
 """Backend parity and scaling smoke for the parallel execution engine.
 
-Runs the fixed small grid from :mod:`repro.cli.bench` (FOSC-OPTICSDend over
+Runs the fixed small grid from :mod:`repro.bench.parallel` (FOSC-OPTICSDend over
 a reduced MinPts range on a 240-point synthetic data set — the same grid the
 ``repro bench`` regression gate times) once per backend, asserts that every
 backend selects the *same* parameter with *identical* per-fold scores, and
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli.bench import run_grid
+from repro.bench.parallel import run_grid
 from repro.core.executor import BACKENDS
 from repro.utils.cache import clear_distance_cache
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import bench_scale as bench_scale_module
+from repro.bench import scale as bench_scale_module
 from repro.clustering.fosc import FOSCOpticsDend
 from repro.core.distance_backend import DISTANCE_BACKENDS
 from repro.utils.cache import clear_distance_cache

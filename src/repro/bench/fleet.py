@@ -1,4 +1,4 @@
-"""Fleet orchestration benchmark + baseline gate for ``repro bench fleet``.
+"""``repro bench fleet``: work-stealing wall-clock against the worker count.
 
 Measures how close the work-stealing layer (:mod:`repro.experiments.fleet`)
 gets to the ideal 1/N wall-clock as the worker count grows, in a way that
@@ -26,28 +26,25 @@ is honest on any machine — including single-core CI runners:
   CPU-bound, so their scaling is machine-dependent).
 
 ``BENCH_fleet.json`` commits the recorded baseline; fresh records are
-gated on the per-worker-count speedup floors (machine-independent), the
-store-parity flags, the quickstart parity bit and a generous serial
-wall-clock budget.
+gated on the per-worker-count speedup floors (machine-independent) and a
+generous serial wall-clock budget.  :func:`checks` requires every parity
+flag inside the record to hold: the store parity of each measured worker
+count and, when it ran, the quickstart ``summary.json`` parity.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from repro.bench.engine import Spec, make_record
 from repro.experiments.artifacts import ArtifactStore, key_digest
 from repro.experiments.fleet import LeaseManager, work_steal
-from repro.utils.specs import SpecError, check_spec_mapping
-
-#: Worker counts measured by default.
-FLEET_BENCH_WORKER_COUNTS: tuple[int, ...] = (1, 2, 4)
 
 #: Synthetic scheduling-grid shape: units × fixed per-unit wall cost.
 N_UNITS = 32
@@ -57,14 +54,20 @@ UNIT_COST_S = 0.25
 #: but a crashed bench run must not poison the next one's store).
 _BENCH_TTL_S = 15.0
 
-#: Minimum speedup the gate enforces per worker count (vs 1 worker).
-DEFAULT_FLOORS: dict[str, float] = {"2": 1.6, "4": 2.4}
-
 #: Artifact kind of the synthetic units.
 UNIT_KIND = "fleetbench"
 
-#: Key of the baseline section inside ``BENCH_fleet.json``.
-BASELINE_SECTION = "bench_fleet"
+METRICS = {
+    "1/wall_s": Spec("s", "lower", "slowdown"),
+    # Minimum speedup per worker count (vs 1 worker).
+    "2/speedup": Spec("x", "higher", "floor", floor=1.6),
+    "4/speedup": Spec("x", "higher", "floor", floor=2.4),
+    "*/speedup": Spec("x", "higher"),
+    "*_s": Spec("s", "lower"),
+    "*/parity": Spec(),
+    "*/store_digest": Spec(),
+    "*": Spec("count"),
+}
 
 
 def synthetic_unit_keys(n_units: int, unit_cost_s: float) -> list[dict]:
@@ -102,7 +105,7 @@ def _spawn_worker(root: Path, n_units: int, unit_cost_s: float, worker_id: str) 
         [
             sys.executable,
             "-m",
-            "repro.cli.bench_fleet",
+            "repro.bench.fleet",
             "--worker",
             str(root),
             str(n_units),
@@ -160,7 +163,7 @@ def _drain_workers(procs: list[subprocess.Popen], *, what: str) -> list[dict]:
 
 
 def run_scheduling_grid(
-    worker_counts: tuple[int, ...] = FLEET_BENCH_WORKER_COUNTS,
+    worker_counts: tuple[int, ...] = (1, 2, 4),
     *,
     n_units: int = N_UNITS,
     unit_cost_s: float = UNIT_COST_S,
@@ -288,164 +291,62 @@ def run_quickstart_parity(config_path: Path, *, n_workers: int = 2) -> dict:
     }
 
 
-def run_bench_fleet(
-    worker_counts: tuple[int, ...] = FLEET_BENCH_WORKER_COUNTS,
-    *,
-    n_units: int = N_UNITS,
-    unit_cost_s: float = UNIT_COST_S,
-    include_quickstart: bool = True,
+def run(
+    workers: tuple[str, ...] = ("1", "2", "4"),
+    units: int = N_UNITS,
+    unit_cost: float = UNIT_COST_S,
+    no_quickstart: bool = False,
     config_path: str | Path | None = None,
 ) -> dict:
     """Run the fleet benchmark and return a fresh record."""
-    cells, speedup = run_scheduling_grid(worker_counts, n_units=n_units, unit_cost_s=unit_cost_s)
-    record = {
-        "kind": "repro-bench-fleet",
-        "n_units": int(n_units),
-        "unit_cost_s": float(unit_cost_s),
+    try:
+        counts = tuple(int(token) for token in workers)
+    except ValueError:
+        raise ValueError(f"--workers must be comma-separated integers, got {','.join(workers)!r}") from None
+    cells, speedup = run_scheduling_grid(counts, n_units=units, unit_cost_s=unit_cost)
+    values: dict[str, object] = {}
+    for count, cell in cells.items():
+        values[f"{count}/wall_s"] = cell["wall_s"]
+        if count in speedup:
+            values[f"{count}/speedup"] = speedup[count]
+        values[f"{count}/parity"] = cell["parity"]
+        values[f"{count}/store_digest"] = cell["store_digest"]
+        for name, total in cell["stats"].items():
+            values[f"{count}/{name}"] = total
+    context: dict[str, object] = {
+        "n_units": int(units),
+        "unit_cost_s": float(unit_cost),
         "grid": (
-            f"{n_units} fixed-cost ({unit_cost_s:g}s wall, zero CPU) units drained through "
+            f"{units} fixed-cost ({unit_cost:g}s wall, zero CPU) units drained through "
             "the real LeaseManager/work_steal/ArtifactStore path, one fresh subprocess per "
             "worker sharing one store; speedup therefore measures orchestration overhead, "
             "not CPU parallelism, and holds on single-core runners"
         ),
-        "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version()},
-        "workers": cells,
-        "speedup": speedup,
-        "floors": dict(DEFAULT_FLOORS),
     }
-    if include_quickstart:
+    if not no_quickstart:
         config = Path(config_path) if config_path is not None else discover_quickstart_config()
         if config is None:
-            record["quickstart"] = {"skipped": "no quickstart config found (run from the repo root)"}
+            context["quickstart"] = {"skipped": "no quickstart config found (run from the repo root)"}
         else:
-            record["quickstart"] = run_quickstart_parity(config)
-    return record
+            quickstart = run_quickstart_parity(config)
+            context["quickstart"] = {key: quickstart[key] for key in ("config", "n_workers")}
+            for key in ("single_wall_s", "fleet_wall_s", "parity"):
+                values[f"quickstart/{key}"] = quickstart[key]
+    return make_record("fleet", values, METRICS, context=context)
 
 
-def normalize_record(record: dict) -> dict:
-    """Validate the shape of a fresh record; returns it unchanged.
+def checks(metrics: dict) -> list[str]:
+    """Every measured parity flag must hold, baselined or not.
 
-    Raises
-    ------
-    ValueError
-        If the record is not a ``repro-bench-fleet`` JSON or is missing
-        its ``workers``/``speedup`` sections (e.g. a truncated artifact).
+    ``N/parity``: the store after N workers drained the grid is
+    byte-identical to the first count's; ``quickstart/parity``: the
+    multi-worker ``summary.json`` equals the single-process one.
     """
-    if record.get("kind") != "repro-bench-fleet":
-        raise ValueError("unrecognised fleet benchmark record (expected repro-bench-fleet JSON)")
-    workers = record.get("workers")
-    if not isinstance(workers, dict) or not all(isinstance(cell, dict) for cell in workers.values()):
-        raise ValueError("malformed fleet benchmark record: missing its 'workers' section")
-    if not isinstance(record.get("speedup"), dict):
-        raise ValueError("malformed fleet benchmark record: missing its 'speedup' section")
-    return record
-
-
-def to_spec(record: dict) -> dict:
-    """The fleet benchmark record as a JSON-ready mapping."""
-    return dict(record)
-
-
-def from_spec(spec: object) -> dict:
-    """Validate a fleet benchmark record mapping.
-
-    Spec-protocol counterpart of :func:`normalize_record`: raises
-    :class:`repro.utils.specs.SpecError` instead of a bare ``ValueError``.
-    """
-    checked = check_spec_mapping(spec, "fleet bench record")
-    try:
-        return normalize_record(dict(checked))
-    except ValueError as exc:
-        raise SpecError("fleet bench record", [str(exc)]) from exc
-
-
-def compare_records(
-    fresh: dict,
-    baseline: dict,
-    *,
-    max_slowdown: float = 0.75,
-    expected_counts: tuple[str, ...] | None = None,
-) -> list[str]:
-    """Regression problems of a fresh fleet record against the baseline.
-
-    Gates, in order of importance: the per-worker-count speedup floors
-    committed in the baseline (machine-independent — the units are
-    wall-clock sleeps), the store-parity flag of every measured worker
-    count, the quickstart ``summary.json`` parity bit when the section was
-    measured, and a generous budget on the serial (1-worker) wall-clock.
-    """
-    section = baseline.get(BASELINE_SECTION)
-    if not isinstance(section, dict):
-        return [f"baseline is missing the {BASELINE_SECTION!r} section"]
-    floors = section.get("floors", DEFAULT_FLOORS)
-
-    problems: list[str] = []
-    for count, floor in sorted(floors.items()):
-        if expected_counts is not None and count not in expected_counts:
-            continue
-        observed = fresh.get("speedup", {}).get(count)
-        if observed is None:
-            problems.append(f"{count} workers: missing from the fresh record's speedup section")
-            continue
-        if observed < floor:
-            problems.append(
-                f"{count} workers: speedup {observed:.2f}x is below the {floor:.2f}x floor "
-                "(work-stealing overhead regression)"
-            )
-    for count, cell in sorted(fresh.get("workers", {}).items()):
-        if not cell.get("parity", False):
-            problems.append(f"{count} workers: store parity mismatch (bit-identity is the contract)")
-    quickstart = fresh.get("quickstart")
-    if isinstance(quickstart, dict) and "skipped" not in quickstart:
-        if not quickstart.get("parity", False):
-            problems.append(
-                "quickstart: multi-worker summary.json differs from the single-process run"
-            )
-    base_wall = section.get("wall_s", {}).get("1")
-    fresh_wall = fresh.get("workers", {}).get("1", {}).get("wall_s")
-    if base_wall and fresh_wall:
-        slowdown = fresh_wall / base_wall - 1.0
-        if slowdown > max_slowdown:
-            problems.append(
-                f"1 worker: wall {fresh_wall:.2f}s is {slowdown:+.0%} vs baseline "
-                f"{base_wall:.2f}s (allowed {max_slowdown:+.0%})"
-            )
-    return problems
-
-
-def load_json(path: str | Path) -> dict:
-    """Load a fleet benchmark record or baseline from disk."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def format_fleet_table(fresh: dict, baseline: dict | None = None) -> str:
-    """Fixed-width summary of a fresh record (optionally vs the baseline)."""
-    floors: dict = DEFAULT_FLOORS
-    if baseline is not None:
-        floors = baseline.get(BASELINE_SECTION, {}).get("floors", DEFAULT_FLOORS)
-    lines = [f"{'workers':<8} {'wall':>9} {'speedup':>9} {'floor':>7} {'stolen':>7} {'waits':>6}"]
-    for count, cell in sorted(fresh.get("workers", {}).items(), key=lambda item: int(item[0])):
-        speedup = fresh.get("speedup", {}).get(count)
-        stats = cell.get("stats", {})
-        lines.append(
-            f"{count:<8} {cell.get('wall_s', float('nan')):>8.2f}s "
-            f"{(f'{speedup:.2f}x' if speedup is not None else '-'):>9} "
-            f"{(f'{floors[count]:.2f}x' if count in floors else '-'):>7} "
-            f"{stats.get('stolen', 0):>7} {stats.get('waits', 0):>6}"
-        )
-    quickstart = fresh.get("quickstart")
-    if isinstance(quickstart, dict):
-        if "skipped" in quickstart:
-            lines.append(f"quickstart parity: skipped ({quickstart['skipped']})")
-        else:
-            lines.append(
-                f"quickstart parity: {'ok' if quickstart.get('parity') else 'MISMATCH'} "
-                f"(single {quickstart.get('single_wall_s', float('nan')):.1f}s, "
-                f"{quickstart.get('n_workers', 0)} workers "
-                f"{quickstart.get('fleet_wall_s', float('nan')):.1f}s)"
-            )
-    return "\n".join(lines)
+    return [
+        f"{name} is false (bit-identity is the fleet's contract)"
+        for name, entry in metrics.items()
+        if name.endswith("/parity") and not entry["value"]
+    ]
 
 
 def _worker_main(argv: list[str]) -> int:
@@ -500,4 +401,4 @@ def _worker_main(argv: list[str]) -> int:
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
     if len(sys.argv) >= 7 and sys.argv[1] == "--worker":
         raise SystemExit(_worker_main(sys.argv[2:]))
-    raise SystemExit("usage: python -m repro.cli.bench_fleet --worker ROOT N_UNITS COST_MS TTL ID")
+    raise SystemExit("usage: python -m repro.bench.fleet --worker ROOT N_UNITS COST_MS TTL ID")

@@ -1,4 +1,4 @@
-"""Cold-vs-incremental benchmark + regression gate for online replays.
+"""``repro bench online``: incremental re-selection against cold replays.
 
 ``repro bench online`` measures what the incremental CVCP machinery
 (:mod:`repro.experiments.online`) actually buys on the quickstart grid
@@ -33,39 +33,18 @@ incremental regime the paper's practitioner lives in):
   at 0.95 (an incremental delta should never rebuild a structure).
 
 The fresh record is gated against the committed ``BENCH_online.json``
-baseline by :func:`compare_records`: equivalence and the floors are hard
-requirements (the floors travel inside the baseline), and the absolute
-incremental wall-clock gets a generous ``--max-slowdown`` budget because
-CI runners share cores.
+baseline: equivalence and the floors are hard requirements (the floors
+travel inside the baseline), and the absolute incremental wall-clock gets
+a generous ``--max-slowdown`` budget because CI runners share cores.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import tempfile
 import time
 from pathlib import Path
 
-from repro.utils.specs import SpecError, check_spec_mapping
-
-__all__ = [
-    "AMOUNT",
-    "BASELINE_SECTION",
-    "DEFAULT_FLOORS",
-    "N_DELTAS",
-    "compare_records",
-    "format_online_table",
-    "from_spec",
-    "load_json",
-    "normalize_record",
-    "run_bench_online",
-    "to_spec",
-]
-
-#: Section of the committed baseline JSON holding the online record.
-BASELINE_SECTION = "bench_online"
+from repro.bench.engine import Spec, make_record
 
 #: Constraint-stream deltas replayed by default.  Eight steps give the
 #: steady-state aggregate enough late-stream deltas (where the cold
@@ -76,10 +55,19 @@ N_DELTAS = 8
 #: Amount of side information (the quickstart grid's single amount).
 AMOUNT = 0.10
 
-#: Machine-independent floors; committed inside the baseline record so a
-#: baseline refresh can tighten them without touching code.  Both gates
-#: cover the steady state after the first delta.
-DEFAULT_FLOORS = {"speedup": 5.0, "structure_hit_rate": 0.95}
+#: ``stream/*`` aggregates cover the steady state after the first delta;
+#: ``stream/equivalent`` covers every delta.
+METRICS = {
+    "stream/incremental_s": Spec("s", "lower", "slowdown"),
+    "stream/speedup": Spec("x", "higher", "floor", floor=5.0),
+    "stream/structure_hit_rate": Spec("ratio", "higher", "floor", floor=0.95),
+    "stream/equivalent": Spec(gate="exact"),
+    "*_s": Spec("s", "lower"),
+    "*/speedup": Spec("x", "higher"),
+    "*/equivalent": Spec(),
+    "*/value": Spec(),
+    "*": Spec("count"),
+}
 
 
 def _bench_config():
@@ -95,7 +83,7 @@ def _bench_config():
     )
 
 
-def run_bench_online(*, deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
+def run(deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
     """Run the cold-vs-incremental replay benchmark and return a record.
 
     The incremental path uses a throwaway artifact store that persists
@@ -225,9 +213,22 @@ def run_bench_online(*, deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
     incremental_total = sum(record["incremental_s"] for record in steady)
     hits = sum(record["structure_hits"] for record in steady)
     requests = hits + sum(record["structure_misses"] for record in steady)
-    return {
-        "kind": "repro-bench-online",
-        "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version()},
+    measured: dict[str, object] = {}
+    for record in delta_records:
+        for key, value in record.items():
+            if key != "step":
+                measured[f"delta/{record['step']}/{key}"] = value
+    measured.update(
+        {
+            "stream/cold_s": cold_total,
+            "stream/incremental_s": incremental_total,
+            "stream/speedup": cold_total / incremental_total if incremental_total > 0 else 0.0,
+            "stream/structure_hit_rate": hits / requests if requests else 0.0,
+            "stream/equivalent": all(record["equivalent"] for record in delta_records),
+        }
+    )
+    context = {
+        "grid": f"Iris, {deltas} deltas, incremental re-selection vs cold accumulated replay",
         "settings": {
             "dataset": "Iris",
             "amount": float(amount),
@@ -237,147 +238,5 @@ def run_bench_online(*, deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
             "n_folds": int(config.n_folds),
             "total_constraints": len(arrivals),
         },
-        "deltas": delta_records,
-        "aggregate": {
-            "cold_s": cold_total,
-            "incremental_s": incremental_total,
-            "speedup": cold_total / incremental_total if incremental_total > 0 else 0.0,
-            "structure_hit_rate": hits / requests if requests else 0.0,
-            "equivalent": all(record["equivalent"] for record in delta_records),
-        },
-        "floors": dict(DEFAULT_FLOORS),
     }
-
-
-def normalize_record(record: dict) -> dict:
-    """Validate the shape of a fresh online record; returns it unchanged.
-
-    Raises
-    ------
-    ValueError
-        If the record is not a ``repro bench online --json`` product.
-    """
-    if record.get("kind") != "repro-bench-online":
-        raise ValueError(
-            "not an online benchmark record (expected kind 'repro-bench-online', "
-            f"got {record.get('kind')!r})"
-        )
-    deltas = record.get("deltas")
-    if not isinstance(deltas, list) or len(deltas) < 2:
-        raise ValueError("online record needs a deltas list of at least 2 steps")
-    for entry in deltas:
-        if not isinstance(entry, dict) or not {
-            "step",
-            "cold_s",
-            "incremental_s",
-            "equivalent",
-        } <= set(entry):
-            raise ValueError(
-                "every deltas entry needs step/cold_s/incremental_s/equivalent"
-            )
-    aggregate = record.get("aggregate")
-    required = {"cold_s", "incremental_s", "speedup", "structure_hit_rate", "equivalent"}
-    if not isinstance(aggregate, dict) or not required <= set(aggregate):
-        raise ValueError(
-            "online record is missing aggregate." + "/aggregate.".join(sorted(required))
-        )
-    return record
-
-
-def to_spec(record: dict) -> dict:
-    """The benchmark record as a JSON-ready mapping (records already are specs)."""
-    return dict(record)
-
-
-def from_spec(spec: object) -> dict:
-    """Validate a mapping back into an online benchmark record."""
-    checked = check_spec_mapping(spec, "online bench record")
-    try:
-        return normalize_record(dict(checked))
-    except ValueError as exc:
-        raise SpecError("online bench record", [str(exc)]) from exc
-
-
-def compare_records(fresh: dict, baseline: dict, *, max_slowdown: float = 1.0) -> list[str]:
-    """Regression problems of a fresh online record against the baseline.
-
-    Gates, in order of importance: delta-equivalence with the cold runs
-    (the incremental machinery's core contract), the steady-state
-    speedup and structure-hit-rate floors committed in the baseline, and
-    a generous incremental wall-clock budget vs the baseline.
-    """
-    section = baseline.get(BASELINE_SECTION)
-    if not isinstance(section, dict):
-        return [f"baseline is missing the {BASELINE_SECTION!r} section"]
-    floors = section.get("floors", DEFAULT_FLOORS)
-
-    problems: list[str] = []
-    aggregate = fresh.get("aggregate", {})
-    if not aggregate.get("equivalent", False):
-        steps = [
-            record.get("step") for record in fresh.get("deltas", []) if not record.get("equivalent")
-        ]
-        problems.append(
-            f"incremental re-selection diverged from the cold run at deltas {steps} "
-            "(delta-equivalence is the online contract)"
-        )
-    speedup_floor = floors.get("speedup")
-    speedup = aggregate.get("speedup", 0.0)
-    if speedup_floor is not None and speedup < speedup_floor:
-        problems.append(
-            f"steady-state speedup {speedup:.1f}x is below the {speedup_floor:.1f}x floor "
-            "(incremental re-selection no longer beats the cold grid rerun)"
-        )
-    hit_floor = floors.get("structure_hit_rate")
-    hit_rate = aggregate.get("structure_hit_rate", 0.0)
-    if hit_floor is not None and hit_rate < hit_floor:
-        problems.append(
-            f"structure cache-hit rate {hit_rate:.2f} after the first delta is below the "
-            f"{hit_floor:.2f} floor (incremental deltas are rebuilding tree structures)"
-        )
-    base_wall = section.get("aggregate", {}).get("incremental_s")
-    fresh_wall = aggregate.get("incremental_s")
-    if base_wall and fresh_wall:
-        slowdown = fresh_wall / base_wall - 1.0
-        if slowdown > max_slowdown:
-            problems.append(
-                f"incremental wall-clock {fresh_wall:.3f}s is {slowdown:+.0%} vs baseline "
-                f"{base_wall:.3f}s (allowed {max_slowdown:+.0%})"
-            )
-    return problems
-
-
-def load_json(path: str | Path) -> dict:
-    """Load an online benchmark record or baseline from disk."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def format_online_table(fresh: dict, baseline: dict | None = None) -> str:
-    """Fixed-width summary of a fresh record (optionally vs the baseline)."""
-    floors: dict = DEFAULT_FLOORS
-    if baseline is not None:
-        floors = baseline.get(BASELINE_SECTION, {}).get("floors", DEFAULT_FLOORS)
-    lines = [
-        f"{'delta':<8} {'queries':>8} {'cold (s)':>10} {'incr (s)':>10} "
-        f"{'speedup':>8} {'equal':>6}"
-    ]
-    for record in fresh.get("deltas", []):
-        lines.append(
-            f"{record.get('step', 0):<8} {record.get('queries', 0):>8} "
-            f"{record.get('cold_s', 0.0):>10.4f} {record.get('incremental_s', 0.0):>10.4f} "
-            f"{record.get('speedup', 0.0):>7.1f}x "
-            f"{str(bool(record.get('equivalent', False))).lower():>6}"
-        )
-    aggregate = fresh.get("aggregate", {})
-    lines += [
-        "",
-        f"{'metric':<26} {'value':>10} {'floor':>10}",
-        f"{'steady-state speedup':<26} {aggregate.get('speedup', 0.0):>9.1f}x "
-        f"{floors.get('speedup', 0.0):>9.1f}x",
-        f"{'structure-hit rate':<26} {aggregate.get('structure_hit_rate', 0.0):>10.2f} "
-        f"{floors.get('structure_hit_rate', 0.0):>10.2f}",
-        f"{'delta-equivalent':<26} "
-        f"{str(bool(aggregate.get('equivalent', False))).lower():>10} {'true':>10}",
-    ]
-    return "\n".join(lines)
+    return make_record("online", measured, METRICS, context=context)

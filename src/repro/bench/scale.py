@@ -1,4 +1,4 @@
-"""Large-``n`` scale benchmark + baseline gate for ``repro bench scale``.
+"""``repro bench scale``: the distance backends at large ``n``.
 
 Times the full density-clustering pipeline (pairwise distances → core
 distances → mutual reachability → Prim MST → condensed tree → FOSC
@@ -32,8 +32,10 @@ under the same 2 GiB budget.  Neighbors cells additionally record
 fit of the same data — wherever the exact fit is still tractable
 (``n <= 10000``); the gate enforces an ARI floor on those cells.
 ``BENCH_scale.json`` commits the recorded baseline; fresh records are
-gated on parity, wall-clock slowdown, an RSS growth slack, the ARI floor,
-and the absolute memory budget for memmap and neighbors cells.
+gated on parity, wall-clock slowdown, an RSS growth slack
+(``--rss-slack``), the ARI floor, and the absolute memory budget for
+memmap and neighbors cells.  :func:`checks` compares label digests across
+the exact backends inside each record.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import platform
 import subprocess
 import sys
 import tempfile
@@ -50,12 +51,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bench.engine import Spec, make_record
 from repro.core.distance_backend import (
     DISTANCE_BACKENDS,
     EXACT_DISTANCE_BACKENDS,
     SPILL_DIR_ENV_VAR,
 )
-from repro.utils.specs import SpecError, check_spec_mapping
 
 #: Benchmark problem sizes (number of objects).
 SCALE_SIZES: dict[str, int] = {
@@ -97,8 +98,18 @@ _MIN_PTS = 5
 #: Size used for the in-process parity pass (two canonical panels).
 PARITY_N = 600
 
-#: Key of the baseline section inside ``BENCH_scale.json``.
-BASELINE_SECTION = "bench_scale"
+_BUDGETED_RSS = Spec("bytes", "lower", "slowdown", budget=MEMORY_BUDGET_BYTES)
+
+METRICS = {
+    "*/wall_s": Spec("s", "lower", "slowdown"),
+    "memmap/*/peak_rss_bytes": _BUDGETED_RSS,
+    "neighbors/*/peak_rss_bytes": _BUDGETED_RSS,
+    "*/peak_rss_bytes": Spec("bytes", "lower", "slowdown"),
+    "*/ari_vs_exact": Spec("ARI", "higher", "floor", floor=ARI_FLOOR),
+    "*/parity": Spec(gate="exact"),
+    "*/labels_digest": Spec(),
+    "*/n_clusters": Spec("count"),
+}
 
 
 def scale_dataset(n_samples: int):
@@ -217,7 +228,7 @@ def _run_cell_subprocess(backend: str, n_samples: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-scale-spill-") as spill:
         env[SPILL_DIR_ENV_VAR] = spill
         completed = subprocess.run(
-            [sys.executable, "-m", "repro.cli.bench_scale", "--cell", backend, str(n_samples)],
+            [sys.executable, "-m", "repro.bench.scale", "--cell", backend, str(n_samples)],
             env=env,
             capture_output=True,
             text=True,
@@ -371,20 +382,20 @@ def assert_executor_parity(n_samples: int = 240) -> None:
     clear_distance_cache()
 
 
-def run_bench_scale(
-    backends: tuple[str, ...] = DISTANCE_BACKENDS,
+def run(
+    backends: tuple[str, ...] = ("dense", "blockwise", "memmap", "neighbors"),
     sizes: tuple[str, ...] | None = None,
-    *,
     rounds: int = 1,
-    skip_executor_parity: bool = False,
-) -> dict:
+    parity_only: bool = False,
+) -> dict | None:
     """Run the scale benchmark and return a fresh record.
 
     Parity (distance backends in-process, executors × backends via small
     CVCP grids, and per-size label digests across the timed cells) is
-    asserted before the record is assembled — a fresh record therefore
-    certifies bit-identity, not just speed.  ``sizes`` restricts every
-    backend to the named sizes; ``None`` uses :data:`DEFAULT_CELLS`.
+    asserted before the record is assembled, so a fresh record certifies
+    bit-identity, not just speed.  ``sizes`` restricts every backend to the
+    named sizes; ``None`` uses :data:`DEFAULT_CELLS`.  With ``parity_only``
+    the timed cells are skipped and nothing is recorded (``None``).
     """
     unknown = [name for name in backends if name not in DISTANCE_BACKENDS]
     if unknown:
@@ -400,11 +411,11 @@ def run_bench_scale(
     assert_distance_backend_parity()
     if "neighbors" in backends:
         assert_neighbor_backend_parity()
-    if not skip_executor_parity:
-        assert_executor_parity()
+    assert_executor_parity()
+    if parity_only:
+        return None
 
-    results: dict[str, dict[str, dict]] = {}
-    digests: dict[str, dict[str, str]] = {}
+    values: dict[str, object] = {}
     for backend in backends:
         cell_sizes = sizes if sizes is not None else DEFAULT_CELLS[backend]
         for size_name in cell_sizes:
@@ -414,198 +425,40 @@ def run_bench_scale(
                 cell = _run_cell_subprocess(backend, n_samples)
                 if best is None or cell["wall_s"] < best["wall_s"]:
                     best = cell
-            best["rounds"] = max(1, rounds)
-            best["parity"] = True
-            results.setdefault(backend, {})[size_name] = best
-            # Only the exact tiers carry the bit-identity contract; the
-            # neighbors tier is approximate and its digests are excluded
-            # from the cross-backend comparison (it is gated on ARI instead).
-            if backend in EXACT_DISTANCE_BACKENDS:
-                digests.setdefault(size_name, {})[backend] = best["labels_digest"]
+            for leaf, value in best.items():
+                values[f"{backend}/{size_name}/{leaf}"] = value
+            values[f"{backend}/{size_name}/parity"] = True
 
-    for size_name, per_backend in digests.items():
-        if len(set(per_backend.values())) > 1:
-            raise RuntimeError(
-                f"distance backends diverged at {size_name} (bit-identity is the "
-                f"contract, so this is a bug): {per_backend}"
-            )
-
-    return {
-        "kind": "repro-bench-scale",
+    context = {
         "seed": SCALE_SEED,
         "sizes": dict(SCALE_SIZES),
         "budget_bytes": MEMORY_BUDGET_BYTES,
         "dense_projected_bytes": {name: projected_dense_peak_bytes(n) for name, n in SCALE_SIZES.items()},
-        "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version()},
-        "results": results,
+        "rounds": max(1, rounds),
     }
+    record = make_record("scale", values, METRICS, context=context)
+    problems = checks(record["metrics"])
+    if problems:
+        raise RuntimeError(f"distance backends diverged (bit-identity is the contract): {problems[0]}")
+    return record
 
 
-def normalize_record(record: dict) -> dict[str, dict[str, dict]]:
-    """Normalise a fresh record to ``{backend: {size: {..timings..}}}``.
+def checks(metrics: dict) -> list[str]:
+    """Label digests must agree across the exact backends at every size.
 
-    Raises
-    ------
-    ValueError
-        If the record is not a ``repro-bench-scale`` JSON or is missing its
-        ``results`` section (e.g. a truncated CI artifact).
+    Only the exact tiers carry the bit-identity contract; the neighbors
+    tier is approximate and gated on ARI instead.
     """
-    if record.get("kind") != "repro-bench-scale":
-        raise ValueError("unrecognised scale benchmark record (expected repro-bench-scale JSON)")
-    results = record.get("results")
-    if not isinstance(results, dict):
-        raise ValueError("malformed scale benchmark record: missing its 'results' section")
-    for backend, sizes in results.items():
-        if not isinstance(sizes, dict) or not all(isinstance(e, dict) for e in sizes.values()):
-            raise ValueError(
-                f"malformed scale benchmark record: results[{backend!r}] is not a "
-                "mapping of size -> cell (truncated artifact?)"
-            )
-    return results
-
-
-def to_spec(record: dict) -> dict:
-    """The scale benchmark record as a JSON-ready mapping."""
-    return dict(record)
-
-
-def from_spec(spec: object) -> dict[str, dict[str, dict]]:
-    """Validate and normalise a scale benchmark record mapping.
-
-    Spec-protocol counterpart of :func:`normalize_record`: raises
-    :class:`repro.utils.specs.SpecError` instead of a bare ``ValueError``.
-    """
-    checked = check_spec_mapping(spec, "scale bench record")
-    try:
-        return normalize_record(dict(checked))
-    except ValueError as exc:
-        raise SpecError("scale bench record", [str(exc)]) from exc
-
-
-def compare_records(
-    fresh: dict[str, dict[str, dict]],
-    baseline: dict,
-    *,
-    max_slowdown: float = 0.25,
-    rss_slack: float = 0.35,
-    ari_floor: float = ARI_FLOOR,
-    expected_cells: dict[str, tuple[str, ...]] | None = None,
-) -> list[str]:
-    """Regression problems of a fresh scale record against the baseline.
-
-    For every ``(backend, size)`` cell present in the baseline (and, when
-    ``expected_cells`` names a deliberate subset run, covered by it) the
-    fresh record must: exist with its parity flag intact, agree on the
-    label digest across the *exact* backends per size, stay within
-    ``max_slowdown`` of the baseline wall-clock and within ``rss_slack`` of
-    the baseline peak RSS — and memmap and neighbors cells must
-    additionally stay under the absolute ``budget_bytes`` recorded in the
-    baseline (the 2 GiB scale story).  Neighbors cells are exempt from the
-    digest-equality check (the tier is approximate by contract) and are
-    instead gated on ``ari_vs_exact >= ari_floor`` wherever the baseline
-    recorded an exact-reference ARI for that cell.
-    """
-    section = baseline.get(BASELINE_SECTION)
-    if not isinstance(section, dict):
-        return [f"baseline is missing the {BASELINE_SECTION!r} section"]
-    baseline_wall = section.get("wall_s", {})
-    baseline_rss = section.get("peak_rss_bytes", {})
-    baseline_ari = section.get("ari_vs_exact", {})
-    budget = section.get("budget_bytes", MEMORY_BUDGET_BYTES)
-
-    problems: list[str] = []
     digests: dict[str, dict[str, str]] = {}
-    for backend in sorted(baseline_wall):
-        for size, base_wall in sorted(baseline_wall[backend].items()):
-            if expected_cells is not None and size not in expected_cells.get(backend, ()):
-                continue
-            entry = fresh.get(backend, {}).get(size)
-            if entry is None:
-                problems.append(f"{backend}/{size}: missing from the fresh record")
-                continue
-            wall = entry.get("wall_s")
-            rss = entry.get("peak_rss_bytes")
-            if wall is None or rss is None:
-                problems.append(f"{backend}/{size}: malformed fresh entry (missing wall_s/peak_rss_bytes)")
-                continue
-            if not entry.get("parity", False):
-                problems.append(f"{backend}/{size}: parity mismatch flagged in the fresh record")
-            if entry.get("labels_digest") and backend in EXACT_DISTANCE_BACKENDS:
-                digests.setdefault(size, {})[backend] = entry["labels_digest"]
-            slowdown = wall / base_wall - 1.0
-            if slowdown > max_slowdown:
-                problems.append(
-                    f"{backend}/{size}: wall {wall:.2f}s is {slowdown:+.0%} vs "
-                    f"baseline {base_wall:.2f}s (allowed {max_slowdown:+.0%})"
-                )
-            base_rss = baseline_rss.get(backend, {}).get(size)
-            if base_rss:
-                growth = rss / base_rss - 1.0
-                if growth > rss_slack:
-                    problems.append(
-                        f"{backend}/{size}: peak RSS {rss / 2**20:.0f} MiB is "
-                        f"{growth:+.0%} vs baseline {base_rss / 2**20:.0f} MiB "
-                        f"(allowed {rss_slack:+.0%})"
-                    )
-            if backend in ("memmap", "neighbors") and rss > budget:
-                problems.append(
-                    f"{backend}/{size}: peak RSS {rss / 2**20:.0f} MiB exceeds the "
-                    f"{budget / 2**20:.0f} MiB budget the {backend} tier must hold"
-                )
-            if backend == "neighbors" and baseline_ari.get(backend, {}).get(size) is not None:
-                ari = entry.get("ari_vs_exact")
-                if ari is None:
-                    problems.append(
-                        f"{backend}/{size}: fresh record is missing ari_vs_exact "
-                        "(the baseline has an exact-reference ARI for this cell)"
-                    )
-                elif ari < ari_floor:
-                    problems.append(
-                        f"{backend}/{size}: ARI vs exact {ari:.3f} is below the "
-                        f"{ari_floor:.2f} floor"
-                    )
-    for size, per_backend in digests.items():
-        if len(set(per_backend.values())) > 1:
-            problems.append(f"{size}: label digests differ across backends: {per_backend}")
-    return problems
-
-
-def load_json(path: str | Path) -> dict:
-    """Load a scale benchmark record or baseline from disk."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def format_scale_table(
-    fresh: dict[str, dict[str, dict]], baseline: dict | None = None
-) -> str:
-    """Fixed-width summary of a normalised record (optionally vs baseline)."""
-    baseline_wall = {}
-    if baseline is not None:
-        baseline_wall = baseline.get(BASELINE_SECTION, {}).get("wall_s", {})
-    lines = [
-        f"{'backend':<11} {'size':<8} {'wall':>9} {'peak RSS':>10} "
-        f"{'dense projected':>16} {'ari':>6} {'vs baseline':>12}"
+    for name, entry in metrics.items():
+        parts = name.split("/")
+        if len(parts) == 3 and parts[2] == "labels_digest" and parts[0] in EXACT_DISTANCE_BACKENDS:
+            digests.setdefault(parts[1], {})[parts[0]] = entry["value"]
+    return [
+        f"{size}: label digests differ across backends: {per_backend}"
+        for size, per_backend in digests.items()
+        if len(set(per_backend.values())) > 1
     ]
-    for backend in DISTANCE_BACKENDS:
-        if backend not in fresh:
-            continue
-        for size, n_samples in SCALE_SIZES.items():
-            entry = fresh[backend].get(size)
-            if entry is None:
-                continue
-            base = baseline_wall.get(backend, {}).get(size)
-            wall = entry.get("wall_s", float("nan"))
-            rss = entry.get("peak_rss_bytes", 0)
-            delta = f"{wall / base - 1.0:+.0%}" if base else "-"
-            ari = entry.get("ari_vs_exact")
-            ari_text = f"{ari:.3f}" if isinstance(ari, float) else "-"
-            projected = projected_dense_peak_bytes(n_samples)
-            lines.append(
-                f"{backend:<11} {size:<8} {wall:>8.2f}s {rss / 2**20:>9.0f}M "
-                f"{projected / 2**20:>15.0f}M {ari_text:>6} {delta:>12}"
-            )
-    return "\n".join(lines)
 
 
 def _cell_main(argv: list[str]) -> int:
@@ -629,4 +482,4 @@ def _cell_main(argv: list[str]) -> int:
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
     if len(sys.argv) >= 4 and sys.argv[1] == "--cell":
         raise SystemExit(_cell_main(sys.argv[2:]))
-    raise SystemExit("usage: python -m repro.cli.bench_scale --cell BACKEND N")
+    raise SystemExit("usage: python -m repro.bench.scale --cell BACKEND N")

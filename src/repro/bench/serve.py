@@ -1,4 +1,4 @@
-"""Load benchmark + regression gate for the ``repro serve`` HTTP layer.
+"""``repro bench serve``: load benchmark of the ``repro serve`` HTTP layer.
 
 ``repro bench serve`` measures the service qualities the serve layer
 promises, on a real server bound to an ephemeral loopback port:
@@ -16,42 +16,21 @@ promises, on a real server bound to an ephemeral loopback port:
   of the same spec writes into a different artifacts root.
 
 The fresh record is gated against the committed ``BENCH_serve.json``
-baseline by :func:`compare_records`: the behavioural bits (parity,
-dedup) are hard requirements, the floors travel inside the baseline, and
-p99 latency gets a generous ``--max-slowdown`` budget because CI runners
-share cores.
+baseline: the behavioural bits (parity, dedup) are hard requirements,
+the floors travel inside the baseline, and p99 latency gets a generous
+``--max-slowdown`` budget because CI runners share cores.  :func:`checks`
+requires the dedup wave to compute the spec's trials exactly once.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import statistics
 import tempfile
 import threading
 import time
 from pathlib import Path
 
-from repro.utils.specs import SpecError, check_spec_mapping
-
-__all__ = [
-    "BASELINE_SECTION",
-    "DEFAULT_FLOORS",
-    "N_CLIENTS",
-    "N_REQUESTS",
-    "bench_job_spec",
-    "compare_records",
-    "format_serve_table",
-    "from_spec",
-    "load_json",
-    "normalize_record",
-    "run_bench_serve",
-    "to_spec",
-]
-
-#: Section of the committed baseline JSON holding the serve record.
-BASELINE_SECTION = "bench_serve"
+from repro.bench.engine import Spec, make_record
 
 #: Concurrent submitting clients in the dedup wave (the acceptance bar).
 N_CLIENTS = 8
@@ -59,9 +38,16 @@ N_CLIENTS = 8
 #: Single-client health-check round-trips in the latency phase.
 N_REQUESTS = 200
 
-#: Machine-independent floors; committed inside the baseline record so a
-#: baseline refresh can tighten them without touching code.
-DEFAULT_FLOORS = {"cache_hit_rate": 0.99, "requests_per_s": 25.0}
+METRICS = {
+    "latency/requests_per_s": Spec("req/s", "higher", "floor", floor=25.0),
+    "latency/p99_ms": Spec("ms", "lower", "slowdown"),
+    "*_ms": Spec("ms", "lower"),
+    "jobs/duplicates_absorbed": Spec("count", "higher", "floor", floor=1),
+    "jobs/cache_hit_rate": Spec("ratio", "higher", "floor", floor=0.99),
+    "jobs/parity": Spec(gate="exact"),
+    "*_s": Spec("s", "lower"),
+    "*": Spec("count"),
+}
 
 
 def bench_job_spec() -> dict:
@@ -131,12 +117,7 @@ def _submit_wave(client_factory, payload: dict, n_clients: int) -> tuple[list[di
     return [view for view in views if view is not None], wall_s
 
 
-def run_bench_serve(
-    *,
-    clients: int = N_CLIENTS,
-    requests: int = N_REQUESTS,
-    workers: int = 2,
-) -> dict:
+def run(clients: int = N_CLIENTS, requests: int = N_REQUESTS, workers: int = 2) -> dict:
     """Run the serve load benchmark and return a fresh record.
 
     Everything happens against throwaway temp directories: an in-process
@@ -215,160 +196,33 @@ def run_bench_serve(
         finally:
             server.shutdown()
             server.server_close()
-    return {
-        "kind": "repro-bench-serve",
-        "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version()},
-        "settings": {"clients": int(clients), "workers": int(workers)},
-        "latency": latency,
-        "jobs": {
-            "clients": int(clients),
-            "distinct_jobs": len(job_ids),
-            "duplicates_absorbed": int(duplicates),
-            "wave_trials_computed": int(wave_trials_computed),
-            "expected_trials": int(expected_trials),
-            "submit_wave_s": submit_wave_s,
-            "first_run_s": first_run_s,
-            "cached_rerun_s": second_wave_s,
-            "trials_cached": int(progress["trials_cached"]),
-            "trials_computed": int(progress["trials_computed"]),
-            "cache_hit_rate": cache_hit_rate,
-            "parity": bool(parity),
-        },
-        "floors": dict(DEFAULT_FLOORS),
+    jobs = {
+        "clients": int(clients),
+        "distinct_jobs": len(job_ids),
+        "duplicates_absorbed": int(duplicates),
+        "wave_trials_computed": int(wave_trials_computed),
+        "expected_trials": int(expected_trials),
+        "submit_wave_s": submit_wave_s,
+        "first_run_s": first_run_s,
+        "cached_rerun_s": second_wave_s,
+        "trials_cached": int(progress["trials_cached"]),
+        "trials_computed": int(progress["trials_computed"]),
+        "cache_hit_rate": cache_hit_rate,
+        "parity": bool(parity),
     }
+    values = {f"latency/{key}": value for key, value in latency.items()}
+    values.update((f"jobs/{key}", value) for key, value in jobs.items())
+    context = {"settings": {"clients": int(clients), "workers": int(workers)}}
+    return make_record("serve", values, METRICS, context=context)
 
 
-def normalize_record(record: dict) -> dict:
-    """Validate the shape of a fresh serve record; returns it unchanged.
-
-    Raises
-    ------
-    ValueError
-        If the record is not a ``repro bench serve --json`` product.
-    """
-    if record.get("kind") != "repro-bench-serve":
-        raise ValueError(
-            "not a serve benchmark record (expected kind 'repro-bench-serve', "
-            f"got {record.get('kind')!r})"
-        )
-    latency = record.get("latency")
-    if not isinstance(latency, dict) or not {"requests_per_s", "p50_ms", "p99_ms"} <= set(
-        latency
-    ):
-        raise ValueError("serve record is missing latency.requests_per_s/p50_ms/p99_ms")
-    jobs = record.get("jobs")
-    required = {
-        "duplicates_absorbed",
-        "wave_trials_computed",
-        "expected_trials",
-        "cache_hit_rate",
-        "parity",
-    }
-    if not isinstance(jobs, dict) or not required <= set(jobs):
-        raise ValueError(
-            "serve record is missing jobs." + "/jobs.".join(sorted(required))
-        )
-    return record
-
-
-def to_spec(record: dict) -> dict:
-    """The benchmark record as a JSON-ready mapping (records already are specs)."""
-    return dict(record)
-
-
-def from_spec(spec: object) -> dict:
-    """Validate a mapping back into a serve benchmark record."""
-    checked = check_spec_mapping(spec, "serve bench record")
-    try:
-        return normalize_record(dict(checked))
-    except ValueError as exc:
-        raise SpecError("serve bench record", [str(exc)]) from exc
-
-
-def compare_records(fresh: dict, baseline: dict, *, max_slowdown: float = 1.0) -> list[str]:
-    """Regression problems of a fresh serve record against the baseline.
-
-    Gates, in order of importance: report byte-parity with the batch run
-    (the service's core contract), dedup of concurrent identical
-    submissions, the cache-hit-rate and requests/sec floors committed in
-    the baseline, and a generous p99 latency budget vs the baseline.
-    """
-    section = baseline.get(BASELINE_SECTION)
-    if not isinstance(section, dict):
-        return [f"baseline is missing the {BASELINE_SECTION!r} section"]
-    floors = section.get("floors", DEFAULT_FLOORS)
-
-    problems: list[str] = []
-    jobs = fresh.get("jobs", {})
-    if not jobs.get("parity", False):
-        problems.append(
-            "served report bytes differ from the batch run's summary.json "
-            "(byte-parity is the serve contract)"
-        )
-    computed = jobs.get("wave_trials_computed")
-    expected = jobs.get("expected_trials")
-    if computed != expected:
-        problems.append(
-            f"{jobs.get('clients')} concurrent identical submissions computed {computed} "
-            f"trials where the spec holds {expected} (duplicate work: dedup/cache regression)"
-        )
-    if jobs.get("duplicates_absorbed", 0) < 1:
-        problems.append(
-            "no concurrent duplicate submission was absorbed into the active job "
-            "(in-flight dedup regression)"
-        )
-    hit_floor = floors.get("cache_hit_rate")
-    hit_rate = jobs.get("cache_hit_rate", 0.0)
-    if hit_floor is not None and hit_rate < hit_floor:
-        problems.append(
-            f"cached rerun hit rate {hit_rate:.2f} is below the {hit_floor:.2f} floor "
-            "(the second wave recomputed trials)"
-        )
-    rps_floor = floors.get("requests_per_s")
-    rps = fresh.get("latency", {}).get("requests_per_s", 0.0)
-    if rps_floor is not None and rps < rps_floor:
-        problems.append(
-            f"throughput {rps:.0f} req/s is below the {rps_floor:.0f} req/s floor"
-        )
-    base_p99 = section.get("latency", {}).get("p99_ms")
-    fresh_p99 = fresh.get("latency", {}).get("p99_ms")
-    if base_p99 and fresh_p99:
-        slowdown = fresh_p99 / base_p99 - 1.0
-        if slowdown > max_slowdown:
-            problems.append(
-                f"p99 latency {fresh_p99:.1f}ms is {slowdown:+.0%} vs baseline "
-                f"{base_p99:.1f}ms (allowed {max_slowdown:+.0%})"
-            )
-    return problems
-
-
-def load_json(path: str | Path) -> dict:
-    """Load a serve benchmark record or baseline from disk."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def format_serve_table(fresh: dict, baseline: dict | None = None) -> str:
-    """Fixed-width summary of a fresh record (optionally vs the baseline)."""
-    floors: dict = DEFAULT_FLOORS
-    if baseline is not None:
-        floors = baseline.get(BASELINE_SECTION, {}).get("floors", DEFAULT_FLOORS)
-    latency = fresh.get("latency", {})
-    jobs = fresh.get("jobs", {})
-    dedup = f"{jobs.get('duplicates_absorbed', 0)}/{max(jobs.get('clients', 0) - 1, 0)}"
-    work = f"{jobs.get('wave_trials_computed', 0)}/{jobs.get('expected_trials', 0)}"
-    parity = str(bool(jobs.get("parity", False))).lower()
-    lines = [
-        f"{'metric':<22} {'value':>12} {'floor':>10}",
-        f"{'requests/s':<22} {latency.get('requests_per_s', 0.0):>12.0f} "
-        f"{floors.get('requests_per_s', 0.0):>10.0f}",
-        f"{'p50 latency (ms)':<22} {latency.get('p50_ms', 0.0):>12.2f} {'-':>10}",
-        f"{'p99 latency (ms)':<22} {latency.get('p99_ms', 0.0):>12.2f} {'-':>10}",
-        f"{'dedup absorbed':<22} {dedup:>12} {'>=1':>10}",
-        f"{'trials computed':<22} {work:>12} {'exact':>10}",
-        f"{'cache-hit rate':<22} {jobs.get('cache_hit_rate', 0.0):>12.2f} "
-        f"{floors.get('cache_hit_rate', 0.0):>10.2f}",
-        f"{'report parity':<22} {parity:>12} {'true':>10}",
-        f"{'cached rerun (s)':<22} {jobs.get('cached_rerun_s', 0.0):>12.2f} {'-':>10}",
+def checks(metrics: dict) -> list[str]:
+    """The dedup wave must compute the spec's trials exactly once."""
+    computed = metrics.get("jobs/wave_trials_computed", {}).get("value")
+    expected = metrics.get("jobs/expected_trials", {}).get("value")
+    if computed is not None and computed == expected:
+        return []
+    return [
+        f"concurrent identical submissions computed {computed} trials where the spec "
+        f"holds {expected} (duplicate work: dedup/cache regression)"
     ]
-    return "\n".join(lines)

@@ -5,8 +5,8 @@ Subcommands (see ``python -m repro --help``):
 * ``run`` — execute a declarative TOML/JSON pipeline config end-to-end
   through the resumable artifact store;
 * ``report`` — re-render the reports of a pipeline from stored artifacts;
-* ``bench`` — time the CVCP grid across execution backends and compare
-  against a recorded baseline (the CI benchmark-regression gate);
+* ``bench [SUITE]`` — run one :mod:`repro.bench` suite and gate it
+  against a recorded baseline (the CI benchmark-regression gates);
 * ``datasets list`` — the data-set registry;
 * ``validate-config`` — schema-check pipeline configs without running them.
 """

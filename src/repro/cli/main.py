@@ -10,13 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cli import bench as bench_module
-from repro.cli import bench_fleet as bench_fleet_module
-from repro.cli import bench_kernels as bench_kernels_module
-from repro.cli import bench_scale as bench_scale_module
-from repro.cli import bench_online as bench_online_module
-from repro.cli import bench_serve as bench_serve_module
-from repro.cli import bench_text as bench_text_module
+from repro.bench import DEFAULT_SUITE, SUITES, Suite
 from repro.core.distance_backend import DISTANCE_BACKENDS
 from repro.core.executor import BACKENDS, ExecutionSpec
 from repro.datasets.registry import DATASET_NAMES, get_dataset
@@ -118,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the static-HTML quality dashboard from BENCH_*.json + run artifacts",
         description=(
             "Generate a self-contained HTML dashboard: bench trajectory across the "
-            "committed BENCH_*.json baselines, per-grid completion and worker liveness "
+            "BENCH_*.json records (baselines and fresh runs), per-grid completion and worker liveness "
             "from an artifact store, cache hit/miss/steal rates, and selection-accuracy "
             "drift from stored run summaries."
         ),
@@ -195,441 +189,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact store every job runs against (default: the config's root)",
     )
 
+    default_suite = SUITES[DEFAULT_SUITE]
     bench_parser = subparsers.add_parser(
         "bench",
-        help="time the CVCP grid per backend and compare against a baseline",
-        description=(
-            "Run the fixed small benchmark grid on each execution backend, or load a "
-            "fresh record with --compare, and optionally gate it against the committed "
-            "baseline (exit 1 on a selection mismatch or a slowdown beyond --max-slowdown)."
-        ),
+        help=default_suite.help,
+        description=default_suite.description,
     )
-    bench_parser.add_argument(
-        "--backends",
-        default=",".join(BACKENDS),
-        help=f"comma-separated backends to run (default: {','.join(BACKENDS)})",
-    )
-    bench_parser.add_argument(
-        "--n-jobs",
-        type=int,
-        default=2,
-        help="workers for the parallel backends (default: 2)",
-    )
-    bench_parser.add_argument(
-        "--rounds",
-        type=int,
-        default=1,
-        help="timing rounds per backend; best is kept (default: 1)",
-    )
-    bench_parser.add_argument(
-        "--json",
-        dest="json_out",
-        metavar="PATH",
-        help="write the fresh record to PATH",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        metavar="FRESH",
-        help="load a fresh record (CLI or pytest-benchmark JSON) instead of running the grid",
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline JSON to gate against (e.g. BENCH_parallel.json)",
-    )
-    bench_parser.add_argument(
-        "--max-slowdown",
-        type=float,
-        default=0.25,
-        help="allowed fractional slowdown vs baseline (default: 0.25 = 25%%)",
-    )
-
-    bench_subparsers = bench_parser.add_subparsers(dest="bench_target")
-    kernels_parser = bench_subparsers.add_parser(
-        "kernels",
-        help="micro-benchmark the vectorised clustering kernels vs their reference loops",
-        description=(
-            "Time each of the four hot clustering kernels (OPTICS reachability sweep, "
-            "single-linkage MST + dendrogram, FOSC condensed-tree extraction, MPCK-Means "
-            "assignment) in both implementations at three problem sizes, assert that the "
-            "two are bit-identical, and optionally gate the record against the committed "
-            "BENCH_kernels.json baseline (exit 1 on a parity mismatch, a slowdown beyond "
-            "--max-slowdown, or a speedup below the baseline's per-kernel floor)."
-        ),
-    )
-    # The parent ``bench`` parser shares several dests (--rounds, --json,
-    # --compare, --baseline, --max-slowdown) with this subparser; defaults
-    # are SUPPRESSed here so a flag given *before* the ``kernels`` token
-    # (e.g. ``repro bench --rounds 3 kernels``) is not silently clobbered
-    # by the subparser's defaults.  Effective defaults live in
-    # ``_command_bench_kernels``.
-    kernels_parser.add_argument(
-        "--sizes",
-        default=argparse.SUPPRESS,
-        help=(
-            "comma-separated problem sizes to run "
-            f"(default: {','.join(bench_kernels_module.KERNEL_BENCH_SIZES)})"
-        ),
-    )
-    kernels_parser.add_argument(
-        "--rounds",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="timing rounds per kernel and implementation; best is kept (default: 1)",
-    )
-    kernels_parser.add_argument(
-        "--json",
-        dest="json_out",
-        metavar="PATH",
-        default=argparse.SUPPRESS,
-        help="write the fresh record to PATH",
-    )
-    kernels_parser.add_argument(
-        "--compare",
-        metavar="FRESH",
-        default=argparse.SUPPRESS,
-        help="load a fresh kernel record instead of running the benchmarks",
-    )
-    kernels_parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=argparse.SUPPRESS,
-        help="baseline JSON to gate against (e.g. BENCH_kernels.json)",
-    )
-    kernels_parser.add_argument(
-        "--max-slowdown",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="allowed fractional vectorized-wall-clock slowdown vs baseline (default: 0.25)",
-    )
-
-    scale_parser = bench_subparsers.add_parser(
-        "scale",
-        help="benchmark the distance backends at large n (wall-clock + peak RSS)",
-        description=(
-            "Time one full density-clustering fit per (distance backend × problem size) "
-            "cell, each in a fresh subprocess with a cold spill directory, recording "
-            "wall-clock and peak RSS. Label bit-identity across backends and across the "
-            "serial/thread/process executors is asserted before any timing is recorded. "
-            "Optionally gate the record against the committed BENCH_scale.json baseline "
-            "(exit 1 on a parity mismatch, a wall-clock slowdown beyond --max-slowdown, "
-            "an RSS growth beyond --rss-slack, or a memmap cell above the memory budget)."
-        ),
-    )
-    # This subparser deliberately uses its own dests (scale_*): the parent
-    # ``bench`` parser's --backends/--json/... defaults would otherwise be
-    # indistinguishable from user input on the shared namespace.
-    scale_parser.add_argument(
-        "--backends",
-        dest="scale_backends",
-        default=",".join(DISTANCE_BACKENDS),
-        help=f"comma-separated distance backends to run (default: {','.join(DISTANCE_BACKENDS)})",
-    )
-    scale_parser.add_argument(
-        "--sizes",
-        dest="scale_sizes",
-        default=None,
-        help=(
-            "comma-separated sizes to run for every backend "
-            f"(choices: {','.join(bench_scale_module.SCALE_SIZES)}; default: the "
-            "per-backend schedule — dense/blockwise up to n5000, memmap up to "
-            "n10000, neighbors up to n100000)"
-        ),
-    )
-    scale_parser.add_argument(
-        "--rounds",
-        dest="scale_rounds",
-        type=int,
-        default=1,
-        help="timing rounds per cell; best wall-clock is kept (default: 1)",
-    )
-    scale_parser.add_argument(
-        "--parity-only",
-        action="store_true",
-        help="assert backend and executor parity, skip the timed cells (CI smoke)",
-    )
-    scale_parser.add_argument(
-        "--json",
-        dest="scale_json",
-        metavar="PATH",
-        default=None,
-        help="write the fresh record to PATH",
-    )
-    scale_parser.add_argument(
-        "--compare",
-        dest="scale_compare",
-        metavar="FRESH",
-        default=None,
-        help="load a fresh scale record instead of running the benchmark",
-    )
-    scale_parser.add_argument(
-        "--baseline",
-        dest="scale_baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline JSON to gate against (e.g. BENCH_scale.json)",
-    )
-    scale_parser.add_argument(
-        "--max-slowdown",
-        dest="scale_max_slowdown",
-        type=float,
-        default=0.25,
-        help="allowed fractional wall-clock slowdown vs baseline (default: 0.25)",
-    )
-    scale_parser.add_argument(
-        "--rss-slack",
-        dest="scale_rss_slack",
-        type=float,
-        default=0.35,
-        help="allowed fractional peak-RSS growth vs baseline (default: 0.35)",
-    )
-
-    fleet_parser = bench_subparsers.add_parser(
-        "fleet",
-        help="benchmark work-stealing wall-clock vs worker count (1/2/4)",
-        description=(
-            "Drain a grid of fixed-cost synthetic units through the real lease/steal/store "
-            "machinery at several worker counts (each worker a fresh subprocess sharing one "
-            "store), recording wall-clock, speedup and store parity; optionally also run the "
-            "quickstart pipeline single-process vs 2-worker and assert summary.json "
-            "byte-identity. Gate the record against the committed BENCH_fleet.json baseline "
-            "(exit 1 when a speedup drops below its floor or any parity bit is false)."
-        ),
-    )
-    # Like ``scale``, this subparser uses its own dests (fleet_*) so the
-    # parent ``bench`` parser's shared-flag defaults cannot clobber it.
-    fleet_parser.add_argument(
-        "--workers",
-        dest="fleet_workers",
-        default=",".join(str(count) for count in bench_fleet_module.FLEET_BENCH_WORKER_COUNTS),
-        help=(
-            "comma-separated worker counts to measure (default: "
-            f"{','.join(str(count) for count in bench_fleet_module.FLEET_BENCH_WORKER_COUNTS)})"
-        ),
-    )
-    fleet_parser.add_argument(
-        "--units",
-        dest="fleet_units",
-        type=int,
-        default=bench_fleet_module.N_UNITS,
-        help=f"synthetic units in the scheduling grid (default: {bench_fleet_module.N_UNITS})",
-    )
-    fleet_parser.add_argument(
-        "--unit-cost",
-        dest="fleet_unit_cost",
-        type=float,
-        default=bench_fleet_module.UNIT_COST_S,
-        metavar="SECONDS",
-        help=f"fixed wall-clock cost per unit (default: {bench_fleet_module.UNIT_COST_S})",
-    )
-    fleet_parser.add_argument(
-        "--no-quickstart",
-        dest="fleet_no_quickstart",
-        action="store_true",
-        help="skip the real-grid quickstart parity section (scheduling grid only)",
-    )
-    fleet_parser.add_argument(
-        "--json",
-        dest="fleet_json",
-        metavar="PATH",
-        default=None,
-        help="write the fresh record to PATH",
-    )
-    fleet_parser.add_argument(
-        "--compare",
-        dest="fleet_compare",
-        metavar="FRESH",
-        default=None,
-        help="load a fresh fleet record instead of running the benchmark",
-    )
-    fleet_parser.add_argument(
-        "--baseline",
-        dest="fleet_baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline JSON to gate against (e.g. BENCH_fleet.json)",
-    )
-    fleet_parser.add_argument(
-        "--max-slowdown",
-        dest="fleet_max_slowdown",
-        type=float,
-        default=0.75,
-        help="allowed fractional 1-worker wall-clock slowdown vs baseline (default: 0.75)",
-    )
-
-    serve_bench_parser = bench_subparsers.add_parser(
-        "serve",
-        help="load-benchmark the repro serve HTTP layer (rps, p99, dedup, cache, parity)",
-        description=(
-            "Spin an in-process server on an ephemeral port and measure the service "
-            "contract: health-check throughput and latency percentiles, dedup of "
-            "concurrent identical submissions, the cached-rerun hit rate, and report "
-            "byte-parity with a batch run of the same spec. Gate the record against the "
-            "committed BENCH_serve.json baseline (exit 1 when parity or dedup breaks, a "
-            "floor is missed, or p99 regresses beyond --max-slowdown)."
-        ),
-    )
-    # Like ``scale`` and ``fleet``, this subparser uses its own dests
-    # (serve_*) so the parent ``bench`` parser's shared-flag defaults
-    # cannot clobber it.
-    serve_bench_parser.add_argument(
-        "--clients",
-        dest="serve_clients",
-        type=int,
-        default=bench_serve_module.N_CLIENTS,
-        help=f"concurrent submitting clients (default: {bench_serve_module.N_CLIENTS})",
-    )
-    serve_bench_parser.add_argument(
-        "--requests",
-        dest="serve_requests",
-        type=int,
-        default=bench_serve_module.N_REQUESTS,
-        help=(
-            "health-check round-trips in the latency phase "
-            f"(default: {bench_serve_module.N_REQUESTS})"
-        ),
-    )
-    serve_bench_parser.add_argument(
-        "--workers",
-        dest="serve_bench_workers",
-        type=int,
-        default=2,
-        help="server worker-pool size during the bench (default: 2)",
-    )
-    serve_bench_parser.add_argument(
-        "--json",
-        dest="serve_json",
-        metavar="PATH",
-        default=None,
-        help="write the fresh record to PATH",
-    )
-    serve_bench_parser.add_argument(
-        "--compare",
-        dest="serve_compare",
-        metavar="FRESH",
-        default=None,
-        help="load a fresh serve record instead of running the benchmark",
-    )
-    serve_bench_parser.add_argument(
-        "--baseline",
-        dest="serve_baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline JSON to gate against (e.g. BENCH_serve.json)",
-    )
-    serve_bench_parser.add_argument(
-        "--max-slowdown",
-        dest="serve_max_slowdown",
-        type=float,
-        default=1.0,
-        help="allowed fractional p99 latency slowdown vs baseline (default: 1.0)",
-    )
-
-    online_bench_parser = bench_subparsers.add_parser(
-        "online",
-        help="benchmark incremental constraint-stream re-selection vs cold replays",
-        description=(
-            "Replay the quickstart constraint stream and, per delta, time the "
-            "incremental re-selection (warm structure memo + carried-forward "
-            "artifact store) against a from-scratch replay of the accumulated "
-            "stream.  Both paths are asserted bit-identical before any timing "
-            "counts.  With --baseline, gates the record against the committed "
-            "BENCH_online.json floors (exit 1 on divergence or a broken floor)."
-        ),
-    )
-    # Same dest-prefix discipline as the sibling sub-benches: all dests are
-    # prefixed (online_*) so the parent ``bench`` parser's shared-flag
-    # defaults cannot clobber them.
-    online_bench_parser.add_argument(
-        "--deltas",
-        dest="online_deltas",
-        type=int,
-        default=bench_online_module.N_DELTAS,
-        help=f"constraint-stream deltas to replay (default: {bench_online_module.N_DELTAS})",
-    )
-    online_bench_parser.add_argument(
-        "--json",
-        dest="online_json",
-        metavar="PATH",
-        default=None,
-        help="write the fresh record to PATH",
-    )
-    online_bench_parser.add_argument(
-        "--compare",
-        dest="online_compare",
-        metavar="FRESH",
-        default=None,
-        help="load a fresh online record instead of running the benchmark",
-    )
-    online_bench_parser.add_argument(
-        "--baseline",
-        dest="online_baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline JSON to gate against (e.g. BENCH_online.json)",
-    )
-    online_bench_parser.add_argument(
-        "--max-slowdown",
-        dest="online_max_slowdown",
-        type=float,
-        default=1.0,
-        help=(
-            "allowed fractional incremental wall-clock slowdown vs baseline "
-            "(default: 1.0)"
-        ),
-    )
-
-    text_bench_parser = bench_subparsers.add_parser(
-        "text",
-        help="benchmark the sparse text workload (CSR cosine, precomputed, ARI, memory)",
-        description=(
-            "Benchmark the metric stack on a planted-topic TF-IDF corpus: the CSR "
-            "cosine kernel vs its densified run (wall-clock and tracemalloc peaks), "
-            "the precomputed pass-through, and the planted-topic ARI of cosine "
-            "FOSC-OPTICSDend.  Distance-tier, executor and cosine/precomputed "
-            "parity are asserted bit-identical before any timing counts.  With "
-            "--baseline, gates the record against the committed BENCH_text.json "
-            "floors (exit 1 on a parity break, a broken floor, or a regression)."
-        ),
-    )
-    # Same dest-prefix discipline as the sibling sub-benches: all dests are
-    # prefixed (text_*) so the parent ``bench`` parser's shared-flag
-    # defaults cannot clobber them.
-    text_bench_parser.add_argument(
-        "--rounds",
-        dest="text_rounds",
-        type=int,
-        default=bench_text_module.ROUNDS,
-        help=f"timing repetitions per kernel (default: {bench_text_module.ROUNDS})",
-    )
-    text_bench_parser.add_argument(
-        "--json",
-        dest="text_json",
-        metavar="PATH",
-        default=None,
-        help="write the fresh record to PATH",
-    )
-    text_bench_parser.add_argument(
-        "--compare",
-        dest="text_compare",
-        metavar="FRESH",
-        default=None,
-        help="load a fresh text record instead of running the benchmark",
-    )
-    text_bench_parser.add_argument(
-        "--baseline",
-        dest="text_baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline JSON to gate against (e.g. BENCH_text.json)",
-    )
-    text_bench_parser.add_argument(
-        "--max-slowdown",
-        dest="text_max_slowdown",
-        type=float,
-        default=1.0,
-        help="allowed fractional wall-clock slowdown vs baseline (default: 1.0)",
-    )
+    _add_bench_flags(bench_parser, default_suite)
+    # Every bench flag defaults to SUPPRESS, so a flag given before the
+    # suite token (``repro bench --rounds 3 kernels``) is not clobbered by
+    # the suite parser; _command_bench fills in the suite's defaults.
+    bench_subparsers = bench_parser.add_subparsers(dest="suite")
+    for name, suite in SUITES.items():
+        if name != DEFAULT_SUITE:
+            suite_parser = bench_subparsers.add_parser(name, help=suite.help, description=suite.description)
+            _add_bench_flags(suite_parser, suite)
 
     datasets_parser = subparsers.add_parser("datasets", help="inspect the data-set registry")
     datasets_subparsers = datasets_parser.add_subparsers(dest="datasets_command", required=True)
@@ -643,6 +217,45 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser.add_argument("configs", nargs="+", help="config files to validate")
 
     return parser
+
+
+def _add_bench_flags(parser: argparse.ArgumentParser, suite: Suite) -> None:
+    """The shared record/gate flags plus the suite's own run flags."""
+    parser.add_argument(
+        "--json",
+        metavar="PATH",
+        default=argparse.SUPPRESS,
+        help="write the fresh record to PATH",
+    )
+    parser.add_argument(
+        "--compare",
+        metavar="FRESH",
+        default=argparse.SUPPRESS,
+        help="load a fresh record instead of running the benchmark",
+    )
+    parser.add_argument(
+        "--baseline",
+        metavar="PATH",
+        default=argparse.SUPPRESS,
+        help="baseline record to gate against (e.g. the committed BENCH_*.json)",
+    )
+    parser.add_argument(
+        "--max-slowdown",
+        type=float,
+        default=argparse.SUPPRESS,
+        help=f"allowed fractional slowdown vs baseline (default: {suite.max_slowdown})",
+    )
+    for flag in suite.flags:
+        if flag.switch:
+            parser.add_argument(flag.name, action="store_true", default=argparse.SUPPRESS, help=flag.help)
+            continue
+        default = ",".join(flag.default) if flag.csv and flag.default else flag.default
+        parser.add_argument(
+            flag.name,
+            type=flag.type,
+            default=argparse.SUPPRESS,
+            help=flag.help if default is None else f"{flag.help} (default: {default})",
+        )
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -875,411 +488,68 @@ def _command_dashboard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench_kernels(args: argparse.Namespace) -> int:
-    # Shared-dest flags may come from the parent ``bench`` parser (given
-    # before the ``kernels`` token), the subparser (after it), or neither
-    # — in which case the getattr fallbacks below apply.
-    sizes_spec = getattr(args, "sizes", ",".join(bench_kernels_module.KERNEL_BENCH_SIZES))
-    rounds = getattr(args, "rounds", 1)
-    json_out = getattr(args, "json_out", None)
+def _command_bench(args: argparse.Namespace) -> int:
+    from repro.bench import engine
+
+    name = args.suite or DEFAULT_SUITE
+    suite = SUITES[name]
+    json_out = getattr(args, "json", None)
     compare = getattr(args, "compare", None)
     baseline_path = getattr(args, "baseline", None)
-    max_slowdown = getattr(args, "max_slowdown", 0.25)
-
-    expected_sizes = None
-    if compare:
-        if json_out:
-            print(
-                "--json records a live benchmark run and cannot be combined with --compare "
-                "(the fresh record already exists on disk)",
-                file=sys.stderr,
-            )
-            return 2
-        record = bench_kernels_module.load_json(compare)
-    else:
-        sizes = tuple(name.strip() for name in sizes_spec.split(",") if name.strip())
-        # A deliberate subset run is gated only on the sizes it covers.
-        expected_sizes = sizes
-        try:
-            record = bench_kernels_module.run_bench_kernels(sizes, rounds=rounds)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        if json_out:
-            Path(json_out).write_text(
-                json.dumps(record, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {json_out}")
-
-    try:
-        fresh = bench_kernels_module.normalize_record(record)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    baseline = bench_kernels_module.load_json(baseline_path) if baseline_path else None
-    print(bench_kernels_module.format_kernel_table(fresh, baseline))
-
-    if baseline is not None:
-        problems = bench_kernels_module.compare_records(
-            fresh, baseline, max_slowdown=max_slowdown, expected_sizes=expected_sizes
+    max_slowdown = getattr(args, "max_slowdown", suite.max_slowdown)
+    if compare and json_out:
+        print(
+            "--json records a live benchmark run and cannot be combined with --compare "
+            "(the fresh record already exists on disk)",
+            file=sys.stderr,
         )
-        if problems:
-            print("kernel benchmark regression detected:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        print(f"kernel benchmark within baseline (max slowdown {max_slowdown:.0%})")
-    return 0
+        return 2
+    options = {}
+    for flag in suite.flags:
+        value = getattr(args, flag.key, flag.default)
+        if flag.csv and isinstance(value, str):
+            value = tuple(token.strip() for token in value.split(",") if token.strip())
+        options[flag.key] = value
+    rss_slack = options.pop("rss_slack", None)  # a gate option (scale), not a run option
+    module = suite.load()
 
-
-def _command_bench_scale(args: argparse.Namespace) -> int:
-    expected_cells = None
-    if args.scale_compare:
-        if args.scale_json:
-            print(
-                "--json records a live benchmark run and cannot be combined with --compare "
-                "(the fresh record already exists on disk)",
-                file=sys.stderr,
-            )
-            return 2
-        record = bench_scale_module.load_json(args.scale_compare)
-    else:
-        backends = tuple(name.strip() for name in args.scale_backends.split(",") if name.strip())
-        sizes = None
-        if args.scale_sizes:
-            sizes = tuple(name.strip() for name in args.scale_sizes.split(",") if name.strip())
-        if args.parity_only:
-            try:
-                bench_scale_module.assert_distance_backend_parity()
-                if "neighbors" in backends:
-                    bench_scale_module.assert_neighbor_backend_parity()
-                bench_scale_module.assert_executor_parity()
-            except (RuntimeError, ValueError, OSError) as exc:
-                # OSError covers an unwritable spill directory: one line on
-                # stderr, not a traceback (the bench smokes grep for this).
-                print(exc, file=sys.stderr)
-                return 1
-            print("distance-backend and executor parity ok (labels bit-identical)")
-            return 0
-        # A deliberate subset run is gated only on the cells it covers.
-        if sizes is not None:
-            expected_cells = {backend: sizes for backend in backends}
+    ran = None
+    try:
+        baseline = engine.load_record(baseline_path, name) if baseline_path else None
+        if compare:
+            record = engine.load_record(compare, name)
         else:
-            expected_cells = {
-                backend: bench_scale_module.DEFAULT_CELLS.get(backend, ()) for backend in backends
-            }
-        try:
-            record = bench_scale_module.run_bench_scale(backends, sizes, rounds=args.scale_rounds)
-        except (RuntimeError, ValueError, OSError) as exc:
-            print(exc, file=sys.stderr)
-            return 2 if isinstance(exc, ValueError) else 1
-        if args.scale_json:
-            Path(args.scale_json).write_text(
-                json.dumps(record, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {args.scale_json}")
-
-    try:
-        fresh = bench_scale_module.normalize_record(record)
-    except ValueError as exc:
+            record = module.run(**options)
+            ran = engine.subset_filter(suite.flags, options)
+    except ValueError as exc:  # engine.RecordError included
         print(exc, file=sys.stderr)
         return 2
-    baseline = bench_scale_module.load_json(args.scale_baseline) if args.scale_baseline else None
-    print(bench_scale_module.format_scale_table(fresh, baseline))
+    except (RuntimeError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    if record is None:
+        print(f"{name} parity ok (no timings recorded)")
+        return 0
+    if json_out:
+        Path(json_out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {json_out}")
+    print(engine.format_table(record, baseline))
 
     if baseline is not None:
-        problems = bench_scale_module.compare_records(
-            fresh,
+        problems = engine.compare(
+            record,
             baseline,
-            max_slowdown=args.scale_max_slowdown,
-            rss_slack=args.scale_rss_slack,
-            expected_cells=expected_cells,
+            max_slowdown=max_slowdown,
+            rss_slack=rss_slack,
+            ran=ran,
+            checks=getattr(module, "checks", None),
         )
         if problems:
-            print("scale benchmark regression detected:", file=sys.stderr)
+            print(f"{name} benchmark regression detected:", file=sys.stderr)
             for problem in problems:
                 print(f"  - {problem}", file=sys.stderr)
             return 1
-        print(
-            f"scale benchmark within baseline (max slowdown {args.scale_max_slowdown:.0%}, "
-            f"RSS slack {args.scale_rss_slack:.0%})"
-        )
-    return 0
-
-
-def _command_bench_fleet(args: argparse.Namespace) -> int:
-    expected_counts = None
-    if args.fleet_compare:
-        if args.fleet_json:
-            print(
-                "--json records a live benchmark run and cannot be combined with --compare "
-                "(the fresh record already exists on disk)",
-                file=sys.stderr,
-            )
-            return 2
-        record = bench_fleet_module.load_json(args.fleet_compare)
-    else:
-        try:
-            counts = tuple(
-                int(token.strip()) for token in args.fleet_workers.split(",") if token.strip()
-            )
-        except ValueError:
-            print(f"--workers must be comma-separated integers, got {args.fleet_workers!r}", file=sys.stderr)
-            return 2
-        # A deliberate subset run is gated only on the counts it covers.
-        expected_counts = tuple(str(count) for count in counts)
-        try:
-            record = bench_fleet_module.run_bench_fleet(
-                counts,
-                n_units=args.fleet_units,
-                unit_cost_s=args.fleet_unit_cost,
-                include_quickstart=not args.fleet_no_quickstart,
-            )
-        except (RuntimeError, ValueError, OSError) as exc:
-            print(exc, file=sys.stderr)
-            return 2 if isinstance(exc, ValueError) else 1
-        if args.fleet_json:
-            Path(args.fleet_json).write_text(
-                json.dumps(record, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {args.fleet_json}")
-
-    try:
-        fresh = bench_fleet_module.normalize_record(record)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    baseline = bench_fleet_module.load_json(args.fleet_baseline) if args.fleet_baseline else None
-    print(bench_fleet_module.format_fleet_table(fresh, baseline))
-
-    if baseline is not None:
-        problems = bench_fleet_module.compare_records(
-            fresh,
-            baseline,
-            max_slowdown=args.fleet_max_slowdown,
-            expected_counts=expected_counts,
-        )
-        if problems:
-            print("fleet benchmark regression detected:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        print(
-            "fleet benchmark within baseline (speedup floors met, parity bit-identical, "
-            f"max slowdown {args.fleet_max_slowdown:.0%})"
-        )
-    return 0
-
-
-def _command_bench_serve(args: argparse.Namespace) -> int:
-    if args.serve_compare:
-        if args.serve_json:
-            print(
-                "--json records a live benchmark run and cannot be combined with --compare "
-                "(the fresh record already exists on disk)",
-                file=sys.stderr,
-            )
-            return 2
-        record = bench_serve_module.load_json(args.serve_compare)
-    else:
-        try:
-            record = bench_serve_module.run_bench_serve(
-                clients=args.serve_clients,
-                requests=args.serve_requests,
-                workers=args.serve_bench_workers,
-            )
-        except (RuntimeError, ValueError, OSError, TimeoutError) as exc:
-            print(exc, file=sys.stderr)
-            return 2 if isinstance(exc, ValueError) else 1
-        if args.serve_json:
-            Path(args.serve_json).write_text(
-                json.dumps(record, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {args.serve_json}")
-
-    try:
-        fresh = bench_serve_module.normalize_record(record)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    baseline = bench_serve_module.load_json(args.serve_baseline) if args.serve_baseline else None
-    print(bench_serve_module.format_serve_table(fresh, baseline))
-
-    if baseline is not None:
-        problems = bench_serve_module.compare_records(
-            fresh, baseline, max_slowdown=args.serve_max_slowdown
-        )
-        if problems:
-            print("serve benchmark regression detected:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        print(
-            "serve benchmark within baseline (parity byte-identical, duplicates absorbed, "
-            f"floors met, max p99 slowdown {args.serve_max_slowdown:.0%})"
-        )
-    return 0
-
-
-def _command_bench_online(args: argparse.Namespace) -> int:
-    if args.online_compare:
-        if args.online_json:
-            print(
-                "--json records a live benchmark run and cannot be combined with --compare "
-                "(the fresh record already exists on disk)",
-                file=sys.stderr,
-            )
-            return 2
-        record = bench_online_module.load_json(args.online_compare)
-    else:
-        try:
-            record = bench_online_module.run_bench_online(deltas=args.online_deltas)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        if args.online_json:
-            Path(args.online_json).write_text(
-                json.dumps(record, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {args.online_json}")
-
-    try:
-        fresh = bench_online_module.normalize_record(record)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    baseline = (
-        bench_online_module.load_json(args.online_baseline) if args.online_baseline else None
-    )
-    print(bench_online_module.format_online_table(fresh, baseline))
-
-    if baseline is not None:
-        problems = bench_online_module.compare_records(
-            fresh, baseline, max_slowdown=args.online_max_slowdown
-        )
-        if problems:
-            print("online benchmark regression detected:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        print(
-            "online benchmark within baseline (delta-equivalent, floors met, "
-            f"max incremental slowdown {args.online_max_slowdown:.0%})"
-        )
-    return 0
-
-
-def _command_bench_text(args: argparse.Namespace) -> int:
-    if args.text_compare:
-        if args.text_json:
-            print(
-                "--json records a live benchmark run and cannot be combined with --compare "
-                "(the fresh record already exists on disk)",
-                file=sys.stderr,
-            )
-            return 2
-        record = bench_text_module.load_json(args.text_compare)
-    else:
-        try:
-            record = bench_text_module.run_bench_text(rounds=args.text_rounds)
-        except (RuntimeError, ValueError) as exc:
-            print(exc, file=sys.stderr)
-            return 2 if isinstance(exc, ValueError) else 1
-        if args.text_json:
-            Path(args.text_json).write_text(
-                json.dumps(record, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {args.text_json}")
-
-    try:
-        fresh = bench_text_module.normalize_record(record)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    baseline = bench_text_module.load_json(args.text_baseline) if args.text_baseline else None
-    print(bench_text_module.format_text_table(fresh, baseline))
-
-    if baseline is not None:
-        problems = bench_text_module.compare_records(
-            fresh, baseline, max_slowdown=args.text_max_slowdown
-        )
-        if problems:
-            print("text benchmark regression detected:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        print(
-            "text benchmark within baseline (parity bit-identical, floors met, "
-            f"max slowdown {args.text_max_slowdown:.0%})"
-        )
-    return 0
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    if getattr(args, "bench_target", None) == "serve":
-        return _command_bench_serve(args)
-    if getattr(args, "bench_target", None) == "online":
-        return _command_bench_online(args)
-    if getattr(args, "bench_target", None) == "text":
-        return _command_bench_text(args)
-    if getattr(args, "bench_target", None) == "kernels":
-        return _command_bench_kernels(args)
-    if getattr(args, "bench_target", None) == "scale":
-        return _command_bench_scale(args)
-    if getattr(args, "bench_target", None) == "fleet":
-        return _command_bench_fleet(args)
-    expected_backends = None
-    if args.compare:
-        if args.json_out:
-            print(
-                "--json records a live grid run and cannot be combined with --compare "
-                "(the fresh record already exists on disk)",
-                file=sys.stderr,
-            )
-            return 2
-        record = bench_module.load_json(args.compare)
-    else:
-        backends = tuple(name.strip() for name in args.backends.split(",") if name.strip())
-        unknown = [name for name in backends if name not in BACKENDS]
-        if unknown:
-            print(
-                f"unknown backend(s) {', '.join(unknown)}; expected {', '.join(BACKENDS)}",
-                file=sys.stderr,
-            )
-            return 2
-        # A deliberate subset run is gated only on the backends it covers.
-        expected_backends = backends
-        record = bench_module.run_bench(backends, n_jobs=args.n_jobs, rounds=args.rounds)
-        if args.json_out:
-            Path(args.json_out).write_text(
-                json.dumps(record, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {args.json_out}")
-
-    fresh = bench_module.normalize_record(record)
-    baseline = bench_module.load_json(args.baseline) if args.baseline else None
-    print(bench_module.format_bench_table(fresh, baseline))
-
-    if baseline is not None:
-        problems = bench_module.compare_records(
-            fresh,
-            baseline,
-            max_slowdown=args.max_slowdown,
-            expected_backends=expected_backends,
-        )
-        if problems:
-            print("benchmark regression detected:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        print(f"benchmark within baseline (max slowdown {args.max_slowdown:.0%})")
+        print(f"{name} benchmark within baseline (max slowdown {max_slowdown:.0%})")
     return 0
 
 

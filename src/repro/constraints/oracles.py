@@ -159,8 +159,7 @@ class ConstraintOracle(ABC):
         """The shared spec protocol (see :mod:`repro.utils.specs`).
 
         Identical to :meth:`spec`; the alias exists so oracles satisfy the
-        same ``to_spec``/``from_spec`` contract as the pipeline tables and
-        bench records.
+        same ``to_spec``/``from_spec`` contract as the pipeline tables.
         """
         return self.spec()
 

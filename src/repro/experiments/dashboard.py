@@ -3,9 +3,10 @@
 ``repro dashboard`` renders one self-contained HTML file (inline CSS +
 SVG, no external assets, no JavaScript) aggregating:
 
-* **Bench trajectory** — the committed ``BENCH_*.json`` baselines
-  (parallel backends, kernel speedups, scale tiers, fleet speedups) as
-  one bar panel per bench, with per-row floors where the gate has them;
+* **Bench trajectory** — every ``BENCH_*.json`` record in the bench
+  directory, committed baselines and fresh runs alike (parallel backends,
+  kernel speedups, scale tiers, fleet speedups, online and text
+  workloads), as one bar panel per record with per-row floor markers;
 * **Fleet state** — per-grid completion, per-worker liveness and steal
   counters, lease health and cache hit/miss rates read from an artifact
   store's ``fleet/`` registry (when ``--artifacts-root`` is given);
@@ -42,172 +43,6 @@ _GUTTER = 170
 
 # ----------------------------------------------------------------------
 # Collectors
-
-
-def load_bench_panels(bench_dir: str | os.PathLike[str]) -> list[dict]:
-    """One bar-panel description per recognised ``BENCH_*.json`` file.
-
-    Each panel is ``{title, unit, note, rows: [(label, value, floor)]}``
-    where ``floor`` is the gated minimum for that row (``None`` when the
-    bench has no per-row floor).  Unreadable or unrecognised files are
-    skipped — the dashboard reports what exists, it does not gate.
-    """
-    panels: list[dict] = []
-    for path in sorted(Path(bench_dir).glob("BENCH_*.json")):
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        for builder in (
-            _panel_parallel,
-            _panel_kernels,
-            _panel_scale,
-            _panel_fleet,
-            _panel_online,
-            _panel_text,
-        ):
-            panel = builder(record, path.name)
-            if panel is not None:
-                panels.append(panel)
-    return panels
-
-
-def _panel_parallel(record: dict, filename: str) -> dict | None:
-    section = record.get("bench_parallel_backends")
-    if not isinstance(section, dict) or not isinstance(section.get("mean_s"), dict):
-        return None
-    rows = [(backend, float(wall), None) for backend, wall in sorted(section["mean_s"].items())]
-    return {
-        "title": f"Executor backends — grid wall-clock ({filename})",
-        "unit": "s",
-        "note": section.get("grid", ""),
-        "rows": rows,
-    }
-
-
-def _panel_kernels(record: dict, filename: str) -> dict | None:
-    section = record.get("bench_kernels")
-    if not isinstance(section, dict) or not isinstance(section.get("speedup"), dict):
-        return None
-    sizes = section.get("sizes", {})
-    largest = max(sizes, key=sizes.get) if isinstance(sizes, dict) and sizes else None
-    floors = section.get("speedup_floor", {})
-    rows = []
-    for kernel, per_size in sorted(section["speedup"].items()):
-        if not isinstance(per_size, dict) or not per_size:
-            continue
-        size = largest if largest in per_size else sorted(per_size)[0]
-        rows.append((f"{kernel} ({size})", float(per_size[size]), floors.get(kernel)))
-    if not rows:
-        return None
-    return {
-        "title": f"Kernel speedup vs reference loops ({filename})",
-        "unit": "x",
-        "note": section.get("grid", ""),
-        "rows": rows,
-    }
-
-
-def _panel_scale(record: dict, filename: str) -> dict | None:
-    section = record.get("bench_scale")
-    if not isinstance(section, dict) or not isinstance(section.get("wall_s"), dict):
-        return None
-    rows = []
-    for backend, per_size in sorted(section["wall_s"].items()):
-        if not isinstance(per_size, dict):
-            continue
-        for size, wall in sorted(per_size.items()):
-            rows.append((f"{backend} / {size}", float(wall), None))
-    if not rows:
-        return None
-    return {
-        "title": f"Distance-backend scale tiers — wall-clock ({filename})",
-        "unit": "s",
-        "note": section.get("grid", ""),
-        "rows": rows,
-    }
-
-
-def _panel_fleet(record: dict, filename: str) -> dict | None:
-    section = record.get("bench_fleet")
-    if not isinstance(section, dict) or not isinstance(section.get("speedup"), dict):
-        return None
-    floors = section.get("floors", {})
-    rows = [
-        (f"{count} workers", float(speedup), floors.get(count))
-        for count, speedup in sorted(section["speedup"].items(), key=lambda item: int(item[0]))
-    ]
-    if not rows:
-        return None
-    return {
-        "title": f"Fleet work-stealing speedup vs 1 worker ({filename})",
-        "unit": "x",
-        "note": section.get("grid", ""),
-        "rows": rows,
-    }
-
-
-def _panel_online(record: dict, filename: str) -> dict | None:
-    section = record.get("bench_online")
-    if not isinstance(section, dict) or not isinstance(section.get("deltas"), list):
-        return None
-    floors = section.get("floors", {})
-    rows = []
-    for delta in section["deltas"]:
-        if not isinstance(delta, dict) or "speedup" not in delta:
-            continue
-        rows.append((f"delta {delta.get('step')}", float(delta["speedup"]), None))
-    aggregate = section.get("aggregate", {})
-    if isinstance(aggregate, dict) and "speedup" in aggregate:
-        rows.append(("steady-state", float(aggregate["speedup"]), floors.get("speedup")))
-    if not rows:
-        return None
-    settings = section.get("settings", {})
-    note = ""
-    if isinstance(settings, dict) and settings:
-        note = (
-            f"{settings.get('dataset', '?')}, {settings.get('n_deltas', '?')} deltas, "
-            f"incremental re-selection vs cold accumulated replay"
-        )
-    return {
-        "title": f"Incremental CVCP speedup vs cold replay ({filename})",
-        "unit": "x",
-        "note": note,
-        "rows": rows,
-    }
-
-
-def _panel_text(record: dict, filename: str) -> dict | None:
-    section = record.get("bench_text")
-    if not isinstance(section, dict) or not isinstance(section.get("timings"), dict):
-        return None
-    floors = section.get("floors", {})
-    rows = [
-        (f"{name.removesuffix('_s').replace('_', ' ')} (ms)", float(wall) * 1e3, None)
-        for name, wall in sorted(section["timings"].items())
-    ]
-    quality = section.get("quality", {})
-    if isinstance(quality, dict) and "ari" in quality:
-        rows.append(("planted-topic ARI", float(quality["ari"]), floors.get("ari")))
-    memory = section.get("memory", {})
-    if isinstance(memory, dict) and "ratio" in memory:
-        rows.append(("dense/CSR peak-memory ratio", float(memory["ratio"]), floors.get("memory_ratio")))
-    if not rows:
-        return None
-    settings = section.get("settings", {})
-    note = ""
-    if isinstance(settings, dict) and settings:
-        note = (
-            f"{settings.get('n_documents', '?')} docs x "
-            f"{settings.get('vocabulary_size', '?')} terms, "
-            f"density {settings.get('density', 0.0):.3f}; parity asserted before timing"
-        )
-    return {
-        "title": f"Sparse text workload — cosine + precomputed ({filename})",
-        "unit": "",
-        "note": note,
-        "rows": rows,
-    }
 
 
 def collect_fleet_state(artifacts_root: str | os.PathLike[str]) -> dict | None:
@@ -615,7 +450,11 @@ def render_dashboard(
     artifacts_root: str | os.PathLike[str] | None = None,
 ) -> str:
     """The full dashboard as one self-contained HTML document."""
-    panels = load_bench_panels(bench_dir)
+    # Imported here so that importing the package does not load the bench
+    # registry; the engine itself never loads a suite module.
+    from repro.bench.engine import load_panels
+
+    panels = load_panels(bench_dir)
     state = collect_fleet_state(artifacts_root) if artifacts_root else None
     drifts = collect_drift(artifacts_root) if artifacts_root else []
 

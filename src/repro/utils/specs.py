@@ -1,9 +1,9 @@
 """The shared ``to_spec()`` / ``from_spec()`` declarative-surface protocol.
 
-The repository grew three ad-hoc "describe me as a JSON-able mapping"
-surfaces — oracle ``spec()`` dicts, the pipeline's ``[execution]`` /
-``[fleet]`` / ``[serve]`` config tables, and the bench record schemas.
-This module is the one contract they all implement:
+The repository grew ad-hoc "describe me as a JSON-able mapping"
+surfaces — oracle ``spec()`` dicts and the pipeline's ``[execution]`` /
+``[fleet]`` / ``[serve]`` config tables.  This module is the one contract
+they all implement:
 
 * ``obj.to_spec()`` returns a JSON-serialisable mapping that fully
   describes the object (no ``None`` placeholders: absent keys mean

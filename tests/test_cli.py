@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.cli.bench import compare_records, normalize_record
 from repro.cli.main import main
 from repro.experiments.pipeline import (
     ConfigError,
@@ -361,82 +360,6 @@ class TestPipelineKinds:
         resumed = run_pipeline(spec)
         assert resumed.stats["misses"] == 0 and resumed.stats["hits"] > 0
         assert resumed.summary == fresh.summary
-
-
-class TestBenchCommand:
-    def test_live_serial_bench_writes_record(self, tmp_path, capsys):
-        out_path = tmp_path / "fresh.json"
-        code = main(["bench", "--backends", "serial", "--rounds", "1", "--json", str(out_path)])
-        assert code == 0
-        record = json.loads(out_path.read_text())
-        assert record["kind"] == "repro-bench"
-        assert record["results"]["serial"]["best_params"]
-
-    def test_unknown_backend_rejected(self, capsys):
-        assert main(["bench", "--backends", "warp"]) == 2
-
-    def test_compare_detects_selection_mismatch_and_slowdown(self):
-        baseline = {
-            "bench_parallel_backends": {
-                "expected_best_params": {"min_pts": 3},
-                "mean_s": {"serial": 1.0, "thread": 1.0},
-            }
-        }
-        fresh = {
-            "serial": {"mean_s": 1.1, "best_params": {"min_pts": 3}},
-            "thread": {"mean_s": 1.5, "best_params": {"min_pts": 6}},
-        }
-        problems = compare_records(fresh, baseline, max_slowdown=0.25)
-        text = "\n".join(problems)
-        assert "thread: selected parameters" in text
-        assert "thread: 1.5" in text
-        assert "serial" not in text
-
-    def test_compare_passes_within_threshold(self):
-        baseline = {
-            "bench_parallel_backends": {
-                "expected_best_params": {"min_pts": 3},
-                "mean_s": {"serial": 1.0},
-            }
-        }
-        fresh = {"serial": {"mean_s": 1.2, "best_params": {"min_pts": 3}}}
-        assert compare_records(fresh, baseline, max_slowdown=0.25) == []
-
-    def test_compare_rejects_missing_baseline_section(self):
-        assert compare_records({}, {}, max_slowdown=0.25)
-
-    def test_compare_flags_backend_missing_from_fresh(self):
-        baseline = {
-            "bench_parallel_backends": {
-                "expected_best_params": {"min_pts": 3},
-                "mean_s": {"serial": 1.0, "process": 1.0},
-            }
-        }
-        fresh = {"serial": {"mean_s": 1.0, "best_params": {"min_pts": 3}}}
-        problems = compare_records(fresh, baseline, max_slowdown=0.25)
-        assert problems == ["process: present in the baseline but missing from the fresh record"]
-        # A deliberate subset run is only gated on the backends it covers.
-        assert compare_records(
-            fresh, baseline, max_slowdown=0.25, expected_backends=("serial",)
-        ) == []
-
-    def test_normalize_pytest_benchmark_format(self):
-        record = {
-            "benchmarks": [
-                {
-                    "name": "test_backend_selects_identical_parameters[serial]",
-                    "stats": {"mean": 0.5},
-                    "extra_info": {"best_params": {"min_pts": 3}},
-                },
-                {"name": "unrelated_test", "stats": {"mean": 1.0}},
-            ]
-        }
-        normalized = normalize_record(record)
-        assert normalized == {"serial": {"mean_s": 0.5, "best_params": {"min_pts": 3}}}
-
-    def test_normalize_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            normalize_record({"what": "is this"})
 
 
 class TestDistanceBackendConfig:

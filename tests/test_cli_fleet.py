@@ -2,7 +2,8 @@
 
 ``repro run --worker`` parity and failure recovery (including a real
 SIGKILL-mid-grid reclaim through subprocesses), ``repro status``,
-``repro dashboard`` and the ``repro bench fleet`` gate.
+and ``repro dashboard`` (the ``repro bench fleet`` gate is covered in
+``test_bench_suites.py``).
 """
 
 import json
@@ -15,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import bench_fleet
 from repro.cli.main import main
 
 FLEET_TOML = """\
@@ -164,14 +164,7 @@ class TestDashboardCli:
         config = write_config(tmp_path, root=tmp_path / "store")
         assert main(["run", str(config), "--worker", "--quiet"]) == 0
         (tmp_path / "BENCH_fleet.json").write_text(
-            json.dumps(
-                {
-                    "bench_fleet": {
-                        "speedup": {"2": 2.0, "4": 3.5},
-                        "floors": {"2": 1.6, "4": 2.4},
-                    }
-                }
-            ),
+            (Path(__file__).resolve().parent.parent / "BENCH_fleet.json").read_text(encoding="utf-8"),
             encoding="utf-8",
         )
         out = tmp_path / "dash.html"
@@ -205,184 +198,3 @@ class TestDashboardCli:
         err = capsys.readouterr().err
         assert "cannot write dashboard" in err
         assert "\n" not in err.strip()
-
-
-class TestBenchFleetCli:
-    def test_small_grid_records_and_gates(self, tmp_path, capsys):
-        json_out = tmp_path / "fleet.json"
-        code = main(
-            [
-                "bench",
-                "fleet",
-                "--workers",
-                "1,2",
-                "--units",
-                "6",
-                "--unit-cost",
-                "0.05",
-                "--no-quickstart",
-                "--json",
-                str(json_out),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "workers" in out and "speedup" in out
-        record = json.loads(json_out.read_text(encoding="utf-8"))
-        assert record["kind"] == "repro-bench-fleet"
-        assert set(record["workers"]) == {"1", "2"}
-        assert record["workers"]["2"]["parity"] is True
-
-    def test_workers_flag_must_be_integers(self, capsys):
-        assert main(["bench", "fleet", "--workers", "two"]) == 2
-        assert "comma-separated integers" in capsys.readouterr().err
-
-    def test_compare_rejects_json(self, tmp_path, capsys):
-        assert (
-            main(["bench", "fleet", "--compare", "x.json", "--json", str(tmp_path / "y.json")])
-            == 2
-        )
-        assert "cannot be combined" in capsys.readouterr().err
-
-    def test_compare_against_committed_baseline(self, tmp_path, capsys):
-        record = {
-            "kind": "repro-bench-fleet",
-            "workers": {
-                "1": {"wall_s": 8.0, "parity": True, "stats": {}},
-                "2": {"wall_s": 4.0, "parity": True, "stats": {}},
-                "4": {"wall_s": 2.0, "parity": True, "stats": {}},
-            },
-            "speedup": {"2": 2.0, "4": 4.0},
-            "quickstart": {"parity": True, "n_workers": 2},
-        }
-        fresh = tmp_path / "fresh.json"
-        fresh.write_text(json.dumps(record), encoding="utf-8")
-        assert (
-            main(["bench", "fleet", "--compare", str(fresh), "--baseline", "BENCH_fleet.json"])
-            == 0
-        )
-        assert "within baseline" in capsys.readouterr().out
-
-    def test_malformed_record_is_exit_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"kind": "something-else"}), encoding="utf-8")
-        assert main(["bench", "fleet", "--compare", str(bad)]) == 2
-        assert "unrecognised fleet benchmark record" in capsys.readouterr().err
-
-
-class TestCompareRecords:
-    BASELINE = {
-        "bench_fleet": {
-            "floors": {"2": 1.6, "4": 2.4},
-            "wall_s": {"1": 8.0},
-        }
-    }
-
-    def make_fresh(self, **overrides):
-        fresh = {
-            "kind": "repro-bench-fleet",
-            "workers": {
-                "1": {"wall_s": 8.0, "parity": True},
-                "2": {"wall_s": 4.0, "parity": True},
-                "4": {"wall_s": 2.0, "parity": True},
-            },
-            "speedup": {"2": 2.0, "4": 4.0},
-            "quickstart": {"parity": True},
-        }
-        fresh.update(overrides)
-        return fresh
-
-    def test_clean_record_has_no_problems(self):
-        assert bench_fleet.compare_records(self.make_fresh(), self.BASELINE) == []
-
-    def test_speedup_floor_violation(self):
-        fresh = self.make_fresh(speedup={"2": 1.1, "4": 4.0})
-        problems = bench_fleet.compare_records(fresh, self.BASELINE)
-        assert any("below the 1.60x floor" in problem for problem in problems)
-
-    def test_missing_count_is_a_problem_unless_excluded(self):
-        fresh = self.make_fresh(speedup={"2": 2.0})
-        problems = bench_fleet.compare_records(fresh, self.BASELINE)
-        assert any("4 workers: missing" in problem for problem in problems)
-        assert (
-            bench_fleet.compare_records(fresh, self.BASELINE, expected_counts=("1", "2")) == []
-        )
-
-    def test_store_parity_violation(self):
-        fresh = self.make_fresh()
-        fresh["workers"]["2"]["parity"] = False
-        problems = bench_fleet.compare_records(fresh, self.BASELINE)
-        assert any("store parity mismatch" in problem for problem in problems)
-
-    def test_quickstart_parity_violation(self):
-        fresh = self.make_fresh(quickstart={"parity": False})
-        problems = bench_fleet.compare_records(fresh, self.BASELINE)
-        assert any("summary.json differs" in problem for problem in problems)
-
-    def test_skipped_quickstart_is_not_gated(self):
-        fresh = self.make_fresh(quickstart={"skipped": "no config"})
-        assert bench_fleet.compare_records(fresh, self.BASELINE) == []
-
-    def test_serial_wall_budget(self):
-        fresh = self.make_fresh()
-        fresh["workers"]["1"]["wall_s"] = 30.0
-        problems = bench_fleet.compare_records(fresh, self.BASELINE)
-        assert any("allowed +75%" in problem for problem in problems)
-        assert (
-            bench_fleet.compare_records(fresh, self.BASELINE, max_slowdown=10.0) == []
-        )
-
-    def test_missing_baseline_section(self):
-        problems = bench_fleet.compare_records(self.make_fresh(), {})
-        assert problems == ["baseline is missing the 'bench_fleet' section"]
-
-    def test_committed_baseline_shape(self):
-        baseline = bench_fleet.load_json(Path(__file__).parent.parent / "BENCH_fleet.json")
-        section = baseline[bench_fleet.BASELINE_SECTION]
-        assert section["floors"] == bench_fleet.DEFAULT_FLOORS
-        for count, floor in section["floors"].items():
-            assert section["speedup"][count] >= floor
-        assert section["quickstart"]["parity"] is True
-
-
-class TestFormatFleetTable:
-    def test_table_lists_counts_and_quickstart(self):
-        fresh = {
-            "kind": "repro-bench-fleet",
-            "workers": {
-                "1": {"wall_s": 8.0, "parity": True, "stats": {"stolen": 0, "waits": 0}},
-                "2": {"wall_s": 4.0, "parity": True, "stats": {"stolen": 1, "waits": 2}},
-            },
-            "speedup": {"2": 2.0},
-            "quickstart": {
-                "parity": True,
-                "n_workers": 2,
-                "single_wall_s": 1.0,
-                "fleet_wall_s": 2.0,
-            },
-        }
-        text = bench_fleet.format_fleet_table(fresh)
-        assert "2.00x" in text
-        assert "quickstart parity: ok" in text
-
-    def test_table_marks_skip_and_mismatch(self):
-        fresh = {"workers": {}, "speedup": {}, "quickstart": {"skipped": "nope"}}
-        assert "skipped (nope)" in bench_fleet.format_fleet_table(fresh)
-        fresh["quickstart"] = {"parity": False, "single_wall_s": 1.0, "fleet_wall_s": 1.0}
-        assert "MISMATCH" in bench_fleet.format_fleet_table(fresh)
-
-
-class TestSyntheticUnits:
-    def test_keys_are_stable_and_distinct(self):
-        keys = bench_fleet.synthetic_unit_keys(4, 0.25)
-        assert len(keys) == 4
-        assert keys[0] == {"bench": "fleet-steal", "unit": 0, "n_units": 4, "cost_ms": 250}
-
-    def test_store_digest_tracks_content(self, tmp_path):
-        from repro.experiments.artifacts import ArtifactStore
-
-        empty = bench_fleet.store_digest(tmp_path)
-        store = ArtifactStore(tmp_path)
-        key = bench_fleet.synthetic_unit_keys(1, 0.01)[0]
-        store.put(bench_fleet.UNIT_KIND, key, {"unit": 0})
-        assert bench_fleet.store_digest(tmp_path) != empty

@@ -289,7 +289,7 @@ class TestMemmapSpillLifecycle:
                 """
                 import sys, time
                 import numpy as np
-                from repro.cli.bench_scale import scale_dataset
+                from repro.bench.scale import scale_dataset
                 from repro.core import distance_backend as db
 
                 X = scale_dataset(int(sys.argv[1])).X

@@ -241,7 +241,7 @@ class TestSchemaDocsInSync:
         assert "--distance-backend" in cli_page
 
     def test_performance_page_documents_the_kernel_subsystem(self):
-        from repro.cli.bench_kernels import KERNEL_NAMES
+        from repro.bench.kernels import KERNEL_NAMES
         from repro.clustering.kernels import KERNEL_MODES, KERNELS_ENV_VAR
 
         performance_page = (DOCS_DIR / "performance.md").read_text(encoding="utf-8")

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.engine import load_panels
 from repro.experiments.dashboard import (
     collect_drift,
     collect_fleet_state,
-    load_bench_panels,
     render_dashboard,
     write_dashboard,
 )
@@ -46,43 +46,71 @@ def run_tiny_fleet(tmp_path, *, kind="trials"):
     return spec
 
 
-class TestLoadBenchPanels:
+class TestLoadPanels:
     def test_committed_bench_records_all_become_panels(self):
         # The collectors must track the real committed record shapes; a
         # BENCH schema change that silently drops a panel fails here.
-        panels = load_bench_panels(REPO_ROOT)
+        panels = load_panels(REPO_ROOT)
         titles = "\n".join(panel["title"] for panel in panels)
         assert "BENCH_parallel.json" in titles
         assert "BENCH_kernels.json" in titles
         assert "BENCH_scale.json" in titles
         assert "BENCH_fleet.json" in titles
         assert "BENCH_online.json" in titles
+        assert "BENCH_text.json" in titles
         for panel in panels:
             assert panel["rows"], panel["title"]
             for _label, value, _floor in panel["rows"]:
                 assert value == value  # no NaNs sneak into the SVG
 
     def test_fleet_panel_carries_the_floors(self):
-        panels = load_bench_panels(REPO_ROOT)
+        panels = load_panels(REPO_ROOT)
         (fleet,) = [p for p in panels if "BENCH_fleet.json" in p["title"]]
         floors = {label: floor for label, _value, floor in fleet["rows"]}
         assert any(floor is not None for floor in floors.values())
 
     def test_online_panel_has_per_delta_rows_and_the_speedup_floor(self):
-        panels = load_bench_panels(REPO_ROOT)
+        panels = load_panels(REPO_ROOT)
         (online,) = [p for p in panels if "BENCH_online.json" in p["title"]]
         labels = [label for label, _value, _floor in online["rows"]]
-        assert any(label.startswith("delta ") for label in labels)
-        assert labels[-1] == "steady-state"
-        assert online["rows"][-1][2] is not None  # the committed 5.0x floor
+        assert labels[:2] == ["delta/0/speedup", "delta/1/speedup"]
+        assert labels[-1] == "stream/speedup"
+        assert online["rows"][-1][2] == 5.0  # the committed floor
+
+    def test_committed_records_draw_the_values_and_floors_they_drew_before_migration(self):
+        # Rows the per-file panel builders drew from the pre-migration files.
+        before = json.loads(
+            (REPO_ROOT / "tests" / "data" / "bench_premigration" / "dashboard_rows.json").read_text()
+        )
+        after = {
+            panel["title"].rsplit("(", 1)[1].rstrip(")"): [list(row[1:]) for row in panel["rows"]]
+            for panel in load_panels(REPO_ROOT)
+        }
+        assert after == before
+
+    def test_fresh_record_renders_next_to_its_baseline(self, tmp_path):
+        from repro.bench import kernels
+
+        (tmp_path / "BENCH_kernels.json").write_text(
+            (REPO_ROOT / "BENCH_kernels.json").read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        fresh = kernels.run(("large",), rounds=1)
+        (tmp_path / "BENCH_kernels_fresh.json").write_text(json.dumps(fresh), encoding="utf-8")
+        titles = [panel["title"] for panel in load_panels(tmp_path)]
+        assert titles == [
+            "Kernel speedup vs reference loops (BENCH_kernels.json)",
+            "Kernel speedup vs reference loops (BENCH_kernels_fresh.json)",
+        ]
+        html = render_dashboard(bench_dir=tmp_path)
+        assert "BENCH_kernels_fresh.json" in html
 
     def test_empty_dir_means_no_panels(self, tmp_path):
-        assert load_bench_panels(tmp_path) == []
+        assert load_panels(tmp_path) == []
 
     def test_unparseable_and_foreign_json_are_skipped(self, tmp_path):
         (tmp_path / "BENCH_bad.json").write_text("{not json", encoding="utf-8")
         (tmp_path / "BENCH_other.json").write_text(json.dumps({"foo": 1}), encoding="utf-8")
-        assert load_bench_panels(tmp_path) == []
+        assert load_panels(tmp_path) == []
 
 
 class TestCollectFleetState:
