@@ -3,9 +3,9 @@
 The full ``repro bench scale`` run measures wall-clock and peak RSS at up
 to n=100000 in fresh subprocesses; this module asserts the *correctness*
 half of its contract at CI-smoke sizes: bit-identical labels across the
-dense/blockwise/memmap distance backends and across the
+exact blockwise/memmap distance backends and across the
 serial/thread/process executors, plus the ``neighbors`` tier's
-exhaustive-regime (``k = n``, ``epsilon = inf``) bit-parity with dense —
+exhaustive-regime (``k = n``, ``epsilon = inf``) bit-parity with blockwise —
 through FOSC and through a CVCP grid on every executor.  Run with
 ``--benchmark-disable`` for a pure parity check (what CI's bench-smoke
 job does).
@@ -23,7 +23,7 @@ from repro.utils.cache import clear_distance_cache
 
 
 def test_distance_backend_label_parity_multi_panel():
-    """All three tiers agree bitwise at a size spanning multiple panels."""
+    """The exact tiers agree bitwise at a size spanning multiple panels."""
     digest = bench_scale_module.assert_distance_backend_parity()
     assert digest
 
@@ -32,7 +32,7 @@ def test_executor_modes_agree_under_every_distance_backend():
     bench_scale_module.assert_executor_parity(n_samples=120)
 
 
-def test_neighbors_tier_matches_dense_in_the_exhaustive_regime():
+def test_neighbors_tier_matches_exact_in_the_exhaustive_regime():
     """The approximate tier reduces to exact when nothing is pruned."""
     digest = bench_scale_module.assert_neighbor_backend_parity(n_samples=120)
     assert digest

@@ -129,8 +129,8 @@ SUITES: dict[str, Suite] = {
         description=(
             "Time each of the four hot clustering kernels (OPTICS reachability sweep, "
             "single-linkage MST + dendrogram, FOSC condensed-tree extraction, MPCK-Means "
-            "assignment) in both implementations at three problem sizes, assert that the "
-            "two are bit-identical, and optionally gate the record against the committed "
+            "assignment) against its reference oracle at three problem sizes, assert that "
+            "the two are bit-identical, and optionally gate the record against the committed "
             "BENCH_kernels.json baseline (exit 1 on a parity mismatch, a slowdown beyond "
             "--max-slowdown, or a speedup below the baseline's per-kernel floor)."
         ),

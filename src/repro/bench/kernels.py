@@ -1,11 +1,11 @@
 """``repro bench kernels``: the four hot clustering kernels, before and after.
 
-Times each kernel (see :mod:`repro.clustering.kernels`) in both
-implementations, ``reference`` (interpreter-bound loops) and
-``vectorized`` (masked NumPy array operations), at three problem sizes,
-after asserting that the two produce bit-identical results (the kernels'
-contract, so a divergence is a bug, never noise).  Gates: the vectorized
-wall-clock against the baseline (``--max-slowdown``) and the speedup
+Times each kernel (see :mod:`repro.clustering.kernels`, masked NumPy
+array operations — the ``vectorized`` side) against its interpreter-bound
+oracle from :mod:`repro.clustering.reference` (the ``reference`` side) at
+three problem sizes, after asserting that the two produce bit-identical
+results (the kernels' contract, so a divergence is a bug, never noise).
+Gates: the vectorized wall-clock against the baseline (``--max-slowdown``) and the speedup
 (reference / vectorized) against per-kernel floors, a machine-independent
 ratio that stays meaningful on runners much faster or slower than the
 recording machine.
@@ -25,9 +25,9 @@ import numpy as np
 
 from repro.bench.engine import Spec, make_record
 from repro.clustering import kernels as kernel_module
+from repro.clustering import reference
 from repro.clustering.distances import k_nearest_distances, pairwise_distances
-from repro.clustering.fosc import FOSC
-from repro.clustering.hierarchy import CondensedTree, mutual_reachability
+from repro.clustering.hierarchy import mutual_reachability
 from repro.clustering.kmeans import kmeans_plus_plus_init
 from repro.clustering.mpckmeans import _EPS, MPCKMeans
 from repro.constraints.closure import transitive_closure
@@ -67,7 +67,7 @@ METRICS = {
 
 
 class KernelBenchCase:
-    """Prepared inputs + both implementations of one kernel at one size."""
+    """Prepared inputs + the kernel and its reference oracle at one size."""
 
     def __init__(
         self,
@@ -106,8 +106,8 @@ def make_cases(n_samples: int) -> dict[str, KernelBenchCase]:
     distances = pairwise_distances(X)
     core = k_nearest_distances(distances, _MIN_PTS)
     mreach = mutual_reachability(distances, core)
-    edges = kernel_module.minimum_spanning_tree_vectorized(mreach)
-    merges = kernel_module.single_linkage_tree_vectorized(edges, n_samples)
+    edges = kernel_module.minimum_spanning_tree(mreach)
+    merges = kernel_module.single_linkage_tree(edges, n_samples)
 
     labeled = sample_labeled_objects(y, 0.1, random_state=_LABEL_SEED)
     closure = transitive_closure(constraints_from_labels(labeled), strict=False)
@@ -118,8 +118,8 @@ def make_cases(n_samples: int) -> dict[str, KernelBenchCase]:
         return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def fosc_reference() -> tuple:
-        tree = CondensedTree(merges, n_samples, _MIN_PTS)
-        selection = FOSC().extract(tree, closure)
+        tree = reference.CondensedTree(merges, n_samples, _MIN_PTS)
+        selection = reference.ReferenceFOSC().extract(tree, closure)
         return selection.selected_clusters, selection.labels, selection.objective
 
     def fosc_vectorized() -> tuple:
@@ -155,37 +155,36 @@ def make_cases(n_samples: int) -> dict[str, KernelBenchCase]:
     )
     order = rng.permutation(n_samples)
 
-    def mpck(mode: str) -> Callable[[], np.ndarray]:
-        def run() -> np.ndarray:
-            return kernel_module.mpck_assign(
-                X, weights, labels0, point_center, log_det, max_sq,
-                must_indptr, must_indices, cannot_indptr, cannot_indices,
-                order, 1.0, kernels=mode,
-            )
-        return run
+    mpck_args = (
+        X, weights, labels0, point_center, log_det, max_sq,
+        must_indptr, must_indices, cannot_indptr, cannot_indices, order, 1.0,
+    )
 
-    def single_linkage(mode: str) -> Callable[[], np.ndarray]:
-        def run() -> np.ndarray:
-            tree_edges = kernel_module.minimum_spanning_tree(mreach, kernels=mode)
-            return kernel_module.single_linkage_tree(tree_edges, n_samples, kernels=mode)
-        return run
+    def single_linkage(mst, slt) -> Callable[[], np.ndarray]:
+        return lambda: slt(mst(mreach), n_samples)
 
     return {
         "optics": KernelBenchCase(
             "optics",
-            lambda: kernel_module.optics_ordering_reference(distances, core),
-            lambda: kernel_module.optics_ordering_vectorized(distances, core),
+            lambda: reference.optics_ordering_reference(distances, core),
+            lambda: kernel_module.optics_ordering(distances, core),
             ordering_equal,
         ),
         "single_linkage": KernelBenchCase(
             "single_linkage",
-            single_linkage("reference"),
-            single_linkage("vectorized"),
+            single_linkage(
+                reference.minimum_spanning_tree_reference,
+                reference.single_linkage_tree_reference,
+            ),
+            single_linkage(kernel_module.minimum_spanning_tree, kernel_module.single_linkage_tree),
             np.array_equal,
         ),
         "fosc": KernelBenchCase("fosc", fosc_reference, fosc_vectorized, fosc_equal),
         "mpck_assign": KernelBenchCase(
-            "mpck_assign", mpck("reference"), mpck("vectorized"), np.array_equal
+            "mpck_assign",
+            lambda: reference.mpck_assign_reference(*mpck_args),
+            lambda: kernel_module.mpck_assign(*mpck_args),
+            np.array_equal,
         ),
     }
 

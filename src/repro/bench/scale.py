@@ -11,15 +11,16 @@ directory so memmap timings are cold.
 
 Parity is asserted **before** any timing is recorded:
 
-* the three exact distance backends must produce bit-identical labels
+* the exact distance backends must produce bit-identical labels
   (checked in-process at a multi-panel size, and re-checked across every
-  timed cell via label digests);
+  timed cell via label digests; the ``dense/*`` cells keep their names and
+  run through the deprecated ``"dense"`` alias of ``blockwise``);
 * the serial/thread/process executors must select identical parameters
   with identical per-fold scores and final labels under every exact
   distance backend (a small CVCP grid per combination);
-* the approximate ``neighbors`` tier must reduce exactly to the dense
+* the approximate ``neighbors`` tier must reduce exactly to the exact-tier
   labels in its exhaustive regime (``k = n``, ``epsilon = inf``), under
-  both kernel modes and all three executors.
+  all three executors.
 
 The record demonstrates the point of the tiers: the projected dense
 working set at ``n = 10000`` (three float64 matrices: distances, mutual
@@ -53,10 +54,15 @@ import numpy as np
 
 from repro.bench.engine import Spec, make_record
 from repro.core.distance_backend import (
+    DISTANCE_BACKEND_ALIASES,
     DISTANCE_BACKENDS,
     EXACT_DISTANCE_BACKENDS,
     SPILL_DIR_ENV_VAR,
 )
+
+#: Backend names a cell may carry: the tiers plus their deprecated aliases
+#: (the ``dense/*`` cells of the committed baseline run as ``blockwise``).
+CELL_BACKENDS = DISTANCE_BACKENDS + tuple(DISTANCE_BACKEND_ALIASES)
 
 #: Benchmark problem sizes (number of objects).
 SCALE_SIZES: dict[str, int] = {
@@ -266,17 +272,17 @@ def assert_distance_backend_parity(n_samples: int = PARITY_N) -> str:
             "distance backends diverged (the contract is bit-identical labels, "
             f"so this is a bug): {digests}"
         )
-    return digests["dense"]
+    return digests["blockwise"]
 
 
 def assert_neighbor_backend_parity(n_samples: int = PARITY_N) -> str:
-    """Assert the neighbors tier reduces to dense labels in its exhaustive regime.
+    """Assert the neighbors tier reduces to exact labels in its exhaustive regime.
 
     The approximate-by-contract guarantee (see
     :mod:`repro.core.neighbor_graph`): at ``k_neighbors = n`` and
     ``epsilon = inf`` the sparse graphs hold every pairwise entry, so the
-    fitted labels must be bit-identical to the dense tier — under both
-    kernel modes and all three executors.  Returns the shared digest.
+    fitted labels must be bit-identical to the blockwise tier — under all
+    three executors.  Returns the shared digest.
     """
     from repro.clustering.fosc import FOSCOpticsDend
     from repro.constraints.generation import sample_labeled_objects
@@ -286,32 +292,29 @@ def assert_neighbor_backend_parity(n_samples: int = PARITY_N) -> str:
 
     dataset = scale_dataset(n_samples)
     digests: dict[str, str] = {}
-    for kernels in ("vectorized", "reference"):
-        clear_distance_cache()
-        dense = FOSCOpticsDend(
-            min_pts=_MIN_PTS, kernels=kernels, distance_backend="dense"
-        ).fit(dataset.X)
-        digests[f"dense/{kernels}"] = labels_digest(dense.labels_)
-        clear_distance_cache()
-        sparse = FOSCOpticsDend(
-            min_pts=_MIN_PTS, kernels=kernels, distance_backend="neighbors",
-            epsilon=float("inf"), k_neighbors=n_samples,
-        ).fit(dataset.X)
-        digests[f"neighbors/{kernels}"] = labels_digest(sparse.labels_)
+    clear_distance_cache()
+    exact = FOSCOpticsDend(min_pts=_MIN_PTS, distance_backend="blockwise").fit(dataset.X)
+    digests["blockwise"] = labels_digest(exact.labels_)
+    clear_distance_cache()
+    sparse = FOSCOpticsDend(
+        min_pts=_MIN_PTS, distance_backend="neighbors",
+        epsilon=float("inf"), k_neighbors=n_samples,
+    ).fit(dataset.X)
+    digests["neighbors"] = labels_digest(sparse.labels_)
     if len(set(digests.values())) != 1:
         raise RuntimeError(
-            "neighbors tier diverged from dense in the exhaustive regime "
+            "neighbors tier diverged from blockwise in the exhaustive regime "
             f"(k=n, epsilon=inf must be entry-for-entry equal, so this is a bug): {digests}"
         )
 
     # A small CVCP grid per executor under the exhaustive neighbors tier
-    # must reproduce the dense selections and labels bit-for-bit.
+    # must reproduce the exact selections and labels bit-for-bit.
     grid_n = min(n_samples, 240)
     grid_data = scale_dataset(grid_n)
     labeled = sample_labeled_objects(grid_data.y, 0.1, random_state=3)
     reference: dict | None = None
     for distance_backend, executor in (
-        [("dense", "serial")] + [("neighbors", executor) for executor in BACKENDS]
+        [("blockwise", "serial")] + [("neighbors", executor) for executor in BACKENDS]
     ):
         clear_distance_cache()
         spec_kwargs = {"backend": executor, "n_jobs": 2, "distance_backend": distance_backend}
@@ -339,7 +342,7 @@ def assert_neighbor_backend_parity(n_samples: int = PARITY_N) -> str:
                 f"{observed} != {reference}"
             )
     clear_distance_cache()
-    return digests["dense/vectorized"]
+    return digests["blockwise"]
 
 
 def assert_executor_parity(n_samples: int = 240) -> None:
@@ -397,9 +400,9 @@ def run(
     named sizes; ``None`` uses :data:`DEFAULT_CELLS`.  With ``parity_only``
     the timed cells are skipped and nothing is recorded (``None``).
     """
-    unknown = [name for name in backends if name not in DISTANCE_BACKENDS]
+    unknown = [name for name in backends if name not in CELL_BACKENDS]
     if unknown:
-        raise ValueError(f"unknown backend(s) {', '.join(unknown)}; expected {', '.join(DISTANCE_BACKENDS)}")
+        raise ValueError(f"unknown backend(s) {', '.join(unknown)}; expected {', '.join(CELL_BACKENDS)}")
     if sizes is not None:
         unknown = [name for name in sizes if name not in SCALE_SIZES]
         if unknown:
@@ -452,7 +455,8 @@ def checks(metrics: dict) -> list[str]:
     digests: dict[str, dict[str, str]] = {}
     for name, entry in metrics.items():
         parts = name.split("/")
-        if len(parts) == 3 and parts[2] == "labels_digest" and parts[0] in EXACT_DISTANCE_BACKENDS:
+        tier = DISTANCE_BACKEND_ALIASES.get(parts[0], parts[0])
+        if len(parts) == 3 and parts[2] == "labels_digest" and tier in EXACT_DISTANCE_BACKENDS:
             digests.setdefault(parts[1], {})[parts[0]] = entry["value"]
     return [
         f"{size}: label digests differ across backends: {per_backend}"

@@ -5,7 +5,7 @@ precomputed-metric path cost on a planted-topic TF-IDF corpus
 (:func:`repro.datasets.text.make_text_blobs`):
 
 * **parity first** — before any timing counts, the record asserts that
-  the three exact distance tiers (dense, blockwise, memmap) are
+  the exact distance tiers (blockwise, memmap) are
   bit-identical on the sparse cosine matrix, that serial and process
   executors produce bit-identical CVCP trials on the sparse data set,
   and that ``metric = "precomputed"`` fed the cosine distance matrix
@@ -123,7 +123,7 @@ def run(rounds: int = ROUNDS) -> dict:
             config=trial_config, random_state=trial_config.seed,
         )[0].to_dict()
     tiers_identical = all(
-        per_tier[tier] == per_tier["dense"] for tier in EXACT_DISTANCE_BACKENDS
+        per_tier[tier] == per_tier[EXACT_DISTANCE_BACKENDS[0]] for tier in EXACT_DISTANCE_BACKENDS
     )
 
     per_executor = {}

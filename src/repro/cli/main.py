@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench import DEFAULT_SUITE, SUITES, Suite
-from repro.core.distance_backend import DISTANCE_BACKENDS
+from repro.core.distance_backend import DISTANCE_BACKEND_ALIASES, DISTANCE_BACKENDS
 from repro.core.executor import BACKENDS, ExecutionSpec
 from repro.datasets.registry import DATASET_NAMES, get_dataset
 from repro.experiments.artifacts import ArtifactStore
@@ -272,11 +272,12 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-jobs", type=int, help="override the worker count")
     parser.add_argument(
         "--distance-backend",
-        choices=DISTANCE_BACKENDS,
+        choices=DISTANCE_BACKENDS + tuple(DISTANCE_BACKEND_ALIASES),
         help=(
             "override the distance-matrix storage tier "
             "(results are bit-identical across the exact tiers; 'neighbors' "
-            "is the approximate sparse tier)"
+            "is the approximate sparse tier; 'dense' is a deprecated alias "
+            "of 'blockwise')"
         ),
     )
     parser.add_argument(

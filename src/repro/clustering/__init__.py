@@ -20,12 +20,6 @@ machinery in :mod:`repro.clustering.hierarchy`.
 """
 
 from repro.clustering.base import BaseClusterer, ClusteringResult
-from repro.clustering.kernels import (
-    KERNEL_MODES,
-    DEFAULT_KERNEL_MODE,
-    KERNELS_ENV_VAR,
-    resolve_kernel_mode,
-)
 from repro.clustering.distances import (
     pairwise_distances,
     euclidean_distances,
@@ -41,7 +35,6 @@ from repro.clustering.hierarchy import (
     DensityHierarchy,
     mutual_reachability,
     build_single_linkage_tree,
-    CondensedTree,
     CondensedTreeArrays,
 )
 from repro.clustering.fosc import FOSC, FOSCOpticsDend
@@ -49,10 +42,6 @@ from repro.clustering.fosc import FOSC, FOSCOpticsDend
 __all__ = [
     "BaseClusterer",
     "ClusteringResult",
-    "KERNEL_MODES",
-    "DEFAULT_KERNEL_MODE",
-    "KERNELS_ENV_VAR",
-    "resolve_kernel_mode",
     "pairwise_distances",
     "euclidean_distances",
     "diagonal_mahalanobis_distances",
@@ -67,7 +56,6 @@ __all__ = [
     "DensityHierarchy",
     "mutual_reachability",
     "build_single_linkage_tree",
-    "CondensedTree",
     "CondensedTreeArrays",
     "FOSC",
     "FOSCOpticsDend",

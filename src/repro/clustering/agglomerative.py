@@ -37,8 +37,8 @@ class AgglomerativeClustering(BaseClusterer):
     distance_backend:
         Storage tier for the initial matrix (see
         :mod:`repro.core.distance_backend`).  The Lance–Williams update
-        mutates a dense in-RAM working copy regardless, so non-dense tiers
-        only bound the *initial* matrix computation here.
+        mutates a dense in-RAM working copy regardless, so the tier only
+        bounds the *initial* matrix computation here.
 
     Attributes
     ----------

@@ -2,8 +2,8 @@
 
 Distances are computed in fixed-width **row panels** (:data:`DEFAULT_BLOCK_ROWS`
 rows per panel).  The panel partition — not the storage tier — defines the
-canonical floating-point result: every distance backend (dense in-RAM,
-blockwise streaming, out-of-core memmap; see
+canonical floating-point result: every exact distance backend (in-RAM
+blockwise, out-of-core memmap; see
 :mod:`repro.core.distance_backend`) performs the identical per-panel NumPy
 operations and therefore produces **bit-identical** matrices by construction.
 For ``n <= DEFAULT_BLOCK_ROWS`` (every paper-scale data set) a single panel
@@ -35,9 +35,7 @@ from repro.utils.validation import check_array_2d
 DEFAULT_BLOCK_ROWS = 512
 
 
-def _resolve_block_rows(block_rows: int | None) -> int:
-    if block_rows is None:
-        return DEFAULT_BLOCK_ROWS
+def _check_block_rows(block_rows: int) -> int:
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     return int(block_rows)
@@ -57,7 +55,7 @@ def euclidean_distances(
     *,
     squared: bool = False,
     out: np.ndarray | None = None,
-    block_rows: int | None = None,
+    block_rows: int = DEFAULT_BLOCK_ROWS,
     panel_done: Callable[[int, int], None] | None = None,
 ) -> np.ndarray:
     """Pairwise Euclidean distances between the rows of ``X`` and ``Y``.
@@ -90,7 +88,7 @@ def euclidean_distances(
     X = _as_float64(X)
     self_distances = Y is None or Y is X
     Y = X if self_distances else _as_float64(Y)
-    block = _resolve_block_rows(block_rows)
+    block = _check_block_rows(block_rows)
     n, m = X.shape[0], Y.shape[0]
     if out is None:
         out = np.empty((n, m), dtype=np.float64)
@@ -249,7 +247,7 @@ def pairwise_distances(
     metric: str = "euclidean",
     *,
     out: np.ndarray | None = None,
-    block_rows: int | None = None,
+    block_rows: int = DEFAULT_BLOCK_ROWS,
     panel_done: Callable[[int, int], None] | None = None,
 ) -> np.ndarray:
     """Full ``(n, n)`` distance matrix for the rows of ``X``.
@@ -278,7 +276,7 @@ def pairwise_distances(
         Optional per-panel callback ``panel_done(start, stop)`` (see
         :func:`euclidean_distances`).
     """
-    block = _resolve_block_rows(block_rows)
+    block = _check_block_rows(block_rows)
     if metric == "precomputed":
         # Validated directly (not via check_array_2d): a precomputed matrix
         # may legitimately contain +inf for unreachable pairs.
@@ -407,7 +405,7 @@ def weighted_squared_distance(x: np.ndarray, y: np.ndarray, weights: np.ndarray)
 
 
 def k_nearest_distances(
-    distance_matrix: np.ndarray, k: int, *, block_rows: int | None = None
+    distance_matrix: np.ndarray, k: int, *, block_rows: int = DEFAULT_BLOCK_ROWS
 ) -> np.ndarray:
     """Distance to the ``k``-th nearest neighbour for every object.
 
@@ -423,22 +421,17 @@ def k_nearest_distances(
     k:
         Neighbour rank, ``1 <= k <= n``.
     block_rows:
-        When given, the row-wise partition runs block-at-a-time so the
-        peak temporary is ``(block_rows, n)`` instead of the full-matrix
-        copy ``np.partition`` makes.  Results are bit-identical either way
-        (the selection is independent per row); the streaming variant is
-        what the blockwise/memmap distance backends use.
+        Row-panel width (default :data:`DEFAULT_BLOCK_ROWS`).  The row-wise
+        partition runs panel by panel, so the peak temporary is
+        ``(block_rows, n)`` instead of a full-matrix copy; the selection is
+        independent per row, so every width gives the same bits.
     """
     # Plain asarray: zero-copy for any ndarray/memmap, converts array-likes.
     distance_matrix = np.asarray(distance_matrix)
     n = distance_matrix.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if block_rows is None:
-        distance_matrix = np.asarray(distance_matrix, dtype=np.float64)
-        partitioned = np.partition(distance_matrix, k - 1, axis=1)
-        return partitioned[:, k - 1]
-    block = _resolve_block_rows(block_rows)
+    block = _check_block_rows(block_rows)
     core = np.empty(n, dtype=np.float64)
     for start in range(0, n, block):
         stop = min(start + block, n)

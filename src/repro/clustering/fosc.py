@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering import kernels as _kernels
 from repro.clustering.base import BaseClusterer
 from repro.clustering.hierarchy import (
-    CondensedTree,
     CondensedTreeArrays,
     TreeStructure,
     cached_tree_structure,
 )
+from repro.clustering.kernels import fosc_extract
 from repro.constraints.closure import transitive_closure
 from repro.constraints.constraint import MUST_LINK, ConstraintSet
 from repro.utils.rng import RandomStateLike
@@ -82,135 +81,25 @@ class FOSC:
 
     # ------------------------------------------------------------------
     def extract(
-        self,
-        tree: CondensedTree | CondensedTreeArrays,
-        constraints: ConstraintSet | None = None,
+        self, tree: CondensedTreeArrays, constraints: ConstraintSet | None = None
     ) -> FOSCSelection:
         """Select the optimal antichain of clusters from ``tree``.
 
         Parameters
         ----------
         tree:
-            Either a reference :class:`~repro.clustering.hierarchy.CondensedTree`
-            (processed with the interpreter-bound dynamic program below) or
-            an array-backed
-            :class:`~repro.clustering.hierarchy.CondensedTreeArrays`
-            (processed with the vectorized FOSC kernel).  Both paths
-            return bit-identical selections, labels and objectives.
+            The condensed hierarchy, processed with the FOSC kernel
+            :func:`~repro.clustering.kernels.fosc_extract`.
         constraints:
             Should-link / should-not-link side information; with an empty
             set the unsupervised stability objective is used.
         """
         constraints = constraints if constraints is not None else ConstraintSet()
-        if isinstance(tree, CondensedTreeArrays):
-            i_idx, j_idx, kinds = constraints.as_arrays()
-            selected, labels, objective, used = _kernels.fosc_extract(
-                tree.arrays, i_idx, j_idx, kinds == MUST_LINK, self.stability_weight
-            )
-            return FOSCSelection(selected, labels, objective, used)
-        use_constraints = len(constraints) > 0
-
-        quality = self._cluster_qualities(tree, constraints, use_constraints)
-        selected, objective = self._optimal_selection(tree, quality)
-
-        if not selected:
-            # Degenerate hierarchy (no significant split): everything is one
-            # cluster rather than all-noise, which matches what OPTICS-based
-            # extraction would return for a structureless data set.
-            labels = np.zeros(tree.n_samples, dtype=np.int64)
-            root_members = tree.root.members
-            in_root = np.zeros(tree.n_samples, dtype=bool)
-            in_root[np.fromiter(root_members, dtype=np.intp, count=len(root_members))] = True
-            labels[~in_root] = -1
-            return FOSCSelection([0], labels, objective, use_constraints)
-
-        labels = tree.labels_for_selection(selected)
-        return FOSCSelection(selected, labels, objective, use_constraints)
-
-    # ------------------------------------------------------------------
-    def _cluster_qualities(
-        self,
-        tree: CondensedTree,
-        constraints: ConstraintSet,
-        use_constraints: bool,
-    ) -> dict[int, float]:
-        """Per-cluster quality: constraint satisfaction plus scaled stability."""
-        stabilities = {cid: tree.stability(cid) for cid in tree.selectable_clusters()}
-        max_stability = max(stabilities.values(), default=0.0)
-        if max_stability <= 0.0:
-            max_stability = 1.0
-
-        qualities: dict[int, float] = {}
-        for cluster_id in tree.selectable_clusters():
-            normalised_stability = stabilities[cluster_id] / max_stability
-            if use_constraints:
-                satisfaction = self._constraint_satisfaction(
-                    tree.clusters[cluster_id].members, constraints
-                )
-                qualities[cluster_id] = satisfaction + self.stability_weight * normalised_stability
-            else:
-                qualities[cluster_id] = normalised_stability
-        return qualities
-
-    @staticmethod
-    def _constraint_satisfaction(members: set[int], constraints: ConstraintSet) -> float:
-        """Constraint-endpoint satisfaction credit of one candidate cluster.
-
-        Following the semi-supervised FOSC objective, each constraint
-        contributes through its endpoints that fall inside the candidate
-        cluster: a must-link is rewarded only when both endpoints are inside
-        (weight 1), a cannot-link endpoint inside the cluster is rewarded
-        with weight 1/2 when its partner is outside.  The credit is
-        normalised by the total number of constraints so values are
-        comparable across hierarchies.
-        """
-        if not len(constraints):
-            return 0.0
-        credit = 0.0
-        for constraint in constraints:
-            in_i = constraint.i in members
-            in_j = constraint.j in members
-            if constraint.is_must_link:
-                if in_i and in_j:
-                    credit += 1.0
-            else:
-                if in_i and in_j:
-                    continue
-                if in_i or in_j:
-                    credit += 0.5
-        return credit / len(constraints)
-
-    @staticmethod
-    def _optimal_selection(
-        tree: CondensedTree, quality: dict[int, float]
-    ) -> tuple[list[int], float]:
-        """Bottom-up dynamic program over the condensed tree."""
-        best_value: dict[int, float] = {}
-        keep_node: dict[int, bool] = {}
-
-        # Children always have larger identifiers than their parents, so
-        # descending id order is a valid bottom-up traversal.
-        for cluster_id in sorted(tree.selectable_clusters(), reverse=True):
-            cluster = tree.clusters[cluster_id]
-            own = quality[cluster_id]
-            children_value = sum(best_value[child] for child in cluster.children)
-            if cluster.children and children_value > own:
-                best_value[cluster_id] = children_value
-                keep_node[cluster_id] = False
-            else:
-                best_value[cluster_id] = own
-                keep_node[cluster_id] = True
-
-        selected: list[int] = []
-        stack = list(tree.root.children)
-        total = sum(best_value[child] for child in tree.root.children)
-        while stack:
-            cluster_id = stack.pop()
-            if keep_node[cluster_id]:
-                selected.append(cluster_id)
-            else:
-                stack.extend(tree.clusters[cluster_id].children)
-        return sorted(selected), float(total)
+        i_idx, j_idx, kinds = constraints.as_arrays()
+        selected, labels, objective, used = fosc_extract(
+            tree.arrays, i_idx, j_idx, kinds == MUST_LINK, self.stability_weight
+        )
+        return FOSCSelection(selected, labels, objective, used)
 
 
 class FOSCOpticsDend(BaseClusterer):
@@ -235,14 +124,9 @@ class FOSCOpticsDend(BaseClusterer):
         :class:`FOSC`.
     metric:
         Distance metric.
-    kernels:
-        Kernel implementation for the hierarchy construction and FOSC
-        extraction — ``"vectorized"`` (default) or ``"reference"``;
-        ``None`` consults ``REPRO_KERNELS``.  Results are bit-identical
-        either way; see :mod:`repro.clustering.kernels`.
     distance_backend:
-        Storage tier for the distance matrices — ``"dense"`` (default),
-        ``"blockwise"``, ``"memmap"`` or ``"neighbors"``; ``None``
+        Storage tier for the distance matrices — ``"blockwise"``
+        (default), ``"memmap"`` or ``"neighbors"``; ``None``
         consults ``REPRO_DISTANCE_BACKEND``.  The exact tiers produce
         bit-identical labels; ``"neighbors"`` builds the hierarchy from a
         sparse epsilon-bounded k-NN graph and is approximate-by-contract
@@ -281,7 +165,6 @@ class FOSCOpticsDend(BaseClusterer):
         min_cluster_size: int | None = None,
         stability_weight: float = 1e-3,
         metric: str = "euclidean",
-        kernels: str | None = None,
         distance_backend: str | None = None,
         epsilon: float | None = None,
         k_neighbors: int | None = None,
@@ -291,7 +174,6 @@ class FOSCOpticsDend(BaseClusterer):
         self.min_cluster_size = min_cluster_size
         self.stability_weight = stability_weight
         self.metric = metric
-        self.kernels = kernels
         self.distance_backend = distance_backend
         self.epsilon = epsilon
         self.k_neighbors = k_neighbors
@@ -325,7 +207,6 @@ class FOSCOpticsDend(BaseClusterer):
             self._effective_min_pts(X),
             min_cluster_size=self.min_cluster_size,
             metric=self.metric,
-            kernels=self.kernels,
             distance_backend=self.distance_backend,
             epsilon=self.epsilon,
             k_neighbors=self.k_neighbors,
@@ -361,7 +242,6 @@ class FOSCOpticsDend(BaseClusterer):
             self._effective_min_pts(X),
             min_cluster_size=self.min_cluster_size,
             metric=self.metric,
-            kernels=self.kernels,
             distance_backend=self.distance_backend,
             epsilon=self.epsilon,
             k_neighbors=self.k_neighbors,

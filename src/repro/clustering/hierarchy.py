@@ -10,12 +10,12 @@ with ``core_k`` the distance to the ``MinPts``-th nearest neighbour (this is
 the construction used by HDBSCAN*, whose authors are the FOSC authors).  The
 module provides:
 
-* :func:`mutual_reachability` — the transformed distance matrix;
-* :func:`minimum_spanning_tree` — a dense Prim MST over it;
-* :func:`build_single_linkage_tree` — the dendrogram as merge records;
-* :class:`CondensedTree` — the hierarchy simplified with a minimum cluster
-  size, exposing per-cluster membership, stability and the parent/child
-  structure FOSC's dynamic program runs on;
+* :func:`mutual_reachability` — the transformed distance matrix, which
+  the kernels of :mod:`repro.clustering.kernels` turn into a Prim MST and
+  single-linkage merge records;
+* :class:`CondensedTreeArrays` — the hierarchy simplified with a minimum
+  cluster size, exposing per-cluster membership, stability and the
+  parent/child structure FOSC's dynamic program runs on;
 * :class:`DensityHierarchy` — a convenience facade tying the steps together;
 * :class:`TreeStructure` / :func:`cached_tree_structure` — the
   constraint-independent *structure phase* of a FOSC fit (core distances,
@@ -31,8 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.clustering import kernels as _kernels
-from repro.clustering.distances import k_nearest_distances
+from repro.clustering.distances import DEFAULT_BLOCK_ROWS, k_nearest_distances
+from repro.clustering.kernels import (
+    CondensedArrayData,
+    condense_tree,
+    labels_for_selection,
+    minimum_spanning_tree,
+    single_linkage_tree as build_single_linkage_tree,
+    stabilities,
+)
 from repro.utils.cache import MemoCache, array_fingerprint, cached_pairwise_distances
 from repro.utils.validation import check_array_2d, check_positive_int
 
@@ -42,7 +49,7 @@ def mutual_reachability(
     core_distances: np.ndarray,
     *,
     out: np.ndarray | None = None,
-    block_rows: int | None = None,
+    block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> np.ndarray:
     """Mutual reachability distance matrix.
 
@@ -57,77 +64,21 @@ def mutual_reachability(
         :meth:`~repro.core.distance_backend.DistanceBackend.derived_matrix`
         spill) to fill instead of allocating.
     block_rows:
-        When given, the transform streams in row blocks with a bounded
-        working set instead of materialising full-matrix temporaries.  The
-        per-entry operations are identical, so all variants are
-        bit-identical.
+        Row-panel width.  Each panel is written straight into ``out``, so
+        no full-matrix temporary exists; ``max`` is exact, so every panel
+        width gives the same bits.
     """
     core_distances = np.asarray(core_distances, dtype=np.float64)
-    if out is None and block_rows is None:
-        distances = np.asarray(distances, dtype=np.float64)
-        mreach = np.maximum(distances, core_distances[:, None])
-        np.maximum(mreach, core_distances[None, :], out=mreach)
-        np.fill_diagonal(mreach, 0.0)
-        return mreach
     n = core_distances.shape[0]
     if out is None:
         out = np.empty((n, n), dtype=np.float64)
-    block = block_rows if block_rows is not None else n
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        panel = np.maximum(
-            np.asarray(distances[start:stop], dtype=np.float64),
-            core_distances[start:stop, None],
-        )
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        panel = out[start:stop]
+        np.maximum(distances[start:stop], core_distances[start:stop, None], out=panel)
         np.maximum(panel, core_distances[None, :], out=panel)
         panel[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        out[start:stop] = panel
     return out
-
-
-def minimum_spanning_tree(distances: np.ndarray, *, kernels: str | None = None) -> np.ndarray:
-    """Dense Prim minimum spanning tree.
-
-    Parameters
-    ----------
-    distances:
-        ``(n, n)`` symmetric distance matrix.
-    kernels:
-        Kernel implementation (``"vectorized"``/``"reference"``/``None``);
-        both are bit-identical — see :mod:`repro.clustering.kernels`.
-
-    Returns
-    -------
-    ndarray
-        ``(n-1, 3)`` array of edges ``(u, v, weight)`` sorted by weight.
-    """
-    return _kernels.minimum_spanning_tree(distances, kernels=kernels)
-
-
-def build_single_linkage_tree(
-    mst_edges: np.ndarray, n_samples: int, *, kernels: str | None = None
-) -> np.ndarray:
-    """Convert sorted MST edges into scipy-style merge records.
-
-    Parameters
-    ----------
-    mst_edges:
-        ``(n-1, 3)`` MST edges sorted by weight.
-    n_samples:
-        Number of leaves.
-    kernels:
-        Kernel implementation (``"vectorized"``/``"reference"``/``None``);
-        both are bit-identical — see :mod:`repro.clustering.kernels`.
-
-    Returns
-    -------
-    ndarray
-        ``(n-1, 4)`` array; row ``m`` records the merge creating node
-        ``n_samples + m`` from nodes ``(left, right)`` at ``distance`` with
-        ``size`` leaves, exactly like :func:`scipy.cluster.hierarchy.linkage`
-        output for single linkage.
-    """
-    return _kernels.single_linkage_tree(mst_edges, n_samples, kernels=kernels)
 
 
 @dataclass
@@ -169,162 +120,28 @@ class CondensedCluster:
         return len(self.members)
 
 
-class CondensedTree:
-    """Hierarchy simplified with a minimum cluster size.
-
-    The construction follows HDBSCAN*: walking the single-linkage dendrogram
-    from the root towards the leaves, a split is *significant* only when
-    both sides contain at least ``min_cluster_size`` points; otherwise the
-    smaller side simply "falls out" of the current cluster at that density
-    level.  Each significant cluster records its stability
-    ``sum_p (lambda_p - lambda_birth)``, the classic excess-of-mass measure
-    used for unsupervised extraction.
-    """
-
-    def __init__(self, merges: np.ndarray, n_samples: int, min_cluster_size: int) -> None:
-        self.n_samples = n_samples
-        self.min_cluster_size = check_positive_int(
-            min_cluster_size, name="min_cluster_size", minimum=2
-        )
-        self._merges = np.asarray(merges, dtype=np.float64)
-        self.clusters: dict[int, CondensedCluster] = {}
-        self._build()
-
-    # -- construction ---------------------------------------------------
-    def _node_children(self, node: int) -> tuple[int, int, float]:
-        row = self._merges[node - self.n_samples]
-        return int(row[0]), int(row[1]), float(row[2])
-
-    def _node_size(self, node: int) -> int:
-        if node < self.n_samples:
-            return 1
-        return int(self._merges[node - self.n_samples][3])
-
-    def _node_leaves(self, node: int) -> list[int]:
-        stack = [node]
-        leaves: list[int] = []
-        while stack:
-            current = stack.pop()
-            if current < self.n_samples:
-                leaves.append(current)
-            else:
-                left, right, _ = self._node_children(current)
-                stack.extend((left, right))
-        return leaves
-
-    def _build(self) -> None:
-        root_node = self.n_samples + self._merges.shape[0] - 1 if self._merges.shape[0] else 0
-        root = CondensedCluster(cluster_id=0, parent=-1, birth_lambda=0.0)
-        self.clusters[0] = root
-        if self._merges.shape[0] == 0:
-            root.members = set(range(self.n_samples))
-            root.point_lambdas = {point: np.inf for point in range(self.n_samples)}
-            return
-
-        # Stack of (single-linkage node, condensed cluster id it belongs to).
-        stack: list[tuple[int, int]] = [(root_node, 0)]
-        next_cluster_id = 1
-        while stack:
-            node, cluster_id = stack.pop()
-            cluster = self.clusters[cluster_id]
-            if node < self.n_samples:
-                cluster.point_lambdas[node] = np.inf
-                continue
-            left, right, distance = self._node_children(node)
-            level = np.inf if distance <= 0 else 1.0 / distance
-            left_size = self._node_size(left)
-            right_size = self._node_size(right)
-            big_left = left_size >= self.min_cluster_size
-            big_right = right_size >= self.min_cluster_size
-
-            if big_left and big_right:
-                cluster.split_lambda = min(cluster.split_lambda, level)
-                for child_node in (left, right):
-                    child = CondensedCluster(
-                        cluster_id=next_cluster_id, parent=cluster_id, birth_lambda=level
-                    )
-                    self.clusters[next_cluster_id] = child
-                    cluster.children.append(next_cluster_id)
-                    stack.append((child_node, next_cluster_id))
-                    next_cluster_id += 1
-            elif big_left or big_right:
-                keep, drop = (left, right) if big_left else (right, left)
-                for point in self._node_leaves(drop):
-                    cluster.point_lambdas[point] = level
-                stack.append((keep, cluster_id))
-            else:
-                for point in self._node_leaves(left) + self._node_leaves(right):
-                    cluster.point_lambdas[point] = level
-
-        self._fill_members()
-
-    def _fill_members(self) -> None:
-        # Children were created after their parents, so reversed id order is
-        # a valid bottom-up order.
-        for cluster_id in sorted(self.clusters, reverse=True):
-            cluster = self.clusters[cluster_id]
-            cluster.members.update(cluster.point_lambdas)
-            for child_id in cluster.children:
-                cluster.members.update(self.clusters[child_id].members)
-
-    # -- queries ----------------------------------------------------------
-    @property
-    def root(self) -> CondensedCluster:
-        return self.clusters[0]
-
-    def leaves(self) -> list[int]:
-        """Identifiers of clusters without children."""
-        return [cid for cid, cluster in self.clusters.items() if not cluster.children]
-
-    def stability(self, cluster_id: int) -> float:
-        """Excess-of-mass stability of a cluster (HDBSCAN*'s objective)."""
-        cluster = self.clusters[cluster_id]
-        birth = cluster.birth_lambda
-        end_level = cluster.split_lambda
-        total = 0.0
-        for point, level in cluster.point_lambdas.items():
-            total += min(level, end_level) - birth if np.isfinite(min(level, end_level)) else 0.0
-        # Points passed down to children leave this cluster at the split level.
-        n_passed = sum(self.clusters[child].size for child in cluster.children)
-        if n_passed and np.isfinite(end_level):
-            total += n_passed * (end_level - birth)
-        return float(total)
-
-    def selectable_clusters(self) -> list[int]:
-        """Every cluster except the root (the root is the trivial solution)."""
-        return [cid for cid in self.clusters if cid != 0]
-
-    def labels_for_selection(self, selected: list[int]) -> np.ndarray:
-        """Flat labels for a set of selected clusters; unassigned points are noise."""
-        labels = np.full(self.n_samples, -1, dtype=np.int64)
-        for flat_label, cluster_id in enumerate(sorted(selected)):
-            for point in self.clusters[cluster_id].members:
-                labels[point] = flat_label
-        return labels
-
-
 class CondensedTreeArrays:
-    """Array-backed condensed hierarchy (the vectorized kernel's tree).
+    """Array-backed condensed hierarchy.
 
     Wraps the flat :class:`~repro.clustering.kernels.CondensedArrayData`
-    produced by :func:`~repro.clustering.kernels.condense_tree` while
-    exposing the same query interface as :class:`CondensedTree` —
-    :attr:`clusters`, :attr:`root`, :meth:`leaves`, :meth:`stability`,
-    :meth:`selectable_clusters` and :meth:`labels_for_selection` — so
-    consumers can treat either tree flavour uniformly.  The per-cluster
+    produced by :func:`~repro.clustering.kernels.condense_tree` behind a
+    per-cluster query interface — :attr:`clusters`, :attr:`root`,
+    :meth:`leaves`, :meth:`stability`, :meth:`selectable_clusters` and
+    :meth:`labels_for_selection`, the same as the reference
+    :class:`~repro.clustering.reference.CondensedTree`.  The per-cluster
     :class:`CondensedCluster` objects (with their Python sets and dicts)
     are only materialised lazily on first access to :attr:`clusters`;
     the FOSC extraction kernel never touches them.
     """
 
-    def __init__(self, data: "_kernels.CondensedArrayData") -> None:
+    def __init__(self, data: CondensedArrayData) -> None:
         self.arrays = data
         self.n_samples = data.n_samples
         self.min_cluster_size = data.min_cluster_size
         self._clusters: dict[int, CondensedCluster] | None = None
         self._stabilities: np.ndarray | None = None
 
-    # -- queries (CondensedTree-compatible) -----------------------------
+    # -- queries --------------------------------------------------------
     @property
     def clusters(self) -> dict[int, CondensedCluster]:
         """Per-cluster objects, materialised lazily from the flat arrays."""
@@ -368,7 +185,7 @@ class CondensedTreeArrays:
     def stability(self, cluster_id: int) -> float:
         """Excess-of-mass stability (bit-identical to the reference tree)."""
         if self._stabilities is None:
-            self._stabilities = _kernels.stabilities(self.arrays)
+            self._stabilities = stabilities(self.arrays)
         return float(self._stabilities[cluster_id])
 
     def selectable_clusters(self) -> list[int]:
@@ -377,7 +194,7 @@ class CondensedTreeArrays:
 
     def labels_for_selection(self, selected: list[int]) -> np.ndarray:
         """Flat labels for a set of selected clusters; unassigned points are noise."""
-        return _kernels.labels_for_selection(self.arrays, list(selected))
+        return labels_for_selection(self.arrays, list(selected))
 
 
 class DensityHierarchy:
@@ -392,19 +209,12 @@ class DensityHierarchy:
         ``min_pts``, matching common HDBSCAN*/FOSC practice.
     metric:
         Distance metric.
-    kernels:
-        Kernel implementation for the MST, dendrogram and condensed-tree
-        stages — ``"vectorized"`` (default) or ``"reference"``; ``None``
-        consults ``REPRO_KERNELS``.  With ``"vectorized"`` the fitted
-        ``condensed_tree_`` is a :class:`CondensedTreeArrays` (same query
-        API, bit-identical contents); with ``"reference"`` it is a
-        :class:`CondensedTree`.
     distance_backend:
         Storage tier for the pairwise and mutual-reachability matrices —
-        ``"dense"`` (default, whole-matrix in RAM), ``"blockwise"``
-        (in RAM, streamed row blocks), ``"memmap"`` (out-of-core spill
-        files) or ``"neighbors"`` (sparse epsilon-bounded k-NN graphs, no
-        full matrix at all); ``None`` consults ``REPRO_DISTANCE_BACKEND``.
+        ``"blockwise"`` (default, in RAM, filled in row panels),
+        ``"memmap"`` (out-of-core spill files) or ``"neighbors"`` (sparse
+        epsilon-bounded k-NN graphs, no full matrix at all); ``None``
+        consults ``REPRO_DISTANCE_BACKEND``.
         The exact tiers build bit-identical hierarchies; the ``neighbors``
         tier is approximate-by-contract (see
         :mod:`repro.core.neighbor_graph`), and its fitted
@@ -422,7 +232,6 @@ class DensityHierarchy:
         *,
         min_cluster_size: int | None = None,
         metric: str = "euclidean",
-        kernels: str | None = None,
         distance_backend: str | None = None,
         epsilon: float | None = None,
         k_neighbors: int | None = None,
@@ -433,7 +242,6 @@ class DensityHierarchy:
             else check_positive_int(min_cluster_size, name="min_cluster_size", minimum=2)
         )
         self.metric = metric
-        self.kernels = kernels
         self.distance_backend = distance_backend
         self.epsilon = epsilon
         self.k_neighbors = k_neighbors
@@ -448,13 +256,12 @@ class DensityHierarchy:
                 f"min_pts={self.min_pts} exceeds the number of samples {X.shape[0]}"
             )
         n_samples = X.shape[0]
-        mode = _kernels.resolve_kernel_mode(self.kernels)
         backend = get_distance_backend(self.distance_backend)
         if backend.name == "neighbors":
             # Sparse tier: core distances, mutual reachability and the MST
             # are all derived from the epsilon-bounded k-NN graph — storage
             # and work scale with n·k, never n².  The merge records feed
-            # the same single-linkage/condense kernels as the dense path.
+            # the same single-linkage/condense kernels as the exact tiers.
             from repro.core.neighbor_graph import (
                 cached_neighbor_graph,
                 mutual_reachability_graph,
@@ -470,44 +277,27 @@ class DensityHierarchy:
             )
             self.mst_edges_ = sparse_mst_edges(self.mutual_reachability_)
         else:
-            block = backend.block_rows(n_samples)
             # Memoised: every (value × fold) grid cell of a CVCP sweep shares
             # the same O(n²) matrix, so only the first cell per process
             # computes it.
             distances = cached_pairwise_distances(
                 X, metric=self.metric, distance_backend=backend.name
             )
-            self.core_distances_ = k_nearest_distances(
-                distances, self.min_pts, block_rows=block
+            self.core_distances_ = k_nearest_distances(distances, self.min_pts)
+            # Fill backend-provided storage panel by panel (an ephemeral
+            # spill for memmap), then drop the raw matrix's page residency —
+            # it is not read again during this fit.
+            self.mutual_reachability_ = mutual_reachability(
+                distances, self.core_distances_,
+                out=backend.derived_matrix(n_samples, "mreach"),
             )
-            if block is None:
-                # Dense tier: the historical whole-matrix transform.
-                self.mutual_reachability_ = mutual_reachability(distances, self.core_distances_)
-            else:
-                # Streaming tiers: fill backend-provided storage block-at-a-time
-                # (an ephemeral spill for memmap), then drop the raw matrix's
-                # page residency — it is not read again during this fit.
-                self.mutual_reachability_ = mutual_reachability(
-                    distances, self.core_distances_,
-                    out=backend.derived_matrix(n_samples, "mreach"),
-                    block_rows=block,
-                )
-                backend.release(distances)
-            self.mst_edges_ = minimum_spanning_tree(self.mutual_reachability_, kernels=mode)
+            backend.release(distances)
+            self.mst_edges_ = minimum_spanning_tree(self.mutual_reachability_)
             backend.release(self.mutual_reachability_)
-        self.single_linkage_tree_ = build_single_linkage_tree(
-            self.mst_edges_, X.shape[0], kernels=mode
+        self.single_linkage_tree_ = build_single_linkage_tree(self.mst_edges_, n_samples)
+        self.condensed_tree_ = CondensedTreeArrays(
+            condense_tree(self.single_linkage_tree_, n_samples, self.min_cluster_size)
         )
-        if mode == "vectorized":
-            self.condensed_tree_ = CondensedTreeArrays(
-                _kernels.condense_tree(
-                    self.single_linkage_tree_, X.shape[0], self.min_cluster_size
-                )
-            )
-        else:
-            self.condensed_tree_ = CondensedTree(
-                self.single_linkage_tree_, X.shape[0], self.min_cluster_size
-            )
         return self
 
 
@@ -547,9 +337,7 @@ class TreeStructure:
     single_linkage_tree:
         ``(n-1, 4)`` scipy-style merge records.
     condensed_tree:
-        :class:`CondensedTreeArrays` (vectorized kernels) or
-        :class:`CondensedTree` (reference kernels); bit-identical contents
-        either way.
+        The condensed hierarchy as a :class:`CondensedTreeArrays`.
     """
 
     n_samples: int
@@ -559,7 +347,7 @@ class TreeStructure:
     core_distances: np.ndarray
     mst_edges: np.ndarray
     single_linkage_tree: np.ndarray
-    condensed_tree: "CondensedTreeArrays | CondensedTree"
+    condensed_tree: CondensedTreeArrays
 
 
 def resolve_min_cluster_size(min_pts: int, min_cluster_size: int | None) -> int:
@@ -575,7 +363,6 @@ def build_tree_structure(
     *,
     min_cluster_size: int | None = None,
     metric: str = "euclidean",
-    kernels: str | None = None,
     distance_backend: str | None = None,
     epsilon: float | None = None,
     k_neighbors: int | None = None,
@@ -585,7 +372,6 @@ def build_tree_structure(
         min_pts,
         min_cluster_size=min_cluster_size,
         metric=metric,
-        kernels=kernels,
         distance_backend=distance_backend,
         epsilon=epsilon,
         k_neighbors=k_neighbors,
@@ -641,21 +427,11 @@ def _decode_floats(values: list) -> np.ndarray:
 def structure_payload(structure: TreeStructure) -> dict:
     """JSON-serialisable form of a structure (exact float round-trip).
 
-    The payload is kernel-mode neutral: the condensed tree is always
-    emitted as the flat :class:`~repro.clustering.kernels.CondensedArrayData`
-    arrays (both kernel modes build bit-identical trees), and
-    :func:`structure_from_payload` rebuilds whichever flavour the decoding
-    process's kernel mode wants.
+    The condensed tree is emitted as its flat
+    :class:`~repro.clustering.kernels.CondensedArrayData` arrays, which
+    :func:`structure_from_payload` restores directly.
     """
-    tree = structure.condensed_tree
-    if isinstance(tree, CondensedTreeArrays):
-        data = tree.arrays
-    else:
-        # Reference-mode structures re-derive the flat arrays once at
-        # persist time; contents are bit-identical to the reference tree.
-        data = _kernels.condense_tree(
-            structure.single_linkage_tree, structure.n_samples, structure.min_cluster_size
-        )
+    data = structure.condensed_tree.arrays
     return {
         "n_samples": structure.n_samples,
         "min_pts": structure.min_pts,
@@ -680,38 +456,26 @@ def structure_payload(structure: TreeStructure) -> dict:
     }
 
 
-def structure_from_payload(payload: dict, *, kernels: str | None = None) -> TreeStructure:
-    """Rebuild a :class:`TreeStructure` from :func:`structure_payload` output.
-
-    ``kernels`` selects the condensed-tree flavour of the rebuilt
-    structure (``None`` consults ``REPRO_KERNELS``): vectorized mode
-    restores the persisted flat arrays directly; reference mode replays
-    the reference build from the merge records — bit-identical either way.
-    """
-    mode = _kernels.resolve_kernel_mode(kernels)
+def structure_from_payload(payload: dict) -> TreeStructure:
+    """Rebuild a :class:`TreeStructure` from :func:`structure_payload` output."""
     n_samples = int(payload["n_samples"])
     min_cluster_size = int(payload["min_cluster_size"])
-    single_linkage_tree = _decode_floats(payload["single_linkage_tree"]).reshape(-1, 4)
-    if mode == "vectorized":
-        condensed = payload["condensed"]
-        data = _kernels.CondensedArrayData(
-            n_samples=n_samples,
-            min_cluster_size=min_cluster_size,
-            parent=np.asarray(condensed["parent"], dtype=np.int64),
-            birth_lambda=_decode_floats(condensed["birth_lambda"]),
-            split_lambda=_decode_floats(condensed["split_lambda"]),
-            children=[list(child) for child in condensed["children"]],
-            sizes=np.asarray(condensed["sizes"], dtype=np.int64),
-            point_cluster=np.asarray(condensed["point_cluster"], dtype=np.int64),
-            point_lambda=_decode_floats(condensed["point_lambda"]),
-            event_cluster=np.asarray(condensed["event_cluster"], dtype=np.int64),
-            event_lambda=_decode_floats(condensed["event_lambda"]),
-            enter=np.asarray(condensed["enter"], dtype=np.int64),
-            exit=np.asarray(condensed["exit"], dtype=np.int64),
-        )
-        tree: CondensedTreeArrays | CondensedTree = CondensedTreeArrays(data)
-    else:
-        tree = CondensedTree(single_linkage_tree, n_samples, min_cluster_size)
+    condensed = payload["condensed"]
+    data = CondensedArrayData(
+        n_samples=n_samples,
+        min_cluster_size=min_cluster_size,
+        parent=np.asarray(condensed["parent"], dtype=np.int64),
+        birth_lambda=_decode_floats(condensed["birth_lambda"]),
+        split_lambda=_decode_floats(condensed["split_lambda"]),
+        children=[list(child) for child in condensed["children"]],
+        sizes=np.asarray(condensed["sizes"], dtype=np.int64),
+        point_cluster=np.asarray(condensed["point_cluster"], dtype=np.int64),
+        point_lambda=_decode_floats(condensed["point_lambda"]),
+        event_cluster=np.asarray(condensed["event_cluster"], dtype=np.int64),
+        event_lambda=_decode_floats(condensed["event_lambda"]),
+        enter=np.asarray(condensed["enter"], dtype=np.int64),
+        exit=np.asarray(condensed["exit"], dtype=np.int64),
+    )
     return TreeStructure(
         n_samples=n_samples,
         min_pts=int(payload["min_pts"]),
@@ -719,8 +483,8 @@ def structure_from_payload(payload: dict, *, kernels: str | None = None) -> Tree
         metric=str(payload["metric"]),
         core_distances=_decode_floats(payload["core_distances"]),
         mst_edges=_decode_floats(payload["mst_edges"]).reshape(-1, 3),
-        single_linkage_tree=single_linkage_tree,
-        condensed_tree=tree,
+        single_linkage_tree=_decode_floats(payload["single_linkage_tree"]).reshape(-1, 4),
+        condensed_tree=CondensedTreeArrays(data),
     )
 
 
@@ -739,8 +503,8 @@ def structure_store_key(
     The key pins exactly what the structure depends on — the data content,
     the metric, the (effective) MinPts and the minimum cluster size — and
     deliberately *excludes* the oracle, the constraint set, the fold, every
-    seed and the kernel mode, so structures are shared across all of them.
-    The exact distance tiers (dense/blockwise/memmap) are bit-identical and
+    seed, so structures are shared across all of them.
+    The exact distance tiers (blockwise/memmap) are bit-identical and
     share keys; the approximate ``neighbors`` tier carries an ``approx``
     entry (mirroring :func:`repro.experiments.runner.trial_artifact_key`)
     and can never shadow (or be shadowed by) an exact-tier structure.
@@ -777,7 +541,6 @@ def _structure_memo_key(
     *,
     min_cluster_size: int | None,
     metric: str,
-    kernels: str | None,
     distance_backend: str | None,
     epsilon: float | None,
     k_neighbors: int | None,
@@ -791,14 +554,13 @@ def _structure_memo_key(
         tier: object = ("neighbors", resolve_neighbor_epsilon(epsilon), resolve_neighbor_k(k_neighbors))
     else:
         # The exact tiers build bit-identical structures; collapsing them to
-        # one token lets e.g. a memmap grid reuse a dense-warmed structure.
+        # one token lets e.g. a memmap grid reuse a blockwise-warmed structure.
         tier = "exact"
     return (
         array_fingerprint(X),
         str(metric),
         int(min_pts),
         int(resolve_min_cluster_size(min_pts, min_cluster_size)),
-        _kernels.resolve_kernel_mode(kernels),
         tier,
     )
 
@@ -809,7 +571,6 @@ def cached_tree_structure(
     *,
     min_cluster_size: int | None = None,
     metric: str = "euclidean",
-    kernels: str | None = None,
     distance_backend: str | None = None,
     epsilon: float | None = None,
     k_neighbors: int | None = None,
@@ -827,13 +588,13 @@ def cached_tree_structure(
     ``"structure"`` artifact.
     """
     memo_key = _structure_memo_key(
-        X, min_pts, min_cluster_size=min_cluster_size, metric=metric, kernels=kernels,
+        X, min_pts, min_cluster_size=min_cluster_size, metric=metric,
         distance_backend=distance_backend, epsilon=epsilon, k_neighbors=k_neighbors,
     )
 
     def build() -> TreeStructure:
         return build_tree_structure(
-            X, min_pts, min_cluster_size=min_cluster_size, metric=metric, kernels=kernels,
+            X, min_pts, min_cluster_size=min_cluster_size, metric=metric,
             distance_backend=distance_backend, epsilon=epsilon, k_neighbors=k_neighbors,
         )
 
@@ -856,7 +617,7 @@ def cached_tree_structure(
     payload = store.get("structure", key)
     if payload is not None:
         return _structure_cache.get_or_compute(
-            memo_key, lambda: structure_from_payload(payload, kernels=kernels)
+            memo_key, lambda: structure_from_payload(payload)
         )
     structure = _structure_cache.get_or_compute(memo_key, build)
     store.put("structure", key, structure_payload(structure))

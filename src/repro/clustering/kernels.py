@@ -2,18 +2,9 @@
 
 CVCP's cost is dominated by re-clustering every parameter value × fold, so
 the per-fit kernels decide how far the paper's scalability argument
-(Pourrajabi et al., EDBT 2014) carries.  This module provides two
-implementations of each hot kernel:
-
-* a **reference** implementation — the interpreter-bound formulation the
-  library shipped with (heaps, dict-based union–find, per-point Python
-  loops), kept as the semantic ground truth and as the *before* side of the
-  kernel micro-benchmarks;
-* a **vectorized** implementation — masked NumPy array operations over the
-  memoised distance matrix, array-based union–find, flat parent/lambda
-  arrays, and CSR-style neighbour indexing.
-
-The four kernels are:
+(Pourrajabi et al., EDBT 2014) carries.  Every kernel here works on masked
+NumPy array operations over the memoised distance matrix, array-based
+union–find, flat parent/lambda arrays, and CSR-style neighbour indexing:
 
 1. :func:`optics_ordering` — the OPTICS core-distance + reachability
    update sweep (used by :class:`~repro.clustering.optics.OPTICS`);
@@ -31,18 +22,19 @@ The four kernels are:
 
 Bit-identical contract
 ----------------------
-Both implementations of every kernel produce **bit-identical** results —
-identical orderings, reachabilities, merge records, condensed trees,
-selections and labels — not merely approximately equal ones.  This is what
-lets the vectorized kernels default on without perturbing any recorded
-experiment: argmin tie-breaking is preserved (first occurrence = smallest
-index, matching the reference heaps and loops), floating-point reductions
-use the same operation sequences on both paths (elementwise products
-followed by last-axis sums; ordered :func:`numpy.ufunc.at` accumulation
-where the reference accumulates sequentially), and the property-based
-parity suite in ``tests/test_clustering_kernels.py`` drives both paths
-with adversarial inputs (duplicate points, tied distances, singleton
-clusters, empty constraint sets).
+Each kernel is **bit-identical** to its interpreter-bound oracle in
+:mod:`repro.clustering.reference` (heaps, dict-based union–find, per-point
+Python loops — the formulation the library shipped with) — identical
+orderings, reachabilities, merge records, condensed trees, selections and
+labels, not merely approximately equal ones.  Argmin tie-breaking is
+preserved (first occurrence = smallest index, matching the reference heaps
+and loops), floating-point reductions use the same operation sequences on
+both paths (elementwise products followed by last-axis sums; ordered
+:func:`numpy.ufunc.at` accumulation where the reference accumulates
+sequentially), and the property-based parity suite in
+``tests/test_clustering_kernels.py`` drives both with adversarial inputs
+(duplicate points, tied distances, singleton clusters, empty constraint
+sets).  ``repro bench kernels`` times each kernel against its oracle.
 
 Distance-matrix storage
 -----------------------
@@ -50,154 +42,25 @@ Every kernel that consumes an ``(n, n)`` distance matrix reads it **one row
 (or one row block) at a time** and never materialises a full-matrix
 temporary: the OPTICS sweep and the Prim MST index single rows per
 iteration, and the upstream passes (core distances, mutual reachability)
-stream in row blocks under the non-dense distance backends.  The matrices
-handed in may therefore be plain in-RAM arrays *or* read-only
-``np.memmap`` views from the ``memmap`` distance backend (see
-:mod:`repro.core.distance_backend`) — NumPy indexing faults the needed
-pages in on demand and the OS can evict them under pressure, which is what
-lets the kernels run at ``n`` well past the dense-matrix RAM wall with
-bit-identical results.
-
-Kernel selection
-----------------
-Every dispatch function takes ``kernels="vectorized" | "reference"``
-(``None`` consults the ``REPRO_KERNELS`` environment variable and falls
-back to ``"vectorized"``).  The clustering estimators expose the same
-``kernels=`` constructor parameter, which travels through
-:meth:`~repro.clustering.base.BaseClusterer.clone` and pickling, so CVCP
-grids and the parallel execution backends compose with either kernel set —
-see ``docs/performance.md`` for the tuning guide and
-``repro bench kernels`` for the measured speedups.
+stream in row panels.  The matrices handed in may therefore be plain
+in-RAM arrays *or* read-only ``np.memmap`` views from the ``memmap``
+distance backend (see :mod:`repro.core.distance_backend`) — NumPy indexing
+faults the needed pages in on demand and the OS can evict them under
+pressure, which is what lets the kernels run at ``n`` well past the
+in-RAM wall with bit-identical results.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.utils.disjoint_set import DisjointSet
-
-#: Recognised kernel implementations, in preference order.
-KERNEL_MODES = ("vectorized", "reference")
-
-#: Implementation used when neither the ``kernels=`` argument nor the
-#: environment variable selects one.
-DEFAULT_KERNEL_MODE = "vectorized"
-
-#: Environment variable consulted when ``kernels=None`` (handy for A/B
-#: timing whole pipelines without touching code; worker processes inherit
-#: it, so the process backend composes with it).
-KERNELS_ENV_VAR = "REPRO_KERNELS"
-
-
-def resolve_kernel_mode(mode: str | None = None) -> str:
-    """Resolve a kernel mode from the argument, the environment, or the default.
-
-    Parameters
-    ----------
-    mode:
-        ``"vectorized"``, ``"reference"``, or ``None``.  ``None`` reads the
-        ``REPRO_KERNELS`` environment variable and falls back to
-        :data:`DEFAULT_KERNEL_MODE` when it is unset or empty.
-
-    Returns
-    -------
-    str
-        One of :data:`KERNEL_MODES`.
-
-    Raises
-    ------
-    ValueError
-        If the argument or the environment variable names an unknown mode.
-    """
-    origin = "kernels"
-    if mode is None:
-        mode = os.environ.get(KERNELS_ENV_VAR, "").strip() or DEFAULT_KERNEL_MODE
-        origin = KERNELS_ENV_VAR
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"{origin} must be one of {KERNEL_MODES}, got {mode!r}"
-        )
-    return mode
-
 
 # ======================================================================
 # Kernel 1: OPTICS ordering + reachability
 # ======================================================================
 
 def optics_ordering(
-    distances: np.ndarray,
-    core_distances: np.ndarray,
-    eps: float = np.inf,
-    *,
-    kernels: str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """OPTICS visit ordering and reachability distances.
-
-    Parameters
-    ----------
-    distances:
-        ``(n, n)`` pairwise distance matrix.
-    core_distances:
-        ``(n,)`` core distance per object (``MinPts``-th nearest neighbour).
-    eps:
-        Maximum neighbourhood radius; ``inf`` computes the full hierarchy.
-    kernels:
-        Kernel implementation; see :func:`resolve_kernel_mode`.
-
-    Returns
-    -------
-    tuple
-        ``(ordering, reachability)`` — the visit permutation and the
-        reachability distance per object (indexed by object).  The first
-        object of every connected component keeps ``inf``.
-    """
-    if resolve_kernel_mode(kernels) == "reference":
-        return optics_ordering_reference(distances, core_distances, eps)
-    return optics_ordering_vectorized(distances, core_distances, eps)
-
-
-def optics_ordering_reference(
-    distances: np.ndarray, core_distances: np.ndarray, eps: float = np.inf
-) -> tuple[np.ndarray, np.ndarray]:
-    """Heap-based OPTICS sweep (lazy-deletion priority queue, per-neighbour pushes)."""
-    n_samples = distances.shape[0]
-    core = np.asarray(core_distances, dtype=np.float64)
-    reachability = np.full(n_samples, np.inf)
-    processed = np.zeros(n_samples, dtype=bool)
-    ordering: list[int] = []
-
-    for start in range(n_samples):
-        if processed[start]:
-            continue
-        # Expand one connected component with a priority queue keyed by
-        # the current reachability distance (ties broken by index for
-        # determinism).
-        heap: list[tuple[float, int]] = [(np.inf, start)]
-        while heap:
-            current_reach, index = heapq.heappop(heap)
-            if processed[index]:
-                continue
-            processed[index] = True
-            ordering.append(index)
-            if core[index] > eps:
-                continue
-            neighbor_distances = distances[index]
-            within = np.flatnonzero(~processed & (neighbor_distances <= eps))
-            if within.size == 0:
-                continue
-            new_reach = np.maximum(core[index], neighbor_distances[within])
-            improved = new_reach < reachability[within]
-            for neighbor, reach in zip(within[improved], new_reach[improved]):
-                reachability[neighbor] = reach
-                heapq.heappush(heap, (float(reach), int(neighbor)))
-    return np.asarray(ordering, dtype=np.int64), reachability
-
-
-def optics_ordering_vectorized(
     distances: np.ndarray, core_distances: np.ndarray, eps: float = np.inf
 ) -> tuple[np.ndarray, np.ndarray]:
     """Masked-argmin OPTICS sweep.
@@ -251,66 +114,14 @@ def optics_ordering_vectorized(
 # Kernel 2: dense Prim MST + single-linkage merge records
 # ======================================================================
 
-def minimum_spanning_tree(
-    distances: np.ndarray, *, kernels: str | None = None
-) -> np.ndarray:
-    """Dense Prim minimum spanning tree.
-
-    Parameters
-    ----------
-    distances:
-        ``(n, n)`` symmetric distance matrix (typically the mutual
-        reachability matrix).
-    kernels:
-        Kernel implementation; see :func:`resolve_kernel_mode`.
-
-    Returns
-    -------
-    ndarray
-        ``(n-1, 3)`` array of edges ``(u, v, weight)`` sorted by weight
-        (stable, so tied weights keep discovery order).
-    """
-    if resolve_kernel_mode(kernels) == "reference":
-        return minimum_spanning_tree_reference(distances)
-    return minimum_spanning_tree_vectorized(distances)
-
-
-def minimum_spanning_tree_reference(distances: np.ndarray) -> np.ndarray:
-    """Prim MST with an explicit in-tree mask re-applied every iteration."""
-    distances = np.asarray(distances, dtype=np.float64)
-    n_samples = distances.shape[0]
-    if n_samples < 2:
-        return np.empty((0, 3), dtype=np.float64)
-
-    in_tree = np.zeros(n_samples, dtype=bool)
-    best_distance = np.full(n_samples, np.inf)
-    best_source = np.full(n_samples, -1, dtype=np.int64)
-
-    in_tree[0] = True
-    best_distance[:] = distances[0]
-    best_source[:] = 0
-    best_distance[0] = np.inf
-
-    edges = np.empty((n_samples - 1, 3), dtype=np.float64)
-    for edge_index in range(n_samples - 1):
-        candidate = int(np.argmin(np.where(in_tree, np.inf, best_distance)))
-        edges[edge_index] = (best_source[candidate], candidate, best_distance[candidate])
-        in_tree[candidate] = True
-        improved = ~in_tree & (distances[candidate] < best_distance)
-        best_distance[improved] = distances[candidate][improved]
-        best_source[improved] = candidate
-    order = np.argsort(edges[:, 2], kind="stable")
-    return edges[order]
-
-
-def minimum_spanning_tree_vectorized(distances: np.ndarray) -> np.ndarray:
+def minimum_spanning_tree(distances: np.ndarray) -> np.ndarray:
     """Prim MST over a single masked frontier array.
 
     In-tree entries are kept at ``+inf`` *inside* the frontier array, so
     the per-iteration ``np.where`` re-mask of the reference disappears and
     each step is one ``argmin`` plus one masked comparison.  Candidate
     selection, tie-breaking and edge weights are bit-identical to
-    :func:`minimum_spanning_tree_reference`.
+    :func:`~repro.clustering.reference.minimum_spanning_tree_reference`.
     """
     distances = np.asarray(distances, dtype=np.float64)
     n_samples = distances.shape[0]
@@ -339,33 +150,6 @@ def minimum_spanning_tree_vectorized(distances: np.ndarray) -> np.ndarray:
     return edges[order]
 
 
-def single_linkage_tree(
-    mst_edges: np.ndarray, n_samples: int, *, kernels: str | None = None
-) -> np.ndarray:
-    """Convert sorted MST edges into scipy-style single-linkage merge records.
-
-    Parameters
-    ----------
-    mst_edges:
-        ``(n-1, 3)`` MST edges sorted by weight.
-    n_samples:
-        Number of leaves.
-    kernels:
-        Kernel implementation; see :func:`resolve_kernel_mode`.
-
-    Returns
-    -------
-    ndarray
-        ``(n-1, 4)`` merge records; row ``m`` records the merge creating
-        node ``n_samples + m`` from nodes ``(left, right)`` at ``distance``
-        with ``size`` leaves, exactly like
-        :func:`scipy.cluster.hierarchy.linkage` output for single linkage.
-    """
-    if resolve_kernel_mode(kernels) == "reference":
-        return single_linkage_tree_reference(mst_edges, n_samples)
-    return single_linkage_tree_vectorized(mst_edges, n_samples)
-
-
 def _check_edge_count(mst_edges: np.ndarray, n_samples: int) -> np.ndarray:
     mst_edges = np.asarray(mst_edges, dtype=np.float64)
     if mst_edges.shape[0] != n_samples - 1:
@@ -375,30 +159,7 @@ def _check_edge_count(mst_edges: np.ndarray, n_samples: int) -> np.ndarray:
     return mst_edges
 
 
-def single_linkage_tree_reference(mst_edges: np.ndarray, n_samples: int) -> np.ndarray:
-    """Merge loop over a hash-based :class:`~repro.utils.disjoint_set.DisjointSet`."""
-    mst_edges = _check_edge_count(mst_edges, n_samples)
-    ds = DisjointSet(range(n_samples))
-    current_node: dict[int, int] = {index: index for index in range(n_samples)}
-    sizes: dict[int, int] = {index: 1 for index in range(n_samples)}
-    merges = np.empty((n_samples - 1, 4), dtype=np.float64)
-
-    next_node = n_samples
-    for row, (u, v, weight) in enumerate(mst_edges):
-        root_u = ds.find(int(u))
-        root_v = ds.find(int(v))
-        node_u = current_node[root_u]
-        node_v = current_node[root_v]
-        merged_size = sizes[node_u] + sizes[node_v]
-        merges[row] = (node_u, node_v, weight, merged_size)
-        new_root = ds.union(root_u, root_v)
-        current_node[new_root] = next_node
-        sizes[next_node] = merged_size
-        next_node += 1
-    return merges
-
-
-def single_linkage_tree_vectorized(mst_edges: np.ndarray, n_samples: int) -> np.ndarray:
+def single_linkage_tree(mst_edges: np.ndarray, n_samples: int) -> np.ndarray:
     """Merge loop over flat array-based union–find.
 
     The generic hash-based disjoint set is replaced by integer index lists
@@ -406,6 +167,9 @@ def single_linkage_tree_vectorized(mst_edges: np.ndarray, n_samples: int) -> np.
     the merge columns are assembled with whole-column array writes.  The
     emitted records only depend on the *groups* (never on which root
     survives a union), so the output is bit-identical to the reference.
+    Row ``m`` of the ``(n-1, 4)`` result records the merge creating node
+    ``n_samples + m`` from ``(left, right)`` at ``distance`` with ``size``
+    leaves, exactly like :func:`scipy.cluster.hierarchy.linkage` output.
     """
     mst_edges = _check_edge_count(mst_edges, n_samples)
     n_edges = n_samples - 1
@@ -462,7 +226,7 @@ class CondensedArrayData:
     :func:`labels_for_selection` and :func:`fosc_extract`.  Cluster ``0``
     is the root; children always have larger identifiers than their
     parents (so reversed id order is a valid bottom-up traversal, as in
-    the reference :class:`~repro.clustering.hierarchy.CondensedTree`).
+    the reference :class:`~repro.clustering.reference.CondensedTree`).
 
     Attributes
     ----------
@@ -557,7 +321,7 @@ def condense_tree(
     """Condense a single-linkage tree into flat parent/lambda arrays.
 
     This is the vectorized counterpart of building a
-    :class:`~repro.clustering.hierarchy.CondensedTree`: the same top-down
+    :class:`~repro.clustering.reference.CondensedTree`: the same top-down
     walk decides which splits are significant (both sides at least
     ``min_cluster_size``), but point fall-outs are recorded as leaf-order
     *intervals* instead of materialising per-cluster Python sets, and the
@@ -783,8 +547,8 @@ def fosc_extract(
     tuple
         ``(selected_clusters, labels, objective, used_constraints)`` —
         bit-identical to running the reference
-        :class:`~repro.clustering.fosc.FOSC` dynamic program on the
-        equivalent :class:`~repro.clustering.hierarchy.CondensedTree`.
+        :class:`~repro.clustering.reference.ReferenceFOSC` dynamic program
+        on the equivalent :class:`~repro.clustering.reference.CondensedTree`.
     """
     n_constraints = int(constraint_i.shape[0])
     use_constraints = n_constraints > 0
@@ -864,7 +628,7 @@ def build_neighbor_csr(
     The per-object neighbour order replicates the append order of the
     reference adjacency lists (pair by pair, ``i``'s entry before ``j``'s),
     so sequential penalty accumulation visits neighbours identically in
-    both kernel implementations.
+    the kernel and its reference.
     """
     pairs = np.asarray(pairs, dtype=np.intp)
     if pairs.size == 0:
@@ -897,110 +661,15 @@ def mpck_assign(
     cannot_indices: np.ndarray,
     order: np.ndarray,
     constraint_weight: float,
-    *,
-    kernels: str | None = None,
 ) -> np.ndarray:
-    """One greedy ICM assignment sweep of MPCK-Means.
+    """One greedy ICM assignment sweep of MPCK-Means, batched.
 
-    Parameters
-    ----------
-    X:
-        ``(n, d)`` data matrix.
-    weights:
-        ``(k, d)`` per-cluster diagonal metric weights.
-    labels:
-        ``(n,)`` labels entering the sweep (not modified).
-    point_center_distances:
-        ``(n, k)`` squared diagonal-metric distances to every centre.
-    log_det:
-        ``(k,)`` log-determinant normalisation term per metric.
-    max_sq:
-        ``(k,)`` maximum-distance scale for cannot-link penalties.
-    must_indptr, must_indices, cannot_indptr, cannot_indices:
-        CSR neighbour arrays from :func:`build_neighbor_csr` over the
-        transitive-closure constraint pairs.
-    order:
-        Permutation in which objects are (conceptually) visited.
-    constraint_weight:
-        Penalty weight ``w``.
-    kernels:
-        Kernel implementation; see :func:`resolve_kernel_mode`.
-
-    Returns
-    -------
-    ndarray
-        The updated ``(n,)`` label vector.
-    """
-    if resolve_kernel_mode(kernels) == "reference":
-        return mpck_assign_reference(
-            X, weights, labels, point_center_distances, log_det, max_sq,
-            must_indptr, must_indices, cannot_indptr, cannot_indices,
-            order, constraint_weight,
-        )
-    return mpck_assign_vectorized(
-        X, weights, labels, point_center_distances, log_det, max_sq,
-        must_indptr, must_indices, cannot_indptr, cannot_indices,
-        order, constraint_weight,
-    )
-
-
-def mpck_assign_reference(
-    X: np.ndarray,
-    weights: np.ndarray,
-    labels: np.ndarray,
-    point_center_distances: np.ndarray,
-    log_det: np.ndarray,
-    max_sq: np.ndarray,
-    must_indptr: np.ndarray,
-    must_indices: np.ndarray,
-    cannot_indptr: np.ndarray,
-    cannot_indices: np.ndarray,
-    order: np.ndarray,
-    constraint_weight: float,
-) -> np.ndarray:
-    """Per-point, per-neighbour, per-cluster Python loop (the ICM baseline)."""
-    n_clusters = weights.shape[0]
-    w = constraint_weight
-    labels = labels.copy()
-
-    for index in order:
-        costs = point_center_distances[index] - log_det
-        for other in must_indices[must_indptr[index]:must_indptr[index + 1]]:
-            other_label = labels[other]
-            diff = X[index] - X[other]
-            diff_sq = diff * diff
-            partner = np.sum(diff_sq * weights[other_label])
-            for h in range(n_clusters):
-                if h != other_label:
-                    # Violated must-link: penalty grows with the distance
-                    # between the two points under both involved metrics.
-                    pair_distance = 0.5 * (np.sum(diff_sq * weights[h]) + partner)
-                    costs[h] += w * pair_distance
-        for other in cannot_indices[cannot_indptr[index]:cannot_indptr[index + 1]]:
-            other_label = labels[other]
-            diff = X[index] - X[other]
-            pair_distance = np.sum(diff * diff * weights[other_label])
-            # Violated cannot-link: penalty is larger the closer the pair.
-            costs[other_label] += w * max(max_sq[other_label] - pair_distance, 0.0)
-        labels[index] = int(np.argmin(costs))
-    return labels
-
-
-def mpck_assign_vectorized(
-    X: np.ndarray,
-    weights: np.ndarray,
-    labels: np.ndarray,
-    point_center_distances: np.ndarray,
-    log_det: np.ndarray,
-    max_sq: np.ndarray,
-    must_indptr: np.ndarray,
-    must_indices: np.ndarray,
-    cannot_indptr: np.ndarray,
-    cannot_indices: np.ndarray,
-    order: np.ndarray,
-    constraint_weight: float,
-) -> np.ndarray:
-    """Batched ICM sweep.
+    ``point_center_distances`` holds the ``(n, k)`` squared diagonal-metric
+    distances to every centre, ``log_det``/``max_sq`` the per-metric
+    normalisation and cannot-link scale, and the CSR arrays come from
+    :func:`build_neighbor_csr` over the transitive-closure pairs; objects
+    are (conceptually) visited in ``order``.  Returns the updated ``(n,)``
+    labels (``labels`` itself is not modified).
 
     Unconstrained objects read no other object's label and are read by no
     one (only constraint endpoints are ever consulted), so their updates

@@ -58,12 +58,6 @@ class MPCKMeans(BaseClusterer):
         Maximum EM iterations per restart.
     tol:
         Relative objective-improvement tolerance used to declare convergence.
-    kernels:
-        Kernel implementation for the assignment step — ``"vectorized"``
-        (CSR neighbour arrays + batched penalty math, the default) or
-        ``"reference"`` (per-point/per-neighbour Python loops); ``None``
-        consults ``REPRO_KERNELS``.  Labels are bit-identical either way;
-        see :mod:`repro.clustering.kernels`.
     random_state:
         Seed or generator.
 
@@ -93,7 +87,6 @@ class MPCKMeans(BaseClusterer):
         n_init: int = 3,
         max_iter: int = 30,
         tol: float = 1e-5,
-        kernels: str | None = None,
         random_state: RandomStateLike = None,
     ) -> None:
         self.n_clusters = n_clusters
@@ -102,7 +95,6 @@ class MPCKMeans(BaseClusterer):
         self.n_init = n_init
         self.max_iter = max_iter
         self.tol = tol
-        self.kernels = kernels
         self.random_state = random_state
 
     # ------------------------------------------------------------------
@@ -172,7 +164,7 @@ class MPCKMeans(BaseClusterer):
         labels = self._nearest_center_labels(X, centers, weights)
 
         # CSR neighbour views over the closure, shared by every assignment
-        # sweep (and by both kernel implementations).
+        # sweep.
         must_csr = build_neighbor_csr(must_pairs, n_samples)
         cannot_csr = build_neighbor_csr(cannot_pairs, n_samples)
 
@@ -263,8 +255,7 @@ class MPCKMeans(BaseClusterer):
         The sweep itself is one of the four hot kernels
         (:func:`~repro.clustering.kernels.mpck_assign`); the shared
         per-sweep quantities (point–centre distances, metric
-        log-determinants, cannot-link penalty scales) are computed here so
-        both kernel implementations consume identical inputs.
+        log-determinants, cannot-link penalty scales) are computed here.
         """
         n_samples = X.shape[0]
         n_clusters = centers.shape[0]
@@ -288,7 +279,6 @@ class MPCKMeans(BaseClusterer):
             cannot_csr[1],
             order,
             self.constraint_weight,
-            kernels=self.kernels,
         )
 
     @staticmethod

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -27,7 +26,7 @@ from repro.clustering.base import BaseClusterer
 from repro.constraints.constraint import ConstraintSet
 from repro.constraints.oracles import ConstraintOracle, PerfectOracle
 from repro.core.distance_backend import resolve_distance_backend
-from repro.core.executor import BACKENDS, ExecutionSpec, derive_seed, get_executor
+from repro.core.executor import ExecutionSpec, derive_seed, get_executor
 from repro.core.folds import CVCPFold, make_folds
 from repro.core.model_selection import CVCPResult, ParameterEvaluation
 from repro.core.scoring import score_partition
@@ -99,51 +98,6 @@ def _evaluate_grid_cell(task: _GridTask) -> float:
     )
 
 
-def _resolve_execution(
-    where: str,
-    execution: ExecutionSpec | None,
-    *,
-    backend: str | None,
-    n_jobs: int | None,
-    distance_backend: str | None,
-) -> ExecutionSpec:
-    """Merge the ``execution=`` spec with the deprecated loose keywords.
-
-    The loose ``backend=`` / ``n_jobs=`` / ``distance_backend=`` keywords
-    still work (a DeprecationWarning, never a break), but combining them
-    with an explicit ``execution=`` spec is ambiguous and raises.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("backend", backend),
-            ("n_jobs", n_jobs),
-            ("distance_backend", distance_backend),
-        )
-        if value is not None
-    }
-    if execution is not None:
-        if legacy:
-            raise ValueError(
-                f"{where}: pass the execution engine either as execution=ExecutionSpec(...) "
-                f"or as loose keywords, not both (got execution= and {', '.join(sorted(legacy))})"
-            )
-        return execution
-    if legacy:
-        if backend is not None and backend not in BACKENDS:
-            # Historical wording, kept for callers matching on it.
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        warnings.warn(
-            f"passing {', '.join(sorted(legacy))} to {where} is deprecated; "
-            "pass execution=ExecutionSpec(backend=..., n_jobs=..., distance_backend=...) "
-            "instead (see repro.core.executor.ExecutionSpec)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ExecutionSpec(**legacy)
-    return ExecutionSpec()
-
-
 class CVCP:
     """Cross-Validation for finding Clustering Parameters.
 
@@ -189,13 +143,9 @@ class CVCP:
         (``"serial"``/``"thread"``/``"process"``), worker count, and
         distance-matrix storage tier.  Every grid cell derives its seed
         from its grid coordinates, so all engines return bit-identical
-        results for the same ``random_state``.
-    n_jobs / backend / distance_backend:
-        Deprecated loose spellings of ``execution`` (a
-        ``DeprecationWarning``, never a break); combining them with an
-        explicit ``execution=`` raises.  With ``"memmap"`` as the distance
-        tier the process backend's workers map the same spill file instead
-        of each materialising the matrix (see
+        results for the same ``random_state``.  With ``"memmap"`` as the
+        distance tier the process backend's workers map the same spill
+        file instead of each materialising the matrix (see
         :mod:`repro.core.distance_backend`).
     artifact_store / artifact_scope:
         Optional per-cell resume through an
@@ -252,22 +202,12 @@ class CVCP:
         oracle_scenario: str = "constraints",
         oracle_amount: float = 0.2,
         execution: ExecutionSpec | None = None,
-        n_jobs: int | None = None,
-        backend: str | None = None,
-        distance_backend: str | None = None,
         artifact_store=None,
         artifact_scope: dict | None = None,
     ) -> None:
         if not list(parameter_values):
             raise ValueError("parameter_values must not be empty")
-        execution = _resolve_execution(
-            "CVCP", execution, backend=backend, n_jobs=n_jobs, distance_backend=distance_backend
-        )
-        backend = execution.backend or "serial"
-        n_jobs = execution.n_jobs
-        distance_backend = execution.distance_backend
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+        execution = execution if execution is not None else ExecutionSpec()
         self.execution = execution
         self.estimator = estimator
         self.parameter_values = list(parameter_values)
@@ -288,11 +228,9 @@ class CVCP:
         self.oracle = oracle
         self.oracle_scenario = oracle_scenario
         self.oracle_amount = oracle_amount
-        self.n_jobs = n_jobs
-        self.backend = backend
-        self.distance_backend = (
-            None if distance_backend is None else resolve_distance_backend(distance_backend)
-        )
+        self.n_jobs = execution.n_jobs
+        self.backend = execution.backend or "serial"
+        self.distance_backend = execution.distance_backend
         self.epsilon = execution.epsilon
         self.k_neighbors = execution.k_neighbors
         self.metric = execution.metric
@@ -583,9 +521,6 @@ def select_parameter(
     scoring: str = "average_f",
     random_state: RandomStateLike = None,
     execution: ExecutionSpec | None = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
-    distance_backend: str | None = None,
 ) -> tuple[Any, CVCPResult]:
     """Functional one-shot interface to CVCP.
 
@@ -593,19 +528,10 @@ def select_parameter(
     convenient inside experiment loops where the refit is done separately.
     ``execution`` selects the execution engine and distance-matrix storage
     tier as one :class:`~repro.core.executor.ExecutionSpec` (bit-identical
-    across engines and tiers); the loose ``n_jobs``/``backend``/
-    ``distance_backend`` keywords are deprecated spellings of the same
-    thing.  With an ``oracle``, pass ``ground_truth`` instead of
+    across engines and tiers).  With an ``oracle``, pass ``ground_truth`` instead of
     pre-sampled side information and the oracle generates ``oracle_amount``
     of ``oracle_scenario`` supervision before the grid runs.
     """
-    execution = _resolve_execution(
-        "select_parameter",
-        execution,
-        backend=backend,
-        n_jobs=n_jobs,
-        distance_backend=distance_backend,
-    )
     search = CVCP(
         estimator,
         parameter_values,

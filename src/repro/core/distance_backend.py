@@ -1,4 +1,4 @@
-"""Tiered distance backends: ``dense``, ``blockwise``, ``memmap`` and ``neighbors``.
+"""Tiered distance backends: ``blockwise``, ``memmap`` and ``neighbors``.
 
 The CVCP protocol re-clusters every (parameter value × fold) cell, and every
 density-based layer of this library — OPTICS, the single-linkage/Prim
@@ -7,13 +7,12 @@ from the full ``(n, n)`` pairwise-distance matrix.  Materialising that matrix
 densely caps the reproduction at a few thousand points; this module makes the
 matrix *provider* pluggable instead:
 
-``dense``
-    Today's behaviour: the matrix (and every derived matrix) lives in RAM
-    and derived computations run whole-matrix.  Fastest at paper scale.
 ``blockwise``
-    The matrix still lives in RAM, but it is filled panel-at-a-time and the
-    derived computations (core distances, mutual reachability) stream in
-    row blocks with a bounded working set — no full-matrix temporaries.
+    The default.  The matrix lives in RAM; it is filled panel-at-a-time and
+    the derived computations (core distances, mutual reachability) stream
+    in row panels with a bounded working set — no full-matrix temporaries.
+    ``"dense"``, the name of a former whole-matrix tier that was never
+    faster and needed more memory, is a deprecated alias of this tier.
 ``memmap``
     Out-of-core: matrices live in spill files under
     :func:`spill_directory` and are consumed through read-only
@@ -31,7 +30,7 @@ matrix *provider* pluggable instead:
 
 Bit-identity contract
 ---------------------
-The three *exact* tiers (:data:`EXACT_DISTANCE_BACKENDS`) produce
+The *exact* tiers (:data:`EXACT_DISTANCE_BACKENDS`) produce
 **bit-identical** matrices — and therefore bit-identical clusterings — for
 the same input, because the canonical computation is the fixed row-panel
 scheme of :mod:`repro.clustering.distances`: every exact tier performs the
@@ -43,7 +42,7 @@ across backends *and* across the serial/thread/process executors by
 
 The ``neighbors`` tier sits outside this contract: points only see their
 ``k_neighbors`` nearest neighbours within ``epsilon``.  Its own contract —
-entry-for-entry equality with ``dense`` in the exhaustive
+entry-for-entry equality with ``blockwise`` in the exhaustive
 ``k_neighbors >= n`` regime, ARI-vs-exact floors at practical settings —
 is documented in ``docs/determinism.md`` and enforced by
 ``tests/test_neighbor_graph.py`` and the scale bench.
@@ -51,9 +50,9 @@ is documented in ``docs/determinism.md`` and enforced by
 Selection
 ---------
 Every consumer takes
-``distance_backend="dense" | "blockwise" | "memmap" | "neighbors"``
+``distance_backend="blockwise" | "memmap" | "neighbors"``
 (``None`` consults the ``REPRO_DISTANCE_BACKEND`` environment variable and
-falls back to ``"dense"``).  The spill directory honours
+falls back to ``"blockwise"``).  The spill directory honours
 ``REPRO_DISTANCE_SPILL_DIR``; the ``neighbors`` tier additionally reads
 ``REPRO_NEIGHBOR_EPSILON``/``REPRO_NEIGHBOR_K``.  Worker processes inherit
 all of these variables, so the process executor composes with every tier.
@@ -66,6 +65,7 @@ import itertools
 import mmap
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +74,7 @@ import numpy as np
 _FILL_COUNTER = itertools.count()
 
 #: The exact full-matrix tiers: bit-identical to each other by construction.
-EXACT_DISTANCE_BACKENDS: tuple[str, ...] = ("dense", "blockwise", "memmap")
+EXACT_DISTANCE_BACKENDS: tuple[str, ...] = ("blockwise", "memmap")
 
 #: Recognised distance backends, in order of increasing scale.  The
 #: ``neighbors`` tier is *approximate-by-contract* (sparse k-NN graphs; see
@@ -82,8 +82,12 @@ EXACT_DISTANCE_BACKENDS: tuple[str, ...] = ("dense", "blockwise", "memmap")
 #: assumptions must iterate :data:`EXACT_DISTANCE_BACKENDS` instead.
 DISTANCE_BACKENDS: tuple[str, ...] = EXACT_DISTANCE_BACKENDS + ("neighbors",)
 
+#: Deprecated backend names and the tier each resolves to (with a
+#: ``DeprecationWarning``).
+DISTANCE_BACKEND_ALIASES: dict[str, str] = {"dense": "blockwise"}
+
 #: Backend used when neither the argument nor the environment selects one.
-DEFAULT_DISTANCE_BACKEND = "dense"
+DEFAULT_DISTANCE_BACKEND = "blockwise"
 
 #: Environment variable consulted when ``distance_backend=None``.
 DISTANCE_BACKEND_ENV_VAR = "REPRO_DISTANCE_BACKEND"
@@ -101,9 +105,11 @@ def resolve_distance_backend(backend: str | None = None) -> str:
     Parameters
     ----------
     backend:
-        ``"dense"``, ``"blockwise"``, ``"memmap"``, ``"neighbors"``, or
-        ``None``.  ``None`` reads ``REPRO_DISTANCE_BACKEND`` and falls back
-        to :data:`DEFAULT_DISTANCE_BACKEND` when it is unset or empty.
+        ``"blockwise"``, ``"memmap"``, ``"neighbors"``, or ``None``.
+        ``None`` reads ``REPRO_DISTANCE_BACKEND`` and falls back to
+        :data:`DEFAULT_DISTANCE_BACKEND` when it is unset or empty.  A
+        deprecated alias (:data:`DISTANCE_BACKEND_ALIASES`) resolves to its
+        tier with a ``DeprecationWarning``.
 
     Raises
     ------
@@ -116,6 +122,14 @@ def resolve_distance_backend(backend: str | None = None) -> str:
             DEFAULT_DISTANCE_BACKEND
         )
         origin = DISTANCE_BACKEND_ENV_VAR
+    if backend in DISTANCE_BACKEND_ALIASES:
+        resolved = DISTANCE_BACKEND_ALIASES[backend]
+        warnings.warn(
+            f"{origin}={backend!r} is deprecated; it resolves to {resolved!r}",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return resolved
     if backend not in DISTANCE_BACKENDS:
         raise ValueError(f"{origin} must be one of {DISTANCE_BACKENDS}, got {backend!r}")
     return backend
@@ -165,7 +179,7 @@ def _advise_dontneed(matrix: np.ndarray) -> None:
 class DistanceBackend:
     """One storage/streaming tier for pairwise-distance matrices.
 
-    Subclasses override the four hooks; consumers only ever talk to this
+    Subclasses override the hooks; consumers only ever talk to this
     interface (usually through
     :func:`repro.utils.cache.cached_pairwise_distances`, which adds the
     per-process memo on top).
@@ -173,10 +187,6 @@ class DistanceBackend:
 
     #: Backend name (one of :data:`DISTANCE_BACKENDS`).
     name: str = ""
-
-    def block_rows(self, n_samples: int) -> int | None:
-        """Row-block size for derived streaming passes (``None`` = whole-matrix)."""
-        raise NotImplementedError
 
     def pairwise(self, X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
         """The canonical ``(n, n)`` distance matrix of ``X`` in this tier's storage."""
@@ -193,13 +203,10 @@ class DistanceBackend:
         return f"{type(self).__name__}()"
 
 
-class DenseBackend(DistanceBackend):
-    """In-RAM matrices with whole-matrix derived computations (the default)."""
+class BlockwiseBackend(DistanceBackend):
+    """In-RAM matrices; every derived pass streams row panels (the default)."""
 
-    name = "dense"
-
-    def block_rows(self, n_samples: int) -> int | None:
-        return None
+    name = "blockwise"
 
     def pairwise(self, X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
         from repro.clustering.distances import pairwise_distances
@@ -210,22 +217,6 @@ class DenseBackend(DistanceBackend):
         return np.empty((n_samples, n_samples), dtype=np.float64)
 
 
-class BlockwiseBackend(DenseBackend):
-    """In-RAM matrices, but every pass streams row blocks with a bounded working set.
-
-    Storage is identical to :class:`DenseBackend`; only the derived-pass
-    scheduling differs (finite :meth:`block_rows`), so the in-RAM hooks are
-    inherited rather than duplicated.
-    """
-
-    name = "blockwise"
-
-    def block_rows(self, n_samples: int) -> int | None:
-        from repro.clustering.distances import DEFAULT_BLOCK_ROWS
-
-        return DEFAULT_BLOCK_ROWS
-
-
 class MemmapBackend(DistanceBackend):
     """Out-of-core matrices in atomically-written, fingerprint-keyed spill files."""
 
@@ -234,11 +225,6 @@ class MemmapBackend(DistanceBackend):
     #: Flush-and-drop the dirty pages of a spill being written every this
     #: many panels, bounding the write-phase resident set.
     flush_panels = 16
-
-    def block_rows(self, n_samples: int) -> int | None:
-        from repro.clustering.distances import DEFAULT_BLOCK_ROWS
-
-        return DEFAULT_BLOCK_ROWS
 
     # -- spill protocol -------------------------------------------------
     def spill_path(self, X: np.ndarray, metric: str) -> Path:
@@ -330,9 +316,6 @@ class NeighborsBackend(DistanceBackend):
 
     name = "neighbors"
 
-    def block_rows(self, n_samples: int) -> int | None:
-        return None
-
     def _full_matrix_error(self, consumer: str) -> ValueError:
         return ValueError(
             f"distance_backend='neighbors' builds a sparse neighbour graph and "
@@ -349,7 +332,6 @@ class NeighborsBackend(DistanceBackend):
 
 
 _BACKENDS: dict[str, DistanceBackend] = {
-    "dense": DenseBackend(),
     "blockwise": BlockwiseBackend(),
     "memmap": MemmapBackend(),
     "neighbors": NeighborsBackend(),

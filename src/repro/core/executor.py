@@ -47,12 +47,12 @@ BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
 class ExecutionSpec:
     """The execution engine as one validated, picklable value.
 
-    Replaces the ``backend=`` / ``n_jobs=`` / ``distance_backend=``
-    keyword sprawl on :class:`~repro.core.cvcp.CVCP` and
-    :func:`~repro.core.cvcp.select_parameter`: construct one of these and
-    pass ``execution=spec`` instead.  Also the validated form of the
-    pipeline ``[execution]`` config table (minus the pipeline-level
-    ``parallelize`` key).
+    What :class:`~repro.core.cvcp.CVCP` and
+    :func:`~repro.core.cvcp.select_parameter` take as ``execution=spec``;
+    also the validated form of the pipeline ``[execution]`` config table
+    (minus the pipeline-level ``parallelize`` key).  A deprecated
+    ``distance_backend`` alias (``"dense"``) is resolved to its tier here,
+    with one ``DeprecationWarning``.
 
     Every field defaults to ``None`` meaning "inherit the caller's
     default" — ``backend=None`` resolves to ``"serial"`` at the use site,
@@ -94,9 +94,19 @@ class ExecutionSpec:
             problems.append(f"execution.n_jobs: must be an integer, got {self.n_jobs!r}")
         if self.distance_backend is not None:
             # Imported lazily to keep this module importable standalone.
-            from repro.core.distance_backend import DISTANCE_BACKENDS
+            from repro.core.distance_backend import (
+                DISTANCE_BACKEND_ALIASES,
+                DISTANCE_BACKENDS,
+                resolve_distance_backend,
+            )
 
-            if self.distance_backend not in DISTANCE_BACKENDS:
+            if isinstance(self.distance_backend, str) and (
+                self.distance_backend in DISTANCE_BACKEND_ALIASES
+            ):
+                object.__setattr__(
+                    self, "distance_backend", resolve_distance_backend(self.distance_backend)
+                )
+            elif self.distance_backend not in DISTANCE_BACKENDS:
                 problems.append(
                     "execution.distance_backend: must be one of "
                     f"{', '.join(DISTANCE_BACKENDS)}; got {self.distance_backend!r}"

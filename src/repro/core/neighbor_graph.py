@@ -1,6 +1,6 @@
 """Sparse epsilon-bounded k-NN graphs: the ``neighbors`` distance tier.
 
-Every exact distance tier (``dense``/``blockwise``/``memmap``) still pays
+Every exact distance tier (``blockwise``/``memmap``) still pays
 for all ``n²`` pairwise entries — the memmap tier only moved the storage
 out of RAM.  This module provides the sub-quadratic substrate behind
 ``distance_backend="neighbors"``: a KD-tree epsilon-bounded k-NN graph from
@@ -13,7 +13,7 @@ on a laptop (see ``repro bench scale`` and ``BENCH_scale.json``).
 Approximate-by-contract
 -----------------------
 Unlike the exact tiers, the ``neighbors`` tier is **not** bit-identical to
-``dense`` in general: points only see their ``k_neighbors`` nearest
+them in general: points only see their ``k_neighbors`` nearest
 neighbours within radius ``epsilon``, so density estimates and merges
 beyond that horizon differ.  The contract, enforced by tests and the scale
 bench (see ``docs/determinism.md``), has two regimes:
@@ -201,7 +201,7 @@ def _build_exhaustive(X: np.ndarray, epsilon: float) -> tuple[csr_matrix, np.nda
     Used when ``k_neighbors >= n``: each row panel is computed with the
     exact tiers' :func:`~repro.clustering.distances.pairwise_distances`
     scheme, so stored entries (and the derived core distances) are
-    bit-identical to ``dense`` whenever ``epsilon`` filters nothing.
+    bit-identical to the exact tiers whenever ``epsilon`` filters nothing.
     """
     from repro.clustering.distances import DEFAULT_BLOCK_ROWS, pairwise_distances
 
@@ -375,18 +375,18 @@ def sparse_mst_edges(graph: csr_matrix) -> np.ndarray:
     and FOSC's condensed tree is sensitive to that order (a tie can
     decide whether a small component reaches ``min_cluster_size``
     before it is absorbed); delegating makes the exhaustive-regime
-    labels bit-identical to the dense tiers by construction.
+    labels bit-identical to the exact tiers by construction.
     """
     n = graph.shape[0]
     if n <= 1:
         return np.empty((0, 3), dtype=np.float64)
     if graph.nnz == n * (n - 1):
-        from repro.clustering.kernels import minimum_spanning_tree_vectorized
+        from repro.clustering.kernels import minimum_spanning_tree
 
         # toarray() reproduces the dense mutual-reachability matrix
         # entry-for-entry: every off-diagonal entry is stored (explicit
         # zeros included) and the absent diagonal densifies to 0.0.
-        return minimum_spanning_tree_vectorized(graph.toarray())
+        return minimum_spanning_tree(graph.toarray())
     adjusted = graph.copy()
     adjusted.data = np.where(adjusted.data == 0.0, _ZERO_WEIGHT, adjusted.data)
     forest = _csgraph_mst(adjusted).tocoo()
@@ -414,7 +414,7 @@ def sparse_optics_ordering(
     """Epsilon-bounded OPTICS sweep over a sparse neighbour graph.
 
     The same lazy-deletion ``(reachability, index)`` priority queue as
-    :func:`repro.clustering.kernels.optics_ordering_reference`, with the
+    :func:`repro.clustering.reference.optics_ordering_reference`, with the
     neighbour scan restricted to the stored graph rows (CSR column order
     is ascending, preserving the reference's index-order pushes).  In the
     exhaustive regime the stored rows are all other points, so ordering

@@ -74,10 +74,9 @@ class ExperimentConfig:
     n_jobs:
         Worker count for the parallel backends (``None`` = all cores).
     distance_backend:
-        Distance-matrix storage tier (``"dense"``, ``"blockwise"``,
-        ``"memmap"`` or ``"neighbors"``; see
-        :mod:`repro.core.distance_backend`).  ``None`` defers to
-        ``REPRO_DISTANCE_BACKEND``/the dense default.  The exact tiers are
+        Distance-matrix storage tier (``"blockwise"``, ``"memmap"`` or
+        ``"neighbors"``; see :mod:`repro.core.distance_backend`).  ``None``
+        defers to ``REPRO_DISTANCE_BACKEND``/the blockwise default.  The exact tiers are
         bit-identical, so they are deliberately *not* part of the trial
         artifact fingerprint — stores are shared across them.  The
         ``neighbors`` tier is approximate and *is* fingerprinted (together

@@ -27,7 +27,7 @@ the execution engine and the artifact-store location:
 
     [execution]
     backend = "serial"           # serial|thread|process
-    distance_backend = "dense"   # dense|blockwise|memmap
+    distance_backend = "blockwise"   # blockwise|memmap|neighbors
 
     [artifacts]
     root = ".repro-artifacts"
@@ -605,14 +605,14 @@ def validate_pipeline_mapping(
             problems.append(
                 'execution.distance_backend: "neighbors" cannot drive '
                 'algorithm = "mpck" (MPCKMeans needs the full distance matrix); '
-                "use an exact tier (dense, blockwise, memmap)"
+                "use an exact tier (blockwise, memmap)"
             )
         if kind == "robustness":
             problems.append(
                 'execution.distance_backend: "neighbors" cannot drive '
                 'kind = "robustness" (the robustness sweep runs every '
                 "algorithm, including MPCKMeans, which needs the full "
-                "distance matrix); use an exact tier (dense, blockwise, memmap)"
+                "distance matrix); use an exact tier (blockwise, memmap)"
             )
 
     # Non-Euclidean metrics have the same shape of incompatibilities:
@@ -636,7 +636,7 @@ def validate_pipeline_mapping(
             problems.append(
                 f'dataset.metric: distance_backend = "neighbors" supports'
                 f' metric = "euclidean" only (KD-tree index), got {metric!r};'
-                " use an exact tier (dense, blockwise, memmap)"
+                " use an exact tier (blockwise, memmap)"
             )
     if metric == "precomputed" and kind in ("comparison", "correlation"):
         problems.append(

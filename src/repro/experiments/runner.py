@@ -199,7 +199,7 @@ def algorithm_factory(
                 "distance_backend='neighbors' cannot drive MPCKMeans: the "
                 "metric-learning updates need every pairwise entry, not a "
                 "sparse neighbour graph; use an exact distance backend "
-                "(dense, blockwise, memmap) for algorithm='mpck'"
+                "(blockwise, memmap) for algorithm='mpck'"
             )
         if metric != "euclidean":
             raise ValueError(
@@ -243,7 +243,7 @@ def trial_artifact_key(
     seed from which every ``(value_index, fold)`` grid cell inside the
     trial derives.
 
-    The exact distance tiers (dense/blockwise/memmap) are bit-identical and
+    The exact distance tiers (blockwise/memmap) are bit-identical and
     deliberately share keys.  The ``neighbors`` tier is approximate, so its
     trials carry an extra ``approx`` entry — the tier name and the resolved
     ``epsilon``/``k_neighbors`` — and can never shadow (or be shadowed by)

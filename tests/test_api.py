@@ -10,6 +10,7 @@ drivers they wrap (same store artifacts, same selections).
 import dataclasses
 import warnings
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -86,31 +87,25 @@ class TestRoundTripLaw:
         assert "select.x: unknown key" in text
 
 
-class TestDeprecatedKeywords:
-    def test_loose_cvcp_keywords_warn_but_work(self):
+class TestExecutionSpecOnly:
+    def test_cvcp_takes_the_engine_as_one_spec(self):
         from repro.core.cvcp import CVCP
 
         class _Estimator:
             tuned_parameter = "k"
 
-        with pytest.warns(DeprecationWarning, match="execution=ExecutionSpec"):
-            search = CVCP(_Estimator(), [2, 3], n_folds=2, backend="thread", n_jobs=2)
-        assert search.execution == ExecutionSpec(backend="thread", n_jobs=2)
+        spec = ExecutionSpec(backend="thread", n_jobs=2)
+        search = CVCP(_Estimator(), [2, 3], n_folds=2, execution=spec)
+        assert search.execution == spec
+        assert (search.backend, search.n_jobs) == ("thread", 2)
+        with pytest.raises(TypeError, match="backend"):
+            CVCP(_Estimator(), [2, 3], n_folds=2, backend="thread", n_jobs=2)
 
-    def test_execution_spec_alongside_loose_keywords_is_ambiguous(self):
-        from repro.core.cvcp import CVCP
+    def test_select_parameter_has_no_loose_engine_keywords(self):
+        from repro.core.cvcp import select_parameter
 
-        class _Estimator:
-            tuned_parameter = "k"
-
-        with pytest.raises(ValueError, match="both"):
-            CVCP(
-                _Estimator(),
-                [2, 3],
-                n_folds=2,
-                execution=ExecutionSpec(backend="thread"),
-                backend="serial",
-            )
+        with pytest.raises(TypeError, match="distance_backend"):
+            select_parameter(object(), np.zeros((4, 2)), [2, 3], distance_backend="blockwise")
 
     def test_spec_path_is_warning_free(self):
         with warnings.catch_warnings():

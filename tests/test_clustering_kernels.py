@@ -1,12 +1,14 @@
 """Parity tests for the vectorised clustering kernels.
 
 The contract of :mod:`repro.clustering.kernels` is *bit-identity*: for any
-input, the ``vectorized`` and ``reference`` implementations of each of the
-four hot kernels must produce exactly equal results — orderings,
+input, each of the four hot kernels must produce exactly the result of its
+interpreter-bound oracle in :mod:`repro.clustering.reference` — orderings,
 reachabilities, merge records, condensed trees, selections and labels.
-The property-based tests below drive both paths with adversarial inputs:
+The property-based tests below drive both with adversarial inputs:
 duplicate points (zero distances, infinite density levels), tied distances
-(integer grids), singleton clusters, and empty constraint sets.
+(integer grids), singleton clusters, and empty constraint sets.  The
+estimator-level tests refit inside :func:`kernel_oracle.reference_kernels`,
+which swaps every consumer's kernel name for its oracle.
 """
 
 from __future__ import annotations
@@ -16,16 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering import kernels as K
-from repro.clustering import (
-    DEFAULT_KERNEL_MODE,
-    KERNEL_MODES,
-    KERNELS_ENV_VAR,
-    resolve_kernel_mode,
-)
+from repro.clustering import reference as R
 from repro.clustering.distances import k_nearest_distances, pairwise_distances
-from repro.clustering.fosc import FOSC, FOSCOpticsDend
+from repro.clustering.fosc import FOSCOpticsDend
 from repro.clustering.hierarchy import (
-    CondensedTree,
     CondensedTreeArrays,
     DensityHierarchy,
     mutual_reachability,
@@ -35,6 +31,8 @@ from repro.clustering.optics import OPTICS
 from repro.constraints import ConstraintSet, cannot_link, must_link
 from repro.constraints.closure import transitive_closure
 from repro.constraints.constraint import MUST_LINK
+
+from kernel_oracle import reference_kernels
 
 settings.register_profile("repro-kernels", max_examples=20, deadline=None)
 settings.load_profile("repro-kernels")
@@ -95,51 +93,6 @@ def constraint_sets(draw, n_samples):
 
 
 # ----------------------------------------------------------------------
-# Mode resolution and estimator wiring
-# ----------------------------------------------------------------------
-
-class TestKernelModeResolution:
-    def test_default_mode(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
-        assert resolve_kernel_mode(None) == DEFAULT_KERNEL_MODE == "vectorized"
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "vectorized")
-        assert resolve_kernel_mode("reference") == "reference"
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "reference")
-        assert resolve_kernel_mode(None) == "reference"
-
-    def test_invalid_argument_rejected(self):
-        with pytest.raises(ValueError, match="kernels"):
-            resolve_kernel_mode("numba")
-
-    def test_invalid_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "cuda")
-        with pytest.raises(ValueError, match=KERNELS_ENV_VAR):
-            resolve_kernel_mode(None)
-
-    def test_estimators_expose_and_clone_the_parameter(self):
-        for estimator in (
-            OPTICS(min_pts=3, kernels="reference"),
-            FOSCOpticsDend(min_pts=3, kernels="reference"),
-            MPCKMeans(n_clusters=2, kernels="reference"),
-        ):
-            assert estimator.get_params()["kernels"] == "reference"
-            assert estimator.clone().get_params()["kernels"] == "reference"
-            assert estimator.clone(kernels="vectorized").get_params()["kernels"] == "vectorized"
-
-    def test_environment_drives_the_estimators(self, blobs_dataset, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "reference")
-        model = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
-        assert isinstance(model.condensed_tree_, CondensedTree)
-        monkeypatch.setenv(KERNELS_ENV_VAR, "vectorized")
-        model = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
-        assert isinstance(model.condensed_tree_, CondensedTreeArrays)
-
-
-# ----------------------------------------------------------------------
 # Kernel 1: OPTICS ordering
 # ----------------------------------------------------------------------
 
@@ -151,14 +104,15 @@ class TestOpticsParity:
         eps = np.inf if np.isinf(eps_offset) else float(np.median(distances) + eps_offset)
         if eps <= 0:
             eps = 0.75
-        ref = K.optics_ordering_reference(distances, core, eps)
-        vec = K.optics_ordering_vectorized(distances, core, eps)
+        ref = R.optics_ordering_reference(distances, core, eps)
+        vec = K.optics_ordering(distances, core, eps)
         assert np.array_equal(ref[0], vec[0])
         assert np.array_equal(ref[1], vec[1])
 
     def test_estimator_parity_including_dbscan_extraction(self, blobs_dataset):
-        ref = OPTICS(min_pts=4, eps=2.0, kernels="reference").fit(blobs_dataset.X)
-        vec = OPTICS(min_pts=4, eps=2.0, kernels="vectorized").fit(blobs_dataset.X)
+        vec = OPTICS(min_pts=4, eps=2.0).fit(blobs_dataset.X)
+        with reference_kernels():
+            ref = OPTICS(min_pts=4, eps=2.0).fit(blobs_dataset.X)
         assert np.array_equal(ref.ordering_, vec.ordering_)
         assert np.array_equal(ref.reachability_, vec.reachability_)
         assert np.array_equal(ref.labels_, vec.labels_)
@@ -167,8 +121,8 @@ class TestOpticsParity:
         X = np.zeros((7, 2))
         distances = pairwise_distances(X)
         core = k_nearest_distances(distances, 3)
-        ref = K.optics_ordering_reference(distances, core)
-        vec = K.optics_ordering_vectorized(distances, core)
+        ref = R.optics_ordering_reference(distances, core)
+        vec = K.optics_ordering(distances, core)
         assert np.array_equal(ref[0], vec[0])
         assert np.array_equal(ref[1], vec[1])
 
@@ -176,8 +130,8 @@ class TestOpticsParity:
         X = np.array([[0.0], [0.1], [0.2], [50.0], [50.1], [99.0]])
         distances = pairwise_distances(X)
         core = k_nearest_distances(distances, 2)
-        ref = K.optics_ordering_reference(distances, core, 1.0)
-        vec = K.optics_ordering_vectorized(distances, core, 1.0)
+        ref = R.optics_ordering_reference(distances, core, 1.0)
+        vec = K.optics_ordering(distances, core, 1.0)
         assert np.array_equal(ref[0], vec[0])
         assert np.array_equal(ref[1], vec[1])
 
@@ -192,21 +146,21 @@ class TestSingleLinkageParity:
         distances = pairwise_distances(X)
         core = k_nearest_distances(distances, min(min_pts, X.shape[0]))
         mreach = mutual_reachability(distances, core)
-        ref_edges = K.minimum_spanning_tree_reference(mreach)
-        vec_edges = K.minimum_spanning_tree_vectorized(mreach)
+        ref_edges = R.minimum_spanning_tree_reference(mreach)
+        vec_edges = K.minimum_spanning_tree(mreach)
         assert np.array_equal(ref_edges, vec_edges)
-        ref_tree = K.single_linkage_tree_reference(ref_edges, X.shape[0])
-        vec_tree = K.single_linkage_tree_vectorized(ref_edges, X.shape[0])
+        ref_tree = R.single_linkage_tree_reference(ref_edges, X.shape[0])
+        vec_tree = K.single_linkage_tree(ref_edges, X.shape[0])
         assert np.array_equal(ref_tree, vec_tree)
 
     def test_tiny_inputs(self):
-        for mode in KERNEL_MODES:
-            assert K.minimum_spanning_tree(np.zeros((1, 1)), kernels=mode).shape == (0, 3)
+        for mst in (K.minimum_spanning_tree, R.minimum_spanning_tree_reference):
+            assert mst(np.zeros((1, 1))).shape == (0, 3)
 
     def test_wrong_edge_count_rejected_by_both(self):
-        for mode in KERNEL_MODES:
+        for single_linkage in (K.single_linkage_tree, R.single_linkage_tree_reference):
             with pytest.raises(ValueError):
-                K.single_linkage_tree(np.zeros((2, 3)), 6, kernels=mode)
+                single_linkage(np.zeros((2, 3)), 6)
 
 
 # ----------------------------------------------------------------------
@@ -217,15 +171,15 @@ def _merge_records(X, min_pts):
     distances = pairwise_distances(X)
     core = k_nearest_distances(distances, min(min_pts, X.shape[0]))
     mreach = mutual_reachability(distances, core)
-    edges = K.minimum_spanning_tree_vectorized(mreach)
-    return K.single_linkage_tree_vectorized(edges, X.shape[0])
+    edges = K.minimum_spanning_tree(mreach)
+    return K.single_linkage_tree(edges, X.shape[0])
 
 
 class TestCondensedTreeParity:
     @given(adversarial_datasets(min_samples=5), st.integers(2, 5), st.integers(2, 4))
     def test_structure_lambdas_and_stabilities_bit_identical(self, X, min_pts, min_cluster_size):
         merges = _merge_records(X, min_pts)
-        reference = CondensedTree(merges, X.shape[0], min_cluster_size)
+        reference = R.CondensedTree(merges, X.shape[0], min_cluster_size)
         data = K.condense_tree(merges, X.shape[0], min_cluster_size)
 
         assert len(reference.clusters) == data.n_clusters
@@ -254,9 +208,9 @@ class TestCondensedTreeParity:
     def test_fosc_extraction_bit_identical(self, X, min_cluster_size):
         merges = _merge_records(X, 3)
         constraints = ConstraintSet()
-        reference = CondensedTree(merges, X.shape[0], min_cluster_size)
+        reference = R.CondensedTree(merges, X.shape[0], min_cluster_size)
         data = K.condense_tree(merges, X.shape[0], min_cluster_size)
-        ref_sel = FOSC().extract(reference, constraints)
+        ref_sel = R.ReferenceFOSC().extract(reference, constraints)
         i_idx, j_idx, kinds = constraints.as_arrays()
         selected, labels, objective, used = K.fosc_extract(
             data, i_idx, j_idx, kinds == MUST_LINK, 1e-3
@@ -272,9 +226,9 @@ class TestCondensedTreeParity:
         constraints = data_strategy.draw(constraint_sets(X.shape[0]))
         closure = transitive_closure(constraints, strict=False)
         merges = _merge_records(X, 3)
-        reference = CondensedTree(merges, X.shape[0], 3)
+        reference = R.CondensedTree(merges, X.shape[0], 3)
         data = K.condense_tree(merges, X.shape[0], 3)
-        ref_sel = FOSC().extract(reference, closure)
+        ref_sel = R.ReferenceFOSC().extract(reference, closure)
         i_idx, j_idx, kinds = closure.as_arrays()
         selected, labels, objective, used = K.fosc_extract(
             data, i_idx, j_idx, kinds == MUST_LINK, 1e-3
@@ -301,9 +255,11 @@ class TestCondensedTreeParity:
             K.condense_tree(np.empty((0, 4)), 1, 1)
 
     def test_array_tree_compat_api_matches_reference(self, blobs_dataset):
-        ref = DensityHierarchy(min_pts=4, kernels="reference").fit(blobs_dataset.X)
-        vec = DensityHierarchy(min_pts=4, kernels="vectorized").fit(blobs_dataset.X)
+        vec = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
+        with reference_kernels():
+            ref = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
         ref_tree, vec_tree = ref.condensed_tree_, vec.condensed_tree_
+        assert isinstance(ref_tree, R.CondensedTree)
         assert isinstance(vec_tree, CondensedTreeArrays)
         assert sorted(vec_tree.leaves()) == sorted(ref_tree.leaves())
         assert vec_tree.selectable_clusters() == ref_tree.selectable_clusters()
@@ -355,7 +311,7 @@ class TestMpckAssignParity:
         args = (X, weights, labels, distances, log_det, max_sq,
                 must_indptr, must_indices, cannot_indptr, cannot_indices, order, 1.5)
         assert np.array_equal(
-            K.mpck_assign_reference(*args), K.mpck_assign_vectorized(*args)
+            R.mpck_assign_reference(*args), K.mpck_assign(*args)
         )
 
     def test_csr_neighbor_order_matches_pairwise_appends(self):
@@ -378,10 +334,9 @@ class TestMpckAssignParity:
         from repro.constraints import constraints_from_labels
 
         constraints = constraints_from_labels(labeled)
-        ref = MPCKMeans(n_clusters=3, random_state=5, n_init=2, kernels="reference")
-        vec = MPCKMeans(n_clusters=3, random_state=5, n_init=2, kernels="vectorized")
-        ref.fit(data.X, constraints)
-        vec.fit(data.X, constraints)
+        vec = MPCKMeans(n_clusters=3, random_state=5, n_init=2).fit(data.X, constraints)
+        with reference_kernels():
+            ref = MPCKMeans(n_clusters=3, random_state=5, n_init=2).fit(data.X, constraints)
         assert np.array_equal(ref.labels_, vec.labels_)
         assert ref.objective_ == vec.objective_
         assert ref.n_iter_ == vec.n_iter_
@@ -401,8 +356,10 @@ class TestEndToEndParity:
         dataset = make_blobs([12, 12, 12], 2, center_spread=9.0, cluster_std=0.8,
                              random_state=seed % 100, name="kernel-parity")
         constraints = ConstraintSet([must_link(0, 1), cannot_link(0, 12), cannot_link(12, 24)])
-        ref = FOSCOpticsDend(min_pts=4, kernels="reference").fit(dataset.X, constraints)
-        vec = FOSCOpticsDend(min_pts=4, kernels="vectorized").fit(dataset.X, constraints)
+        vec = FOSCOpticsDend(min_pts=4).fit(dataset.X, constraints)
+        with reference_kernels():
+            ref = FOSCOpticsDend(min_pts=4).fit(dataset.X, constraints)
+        assert isinstance(ref.structure_.condensed_tree, R.CondensedTree)
         assert np.array_equal(ref.labels_, vec.labels_)
         assert ref.selection_.selected_clusters == vec.selection_.selected_clusters
         assert ref.selection_.objective == vec.selection_.objective
@@ -414,18 +371,20 @@ class TestEndToEndParity:
         from repro.core.executor import ExecutionSpec
 
         side = sample_labeled_objects(blobs_dataset.y, 0.2, random_state=1)
-        results = {}
-        for mode in KERNEL_MODES:
+        def select() -> tuple:
             search = CVCP(
-                FOSCOpticsDend(kernels=mode),
+                FOSCOpticsDend(),
                 parameter_values=[3, 6],
                 n_folds=3,
                 random_state=7,
                 execution=ExecutionSpec(backend=backend, n_jobs=2),
             )
             search.fit(blobs_dataset.X, labeled_objects=side)
-            results[mode] = (
+            return (
                 dict(search.best_params_),
                 [list(e.fold_scores) for e in search.cv_results_.evaluations],
             )
-        assert results["vectorized"] == results["reference"]
+
+        vectorized = select()
+        with reference_kernels():
+            assert select() == vectorized

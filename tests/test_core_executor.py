@@ -179,8 +179,8 @@ class TestCVCPBackendParity:
         assert scores[0] == scores[1] == scores[2]
 
     def test_invalid_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            CVCP(MPCKMeans(), parameter_values=[2, 3], backend="mpi")
+        with pytest.raises(ValueError, match="execution.backend"):
+            CVCP(MPCKMeans(), parameter_values=[2, 3], execution=ExecutionSpec(backend="mpi"))
 
     def test_select_parameter_passes_engine_through(self, blobs_dataset):
         side = sample_labeled_objects(blobs_dataset.y, 0.20, random_state=3)

@@ -1,8 +1,9 @@
-"""Tests for the tiered distance backends (dense / blockwise / memmap / neighbors).
+"""Tests for the tiered distance backends (blockwise / memmap / neighbors).
 
 Covers the bit-identity contract across the exact tiers and executors, the memmap
 spill lifecycle (atomic writes, exception cleanup, reuse, kill-resume,
-process-backend sharing), and the cache-stats parity across backends.
+process-backend sharing), the cache-stats parity across backends, and the
+deprecated ``"dense"`` alias of the blockwise tier.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,6 @@ from repro.core.distance_backend import (
     EXACT_DISTANCE_BACKENDS,
     SPILL_DIR_ENV_VAR,
     BlockwiseBackend,
-    DenseBackend,
     MemmapBackend,
     clear_spill_directory,
     get_distance_backend,
@@ -70,9 +71,9 @@ def big_blobs():
 
 
 class TestResolution:
-    def test_default_is_dense(self, monkeypatch):
+    def test_default_is_blockwise(self, monkeypatch):
         monkeypatch.delenv(DISTANCE_BACKEND_ENV_VAR, raising=False)
-        assert resolve_distance_backend(None) == DEFAULT_DISTANCE_BACKEND == "dense"
+        assert resolve_distance_backend(None) == DEFAULT_DISTANCE_BACKEND == "blockwise"
 
     def test_env_var_is_consulted(self, monkeypatch):
         monkeypatch.setenv(DISTANCE_BACKEND_ENV_VAR, "blockwise")
@@ -89,15 +90,59 @@ class TestResolution:
             resolve_distance_backend(None)
 
     def test_get_backend_returns_shared_instances(self):
-        assert get_distance_backend("dense") is get_distance_backend("dense")
-        assert isinstance(get_distance_backend("dense"), DenseBackend)
+        assert get_distance_backend("blockwise") is get_distance_backend("blockwise")
         assert isinstance(get_distance_backend("blockwise"), BlockwiseBackend)
         assert isinstance(get_distance_backend("memmap"), MemmapBackend)
 
-    def test_block_rows_policy(self):
-        assert get_distance_backend("dense").block_rows(10_000) is None
-        assert get_distance_backend("blockwise").block_rows(10_000) == DEFAULT_BLOCK_ROWS
-        assert get_distance_backend("memmap").block_rows(10_000) == DEFAULT_BLOCK_ROWS
+    def test_dense_alias_resolves_to_blockwise_and_warns_once(self, monkeypatch, tmp_path):
+        from repro.cli.main import main
+        from repro.experiments.pipeline import pipeline_spec_from_mapping
+
+        def resolved_with_one_warning(entry_point):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = entry_point()
+            deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
+            assert len(deprecations) == 1, [str(w.message) for w in deprecations]
+            assert "'dense' is deprecated" in str(deprecations[0].message)
+            return value
+
+        assert resolved_with_one_warning(lambda: resolve_distance_backend("dense")) == "blockwise"
+        assert resolved_with_one_warning(lambda: get_distance_backend("dense")) is (
+            get_distance_backend("blockwise")
+        )
+        monkeypatch.setenv(DISTANCE_BACKEND_ENV_VAR, "dense")
+        assert resolved_with_one_warning(lambda: resolve_distance_backend(None)) == "blockwise"
+        monkeypatch.delenv(DISTANCE_BACKEND_ENV_VAR)
+
+        spec = resolved_with_one_warning(lambda: ExecutionSpec(distance_backend="dense"))
+        assert spec == ExecutionSpec(distance_backend="blockwise")
+        table = resolved_with_one_warning(
+            lambda: ExecutionSpec.from_spec({"distance_backend": "dense"})
+        )
+        assert table.distance_backend == "blockwise"
+        pipeline = resolved_with_one_warning(
+            lambda: pipeline_spec_from_mapping(
+                {
+                    "experiment": {"name": "alias", "kind": "trials"},
+                    "execution": {"distance_backend": "dense"},
+                }
+            )
+        )
+        assert pipeline.config.distance_backend == "blockwise"
+
+        config = tmp_path / "alias.toml"
+        config.write_text(
+            '[experiment]\nname = "alias"\nkind = "trials"\nalgorithm = "fosc"\n'
+            'scenario = "labels"\namounts = [0.2]\ndatasets = ["Iris"]\n'
+            '[parameters]\nn_trials = 1\nn_folds = 3\nminpts_range = [3, 6]\n'
+            f'[artifacts]\nroot = "{tmp_path / "store"}"\n',
+            encoding="utf-8",
+        )
+        exit_code = resolved_with_one_warning(
+            lambda: main(["run", str(config), "--distance-backend", "dense", "--quiet"])
+        )
+        assert exit_code == 0
 
 
 class TestMatrixBitIdentity:
@@ -107,7 +152,6 @@ class TestMatrixBitIdentity:
             name: np.asarray(get_distance_backend(name).pairwise(big_blobs.X, metric=metric))
             for name in EXACT_DISTANCE_BACKENDS
         }
-        assert np.array_equal(matrices["dense"], matrices["blockwise"])
         assert np.array_equal(matrices["blockwise"], matrices["memmap"])
 
     def test_single_panel_matches_legacy_full_matrix_formula(self, big_blobs):
@@ -142,9 +186,10 @@ class TestClusteringParity:
             ).labels_
             fitted = OPTICS(min_pts=5, distance_backend=name).fit(big_blobs.X)
             optics_out[name] = (fitted.ordering_, fitted.reachability_, fitted.core_distances_)
+        first = EXACT_DISTANCE_BACKENDS[0]
         for name in EXACT_DISTANCE_BACKENDS[1:]:
-            assert np.array_equal(fosc_labels["dense"], fosc_labels[name])
-            for reference, observed in zip(optics_out["dense"], optics_out[name]):
+            assert np.array_equal(fosc_labels[first], fosc_labels[name])
+            for reference, observed in zip(optics_out[first], optics_out[name]):
                 assert np.array_equal(reference, observed)
 
     def test_density_hierarchy_artifacts_bitwise_identical(self, spill_dir, big_blobs):
@@ -410,18 +455,17 @@ class TestCacheIntegration:
             OPTICS(min_pts=5, distance_backend=name).fit(big_blobs.X)
             stats = distance_cache_stats()
             observed[name] = (stats.hits, stats.misses, stats.size)
-        assert observed["dense"] == observed["blockwise"] == observed["memmap"]
-        assert observed["dense"] == (2, 1, 1)
+        assert observed["blockwise"] == observed["memmap"] == (2, 1, 1)
 
     def test_backends_do_not_share_cache_entries(self, spill_dir, big_blobs):
         clear_distance_cache()
-        dense = cached_pairwise_distances(big_blobs.X, distance_backend="dense")
+        in_ram = cached_pairwise_distances(big_blobs.X, distance_backend="blockwise")
         memmapped = cached_pairwise_distances(big_blobs.X, distance_backend="memmap")
-        assert not isinstance(dense, np.memmap)
+        assert not isinstance(in_ram, np.memmap)
         assert isinstance(memmapped, np.memmap)
         stats = distance_cache_stats()
         assert (stats.hits, stats.misses) == (0, 2)
-        assert np.array_equal(dense, np.asarray(memmapped))
+        assert np.array_equal(in_ram, np.asarray(memmapped))
 
     def test_env_var_reaches_the_cached_path(self, spill_dir, big_blobs, monkeypatch):
         monkeypatch.setenv(DISTANCE_BACKEND_ENV_VAR, "memmap")

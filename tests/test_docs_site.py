@@ -242,14 +242,12 @@ class TestSchemaDocsInSync:
 
     def test_performance_page_documents_the_kernel_subsystem(self):
         from repro.bench.kernels import KERNEL_NAMES
-        from repro.clustering.kernels import KERNEL_MODES, KERNELS_ENV_VAR
 
         performance_page = (DOCS_DIR / "performance.md").read_text(encoding="utf-8")
         for kernel in KERNEL_NAMES:
             assert f"`{kernel}`" in performance_page, f"kernel {kernel} undocumented"
-        for mode in KERNEL_MODES:
-            assert mode in performance_page
-        assert KERNELS_ENV_VAR in performance_page
+        assert "repro.clustering.reference" in performance_page  # the oracles
+        assert "REPRO_KERNELS" not in performance_page  # the retired switch
         assert "BENCH_kernels.json" in performance_page
         assert "repro bench kernels" in performance_page
         # The tuning axes the guide promises to cover.
@@ -285,7 +283,9 @@ class TestSchemaDocsInSync:
         architecture_page = (DOCS_DIR / "architecture.md").read_text(encoding="utf-8")
         assert "repro.core.distance_backend" in architecture_page
         assert "Distances" in architecture_page  # the component diagram row
-        for tier in ("dense", "blockwise", "memmap", "neighbors"):
+        from repro.core.distance_backend import DISTANCE_BACKEND_ALIASES, DISTANCE_BACKENDS
+
+        for tier in DISTANCE_BACKENDS + tuple(DISTANCE_BACKEND_ALIASES):
             assert tier in architecture_page
         assert "repro.core.neighbor_graph" in architecture_page
 

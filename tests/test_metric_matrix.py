@@ -2,8 +2,9 @@
 
 The CI ``metric-matrix`` job runs this module once per metric
 ({euclidean, cosine, precomputed}); each run asserts that the exact
-distance tiers (dense, blockwise, memmap) and the serial/process
-executors all produce *bit-identical* CVCP trials on the sparse
+distance tiers (blockwise, memmap — plus the deprecated ``"dense"`` alias
+of blockwise) and the serial/process executors all produce
+*bit-identical* CVCP trials on the sparse
 planted-topic corpus — before any benchmark in the repo is allowed to
 time those paths.  A final cross-metric check pins the semantic link:
 ``metric = "precomputed"`` fed the cosine distance matrix must
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.clustering.distances import pairwise_distances
-from repro.core.distance_backend import EXACT_DISTANCE_BACKENDS
+from repro.core.distance_backend import DISTANCE_BACKEND_ALIASES, EXACT_DISTANCE_BACKENDS
 from repro.datasets.base import Dataset
 from repro.datasets.text import make_text_blobs
 from repro.experiments.config import ExperimentConfig
@@ -61,7 +62,9 @@ def _dataset_for(corpus: Dataset, metric: str) -> Dataset:
     return corpus.with_metric(metric)
 
 
-def _trial(dataset: Dataset, *, distance_backend: str = "dense", backend: str = "serial") -> dict:
+def _trial(
+    dataset: Dataset, *, distance_backend: str = "blockwise", backend: str = "serial"
+) -> dict:
     clear_distance_cache()
     config = CONFIG.with_execution(
         distance_backend=distance_backend, backend=backend,
@@ -75,16 +78,17 @@ def _trial(dataset: Dataset, *, distance_backend: str = "dense", backend: str = 
 
 @pytest.fixture(scope="module")
 def reference(corpus):
-    """Dense/serial reference trial per metric."""
+    """Blockwise/serial reference trial per metric."""
     return {
         metric: _trial(_dataset_for(corpus, metric)) for metric in METRICS
     }
 
 
 @pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("tier", EXACT_DISTANCE_BACKENDS)
+@pytest.mark.parametrize("tier", EXACT_DISTANCE_BACKENDS + tuple(DISTANCE_BACKEND_ALIASES))
+@pytest.mark.filterwarnings("ignore:distance_backend='dense' is deprecated:DeprecationWarning")
 class TestTierParity:
-    def test_tier_bit_identical_to_dense(self, corpus, reference, metric, tier):
+    def test_tier_bit_identical_to_blockwise(self, corpus, reference, metric, tier):
         trial = _trial(_dataset_for(corpus, metric), distance_backend=tier)
         assert trial == reference[metric]
 

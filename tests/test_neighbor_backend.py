@@ -1,7 +1,8 @@
 """Tests for ``distance_backend="neighbors"`` as a full execution tier.
 
 Mirrors ``tests/test_distance_backend.py`` one tier up: the parity matrix
-across the serial/thread/process executors and both kernel modes, the
+across the serial/thread/process executors and both kernel sets (the
+vectorised kernels and their reference oracles), the
 ``ExecutionSpec``/``validate-config`` surface for ``epsilon``/``k_neighbors``,
 the consumers that must reject the tier with a clear problem instead of a
 traceback, and the artifact-store fingerprinting contract (exact tiers
@@ -10,12 +11,15 @@ share entries; ``neighbors`` never does).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.clustering.fosc import FOSCOpticsDend
 from repro.core.cvcp import CVCP
 from repro.core.distance_backend import (
+    DISTANCE_BACKEND_ALIASES,
     DISTANCE_BACKENDS,
     EXACT_DISTANCE_BACKENDS,
     get_distance_backend,
@@ -28,6 +32,8 @@ from repro.experiments.runner import algorithm_factory
 from repro.utils.cache import clear_distance_cache
 from repro.utils.specs import SpecError
 
+from kernel_oracle import reference_kernels
+
 EXECUTORS = ("serial", "thread", "process")
 KERNEL_MODES = ("vectorized", "reference")
 
@@ -38,13 +44,14 @@ def cvcp_observation(dataset, *, kernels, spec):
     """Fit one CVCP grid and return its comparable outcome tuple."""
     clear_distance_cache()
     search = CVCP(
-        FOSCOpticsDend(min_pts=5, kernels=kernels),
+        FOSCOpticsDend(min_pts=5),
         parameter_values=[3, 6],
         n_folds=3,
         random_state=11,
         execution=spec,
     )
-    search.fit(dataset.X, labeled_objects=LABELED)
+    with reference_kernels() if kernels == "reference" else nullcontext():
+        search.fit(dataset.X, labeled_objects=LABELED)
     return (
         search.best_params_,
         [evaluation.fold_scores for evaluation in search.cv_results_.evaluations],
@@ -87,7 +94,8 @@ class TestExecutionSpecSurface:
         with pytest.raises(SpecError, match="execution.k_neighbors"):
             ExecutionSpec(distance_backend="neighbors", k_neighbors=bad)
 
-    @pytest.mark.parametrize("backend", EXACT_DISTANCE_BACKENDS)
+    @pytest.mark.parametrize("backend", EXACT_DISTANCE_BACKENDS + tuple(DISTANCE_BACKEND_ALIASES))
+    @pytest.mark.filterwarnings("ignore:distance_backend='dense' is deprecated:DeprecationWarning")
     def test_knobs_with_an_exact_tier_are_rejected(self, backend):
         with pytest.raises(SpecError, match="only meaningful"):
             ExecutionSpec(distance_backend=backend, epsilon=2.0)
@@ -102,25 +110,25 @@ class TestExecutionSpecSurface:
 
 
 class TestParityMatrix:
-    """Satellite 2: neighbors × executors × kernel modes.
+    """Satellite 2: neighbors × executors × kernels vs their reference oracles.
 
-    In the exhaustive regime every axis must reproduce the dense/serial
+    In the exhaustive regime every axis must reproduce the blockwise/serial
     reference bit-for-bit; at a fixed practical epsilon the observations
     must be identical across axes (deterministic), whatever they are.
     """
 
     @pytest.fixture(scope="class")
-    def dense_reference(self, blobs_dataset):
+    def exact_reference(self, blobs_dataset):
         return cvcp_observation(
             blobs_dataset,
             kernels="vectorized",
-            spec=ExecutionSpec(backend="serial", distance_backend="dense"),
+            spec=ExecutionSpec(backend="serial", distance_backend="blockwise"),
         )
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("kernels", KERNEL_MODES)
-    def test_exhaustive_regime_matches_dense_reference(
-        self, blobs_dataset, dense_reference, executor, kernels
+    def test_exhaustive_regime_matches_exact_reference(
+        self, blobs_dataset, exact_reference, executor, kernels
     ):
         observed = cvcp_observation(
             blobs_dataset,
@@ -133,7 +141,7 @@ class TestParityMatrix:
                 k_neighbors=blobs_dataset.n_samples,
             ),
         )
-        assert observed == dense_reference
+        assert observed == exact_reference
 
     def test_practical_epsilon_is_identical_across_all_axes(self, blobs_dataset):
         reference = None
@@ -221,7 +229,7 @@ class TestValidateConfig:
         path = tmp_path / "mismatch.toml"
         path.write_text(
             NEIGHBORS_TOML.format(kind="trials", algorithm="fosc", extra="").replace(
-                'distance_backend = "neighbors"', 'distance_backend = "dense"\nepsilon = 2.0'
+                'distance_backend = "neighbors"', 'distance_backend = "blockwise"\nepsilon = 2.0'
             ),
             encoding="utf-8",
         )
@@ -278,7 +286,7 @@ class TestArtifactFingerprinting:
         }
         assert len(set(digests.values())) == 1
         key = trial_artifact_key(
-            with_backend(TINY_EXACT, "dense"), dataset, "fosc", "labels", 0.1, 7
+            with_backend(TINY_EXACT, "blockwise"), dataset, "fosc", "labels", 0.1, 7
         )
         assert "approx" not in key
 
@@ -304,7 +312,7 @@ class TestArtifactFingerprinting:
 
     def test_neighbors_never_shares_with_exact_or_other_settings(self, dataset):
         base = trial_artifact_key(
-            with_backend(TINY_EXACT, "dense"), dataset, "fosc", "labels", 0.1, 7
+            with_backend(TINY_EXACT, "blockwise"), dataset, "fosc", "labels", 0.1, 7
         )
         variants = [
             with_backend(TINY_EXACT, "neighbors"),
@@ -325,7 +333,7 @@ class TestArtifactFingerprinting:
     def test_exact_trial_is_a_cache_miss_for_neighbors(self, dataset, tmp_path):
         """Regression: a stored exact trial must never satisfy a neighbors run."""
         store = ArtifactStore(tmp_path / "store")
-        exact = with_backend(TINY_EXACT, "dense")
+        exact = with_backend(TINY_EXACT, "blockwise")
         sparse = with_backend(TINY_EXACT, "neighbors", epsilon=float(np.inf),
                               k_neighbors=dataset.n_samples)
         run_trial(dataset, "fosc", "labels", 0.1, config=exact, random_state=7, store=store)

@@ -3,7 +3,7 @@
 The incremental contract: every constraint delta's re-selection must be
 bit-identical — selected parameter, per-cell fold scores, refit labels —
 to a cold CVCP run on the same accumulated constraint set, on every
-executor backend and in both kernel modes; the cached structures and the
+executor backend and on the reference kernel oracles; the cached structures and the
 artifact store may only remove redundant work, never change an answer.
 A replay killed mid-stream (a real SIGKILL through a subprocess) must
 resume into a byte-identical report.
@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,9 @@ from repro.experiments.runner import (
 from repro.utils.cache import clear_distance_cache
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.specs import SpecError
+
+from kernel_oracle import reference_kernels
+
 
 TINY = ExperimentConfig(
     n_trials=1,
@@ -132,14 +136,16 @@ class TestDeltaEquivalence:
         assert_delta_equivalent(replay, references)
 
     @pytest.mark.parametrize("mode", ["vectorized", "reference"])
-    def test_both_kernel_modes_are_equivalent(self, iris, tmp_path, mode, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", mode)
+    def test_both_kernel_modes_are_equivalent(self, iris, tmp_path, mode):
+        # A reference-kernel structure has no flat arrays to persist, so
+        # that replay runs without a store.
         clear_distance_cache()
         stream = StreamSpec(n_deltas=3)
-        store = ArtifactStore(tmp_path / "store")
-        replay = replay_constraint_stream(
-            iris, 0.1, config=TINY, stream=stream, random_state=TINY.seed, store=store
-        )
+        store = ArtifactStore(tmp_path / "store") if mode == "vectorized" else None
+        with reference_kernels() if mode == "reference" else nullcontext():
+            replay = replay_constraint_stream(
+                iris, 0.1, config=TINY, stream=stream, random_state=TINY.seed, store=store
+            )
         references = reference_selections(iris, 0.1, TINY, stream, TINY.seed)
         assert_delta_equivalent(replay, references)
 

@@ -2,7 +2,7 @@
 
 The incremental CVCP machinery rests on one invariant: a FOSC tree
 structure depends only on the data content and the (effective) MinPts —
-never on constraints, folds, seeds, oracles or the kernel mode.  These
+never on constraints, folds, seeds or oracles.  These
 tests pin the payload round-trip (including non-finite lambdas), the
 memo-first store path with its hit/miss accounting, the exact-tier key
 collapse, and the approximate tier's key isolation.
@@ -13,7 +13,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.clustering.fosc import FOSCOpticsDend
+from repro.clustering.fosc import FOSC, FOSCOpticsDend
+from repro.clustering.reference import CondensedTree
 from repro.clustering.hierarchy import (
     build_tree_structure,
     cached_tree_structure,
@@ -26,6 +27,8 @@ from repro.clustering.hierarchy import (
 from repro.datasets import make_blobs
 from repro.experiments.artifacts import ArtifactStore
 from repro.utils.cache import MemoCache, clear_distance_cache
+
+from kernel_oracle import reference_kernels
 
 
 @pytest.fixture(autouse=True)
@@ -70,24 +73,34 @@ class TestPayloadRoundTrip:
         rebuilt = structure_from_payload(json.loads(text))
         assert_structures_identical(structure, rebuilt)
 
-    @pytest.mark.parametrize("decode_mode", ["vectorized", "reference"])
-    def test_decoded_structure_extracts_identically(self, X, decode_mode, monkeypatch):
+    def test_decoded_structure_extracts_identically(self, X):
         structure = build_tree_structure(X, 4)
         payload = json.loads(json.dumps(structure_payload(structure)))
-        reference = FOSCOpticsDend(min_pts=4).fit(X).labels_.tolist()
+        fitted = FOSCOpticsDend(min_pts=4).fit(X).labels_.tolist()
 
-        monkeypatch.setenv("REPRO_KERNELS", decode_mode)
         clear_distance_cache()
-        rebuilt = structure_from_payload(payload, kernels=decode_mode)
+        rebuilt = structure_from_payload(payload)
         assert_structures_identical(structure, rebuilt)
+        assert FOSC().extract(rebuilt.condensed_tree).labels.tolist() == fitted
 
-    def test_both_kernel_modes_emit_the_same_payload(self, X, monkeypatch):
-        payloads = {}
-        for mode in ("vectorized", "reference"):
-            monkeypatch.setenv("REPRO_KERNELS", mode)
-            clear_distance_cache()
-            payloads[mode] = structure_payload(build_tree_structure(X, 4, kernels=mode))
-        assert payloads["vectorized"] == payloads["reference"]
+    def test_reference_kernels_build_the_persisted_structure(self, X):
+        payload = structure_payload(build_tree_structure(X, 4))
+        with reference_kernels():
+            reference = build_tree_structure(X, 4)
+        assert isinstance(reference.condensed_tree, CondensedTree)
+        decoded = structure_from_payload(payload)
+        assert_structures_identical(decoded, reference)
+        arrays = decoded.condensed_tree.arrays
+        clusters = reference.condensed_tree.clusters
+        assert len(clusters) == arrays.n_clusters
+        for cluster_id, cluster in clusters.items():
+            assert cluster.parent == arrays.parent[cluster_id]
+            assert cluster.birth_lambda == arrays.birth_lambda[cluster_id]
+            assert cluster.split_lambda == arrays.split_lambda[cluster_id]
+            assert cluster.children == arrays.children[cluster_id]
+            for point, level in cluster.point_lambdas.items():
+                assert arrays.point_cluster[point] == cluster_id
+                assert arrays.point_lambda[point] == level
 
 
 class TestMemoPeek:
@@ -152,9 +165,9 @@ class TestCachedTreeStructure:
         assert store.stats_for("structure").hits >= 1
 
     def test_exact_tiers_share_one_memo_entry(self, X):
-        dense = cached_tree_structure(X, 4, distance_backend="dense")
         blockwise = cached_tree_structure(X, 4, distance_backend="blockwise")
-        assert blockwise is dense
+        memmap = cached_tree_structure(X, 4, distance_backend="memmap")
+        assert memmap is blockwise
 
     def test_neighbors_tier_never_shares_with_exact(self, X, tmp_path):
         exact_key = structure_store_key(X, 4)
