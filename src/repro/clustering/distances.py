@@ -21,12 +21,14 @@ converted to ``float64`` exactly once.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import sparse
 
-from repro.utils.validation import check_array_2d
+from repro.utils.validation import check_array_2d, is_sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Canonical row-panel width.  All distance backends compute pairwise
 #: matrices in panels of this many rows, which is what makes the tiers
@@ -156,6 +158,8 @@ def _sparse_cosine(
     panel_done: Callable[[int, int], None] | None,
 ) -> np.ndarray:
     """Blocked cosine distances over CSR rows — normalise-then-dot, sparse."""
+    from scipy import sparse
+
     n = X.shape[0]
     norms = np.sqrt(_sparse_squared_norms(X))
     norms = np.where(norms == 0.0, 1.0, norms)
@@ -184,7 +188,7 @@ def precomputed_distance_problems(matrix: object, *, name: str = "X") -> list[st
     similarity-matrix orientation mistake with a pointer to
     :func:`similarity_to_distance`.
     """
-    if sparse.issparse(matrix):
+    if is_sparse(matrix):
         return [
             f"{name} must be a dense distance matrix for metric='precomputed'; "
             "convert sparse similarities with similarity_to_distance() first"
@@ -294,8 +298,8 @@ def pairwise_distances(
             if panel_done is not None:
                 panel_done(start, stop)
         return out
-    is_sparse = sparse.issparse(X)
-    if is_sparse and metric not in ("euclidean", "sqeuclidean", "cosine"):
+    sparse_input = is_sparse(X)
+    if sparse_input and metric not in ("euclidean", "sqeuclidean", "cosine"):
         raise ValueError(
             f"sparse input supports metric 'euclidean', 'sqeuclidean' or "
             f"'cosine', got {metric!r}"
@@ -308,7 +312,7 @@ def pairwise_distances(
         raise ValueError(f"out must have shape {(n, n)}, got {out.shape}")
 
     if metric in ("euclidean", "sqeuclidean"):
-        if is_sparse:
+        if sparse_input:
             return _sparse_euclidean(
                 X, out, squared=metric == "sqeuclidean", block=block,
                 panel_done=panel_done,
@@ -317,7 +321,7 @@ def pairwise_distances(
             X, squared=metric == "sqeuclidean", out=out, block_rows=block,
             panel_done=panel_done,
         )
-    if metric == "cosine" and is_sparse:
+    if metric == "cosine" and sparse_input:
         return _sparse_cosine(X, out, block=block, panel_done=panel_done)
     if metric == "manhattan":
         for start in range(0, n, block):

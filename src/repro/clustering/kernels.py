@@ -122,6 +122,13 @@ def minimum_spanning_tree(distances: np.ndarray) -> np.ndarray:
     each step is one ``argmin`` plus one masked comparison.  Candidate
     selection, tie-breaking and edge weights are bit-identical to
     :func:`~repro.clustering.reference.minimum_spanning_tree_reference`.
+
+    A disconnected graph (no finite entry left toward the tree) is
+    completed into one tree the way
+    :func:`~repro.core.neighbor_graph.sparse_mst_edges` does it: when the
+    frontier holds only ``+inf``, ``argmin`` lands on vertex 0, which is
+    already in the tree, and the lowest-index vertex outside the tree
+    joins through the edge ``(0, r, inf)``.
     """
     distances = np.asarray(distances, dtype=np.float64)
     n_samples = distances.shape[0]
@@ -139,7 +146,11 @@ def minimum_spanning_tree(distances: np.ndarray) -> np.ndarray:
     edges = np.empty((n_samples - 1, 3), dtype=np.float64)
     for edge_index in range(n_samples - 1):
         candidate = int(np.argmin(frontier))
-        edges[edge_index] = (source[candidate], candidate, frontier[candidate])
+        if active[candidate]:
+            edges[edge_index] = (source[candidate], candidate, frontier[candidate])
+        else:
+            candidate = int(np.argmax(active))
+            edges[edge_index] = (0, candidate, np.inf)
         active[candidate] = False
         frontier[candidate] = np.inf
         row = distances[candidate]

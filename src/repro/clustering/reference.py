@@ -74,7 +74,11 @@ def optics_ordering_reference(
 
 
 def minimum_spanning_tree_reference(distances: np.ndarray) -> np.ndarray:
-    """Prim MST with an explicit in-tree mask re-applied every iteration."""
+    """Prim MST with an explicit in-tree mask re-applied every iteration.
+
+    A disconnected graph joins the lowest-index vertex outside the tree
+    through an ``(0, r, inf)`` edge, as the kernel does.
+    """
     distances = np.asarray(distances, dtype=np.float64)
     n_samples = distances.shape[0]
     if n_samples < 2:
@@ -92,7 +96,11 @@ def minimum_spanning_tree_reference(distances: np.ndarray) -> np.ndarray:
     edges = np.empty((n_samples - 1, 3), dtype=np.float64)
     for edge_index in range(n_samples - 1):
         candidate = int(np.argmin(np.where(in_tree, np.inf, best_distance)))
-        edges[edge_index] = (best_source[candidate], candidate, best_distance[candidate])
+        if in_tree[candidate]:
+            candidate = int(np.argmin(in_tree))
+            edges[edge_index] = (0, candidate, np.inf)
+        else:
+            edges[edge_index] = (best_source[candidate], candidate, best_distance[candidate])
         in_tree[candidate] = True
         improved = ~in_tree & (distances[candidate] < best_distance)
         best_distance[improved] = distances[candidate][improved]

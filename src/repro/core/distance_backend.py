@@ -70,6 +70,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.utils.validation import is_sparse
+
 #: Per-process counter making spill temp names unique per fill.
 _FILL_COUNTER = itertools.count()
 
@@ -271,9 +273,7 @@ class MemmapBackend(DistanceBackend):
         os.replace(tmp, path)
 
     def pairwise(self, X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-        from scipy import sparse
-
-        if not sparse.issparse(X):
+        if not is_sparse(X):
             X = np.asarray(X)
         n = X.shape[0]
         path = self.spill_path(X, metric)

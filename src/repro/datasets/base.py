@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from repro.utils.validation import check_array_2d, check_labels
+from repro.utils.validation import check_array_2d, check_labels, is_sparse
 
 #: Metrics a :class:`Dataset` may carry (the experiment-facing subset of
 #: :data:`repro.clustering.distances.PAIRWISE_METRICS`).
@@ -62,7 +61,7 @@ class Dataset:
 
     @property
     def is_sparse(self) -> bool:
-        return sparse.issparse(self.X)
+        return is_sparse(self.X)
 
     @property
     def n_samples(self) -> int:

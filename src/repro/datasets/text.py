@@ -19,7 +19,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from repro.clustering.distances import (
     similarity_to_distance,
@@ -105,6 +104,8 @@ def make_text_blobs(
     norms = np.linalg.norm(tfidf, axis=1)
     norms = np.where(norms == 0.0, 1.0, norms)
     tfidf /= norms[:, None]
+
+    from scipy import sparse
 
     X = sparse.csr_matrix(tfidf)
     X.eliminate_zeros()

@@ -6,6 +6,12 @@ difference to the alternatives is significant at the α = 0.05 level under a
 that test (implemented directly on top of the t distribution from
 :mod:`scipy.stats`) plus a convenience for comparing one method against
 several alternatives.
+
+:mod:`scipy.stats` is imported inside :func:`paired_t_test`, the one
+function that needs it, not at module level: this module sits on the
+import path of every CVCP selection (through :mod:`repro.core.scoring` and
+the :mod:`repro.evaluation` package), and ``scipy.stats`` alone costs most
+of a cold start while no selection runs a t-test.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 DEFAULT_ALPHA = 0.05
 
@@ -72,6 +77,8 @@ def paired_t_test(first: Sequence[float], second: Sequence[float]) -> PairedTTes
         if mean_difference == 0.0:
             return PairedTTestResult(0.0, 1.0, 0.0, n)
         return PairedTTestResult(np.inf if mean_difference > 0 else -np.inf, 0.0, mean_difference, n)
+
+    from scipy import stats
 
     statistic = mean_difference / (std / np.sqrt(n))
     p_value = float(2.0 * stats.t.sf(abs(statistic), df=n - 1))

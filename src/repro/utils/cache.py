@@ -25,12 +25,15 @@ Design notes
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from repro.utils.validation import is_sparse
 
 #: Default maximum number of distance matrices kept per process.
 DEFAULT_MAX_ITEMS = 8
@@ -46,9 +49,7 @@ def array_fingerprint(array: np.ndarray) -> str:
     C-order byte stream either way, so a view and its contiguous copy share
     a fingerprint.
     """
-    from scipy import sparse
-
-    if sparse.issparse(array):
+    if is_sparse(array):
         matrix = array.tocsr()
         digest = hashlib.blake2b(digest_size=16)
         for part in (matrix.data, matrix.indices, matrix.indptr):
@@ -204,12 +205,10 @@ def cached_pairwise_distances(
     sequence; all tiers return bit-identical values.  The input is
     fingerprinted as-is — a cache hit never converts or copies ``X``.
     """
-    from scipy import sparse
-
     from repro.core.distance_backend import get_distance_backend
 
     backend = get_distance_backend(distance_backend)
-    if not sparse.issparse(X):
+    if not is_sparse(X):
         X = np.asarray(X)
     key = (array_fingerprint(X), metric, backend.name)
 
@@ -234,11 +233,15 @@ def clear_distance_cache() -> None:
     every per-process distance-derived cache.
     """
     _distance_cache.clear()
-    # Imported lazily: both modules import this one at top level.
+    # Imported lazily: both modules import this one at top level.  The
+    # neighbour-graph memo can only be non-empty once its module has been
+    # loaded, so an unloaded ``neighbors`` tier (and the scipy.sparse /
+    # csgraph / spatial stack behind it) is never imported just to clear it.
     from repro.clustering.hierarchy import clear_structure_cache
-    from repro.core.neighbor_graph import clear_neighbor_graph_cache
 
-    clear_neighbor_graph_cache()
+    neighbor_graph = sys.modules.get("repro.core.neighbor_graph")
+    if neighbor_graph is not None:
+        neighbor_graph.clear_neighbor_graph_cache()
     clear_structure_cache()
 
 

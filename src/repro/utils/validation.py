@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 import numpy as np
+
+
+def is_sparse(X: object) -> bool:
+    """Whether ``X`` is a scipy sparse matrix or array, without importing scipy.
+
+    A sparse matrix cannot exist unless :mod:`scipy.sparse` has been
+    imported (unpickling one imports it too), so when the module is absent
+    the answer is ``False`` and dense code paths never pay its import.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(X)
 
 
 def check_array_2d(X: object, *, name: str = "X", dtype: type = np.float64) -> np.ndarray:
@@ -15,11 +27,7 @@ def check_array_2d(X: object, *, name: str = "X", dtype: type = np.float64) -> n
     through as CSR ``float64`` without densifying — only their stored
     values are checked for finiteness.
     """
-    try:
-        from scipy import sparse
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        sparse = None
-    if sparse is not None and sparse.issparse(X):
+    if is_sparse(X):
         matrix = X.tocsr()
         if matrix.dtype != np.float64:
             matrix = matrix.astype(np.float64)

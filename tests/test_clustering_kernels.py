@@ -157,6 +157,35 @@ class TestSingleLinkageParity:
         for mst in (K.minimum_spanning_tree, R.minimum_spanning_tree_reference):
             assert mst(np.zeros((1, 1))).shape == (0, 3)
 
+    def test_disconnected_graph_joins_through_inf_edges(self):
+        # Vertex 1 has no finite distance: Prim's argmin used to land on the
+        # in-tree vertex 0 and emit a (0, 0, inf) self-loop, on which
+        # condense_tree raised IndexError.
+        inf = np.inf
+        distances = np.array([[0.0, inf, 2.0], [inf, 0.0, inf], [2.0, inf, 0.0]])
+        expected = np.array([[0.0, 2.0, 2.0], [0.0, 1.0, inf]])
+        for mst in (K.minimum_spanning_tree, R.minimum_spanning_tree_reference):
+            edges = mst(distances)
+            np.testing.assert_array_equal(edges, expected)
+            merges = K.single_linkage_tree(edges, 3)
+            assert K.condense_tree(merges, 3, 2).sizes.tolist() == [3]
+
+    def test_disconnected_components_follow_the_sparse_join_convention(self):
+        from scipy.sparse import csr_matrix
+
+        from repro.core.neighbor_graph import sparse_mst_edges
+
+        # Components {0, 3}, {1, 4} and {2}: each joins vertex 0 through an
+        # inf edge at its lowest index, exactly as sparse_mst_edges does.
+        distances = np.full((5, 5), np.inf)
+        np.fill_diagonal(distances, 0.0)
+        distances[0, 3] = distances[3, 0] = 1.5
+        distances[1, 4] = distances[4, 1] = 2.5
+        graph = csr_matrix(np.where(np.isinf(distances), 0.0, distances))
+        expected = sparse_mst_edges(graph)
+        for mst in (K.minimum_spanning_tree, R.minimum_spanning_tree_reference):
+            np.testing.assert_array_equal(mst(distances), expected)
+
     def test_wrong_edge_count_rejected_by_both(self):
         for single_linkage in (K.single_linkage_tree, R.single_linkage_tree_reference):
             with pytest.raises(ValueError):

@@ -156,22 +156,11 @@ class TestStructurePhase:
         expected_merges = single_linkage_tree(expected_edges, n_samples)
         np.testing.assert_array_equal(merges, expected_merges)
         # A row left with no finite mutual reachability disconnects the
-        # graph; the Prim kernel then emits a self-loop edge and the
-        # condensed stage fails.  That defect predates the tier merge and
-        # is shared by both paths, so equivalence covers it too: the same
-        # arrays, or the same error.
+        # graph; Prim joins it through an inf edge, so the condensed stage
+        # must succeed on both paths with the same arrays.
         min_cluster_size = max(2, min_pts)
-        observed = condensed_or_error(merges, n_samples, min_cluster_size)
-        expected = condensed_or_error(expected_merges, n_samples, min_cluster_size)
-        if isinstance(expected, type):
-            assert observed is expected
-        else:
-            assert_condensed_equal(observed, expected)
+        assert_condensed_equal(
+            condense_tree(merges, n_samples, min_cluster_size),
+            condense_tree(expected_merges, n_samples, min_cluster_size),
+        )
 
-
-def condensed_or_error(merges: np.ndarray, n_samples: int, min_cluster_size: int):
-    """The condensed arrays of ``merges``, or the type of the error building them."""
-    try:
-        return condense_tree(merges, n_samples, min_cluster_size)
-    except (IndexError, ValueError) as exc:
-        return type(exc)
