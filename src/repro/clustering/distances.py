@@ -408,37 +408,38 @@ def weighted_squared_distance(x: np.ndarray, y: np.ndarray, weights: np.ndarray)
     return float(np.dot(diff * np.asarray(weights, dtype=np.float64), diff))
 
 
-def k_nearest_distances(
-    distance_matrix: np.ndarray, k: int, *, block_rows: int = DEFAULT_BLOCK_ROWS
+def core_distance_table(
+    distance_matrix: np.ndarray, width: int, *, block_rows: int = DEFAULT_BLOCK_ROWS
 ) -> np.ndarray:
-    """Distance to the ``k``-th nearest neighbour for every object.
+    """The ``width`` smallest distances of every row, sorted ascending.
 
-    The object itself is counted as its own 1st neighbour (distance 0), so
-    ``k_nearest_distances(D, min_pts)`` yields exactly the OPTICS/HDBSCAN
-    core distance for ``MinPts = k``.
-
-    Parameters
-    ----------
-    distance_matrix:
-        ``(n, n)`` distance matrix (an in-RAM array or a read-only
-        ``np.memmap``).
-    k:
-        Neighbour rank, ``1 <= k <= n``.
-    block_rows:
-        Row-panel width (default :data:`DEFAULT_BLOCK_ROWS`).  The row-wise
-        partition runs panel by panel, so the peak temporary is
-        ``(block_rows, n)`` instead of a full-matrix copy; the selection is
-        independent per row, so every width gives the same bits.
+    The object itself counts as its own 1st neighbour (distance 0), so
+    column ``k - 1`` is the OPTICS/HDBSCAN core distance for ``MinPts = k``,
+    ``k <= width``: one partition serves a whole MinPts grid, and as order
+    statistics are exact values, every width gives the same bits.
+    ``distance_matrix`` may be an in-RAM array or a read-only ``np.memmap``;
+    it is partitioned per row panel, so the peak temporary is
+    ``(block_rows, n)``, and the result holds no reference to it.
     """
     # Plain asarray: zero-copy for any ndarray/memmap, converts array-likes.
     distance_matrix = np.asarray(distance_matrix)
     n = distance_matrix.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not 1 <= width <= n:
+        raise ValueError(f"width must be in [1, {n}], got {width}")
     block = _check_block_rows(block_rows)
-    core = np.empty(n, dtype=np.float64)
+    table = np.empty((n, width), dtype=np.float64)
     for start in range(0, n, block):
         stop = min(start + block, n)
         rows = np.asarray(distance_matrix[start:stop], dtype=np.float64)
-        core[start:stop] = np.partition(rows, k - 1, axis=1)[:, k - 1]
-    return core
+        table[start:stop] = np.sort(np.partition(rows, width - 1, axis=1)[:, :width], axis=1)
+    return table
+
+
+def k_nearest_distances(
+    distance_matrix: np.ndarray, k: int, *, block_rows: int = DEFAULT_BLOCK_ROWS
+) -> np.ndarray:
+    """Distance to the ``k``-th nearest neighbour (the ``MinPts = k`` core distance).
+
+    The last column of :func:`core_distance_table` at width ``k``.
+    """
+    return core_distance_table(distance_matrix, k, block_rows=block_rows)[:, k - 1].copy()

@@ -7,12 +7,15 @@ single-linkage tree built over the *mutual reachability distance*
     d_mreach(a, b) = max(core_k(a), core_k(b), d(a, b))
 
 with ``core_k`` the distance to the ``MinPts``-th nearest neighbour (this is
-the construction used by HDBSCAN*, whose authors are the FOSC authors).  The
-module provides:
+the construction used by HDBSCAN*, whose authors are the FOSC authors).
+The structure phase never materialises that ``(n, n)`` matrix: every
+MinPts reads its core distances from one memoised partition of the distance
+matrix, and Prim applies ``max`` row by row (McInnes & Healy, "Accelerated
+Hierarchical Density Based Clustering", 2017) — bit-identical, as ``max`` is
+exact.  The module provides:
 
-* :func:`mutual_reachability` — the transformed distance matrix, which
-  the kernels of :mod:`repro.clustering.kernels` turn into a Prim MST and
-  single-linkage merge records;
+* :func:`mutual_reachability` — the transformed matrix, for callers that
+  want it;
 * :class:`CondensedTreeArrays` — the hierarchy simplified with a minimum
   cluster size, exposing per-cluster membership, stability and the
   parent/child structure FOSC's dynamic program runs on;
@@ -27,11 +30,11 @@ module provides:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.clustering.distances import DEFAULT_BLOCK_ROWS, k_nearest_distances
 from repro.clustering.kernels import (
     CondensedArrayData,
     condense_tree,
@@ -40,45 +43,21 @@ from repro.clustering.kernels import (
     single_linkage_tree as build_single_linkage_tree,
     stabilities,
 )
-from repro.utils.cache import MemoCache, array_fingerprint, cached_pairwise_distances
+from repro.utils.cache import MemoCache, array_fingerprint, cached_core_distances
 from repro.utils.validation import check_array_2d, check_positive_int
 
 
-def mutual_reachability(
-    distances: np.ndarray,
-    core_distances: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-) -> np.ndarray:
-    """Mutual reachability distance matrix.
+def mutual_reachability(distances: np.ndarray, core_distances: np.ndarray) -> np.ndarray:
+    """Mutual reachability ``max(d(a, b), core(a), core(b))`` of an in-RAM or memmap matrix.
 
-    Parameters
-    ----------
-    distances:
-        ``(n, n)`` raw distance matrix (in-RAM or memmap).
-    core_distances:
-        ``(n,)`` core distance per object.
-    out:
-        Optional ``(n, n)`` float64 output (e.g. a
-        :meth:`~repro.core.distance_backend.DistanceBackend.derived_matrix`
-        spill) to fill instead of allocating.
-    block_rows:
-        Row-panel width.  Each panel is written straight into ``out``, so
-        no full-matrix temporary exists; ``max`` is exact, so every panel
-        width gives the same bits.
+    The diagonal is zero.  The structure phase never calls this: Prim
+    computes each row on the fly instead.
     """
     core_distances = np.asarray(core_distances, dtype=np.float64)
-    n = core_distances.shape[0]
-    if out is None:
-        out = np.empty((n, n), dtype=np.float64)
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        panel = out[start:stop]
-        np.maximum(distances[start:stop], core_distances[start:stop, None], out=panel)
-        np.maximum(panel, core_distances[None, :], out=panel)
-        panel[np.arange(stop - start), np.arange(start, stop)] = 0.0
-    return out
+    mreach = np.maximum(np.asarray(distances, dtype=np.float64), core_distances[:, None])
+    np.maximum(mreach, core_distances[None, :], out=mreach)
+    np.fill_diagonal(mreach, 0.0)
+    return mreach
 
 
 @dataclass
@@ -210,7 +189,7 @@ class DensityHierarchy:
     metric:
         Distance metric.
     distance_backend:
-        Storage tier for the pairwise and mutual-reachability matrices —
+        Storage tier for the pairwise-distance matrix —
         ``"blockwise"`` (default, in RAM, filled in row panels),
         ``"memmap"`` (out-of-core spill files) or ``"neighbors"`` (sparse
         epsilon-bounded k-NN graphs, no full matrix at all); ``None``
@@ -237,10 +216,7 @@ class DensityHierarchy:
         k_neighbors: int | None = None,
     ) -> None:
         self.min_pts = check_positive_int(min_pts, name="min_pts")
-        self.min_cluster_size = (
-            max(2, min_pts) if min_cluster_size is None
-            else check_positive_int(min_cluster_size, name="min_cluster_size", minimum=2)
-        )
+        self.min_cluster_size = resolve_min_cluster_size(min_pts, min_cluster_size)
         self.metric = metric
         self.distance_backend = distance_backend
         self.epsilon = epsilon
@@ -272,33 +248,36 @@ class DensityHierarchy:
                 X, metric=self.metric, epsilon=self.epsilon, k_neighbors=self.k_neighbors
             )
             self.core_distances_ = graph.core_distances(self.min_pts)
-            self.mutual_reachability_ = mutual_reachability_graph(
-                graph.graph, self.core_distances_
-            )
-            self.mst_edges_ = sparse_mst_edges(self.mutual_reachability_)
+            self._mutual_reachability = mutual_reachability_graph(graph.graph, self.core_distances_)
+            self.mst_edges_ = sparse_mst_edges(self._mutual_reachability)
         else:
             # Memoised: every (value × fold) grid cell of a CVCP sweep shares
-            # the same O(n²) matrix, so only the first cell per process
-            # computes it.
-            distances = cached_pairwise_distances(
-                X, metric=self.metric, distance_backend=backend.name
+            # the same O(n²) matrix and its core-distance table.  Prim applies
+            # mutual reachability to each row it reads; then the matrix's
+            # page residency is dropped (memmap tier).
+            distances, self.core_distances_ = cached_core_distances(
+                X, self.min_pts, self.metric, distance_backend=backend.name
             )
-            self.core_distances_ = k_nearest_distances(distances, self.min_pts)
-            # Fill backend-provided storage panel by panel (an ephemeral
-            # spill for memmap), then drop the raw matrix's page residency —
-            # it is not read again during this fit.
-            self.mutual_reachability_ = mutual_reachability(
-                distances, self.core_distances_,
-                out=backend.derived_matrix(n_samples, "mreach"),
-            )
+            self._distances = distances
+            self._mutual_reachability = None
+            self.mst_edges_ = minimum_spanning_tree(distances, self.core_distances_)
             backend.release(distances)
-            self.mst_edges_ = minimum_spanning_tree(self.mutual_reachability_)
-            backend.release(self.mutual_reachability_)
         self.single_linkage_tree_ = build_single_linkage_tree(self.mst_edges_, n_samples)
         self.condensed_tree_ = CondensedTreeArrays(
             condense_tree(self.single_linkage_tree_, n_samples, self.min_cluster_size)
         )
         return self
+
+    @property
+    def mutual_reachability_(self):
+        """Fitted mutual reachability, built on first access on the exact tiers.
+
+        The sparse graph on the ``neighbors`` tier; else the dense ``(n, n)``
+        matrix, which the fit itself never materialises.
+        """
+        if self._mutual_reachability is None:
+            self._mutual_reachability = mutual_reachability(self._distances, self.core_distances_)
+        return self._mutual_reachability
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +356,7 @@ def build_tree_structure(
         k_neighbors=k_neighbors,
     ).fit(X)
     # Only the O(n) outputs are retained; the hierarchy facade (and its
-    # O(n²) mutual-reachability matrix) is dropped here so memoised
+    # reference to the distance matrix) is dropped here so memoised
     # structures never hold whole matrices alive.
     return TreeStructure(
         n_samples=int(np.asarray(hierarchy.core_distances_).shape[0]),
@@ -403,11 +382,8 @@ def _encode_floats(array: np.ndarray) -> list:
         return flat.tolist()
 
     def encode_value(value: float):
-        if np.isfinite(value):
-            return float(value)
-        if np.isnan(value):
-            return "nan"
-        return "inf" if value > 0 else "-inf"
+        # str() spells the non-finite values "inf", "-inf" and "nan".
+        return value if np.isfinite(value) else str(value)
     if flat.ndim == 1:
         return [encode_value(value) for value in flat.tolist()]
     return [[encode_value(value) for value in row] for row in flat.tolist()]
@@ -415,13 +391,10 @@ def _encode_floats(array: np.ndarray) -> list:
 
 def _decode_floats(values: list) -> np.ndarray:
     """Inverse of :func:`_encode_floats`."""
-    def decode_value(value):
-        if isinstance(value, str):
-            return float(value)
-        return float(value)
+    # float() parses the "inf"/"-inf"/"nan" spellings as well as numbers.
     if values and isinstance(values[0], list):
-        return np.array([[decode_value(v) for v in row] for row in values], dtype=np.float64)
-    return np.array([decode_value(v) for v in values], dtype=np.float64)
+        return np.array([[float(v) for v in row] for row in values], dtype=np.float64)
+    return np.array([float(v) for v in values], dtype=np.float64)
 
 
 def structure_payload(structure: TreeStructure) -> dict:
@@ -535,36 +508,6 @@ def structure_store_key(
 _structure_cache = MemoCache(max_items=64)
 
 
-def _structure_memo_key(
-    X: np.ndarray,
-    min_pts: int,
-    *,
-    min_cluster_size: int | None,
-    metric: str,
-    distance_backend: str | None,
-    epsilon: float | None,
-    k_neighbors: int | None,
-) -> tuple:
-    from repro.core.distance_backend import get_distance_backend
-
-    backend = get_distance_backend(distance_backend)
-    if backend.name == "neighbors":
-        from repro.core.neighbor_graph import resolve_neighbor_epsilon, resolve_neighbor_k
-
-        tier: object = ("neighbors", resolve_neighbor_epsilon(epsilon), resolve_neighbor_k(k_neighbors))
-    else:
-        # The exact tiers build bit-identical structures; collapsing them to
-        # one token lets e.g. a memmap grid reuse a blockwise-warmed structure.
-        tier = "exact"
-    return (
-        array_fingerprint(X),
-        str(metric),
-        int(min_pts),
-        int(resolve_min_cluster_size(min_pts, min_cluster_size)),
-        tier,
-    )
-
-
 def cached_tree_structure(
     X: np.ndarray,
     min_pts: int,
@@ -587,10 +530,13 @@ def cached_tree_structure(
     memo miss, and a freshly built structure is written through as a
     ``"structure"`` artifact.
     """
-    memo_key = _structure_memo_key(
+    key = structure_store_key(
         X, min_pts, min_cluster_size=min_cluster_size, metric=metric,
         distance_backend=distance_backend, epsilon=epsilon, k_neighbors=k_neighbors,
     )
+    # The store key pins everything a structure depends on (the exact tiers
+    # share it), so its canonical text is the memo key as well.
+    memo_key = json.dumps(key, sort_keys=True)
 
     def build() -> TreeStructure:
         return build_tree_structure(
@@ -601,10 +547,6 @@ def cached_tree_structure(
     if store is None:
         return _structure_cache.get_or_compute(memo_key, build)
 
-    key = structure_store_key(
-        X, min_pts, min_cluster_size=min_cluster_size, metric=metric,
-        distance_backend=distance_backend, epsilon=epsilon, k_neighbors=k_neighbors,
-    )
     memoised = _structure_cache.peek(memo_key)
     if memoised is not None:
         # The memo already holds the decoded structure: a cheap existence

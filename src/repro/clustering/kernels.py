@@ -9,8 +9,8 @@ union–find, flat parent/lambda arrays, and CSR-style neighbour indexing:
 1. :func:`optics_ordering` — the OPTICS core-distance + reachability
    update sweep (used by :class:`~repro.clustering.optics.OPTICS`);
 2. :func:`minimum_spanning_tree` / :func:`single_linkage_tree` — dense
-   Prim MST over the mutual-reachability matrix and its conversion into
-   scipy-style merge records (used by
+   Prim MST over mutual reachability (computed row by row) and its
+   conversion into scipy-style merge records (used by
    :class:`~repro.clustering.hierarchy.DensityHierarchy`);
 3. :func:`condense_tree` + :func:`fosc_extract` — the FOSC condensed-tree
    construction, stability computation and optimal-selection dynamic
@@ -39,10 +39,10 @@ sets).  ``repro bench kernels`` times each kernel against its oracle.
 Distance-matrix storage
 -----------------------
 Every kernel that consumes an ``(n, n)`` distance matrix reads it **one row
-(or one row block) at a time** and never materialises a full-matrix
-temporary: the OPTICS sweep and the Prim MST index single rows per
-iteration, and the upstream passes (core distances, mutual reachability)
-stream in row panels.  The matrices handed in may therefore be plain
+at a time** and never materialises a full-matrix temporary: the OPTICS
+sweep and the Prim MST (which applies mutual reachability to each raw row
+itself) index single rows per iteration, and the upstream core-distance
+table streams in row panels.  The matrices handed in may therefore be plain
 in-RAM arrays *or* read-only ``np.memmap`` views from the ``memmap``
 distance backend (see :mod:`repro.core.distance_backend`) — NumPy indexing
 faults the needed pages in on demand and the OS can evict them under
@@ -114,7 +114,7 @@ def optics_ordering(
 # Kernel 2: dense Prim MST + single-linkage merge records
 # ======================================================================
 
-def minimum_spanning_tree(distances: np.ndarray) -> np.ndarray:
+def minimum_spanning_tree(distances: np.ndarray, core_distances: np.ndarray | None = None) -> np.ndarray:
     """Prim MST over a single masked frontier array.
 
     In-tree entries are kept at ``+inf`` *inside* the frontier array, so
@@ -122,6 +122,11 @@ def minimum_spanning_tree(distances: np.ndarray) -> np.ndarray:
     each step is one ``argmin`` plus one masked comparison.  Candidate
     selection, tie-breaking and edge weights are bit-identical to
     :func:`~repro.clustering.reference.minimum_spanning_tree_reference`.
+
+    With ``core_distances`` the tree spans mutual reachability without
+    materialising it: row ``c`` becomes ``max(D[c], core[c], core)`` in one
+    buffer when ``c`` joins the tree — bit-identical to passing
+    ``mutual_reachability(distances, core_distances)``, as ``max`` is exact.
 
     A disconnected graph (no finite entry left toward the tree) is
     completed into one tree the way
@@ -134,29 +139,46 @@ def minimum_spanning_tree(distances: np.ndarray) -> np.ndarray:
     n_samples = distances.shape[0]
     if n_samples < 2:
         return np.empty((0, 3), dtype=np.float64)
-
+    fused = core_distances is not None
+    if fused:
+        core = np.asarray(core_distances, dtype=np.float64)
+        # ``core`` with in-tree vertices raised to +inf: their entries of
+        # later rows are +inf, so no separate in-tree mask pass is needed.
+        pinned = core.copy()
+        pinned[0] = np.inf
+        buffer = np.empty(n_samples, dtype=np.float64)
+        frontier = np.maximum(np.maximum(distances[0], core[0]), pinned)
+    else:
+        frontier = distances[0].astype(np.float64, copy=True)
     # ``frontier[j]`` is the best known edge weight from the tree to j,
     # with in-tree entries pinned at +inf so argmin skips them.
-    frontier = distances[0].astype(np.float64, copy=True)
     frontier[0] = np.inf
     source = np.zeros(n_samples, dtype=np.int64)
     active = np.ones(n_samples, dtype=bool)
     active[0] = False
+    improved = np.empty(n_samples, dtype=bool)
 
     edges = np.empty((n_samples - 1, 3), dtype=np.float64)
     for edge_index in range(n_samples - 1):
-        candidate = int(np.argmin(frontier))
+        candidate = int(frontier.argmin())
         if active[candidate]:
             edges[edge_index] = (source[candidate], candidate, frontier[candidate])
         else:
-            candidate = int(np.argmax(active))
+            candidate = int(active.argmax())
             edges[edge_index] = (0, candidate, np.inf)
         active[candidate] = False
         frontier[candidate] = np.inf
-        row = distances[candidate]
-        improved = (row < frontier) & active
-        frontier[improved] = row[improved]
-        source[improved] = candidate
+        if fused:
+            pinned[candidate] = np.inf
+            row = np.maximum(distances[candidate], core[candidate], out=buffer)
+            np.maximum(row, pinned, out=row)
+            np.less(row, frontier, out=improved)
+        else:
+            row = distances[candidate]
+            np.less(row, frontier, out=improved)
+            improved &= active
+        np.copyto(frontier, row, where=improved)
+        np.copyto(source, candidate, where=improved)
     order = np.argsort(edges[:, 2], kind="stable")
     return edges[order]
 

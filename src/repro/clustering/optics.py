@@ -18,9 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.base import BaseClusterer
-from repro.clustering.distances import k_nearest_distances
 from repro.clustering.kernels import optics_ordering
-from repro.utils.cache import cached_pairwise_distances
+from repro.utils.cache import cached_core_distances
 from repro.constraints.constraint import ConstraintSet
 from repro.utils.rng import RandomStateLike
 from repro.utils.validation import check_array_2d, check_positive_int
@@ -128,12 +127,12 @@ class OPTICS(BaseClusterer):
                 self.labels_ = self.extract_dbscan(self.eps)
             else:
                 self.labels_ = np.zeros(X.shape[0], dtype=np.int64)
-            self._distances = None
             return self
-        distances = cached_pairwise_distances(
-            X, metric=self.metric, distance_backend=backend.name
+        # The core distances come from the matrix's memoised core-distance
+        # table, so a sweep over a MinPts grid partitions the matrix once.
+        distances, self.core_distances_ = cached_core_distances(
+            X, min_pts, self.metric, distance_backend=backend.name
         )
-        self.core_distances_ = k_nearest_distances(distances, min_pts)
         # The sweep is one of the four hot kernels (see
         # repro.clustering.kernels).  It reads the matrix one row at a
         # time, so memmap-backed storage streams too.
@@ -145,7 +144,6 @@ class OPTICS(BaseClusterer):
             self.labels_ = self.extract_dbscan(self.eps)
         else:
             self.labels_ = np.zeros(X.shape[0], dtype=np.int64)
-        self._distances = distances
         return self
 
     # ------------------------------------------------------------------

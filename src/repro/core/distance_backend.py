@@ -9,8 +9,8 @@ matrix *provider* pluggable instead:
 
 ``blockwise``
     The default.  The matrix lives in RAM; it is filled panel-at-a-time and
-    the derived computations (core distances, mutual reachability) stream
-    in row panels with a bounded working set — no full-matrix temporaries.
+    the core distances stream in row panels with a bounded working set — no
+    full-matrix temporaries and no derived ``(n, n)`` matrix.
     ``"dense"``, the name of a former whole-matrix tier that was never
     faster and needed more memory, is a deprecated alias of this tier.
 ``memmap``
@@ -194,19 +194,16 @@ class DistanceBackend:
         """The canonical ``(n, n)`` distance matrix of ``X`` in this tier's storage."""
         raise NotImplementedError
 
-    def derived_matrix(self, n_samples: int, tag: str) -> np.ndarray:
-        """Writable ``(n, n)`` storage for a derived matrix (e.g. mutual reachability)."""
-        raise NotImplementedError
-
     def release(self, matrix: np.ndarray) -> None:
         """Hint that ``matrix`` will not be read for a while (drops memmap pages)."""
+        _advise_dontneed(matrix)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
 
 class BlockwiseBackend(DistanceBackend):
-    """In-RAM matrices; every derived pass streams row panels (the default)."""
+    """In-RAM matrices filled in row panels (the default)."""
 
     name = "blockwise"
 
@@ -214,9 +211,6 @@ class BlockwiseBackend(DistanceBackend):
         from repro.clustering.distances import pairwise_distances
 
         return pairwise_distances(X, metric=metric)
-
-    def derived_matrix(self, n_samples: int, tag: str) -> np.ndarray:
-        return np.empty((n_samples, n_samples), dtype=np.float64)
 
 
 class MemmapBackend(DistanceBackend):
@@ -282,26 +276,6 @@ class MemmapBackend(DistanceBackend):
             self._fill_spill(path, X, metric)
         return np.memmap(path, dtype=np.float64, mode="r", shape=(n, n))
 
-    def derived_matrix(self, n_samples: int, tag: str) -> np.ndarray:
-        """Ephemeral writable spill: unlinked immediately, reclaimed on close/crash."""
-        handle, raw_path = tempfile.mkstemp(
-            prefix=f"{tag}-", suffix=f"{SPILL_SUFFIX}.tmp-{os.getpid()}",
-            dir=spill_directory(),
-        )
-        os.close(handle)
-        matrix = np.memmap(raw_path, dtype=np.float64, mode="w+", shape=(n_samples, n_samples))
-        # The mapping keeps the data alive; dropping the directory entry now
-        # means the file can never leak, even if the process dies mid-fit.
-        Path(raw_path).unlink(missing_ok=True)
-        return matrix
-
-    def release(self, matrix: np.ndarray) -> None:
-        if getattr(matrix, "flags", None) is not None and matrix.flags.writeable:
-            flush = getattr(matrix, "flush", None)
-            if flush is not None:
-                flush()
-        _advise_dontneed(matrix)
-
 
 class NeighborsBackend(DistanceBackend):
     """The sparse epsilon-bounded k-NN tier (:mod:`repro.core.neighbor_graph`).
@@ -316,19 +290,13 @@ class NeighborsBackend(DistanceBackend):
 
     name = "neighbors"
 
-    def _full_matrix_error(self, consumer: str) -> ValueError:
-        return ValueError(
+    def pairwise(self, X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
+        raise ValueError(
             f"distance_backend='neighbors' builds a sparse neighbour graph and "
-            f"cannot materialise the full (n, n) {consumer}; use an exact "
+            f"cannot materialise the full (n, n) pairwise-distance matrix; use an exact "
             f"distance backend ({', '.join(EXACT_DISTANCE_BACKENDS)}) for "
             f"consumers that need every pairwise entry"
         )
-
-    def pairwise(self, X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-        raise self._full_matrix_error("pairwise-distance matrix")
-
-    def derived_matrix(self, n_samples: int, tag: str) -> np.ndarray:
-        raise self._full_matrix_error(f"derived matrix ({tag})")
 
 
 _BACKENDS: dict[str, DistanceBackend] = {

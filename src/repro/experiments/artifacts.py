@@ -160,7 +160,11 @@ class ArtifactStore:
         return self.root / kind / digest[:2] / f"{digest}.json"
 
     def get(self, kind: str, key: dict[str, Any]) -> Any | None:
-        """Return the stored payload for ``key``, or ``None`` on a miss."""
+        """Return the stored payload for ``key``, or ``None`` on a miss.
+
+        A record filed under another key's path is a miss.  Key digests are
+        compared, not dicts, because JSON turns tuples into lists.
+        """
         path = self.path_for(kind, key)
         if self.refresh or not path.is_file():
             self._count(misses=1, kind=kind)
@@ -172,7 +176,11 @@ class ArtifactStore:
             # filesystem without atomic rename) counts as absent.
             self._count(misses=1, kind=kind)
             return None
-        if record.get("schema") != SCHEMA_VERSION or record.get("kind") != kind:
+        if (
+            record.get("schema") != SCHEMA_VERSION
+            or record.get("kind") != kind
+            or key_digest(kind, record.get("key")) != path.stem
+        ):
             self._count(misses=1, kind=kind)
             return None
         self._count(hits=1, kind=kind)

@@ -38,6 +38,10 @@ from repro.utils.validation import is_sparse
 #: Default maximum number of distance matrices kept per process.
 DEFAULT_MAX_ITEMS = 8
 
+#: Width of a distance matrix's memoised core-distance table: it serves every
+#: MinPts up to this (the paper's grid is 3..24); a larger one rebuilds it wider.
+CORE_TABLE_WIDTH = 32
+
 
 def array_fingerprint(array: np.ndarray) -> str:
     """Content fingerprint of an array: shape, dtype and a digest of the bytes.
@@ -150,6 +154,30 @@ class MemoCache:
             self._stats.size = len(self._entries)
             return value
 
+    def get_or_compute_derived(
+        self, base_key: object, tag: str, compute: Callable[[], object], usable: Callable[[object], bool]
+    ) -> object:
+        """A value derived from the entry ``base_key``, memoised under ``(base_key, tag)``.
+
+        Recomputed when ``usable(value)`` fails.  Kept just below its base in
+        LRU order (evicted first) and left out of the hit/miss statistics.
+        """
+        if self.max_items == 0:
+            return compute()
+        key = (base_key, tag)
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None or not usable(value):
+                value = compute()
+                self._total_bytes += _value_nbytes(value) - _value_nbytes(self._entries.pop(key, None))
+                self._entries[key] = value
+            self._entries.move_to_end(key)
+            if base_key in self._entries:
+                self._entries.move_to_end(base_key)
+            self._evict_over_bounds()
+            self._stats.size = len(self._entries)
+            return value
+
     def peek(self, key: object) -> object | None:
         """Return the cached value for ``key`` without computing, or ``None``.
 
@@ -205,6 +233,11 @@ def cached_pairwise_distances(
     sequence; all tiers return bit-identical values.  The input is
     fingerprinted as-is — a cache hit never converts or copies ``X``.
     """
+    return _cached_matrix(X, metric, distance_backend)[0]
+
+
+def _cached_matrix(X: np.ndarray, metric: str, distance_backend: str | None) -> tuple[np.ndarray, tuple]:
+    """The memoised distance matrix of ``X`` and its memo key."""
     from repro.core.distance_backend import get_distance_backend
 
     backend = get_distance_backend(distance_backend)
@@ -217,7 +250,33 @@ def cached_pairwise_distances(
         matrix.setflags(write=False)
         return matrix
 
-    return _distance_cache.get_or_compute(key, compute)
+    return _distance_cache.get_or_compute(key, compute), key
+
+
+def cached_core_distances(
+    X: np.ndarray, min_pts: int, metric: str = "euclidean", *, distance_backend: str | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(distances, core_distances)``: the memoised matrix and its MinPts core distances.
+
+    The core distances are a column of the matrix's core-distance table,
+    memoised under the matrix's key plus a tag: one partition per matrix.
+    """
+    from repro.clustering.distances import core_distance_table
+
+    distances, key = _cached_matrix(X, metric, distance_backend)
+    n_samples = distances.shape[0]
+    if not 1 <= min_pts <= n_samples:
+        raise ValueError(f"min_pts must be in [1, {n_samples}], got {min_pts}")
+
+    def compute() -> np.ndarray:
+        table = core_distance_table(distances, min(n_samples, max(min_pts, CORE_TABLE_WIDTH)))
+        table.setflags(write=False)
+        return table
+
+    table = _distance_cache.get_or_compute_derived(
+        key, "core-table", compute, lambda table: table.shape[1] >= min_pts
+    )
+    return distances, table[:, min_pts - 1].copy()
 
 
 def distance_cache_stats() -> CacheStats:
@@ -226,7 +285,7 @@ def distance_cache_stats() -> CacheStats:
 
 
 def clear_distance_cache() -> None:
-    """Drop all memoised distance matrices (mainly for tests and benchmarks).
+    """Drop all memoised distance matrices and their core-distance tables.
 
     Also drops the neighbour-graph memo of the ``neighbors`` tier and the
     tree-structure memo built on top of the distances, so one call resets
@@ -248,9 +307,10 @@ def clear_distance_cache() -> None:
 def configure_distance_cache(max_items: int, max_bytes: int | None = None) -> None:
     """Re-bound the per-process distance cache; clears the current contents.
 
-    ``max_items`` caps the number of matrices, ``max_bytes`` their total
-    size; ``max_items=0`` disables memoisation entirely (useful when single
-    matrices are too large to retain).
+    ``max_items`` caps the number of entries (matrices and their small
+    core-distance tables), ``max_bytes`` their total size; ``max_items=0``
+    disables memoisation entirely (useful when single matrices are too large
+    to retain).
     """
     global _distance_cache
     _distance_cache = MemoCache(max_items=max_items, max_bytes=max_bytes)

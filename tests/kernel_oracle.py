@@ -29,10 +29,22 @@ import pytest
 from repro.clustering import fosc, hierarchy, mpckmeans, optics, reference
 from repro.utils.cache import clear_distance_cache
 
+
+def materialised_minimum_spanning_tree(distances, core_distances=None):
+    """The reference Prim, over the whole mutual-reachability matrix when given cores.
+
+    The hierarchy calls the kernel with the raw matrix and the core
+    distances; the oracle materialises the matrix the kernel never builds.
+    """
+    if core_distances is not None:
+        distances = hierarchy.mutual_reachability(distances, core_distances)
+    return reference.minimum_spanning_tree_reference(distances)
+
+
 #: ``(module, kernel name, oracle)`` for every swapped call site.
 ORACLES = (
     (optics, "optics_ordering", reference.optics_ordering_reference),
-    (hierarchy, "minimum_spanning_tree", reference.minimum_spanning_tree_reference),
+    (hierarchy, "minimum_spanning_tree", materialised_minimum_spanning_tree),
     (hierarchy, "build_single_linkage_tree", reference.single_linkage_tree_reference),
     (hierarchy, "condense_tree", reference.CondensedTree),
     (hierarchy, "CondensedTreeArrays", lambda tree: tree),

@@ -23,6 +23,7 @@ import pytest
 from repro.clustering.distances import DEFAULT_BLOCK_ROWS, pairwise_distances
 from repro.clustering.fosc import FOSCOpticsDend
 from repro.clustering.hierarchy import DensityHierarchy, mutual_reachability
+from repro.clustering.kernels import minimum_spanning_tree
 from repro.clustering.optics import OPTICS
 from repro.core.cvcp import CVCP
 from repro.core.executor import ExecutionSpec
@@ -164,16 +165,14 @@ class TestMatrixBitIdentity:
         legacy = np.sqrt(squared, out=squared)
         assert np.array_equal(pairwise_distances(X), legacy)
 
-    def test_mutual_reachability_streams_bitwise_identically(self, big_blobs):
+    def test_fused_prim_matches_the_materialised_matrix(self, big_blobs):
+        """Mutual reachability applied row by row inside Prim changes no bit."""
         distances = pairwise_distances(big_blobs.X)
         core = distances[:, 5].copy()
-        whole = mutual_reachability(distances, core)
-        streamed = mutual_reachability(distances, core, block_rows=97)
-        into = mutual_reachability(
-            distances, core, out=np.empty_like(whole), block_rows=DEFAULT_BLOCK_ROWS
+        assert np.array_equal(
+            minimum_spanning_tree(distances, core),
+            minimum_spanning_tree(mutual_reachability(distances, core)),
         )
-        assert np.array_equal(whole, streamed)
-        assert np.array_equal(whole, into)
 
 
 class TestClusteringParity:
@@ -309,15 +308,13 @@ class TestMemmapSpillLifecycle:
         assert calls["count"] == 1
         assert list(spill_dir.iterdir()) == []  # no finished file, no stale temp
 
-    def test_derived_matrix_is_ephemeral_and_usable(self, spill_dir):
-        backend = get_distance_backend("memmap")
-        derived = backend.derived_matrix(64, "mreach")
-        assert derived.shape == (64, 64)
-        derived[:] = 7.0
-        backend.release(derived)
-        assert float(derived[13, 21]) == 7.0  # released pages fault back in
-        # Unlinked immediately: the spill directory holds no entry for it.
-        assert list(spill_dir.iterdir()) == []
+    def test_structure_phase_spills_only_the_pairwise_matrix(self, spill_dir, big_blobs):
+        fitted = DensityHierarchy(5, distance_backend="memmap").fit(big_blobs.X)
+        # No mutual-reachability spill, not even an unlinked one: the fit
+        # never allocates an (n, n) matrix besides the pairwise spill.
+        assert fitted._mutual_reachability is None
+        spill = get_distance_backend("memmap").spill_path(big_blobs.X, "euclidean")
+        assert list(spill_dir.iterdir()) == [spill]
 
     def test_clear_spill_directory_removes_finished_and_stale_files(self, spill_dir, big_blobs):
         get_distance_backend("memmap").pairwise(big_blobs.X)
@@ -455,7 +452,9 @@ class TestCacheIntegration:
             OPTICS(min_pts=5, distance_backend=name).fit(big_blobs.X)
             stats = distance_cache_stats()
             observed[name] = (stats.hits, stats.misses, stats.size)
-        assert observed["blockwise"] == observed["memmap"] == (2, 1, 1)
+        # One matrix (one miss, two hits) plus the core-distance table it
+        # carries: two entries.
+        assert observed["blockwise"] == observed["memmap"] == (2, 1, 2)
 
     def test_backends_do_not_share_cache_entries(self, spill_dir, big_blobs):
         clear_distance_cache()

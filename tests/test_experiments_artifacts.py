@@ -87,6 +87,22 @@ class TestStoreBasics:
         path.write_text("{ truncated", encoding="utf-8")
         assert store.get("trial", {"x": 1}) is None
 
+    def test_artifact_filed_under_another_key_counts_as_miss(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        source = store.put("trial", {"x": 1}, {"score": 0.5})
+        target = store.path_for("trial", {"x": 2})
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(source.read_bytes())
+        assert store.get("trial", {"x": 2}) is None
+        assert store.stats.misses == 1
+        assert store.get("trial", {"x": 1}) == {"score": 0.5}
+
+    def test_tuple_keys_hit_after_the_json_round_trip(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        key = {"grid": (3, 6, 9), "nested": {"pair": (1, 2)}}
+        store.put("trial", key, {"score": 0.5})
+        assert store.get("trial", key) == {"score": 0.5}
+
     def test_delete_and_count(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         store.put("trial", {"x": 1}, {})

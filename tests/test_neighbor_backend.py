@@ -68,8 +68,6 @@ class TestBackendRegistry:
         backend = get_distance_backend("neighbors")
         with pytest.raises(ValueError, match="cannot materialise"):
             backend.pairwise(np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="cannot materialise"):
-            backend.derived_matrix(4, "mreach")
 
 
 class TestExecutionSpecSurface:

@@ -140,16 +140,15 @@ class TestStructurePhase:
         stored = backend.pairwise(matrix, metric="precomputed")
         widths = {} if block is None else {"block_rows": block}
         core = k_nearest_distances(stored, min_pts, **widths)
-        mreach = mutual_reachability(
-            stored, core, out=backend.derived_matrix(n_samples, "mreach"), **widths
-        )
+        mreach = mutual_reachability(stored, core)
 
         expected_core = oracle.k_nearest_distances(matrix, min_pts)
         expected_mreach = oracle.mutual_reachability(matrix, expected_core)
         np.testing.assert_array_equal(core, expected_core)
-        np.testing.assert_array_equal(np.asarray(mreach), expected_mreach)
+        np.testing.assert_array_equal(mreach, expected_mreach)
 
-        edges = minimum_spanning_tree(mreach)
+        # The structure phase's Prim applies mutual reachability row by row.
+        edges = minimum_spanning_tree(stored, core)
         expected_edges = minimum_spanning_tree(expected_mreach)
         np.testing.assert_array_equal(edges, expected_edges)
         merges = single_linkage_tree(edges, n_samples)

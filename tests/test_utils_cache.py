@@ -96,6 +96,32 @@ class TestMemoCache:
         assert cache.get_or_compute("big", lambda: big) is big
         assert cache.stats().size == 1
 
+    def test_derived_entry_is_reused_refreshed_and_uncounted(self):
+        cache = MemoCache(max_items=4)
+        cache.get_or_compute("base", lambda: "matrix")
+        calls = []
+
+        def compute(width):
+            calls.append(width)
+            return np.zeros(width)
+
+        for width in (3, 2, 5, 4):
+            table = cache.get_or_compute_derived(
+                "base", "table", lambda width=width: compute(max(width, 3)),
+                lambda table, width=width: table.shape[0] >= width,
+            )
+            assert table.shape[0] >= width
+        assert calls == [3, 5]  # widened once, reused otherwise
+        stats = cache.stats()
+        assert (stats.misses, stats.hits, stats.size, stats.bytes) == (1, 0, 2, 40)
+
+    def test_derived_entry_is_evicted_before_its_base(self):
+        cache = MemoCache(max_items=1)
+        cache.get_or_compute("base", lambda: "matrix")
+        cache.get_or_compute_derived("base", "table", lambda: "table", lambda _: True)
+        assert cache.peek("base") == "matrix"
+        assert cache.stats().size == 1
+
     def test_concurrent_access_computes_once(self):
         cache = MemoCache()
         computed = []
