@@ -98,7 +98,6 @@ def run(deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
     from repro.experiments.artifacts import ArtifactStore
     from repro.experiments.online import (
         StreamSpec,
-        _compact_step_cells,
         ordered_stream,
         stream_prefix_sizes,
         stream_step_key,
@@ -144,7 +143,7 @@ def run(deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
             artifact_scope=key,
         )
         search.fit(dataset.X, constraints=ConstraintSet(arrivals[: counts[index]]))
-        _compact_step_cells(store, key, len(values), config.n_folds)
+        store.journal(key).remove()
         return search
 
     def selection_of(search: "CVCP") -> tuple[int, list[list[float]], list[int]]:

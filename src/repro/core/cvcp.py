@@ -152,11 +152,11 @@ class CVCP:
         :class:`~repro.experiments.artifacts.ArtifactStore`-compatible
         store.  ``artifact_scope`` must be a JSON-serialisable mapping that
         uniquely pins this grid's inputs (the experiment drivers pass the
-        trial's artifact key); each ``(value_index, fold)`` score is then
-        looked up before computing and written through after, so an
-        interrupted grid resumes from its completed cells.  Lookups and
-        writes stay in the submitting process — worker tasks never touch
-        the store.
+        trial's artifact key); the scope's cell journal is read once
+        before computing and each fresh ``(value_index, fold)`` score is
+        appended to it, so an interrupted grid resumes from its completed
+        cells.  Journal reads and appends stay in the submitting process —
+        worker tasks never touch the store.
 
     Attributes
     ----------
@@ -338,26 +338,24 @@ class CVCP:
         # worker, via the initializer) rather than pickled into every task.
         n_folds = len(folds)
 
-        # Per-cell resume: cells whose score is already persisted are
-        # served from the store; only the remaining cells hit the executor,
-        # and every fresh score is written through *as its task completes*
-        # (executor ``on_result`` hook, running in this process), so a grid
-        # interrupted mid-flight continues from its finished cells.
+        # Per-cell resume: cells whose score is already in the scope's cell
+        # journal are served from it; only the remaining cells hit the
+        # executor, and every fresh score is appended *as its task
+        # completes* (executor ``on_result`` hook, running in this
+        # process), so a grid interrupted mid-flight continues from its
+        # finished cells.
+        journal = None
+        if self.artifact_store is not None and self.artifact_scope is not None:
+            journal = self.artifact_store.journal(self.artifact_scope)
         scores: list[float | None] = [None] * len(tasks)
-        pending: list[tuple[int, dict | None]] = []
-        use_store = self.artifact_store is not None and self.artifact_scope is not None
+        pending: list[int] = []
         for index in range(len(tasks)):
-            cell_key = None
-            if use_store:
-                value_index, fold_index = divmod(index, n_folds)
-                cell_key = dict(
-                    self.artifact_scope, phase="grid", value_index=value_index, fold=fold_index
-                )
-                cached = self.artifact_store.get("cell", cell_key)
+            if journal is not None:
+                cached = journal.get("grid", *divmod(index, n_folds))
                 if cached is not None:
                     scores[index] = float(cached)
                     continue
-            pending.append((index, cell_key))
+            pending.append(index)
 
         if pending:
             # Warm the constraint-independent structure phase of every value
@@ -368,14 +366,14 @@ class CVCP:
             # process workers re-extract instead of refitting.  Fully
             # cache-served grids skip the warm-up entirely.
             self._warm_structures(
-                X, sorted({divmod(index, n_folds)[0] for index, _ in pending})
+                X, sorted({divmod(index, n_folds)[0] for index in pending})
             )
             # Without a store the callback is omitted entirely, keeping the
             # pool backends on their chunked fast path.
             persist_cell = None
-            if use_store:
+            if journal is not None:
                 def persist_cell(position: int, score: float) -> None:
-                    self.artifact_store.put("cell", pending[position][1], score)
+                    journal.put("grid", *divmod(pending[position], n_folds), score)
 
             executor = get_executor(
                 self.backend, self.n_jobs,
@@ -386,12 +384,12 @@ class CVCP:
             try:
                 computed = executor.run(
                     _evaluate_grid_cell,
-                    [tasks[index] for index, _ in pending],
+                    [tasks[index] for index in pending],
                     on_result=persist_cell,
                 )
             finally:
                 _release_grid_data(data_key)
-            for (index, _), score in zip(pending, computed):
+            for index, score in zip(pending, computed):
                 scores[index] = score
 
         evaluations = [

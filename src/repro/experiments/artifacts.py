@@ -15,23 +15,32 @@ determine its result:
   trial derives deterministically from it, so the seed pins the whole
   ``value_index × fold`` grid).
 
-Interrupted or re-run grids therefore skip completed cells: the experiment
+Interrupted or re-run grids therefore skip completed work: the experiment
 drivers ask the store before computing and write through it after, and the
 store counts hits/misses so a resumed run can report exactly how much work
 it reused.
 
-Layout on disk (all writes are atomic rename-into-place)::
+While a trial (or an online replay step) is in flight, its finished grid
+cells are appended to one :class:`CellJournal` per scope — one compact JSON
+line per cell, one ``os.write`` on an ``O_APPEND`` descriptor — and the
+journal is unlinked once the scope's own artifact lands.
+
+Layout on disk (artifact writes are atomic rename-into-place)::
 
     <root>/
-        <kind>/<digest[:2]>/<digest>.json   # one artifact per key
-        reports/<name>/                     # rendered reports (see reporting)
-        fleet/leases/<digest>.lease         # work-stealing leases (see fleet)
-        fleet/workers/<worker_id>.json      # worker liveness registry
+        <kind>/<digest[:2]>/<digest>.json       # one artifact per key
+        journal/<digest[:2]>/<digest>.jsonl     # in-flight cells of one scope
+        reports/<name>/                         # rendered reports (see reporting)
+        fleet/leases/<digest>.lease             # work-stealing leases (see fleet)
+        fleet/workers/<worker_id>.json          # worker liveness registry
 
 where ``digest`` is the SHA-256 of the canonical JSON encoding of the key,
 i.e. the store is content-addressed by *key*, and artifact payloads
 round-trip exactly (Python's JSON float encoding is shortest-roundtrip, so
-cached results are bit-identical to freshly computed ones).
+cached results are bit-identical to freshly computed ones).  Artifacts are
+written as compact JSON; readers accept any whitespace, so artifacts of
+older, indented stores still hit.  A ``cell/`` directory left by older
+versions (one file per cell) is never read.
 """
 
 from __future__ import annotations
@@ -66,6 +75,18 @@ TRIAL_CONFIG_FIELDS: tuple[str, ...] = (
     "mpck_n_init",
     "mpck_max_iter",
 )
+
+#: Subdirectory of the store root holding the cell journals.
+JOURNAL_DIRNAME = "journal"
+
+#: Directories under the store root that hold no ``<kind>/*/*.json``
+#: artifacts: rendered reports, fleet leases/registry, cell journals, and
+#: the per-cell files of older versions (never read).
+_NON_ARTIFACT_DIRS = ("reports", "fleet", JOURNAL_DIRNAME, "cell")
+
+#: The two cell phases of a journal: CVCP grid cells and per-value
+#: external fits (the latter have no fold).
+_CELL_PHASES = ("grid", "external")
 
 
 def canonical_json(value: Any) -> str:
@@ -206,7 +227,7 @@ class ArtifactStore:
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         record = {"schema": SCHEMA_VERSION, "kind": kind, "key": key, "payload": payload}
-        text = json.dumps(record, sort_keys=True, indent=1)
+        text = canonical_json(record)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -221,6 +242,10 @@ class ArtifactStore:
         self._count(writes=1, kind=kind)
         return path
 
+    def journal(self, scope: dict[str, Any]) -> "CellJournal":
+        """The cell journal of one in-flight scope (a trial or step key)."""
+        return CellJournal(self, scope)
+
     def delete(self, kind: str, key: dict[str, Any]) -> bool:
         """Remove the artifact for ``key``; returns whether it existed."""
         path = self.path_for(kind, key)
@@ -231,23 +256,27 @@ class ArtifactStore:
         return True
 
     def count(self, kind: str | None = None) -> int:
-        """Number of stored artifacts (of one kind, or overall)."""
+        """Number of stored artifacts (of one kind, or overall).
+
+        ``"cell"`` counts the valid in-flight cells of every journal.
+        """
         if not self.root.is_dir():
             return 0
+        if kind == "cell":
+            return self._count_journal_cells()
         if kind is not None:
-            kinds = [kind]
-        else:
-            # "reports" holds rendered output and "fleet" holds worker
-            # leases/registry files — neither is a content-addressed kind.
-            kinds = [
-                e.name
-                for e in self.root.iterdir()
-                if e.is_dir() and e.name not in ("reports", "fleet")
-            ]
-        total = 0
-        for name in kinds:
-            total += sum(1 for _ in (self.root / name).glob("*/*.json"))
+            return sum(1 for _ in (self.root / kind).glob("*/*.json"))
+        total = self._count_journal_cells()
+        for entry in self.root.iterdir():
+            if entry.is_dir() and entry.name not in _NON_ARTIFACT_DIRS:
+                total += sum(1 for _ in entry.glob("*/*.json"))
         return total
+
+    def _count_journal_cells(self) -> int:
+        return sum(
+            len(_read_journal(path, path.stem))
+            for path in (self.root / JOURNAL_DIRNAME).glob("*/*.jsonl")
+        )
 
     def report_dir(self, name: str) -> Path:
         """Directory for rendered reports of the pipeline run ``name``."""
@@ -323,3 +352,101 @@ class ArtifactStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArtifactStore(root={str(self.root)!r}, refresh={self.refresh})"
+
+
+class CellJournal:
+    """Append-only journal of the finished cells of one in-flight scope.
+
+    A scope is a trial key or an online step key; its journal lives at
+    ``<root>/journal/<digest[:2]>/<digest>.jsonl``, with the digest
+    computed once per journal object.  Each finished cell is one compact
+    JSON line ``{"digest", "phase", "value_index", "fold", "payload"}``
+    written with a single ``os.write`` on an ``O_APPEND`` descriptor, so
+    concurrent appenders (a fleet steal racing a live stale worker, two
+    serve threads) never interleave within a line.
+
+    The journal is read once, on the first :meth:`get`.  A line that fails
+    to decode (a torn tail, or a torn fragment a later append was glued
+    onto), lacks a field or carries another journal's digest is skipped,
+    so its cell is recomputed; of duplicate cells the first copy wins
+    (cells are deterministic, so copies are equal).  Accounting matches
+    the store's per-kind counters: one ``cell`` hit or miss per
+    :meth:`get` and one ``cell`` write per :meth:`put`.  In ``refresh``
+    mode every lookup misses and the old journal is discarded.
+    """
+
+    def __init__(self, store: ArtifactStore, scope: dict[str, Any]) -> None:
+        self.store = store
+        self.digest = key_digest(JOURNAL_DIRNAME, scope)
+        self.path = store.root / JOURNAL_DIRNAME / self.digest[:2] / f"{self.digest}.jsonl"
+        self._cells: dict[tuple, Any] | None = None
+
+    def get(self, phase: str, value_index: int, fold: int | None = None) -> Any | None:
+        """The journalled payload of one cell, or ``None`` on a miss."""
+        if self._cells is None:
+            if self.store.refresh:
+                self._cells = {}
+                self.path.unlink(missing_ok=True)
+            else:
+                self._cells = _read_journal(self.path, self.digest)
+        payload = self._cells.get((phase, value_index, fold))
+        if payload is None:
+            self.store._count(misses=1, kind="cell")
+        else:
+            self.store._count(hits=1, kind="cell")
+        return payload
+
+    def put(self, phase: str, value_index: int, fold: int | None, payload: Any) -> None:
+        """Append one finished cell."""
+        line = json.dumps(
+            {
+                "digest": self.digest,
+                "phase": phase,
+                "value_index": value_index,
+                "fold": fold,
+                "payload": payload,
+            },
+            separators=(",", ":"),
+        )
+        flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+        try:
+            fd = os.open(self.path, flags, 0o644)
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, flags, 0o644)
+        try:
+            os.write(fd, (line + "\n").encode("utf-8"))
+        finally:
+            os.close(fd)
+        self.store._count(writes=1, kind="cell")
+
+    def remove(self) -> None:
+        """Drop the journal: its scope's artifact has landed."""
+        self.path.unlink(missing_ok=True)
+
+
+def _read_journal(path: Path, digest: str) -> dict[tuple, Any]:
+    """``{(phase, value_index, fold): payload}`` of the valid lines of a journal."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return {}
+    cells: dict[tuple, Any] = {}
+    for line in data.splitlines():
+        try:
+            record = json.loads(line)
+            coordinates = (record["phase"], record["value_index"], record["fold"])
+            payload = record["payload"]
+            valid = record["digest"] == digest
+        except (ValueError, KeyError, TypeError):
+            continue
+        phase, value_index, fold = coordinates
+        if (
+            valid
+            and payload is not None
+            and phase in _CELL_PHASES
+            and type(value_index) is int
+            and (fold is None or type(fold) is int)
+        ):
+            cells.setdefault(coordinates, payload)
+    return cells

@@ -366,7 +366,7 @@ def _fleet_section(state: dict) -> list[str]:
         ("cache hit rate", hit_rate, False),
         ("units stolen", str(steals["stolen"]), False),
         ("trial artifacts", f"{state['trial_artifacts']:,}", False),
-        ("cell artifacts", f"{state['cell_artifacts']:,}", False),
+        ("in-flight cells", f"{state['cell_artifacts']:,}", False),
         ("stale leases", str(state["stale_leases"]), False),
     ]
     tile_html = "".join(

@@ -251,13 +251,17 @@ class LeaseManager:
         its heartbeat re-claims on the next beat — but completion stays
         idempotent, so results are unaffected.
         """
+        return self.retire_stale(digest) and self.claim(digest)
+
+    def retire_stale(self, digest: str) -> bool:
+        """Remove the lease on ``digest`` iff it is stale; one caller wins."""
         if not self.is_stale(digest):
             return False
         retired = self.leases_dir / f"{digest}.stale-{self.worker_id}-{uuid.uuid4().hex[:8]}"
         if not self._retire_if_stale(self.lease_path(digest), retired):
             return False
         retired.unlink(missing_ok=True)
-        return self.claim(digest)
+        return True
 
     def _retire_if_stale(self, lease: Path, retired: Path) -> bool:
         """Atomically move ``lease`` aside iff it is still stale.
@@ -295,14 +299,8 @@ class LeaseManager:
             return 0
         for path in list(self.leases_dir.iterdir()):
             if path.suffix == ".lease":
-                digest = path.stem
-                if not self.is_stale(digest):
-                    continue
-                retired = self.leases_dir / f"{digest}.stale-{self.worker_id}-{uuid.uuid4().hex[:8]}"
-                if not self._retire_if_stale(path, retired):
-                    continue
-                retired.unlink(missing_ok=True)
-                removed += 1
+                if self.retire_stale(path.stem):
+                    removed += 1
             elif ".stale-" in path.name:
                 # A stealer killed between its rename and unlink.
                 path.unlink(missing_ok=True)
@@ -507,9 +505,13 @@ def work_steal(
     Each pass walks the remaining units — starting at an offset derived
     from the worker id, so concurrent workers fan out instead of herding —
     and for each one: skip if done, claim if unleased, steal if the lease
-    is stale, otherwise leave it for the holder.  A pass that makes no
-    progress sleeps ``poll_interval_s`` (some other worker is computing
-    the stragglers; its units come back to us if its lease expires).
+    is stale, otherwise leave it for the holder.  A done unit still under
+    another worker's fresh lease stays pending too (its holder may have
+    died between writing the result and releasing the lease); once the
+    lease is released or stale it is retired and the unit skipped.  A
+    pass that makes no progress sleeps ``poll_interval_s`` (some other
+    worker is computing the stragglers; its units come back to us if its
+    lease expires).
     ``on_unit(digest, outcome)`` is called after every resolved unit with
     outcome ``claimed``/``stolen``/``done``.
     """
@@ -524,6 +526,9 @@ def work_steal(
         remaining: list[str] = []
         for digest in pending:
             if is_done(digest):
+                if manager.lease_age_s(digest) is not None and not manager.retire_stale(digest):
+                    remaining.append(digest)
+                    continue
                 stats.already_done += 1
                 progressed = True
                 if on_unit is not None:
@@ -805,7 +810,7 @@ def format_fleet_status(status: FleetStatus) -> str:
             f"  units: no stealable trial units for kind={status.kind!r} "
             "(workers run the pipeline idempotently)"
         )
-    lines.append(f"  store: {status.trial_artifacts} trial, {status.cell_artifacts} cell artifact(s)")
+    lines.append(f"  store: {status.trial_artifacts} trial, {status.cell_artifacts} in-flight cell(s)")
     if status.workers:
         for record in status.workers:
             stats = record.get("stats", {})

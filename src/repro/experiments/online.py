@@ -25,9 +25,9 @@ This module replays such a stream deterministically:
    turns the per-delta refits into cheap re-extractions;
 4. with an :class:`~repro.experiments.artifacts.ArtifactStore`, every
    completed delta persists one ``"online"`` artifact (and its CVCP
-   grid persists per-cell ``"cell"`` artifacts while in flight), so a
-   replay killed mid-stream resumes exactly where it died and produces
-   a byte-identical report.
+   grid appends its finished cells to the step's cell journal while in
+   flight), so a replay killed mid-stream resumes exactly where it died
+   and produces a byte-identical report.
 
 The replay reports the selection-stability-vs-queries curve: for every
 delta, the number of constraints seen so far, the selected parameter
@@ -356,6 +356,9 @@ def replay_constraint_stream(
             key = stream_step_key(config, dataset, amount, stream, index, step_seed, oracle)
             cached = store.get("online", key)
             if cached is not None:
+                # A kill between the step's put and its journal removal
+                # leaves the journal behind; the hit drops it.
+                store.journal(key).remove()
                 steps.append(OnlineStep.from_payload(cached))
                 continue
         prefix = ConstraintSet(arrivals[:count])
@@ -383,7 +386,7 @@ def replay_constraint_stream(
         steps.append(step)
         if store is not None and key is not None:
             store.put("online", key, step.to_payload())
-            _compact_step_cells(store, key, len(values), config.n_folds)
+            store.journal(key).remove()
     return OnlineReplay(
         dataset=dataset.name,
         amount=float(amount),
@@ -392,19 +395,6 @@ def replay_constraint_stream(
         total_constraints=len(arrivals),
         steps=steps,
     )
-
-
-def _compact_step_cells(
-    store: ArtifactStore, key: dict, n_values: int, n_folds: int
-) -> None:
-    """Drop the interim per-cell artifacts of a completed online step.
-
-    The step artifact carries everything a resumed replay needs; the
-    cells only matter while the step's own grid is in flight.
-    """
-    for value_index in reversed(range(n_values)):
-        for fold_index in reversed(range(n_folds)):
-            store.delete("cell", dict(key, phase="grid", value_index=value_index, fold=fold_index))
 
 
 def cold_selection(

@@ -272,46 +272,17 @@ def trial_artifact_key(
     return key
 
 
-def _load_cached_trial(
-    store: ArtifactStore,
-    key: dict,
-    dataset: Dataset,
-    algorithm: AlgorithmName,
-    config: ExperimentConfig,
-) -> "TrialResult | None":
-    """Fetch a persisted trial; on a hit, also sweep any orphaned cells.
+def _load_cached_trial(store: ArtifactStore, key: dict) -> "TrialResult | None":
+    """Fetch a persisted trial; on a hit, also drop any leftover cell journal.
 
-    A kill between a trial's put and its compaction can leave interim cell
-    artifacts behind — the hit path self-heals the store.
+    A kill between a trial's put and its journal removal leaves the
+    journal behind — the hit path self-heals the store.
     """
     cached = store.get("trial", key)
     if cached is None:
         return None
-    # One stat call decides whether a sweep is needed: the compaction order
-    # guarantees the external(0) cell is deleted last, so its survival is a
-    # reliable sentinel for a compaction interrupted mid-sweep.
-    sentinel = store.path_for("cell", dict(key, phase="external", value_index=0))
-    if sentinel.is_file():
-        n_values = len(parameter_values_for(algorithm, dataset, config))
-        _compact_trial_cells(store, key, n_values, config.n_folds)
+    store.journal(key).remove()
     return TrialResult.from_dict(cached)
-
-
-def _store_trial(
-    store: ArtifactStore,
-    key: dict,
-    result: "TrialResult",
-    n_values: int,
-    n_folds: int,
-) -> None:
-    """Persist a completed trial and compact its interim cell artifacts.
-
-    The sweep uses the configured fold cap, not the realised fold count:
-    an earlier interrupted attempt may have persisted cells for folds the
-    completing run did not materialise.
-    """
-    store.put("trial", key, result.to_dict())
-    _compact_trial_cells(store, key, n_values, n_folds)
 
 
 def run_trial(
@@ -340,10 +311,10 @@ def run_trial(
     ``random_state`` cannot be keyed, so it always computes.
 
     While a keyed trial is in flight, every finished ``(value_index, fold)``
-    CVCP grid cell and every per-value external fit is persisted as its own
-    ``cell`` artifact, so an interrupted trial resumes mid-grid.  Once the
-    trial completes, its result is written as one ``trial`` artifact and
-    the interim cells are compacted away.
+    CVCP grid cell and every per-value external fit is appended to the
+    trial's cell journal, so an interrupted trial resumes mid-grid.  Once
+    the trial completes, its result is written as one ``trial`` artifact
+    and the journal is removed.
     """
     config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
     if config.metric is not None:
@@ -356,7 +327,7 @@ def run_trial(
         key = trial_artifact_key(
             config, dataset, algorithm, scenario, amount, int(random_state), oracle
         )
-        cached = _load_cached_trial(store, key, dataset, algorithm, config)
+        cached = _load_cached_trial(store, key)
         if cached is not None:
             return cached
     cell_store = store if key is not None else None
@@ -391,14 +362,13 @@ def run_trial(
     exclude = side.involved_objects
     external_scores: list[float] = []
     silhouettes: list[float] = []
+    journal = cell_store.journal(key) if cell_store is not None else None
     for value_index, value in enumerate(values):
         model = estimator.clone(**{estimator.tuned_parameter: value})
         if "random_state" in model.get_params():
             model.set_params(random_state=int(rng.integers(0, 2**31 - 1)))
-        cell_key = None
-        if cell_store is not None:
-            cell_key = dict(key, phase="external", value_index=value_index)
-            cached_cell = cell_store.get("cell", cell_key)
+        if journal is not None:
+            cached_cell = journal.get("external", value_index)
             if cached_cell is not None:
                 external_scores.append(float(cached_cell["external"]))
                 silhouettes.append(float(cached_cell["silhouette"]))
@@ -424,9 +394,9 @@ def run_trial(
                 distance_backend=silhouette_backend,
             )
         )
-        if cell_store is not None:
+        if journal is not None:
             payload = {"external": external_scores[-1], "silhouette": silhouettes[-1]}
-            cell_store.put("cell", cell_key, payload)
+            journal.put("external", value_index, None, payload)
 
     cvcp_index = int(np.argmax(internal_scores))
     silhouette_index = int(np.argmax(silhouettes))
@@ -445,26 +415,10 @@ def run_trial(
         silhouette_quality=float(external_scores[silhouette_index]),
         correlation=_pearson(internal_scores, external_scores),
     )
-    if store is not None and key is not None:
-        _store_trial(store, key, result, len(values), config.n_folds)
+    if journal is not None:
+        store.put("trial", key, result.to_dict())
+        journal.remove()
     return result
-
-
-def _compact_trial_cells(store: ArtifactStore, key: dict, n_values: int, n_folds: int) -> None:
-    """Drop the interim per-cell artifacts of a completed trial.
-
-    The trial artifact now carries everything; keeping 10s of cell files
-    per trial around would bloat paper-scale stores (50 trials × 6 data
-    sets × 3 amounts × ~80 grid cells) for no resume benefit.
-
-    Deletion runs from the highest coordinates down to ``external(0)`` so
-    that cell — which every completed trial wrote — survives any partial
-    sweep, making it the sentinel :func:`_load_cached_trial` probes.
-    """
-    for value_index in reversed(range(n_values)):
-        for fold_index in reversed(range(n_folds)):
-            store.delete("cell", dict(key, phase="grid", value_index=value_index, fold=fold_index))
-        store.delete("cell", dict(key, phase="external", value_index=value_index))
 
 
 @dataclass
@@ -551,7 +505,7 @@ def run_trials(
             key = None
             if store is not None:
                 key = trial_artifact_key(config, dataset, algorithm, scenario, amount, seed, oracle)
-                cached = _load_cached_trial(store, key, dataset, algorithm, config)
+                cached = _load_cached_trial(store, key)
             if cached is not None:
                 results[index] = cached
             else:
@@ -563,14 +517,15 @@ def run_trials(
         ]
         persist_trial = None
         if store is not None:
-            n_values = len(parameter_values_for(algorithm, dataset, config))
-
             def persist_trial(position: int, result: TrialResult) -> None:
                 # Runs in the submitting process as each trial completes, so
                 # an interrupted batch keeps its finished trials on disk.
+                # Dropping the journal clears cells an earlier grid-level
+                # attempt at this trial left in flight.
                 key = pending[position][1]
                 if key is not None:
-                    _store_trial(store, key, result, n_values, config.n_folds)
+                    store.put("trial", key, result.to_dict())
+                    store.journal(key).remove()
 
         computed = get_executor(config.backend, config.n_jobs).run(
             _run_trial_task, tasks, on_result=persist_trial

@@ -17,8 +17,9 @@ server's artifacts directory.  Consequences of that shared store:
 
 Per-job progress is streamed from the store's ``on_event`` observer
 hook: every ``trial`` hit/write advances ``done_units`` (split into
-cached vs computed), every interim ``cell`` write bumps
-``cells_written`` — the same granularity at which a killed job resumes.
+cached vs computed), every cell appended to a trial's cell journal
+bumps ``cells_written`` — the same granularity at which a killed job
+resumes.
 """
 
 from __future__ import annotations

@@ -120,8 +120,9 @@ class JobProgress:
     ``done_units`` counts completed work units (trials for grid kinds,
     dataset×amount cells otherwise) out of ``total_units``; the trial
     counters split completed units into computed-fresh vs served-from-
-    cache, and ``cells_written`` counts interim CVCP grid cells persisted
-    mid-trial (the resume granularity).
+    cache, and ``cells_written`` counts the cells (CVCP grid cells and
+    per-value external fits) appended to in-flight trials' cell journals
+    (the resume granularity).
     """
 
     total_units: int = 0

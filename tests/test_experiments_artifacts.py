@@ -188,14 +188,15 @@ class TestTrialResume:
     def test_cache_hit_sweeps_orphaned_cells(self, tmp_path, dataset):
         store = ArtifactStore(tmp_path / "store")
         run_trial(dataset, "fosc", "labels", 0.1, config=TINY, random_state=7, store=store)
-        # Simulate a kill mid-compaction: the sweep deletes down towards
-        # external(0), so any partial sweep leaves that sentinel (plus,
-        # possibly, lower-coordinate cells) behind.
+        # Simulate a kill between the trial's put and its journal removal.
         key = trial_artifact_key(TINY, dataset, "fosc", "labels", 0.1, 7)
-        store.put("cell", dict(key, phase="grid", value_index=0, fold=1), 0.5)
-        store.put("cell", dict(key, phase="external", value_index=0), {"external": 0.5, "silhouette": 0.1})
+        journal = store.journal(key)
+        journal.put("grid", 0, 1, 0.5)
+        journal.put("external", 0, None, {"external": 0.5, "silhouette": 0.1})
+        assert store.count("cell") == 2
         run_trial(dataset, "fosc", "labels", 0.1, config=TINY, random_state=7, store=store)
         assert store.count("cell") == 0
+        assert not journal.path.exists()
 
     def test_generator_random_state_bypasses_cache(self, tmp_path, dataset):
         store = ArtifactStore(tmp_path / "store")

@@ -242,6 +242,39 @@ class TestWorkSteal:
         assert stats.already_done == 1 and stats.completed == 0
         assert outcomes == ["done"]
 
+    def test_done_unit_under_a_fresh_foreign_lease_waits_then_retires_it(self, tmp_path):
+        # A worker killed after its trial artifact landed but before it
+        # released the lease leaves a done unit under a fresh lease.  The
+        # unit stays pending until the lease goes stale, then the orphan
+        # lease is retired: no lease survives the loop.
+        LeaseManager(tmp_path, "victim", ttl_s=0.3).claim(DIGEST)
+        manager = LeaseManager(tmp_path, "survivor", ttl_s=0.3)
+        outcomes = []
+        stats = work_steal(
+            [DIGEST],
+            manager=manager,
+            is_done=lambda digest: True,
+            compute=lambda digest: pytest.fail("must not compute a done unit"),
+            poll_interval_s=0.05,
+            on_unit=lambda digest, outcome: outcomes.append(outcome),
+        )
+        assert outcomes == ["done"]
+        assert stats.already_done == 1 and stats.completed == 0
+        assert stats.waits >= 1
+        assert not manager.lease_path(DIGEST).exists()
+        assert not list(manager.leases_dir.iterdir())
+
+    def test_done_unit_under_a_stale_lease_retires_it_at_once(self, tmp_path):
+        LeaseManager(tmp_path, "victim", ttl_s=5.0).claim(DIGEST)
+        manager = LeaseManager(tmp_path, "survivor", ttl_s=5.0)
+        backdate(manager.lease_path(DIGEST), 100)
+        stats = work_steal(
+            [DIGEST], manager=manager, is_done=lambda digest: True,
+            compute=lambda digest: pytest.fail("must not compute a done unit"),
+        )
+        assert stats.already_done == 1 and stats.waits == 0
+        assert not manager.lease_path(DIGEST).exists()
+
     def test_releases_the_lease_even_when_compute_raises(self, tmp_path):
         manager = LeaseManager(tmp_path, "w")
 
