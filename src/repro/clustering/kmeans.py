@@ -195,8 +195,10 @@ class KMeans(BaseClusterer):
             labels, closest_sq = _assign(X, centers)
             inertia = float(closest_sq.sum())
             centers = _update_centers(X, labels, n_clusters, rng)
-            if previous_inertia - inertia <= self.tol * max(previous_inertia, 1e-12):
-                previous_inertia = inertia
+            # The first iteration has no finite previous inertia to converge against.
+            if np.isfinite(previous_inertia) and (
+                previous_inertia - inertia <= self.tol * max(previous_inertia, 1e-12)
+            ):
                 break
             previous_inertia = inertia
         labels, closest_sq = _assign(X, centers)

@@ -169,6 +169,7 @@ class MPCKMeans(BaseClusterer):
         cannot_csr = build_neighbor_csr(cannot_pairs, n_samples)
 
         previous_objective = np.inf
+        objective = None
         iteration = 0
         for iteration in range(1, self.max_iter + 1):
             labels = self._assign(X, centers, weights, labels, must_csr, cannot_csr, rng)
@@ -179,11 +180,13 @@ class MPCKMeans(BaseClusterer):
                 )
             objective = self._objective(X, labels, centers, weights, must_pairs, cannot_pairs)
             if previous_objective - objective <= self.tol * max(abs(previous_objective), 1.0):
-                previous_objective = objective
                 break
             previous_objective = objective
 
-        objective = self._objective(X, labels, centers, weights, must_pairs, cannot_pairs)
+        # The loop's last objective already scored the final partition; only
+        # max_iter=0 leaves the initial one unscored.
+        if objective is None:
+            objective = self._objective(X, labels, centers, weights, must_pairs, cannot_pairs)
         return objective, labels.astype(np.int64), centers, weights, iteration
 
     def _initial_centers(

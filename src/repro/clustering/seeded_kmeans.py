@@ -121,7 +121,10 @@ class SeededKMeans(BaseClusterer):
                 members = labels == h
                 if np.any(members):
                     centers[h] = X[members].mean(axis=0)
-            if previous_inertia - inertia <= self.tol * max(previous_inertia, 1e-12):
+            # The first iteration has no finite previous inertia to converge against.
+            if np.isfinite(previous_inertia) and (
+                previous_inertia - inertia <= self.tol * max(previous_inertia, 1e-12)
+            ):
                 break
             previous_inertia = inertia
 

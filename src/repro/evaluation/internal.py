@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.clustering.distances import euclidean_distances
+from repro.clustering.distances import DEFAULT_BLOCK_ROWS, euclidean_distances
 from repro.utils.cache import cached_pairwise_distances
 from repro.utils.validation import check_array_2d, check_labels, unique_labels
 
@@ -46,11 +46,25 @@ def silhouette_samples(
     Singleton clusters also receive 0, following the usual convention.
     ``metric`` selects the distance metric (``"precomputed"`` treats ``X``
     as the distance matrix itself); ``distance_backend`` selects the
-    distance-matrix storage tier (see :mod:`repro.core.distance_backend`);
-    the per-object loop reads the matrix row-wise, so memmap storage
-    streams naturally.
+    distance-matrix storage tier (see :mod:`repro.core.distance_backend`).
+
+    The matrix is read in row blocks of
+    :data:`~repro.clustering.distances.DEFAULT_BLOCK_ROWS`, so memmap
+    storage streams and no ``(n, n)`` temporary is made.  Each row's
+    distance sum to a cluster is reduced over a C-contiguous gather of that
+    cluster's columns, which numpy sums exactly like the 1-D slice of the
+    row; the widths are therefore bit-identical to the textbook per-object
+    loop.  An infinite distance yields the limit of ``(b - a) / max(a, b)``:
+    1 for an infinite ``b``, -1 for an infinite ``a``, 0 for both.
     """
     X, labels = _validated(X, labels, metric=metric)
+    return _silhouette_widths(X, labels, metric=metric, distance_backend=distance_backend)
+
+
+def _silhouette_widths(
+    X: np.ndarray, labels: np.ndarray, *, metric: str, distance_backend: str | None
+) -> np.ndarray:
+    """:func:`silhouette_samples` of already-validated input."""
     clusters = unique_labels(labels)
     n_samples = X.shape[0]
     scores = np.zeros(n_samples, dtype=np.float64)
@@ -63,26 +77,40 @@ def silhouette_samples(
         distances = cached_pairwise_distances(
             X, metric, distance_backend=distance_backend
         )
-    members_by_cluster = {int(c): np.flatnonzero(labels == c) for c in clusters}
+    members = [np.flatnonzero(labels == c) for c in clusters]
+    sizes = np.array([m.size for m in members])
+    # Noise rows get position 0 here; they are never scored.
+    positions = np.searchsorted(clusters, labels)
+    scored = (labels >= 0) & (sizes[positions] > 1)
 
-    for index in range(n_samples):
-        own = int(labels[index])
-        if own < 0:
+    for start in range(0, n_samples, DEFAULT_BLOCK_ROWS):
+        stop = min(start + DEFAULT_BLOCK_ROWS, n_samples)
+        local = np.flatnonzero(scored[start:stop])
+        if local.size == 0:
             continue
-        own_members = members_by_cluster[own]
-        if own_members.size <= 1:
-            continue
-        within = distances[index, own_members]
-        a = within.sum() / (own_members.size - 1)
+        rows = np.asarray(distances[start:stop])
+        # take() gathers C-contiguously: each row then reduces pairwise, as
+        # a 1-D slice does (a fancy-indexed D[:, members] is F-ordered and
+        # would add each row sequentially instead).
+        sums = np.empty((stop - start, clusters.size), dtype=np.float64)
+        for position, cluster_members in enumerate(members):
+            sums[:, position] = rows.take(cluster_members, axis=1).sum(axis=1)
 
-        b = np.inf
-        for other, other_members in members_by_cluster.items():
-            if other == own:
-                continue
-            b = min(b, float(distances[index, other_members].mean()))
-        denominator = max(a, b)
-        if denominator > 0:
-            scores[index] = (b - a) / denominator
+        own = positions[start + local]
+        a = sums[local, own] / (sizes[own] - 1)
+        means = sums[local] / sizes
+        means[np.arange(local.size), own] = np.inf
+        # min and maximum are exact; the only order they could change is the
+        # sign of a zero, which never reaches a width.
+        b = means.min(axis=1)
+
+        denominator = np.maximum(a, b)
+        widths = np.zeros(local.size, dtype=np.float64)
+        ratio = np.flatnonzero(np.isfinite(denominator) & (denominator > 0))
+        widths[ratio] = (b[ratio] - a[ratio]) / denominator[ratio]
+        infinite = np.isinf(denominator)
+        widths[infinite] = np.isinf(b[infinite]).astype(np.float64) - np.isinf(a[infinite])
+        scores[start + local] = widths
     return scores
 
 
@@ -104,7 +132,7 @@ def silhouette_score(
     clusters = unique_labels(labels)
     if clusters.size < 2:
         return 0.0
-    scores = silhouette_samples(X, labels, metric=metric, distance_backend=distance_backend)
+    scores = _silhouette_widths(X, labels, metric=metric, distance_backend=distance_backend)
     mask = labels >= 0
     if not np.any(mask):
         return 0.0

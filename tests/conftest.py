@@ -38,6 +38,12 @@ def blobs_dataset():
 
 
 @pytest.fixture(scope="session")
+def wide_blobs_dataset():
+    """Three Gaussian blobs (300 points, 8-d) that Lloyd's needs several steps for."""
+    return make_blobs([100, 100, 100], 8, random_state=0, name="wide-blobs")
+
+
+@pytest.fixture(scope="session")
 def moons_dataset():
     """Two interleaved moons (120 points) — non-convex structure."""
     return make_two_moons(120, noise=0.06, random_state=3)

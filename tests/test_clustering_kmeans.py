@@ -53,6 +53,13 @@ class TestKMeans:
         second = KMeans(n_clusters=3, random_state=5).fit(blobs_dataset.X)
         assert (first.labels_ == second.labels_).all()
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    def test_first_step_is_never_converged(self, wide_blobs_dataset, k):
+        # The first step has no finite previous inertia to converge against
+        # (inf - inertia <= tol * inf holds), so it must never stop the fit.
+        model = KMeans(n_clusters=k, random_state=0).fit(wide_blobs_dataset.X)
+        assert model.n_iter_ > 1
+
     def test_single_cluster(self, blobs_dataset):
         model = KMeans(n_clusters=1, random_state=0).fit(blobs_dataset.X)
         assert model.n_clusters_ == 1

@@ -1,8 +1,10 @@
 """Unit tests for Seeded-KMeans and Constrained-KMeans."""
 
+import numpy as np
 import pytest
 
 from repro.clustering import ConstrainedKMeans, SeededKMeans
+from repro.clustering.distances import euclidean_distances
 from repro.constraints import ConstraintSet, constraints_from_labels, must_link
 from repro.evaluation import adjusted_rand_index
 
@@ -34,6 +36,18 @@ class TestSeededKMeans:
         model = SeededKMeans(n_clusters=2, random_state=0)
         model.fit(blobs_dataset.X, seed_labels=seeds)
         assert model.n_clusters_ <= 2
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_converges_to_a_lloyd_fixed_point(self, wide_blobs_dataset, k):
+        """The centres are the means of their final clusters, which are the
+        nearest-centre assignment: Lloyd's stopped at convergence, not after
+        the first step."""
+        X = wide_blobs_dataset.X
+        model = SeededKMeans(n_clusters=k, random_state=0).fit(X)
+        means = np.vstack([X[model.labels_ == h].mean(axis=0) for h in range(k)])
+        np.testing.assert_array_equal(model.cluster_centers_, means)
+        nearest = euclidean_distances(X, model.cluster_centers_, squared=True).argmin(axis=1)
+        np.testing.assert_array_equal(model.labels_, nearest)
 
     def test_invalid_n_clusters(self, blobs_dataset):
         with pytest.raises(ValueError):

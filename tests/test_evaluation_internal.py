@@ -62,6 +62,51 @@ class TestSilhouette:
         assert max(scores, key=scores.get) == 3
 
 
+class TestSilhouetteInfiniteDistances:
+    """Precomputed ``+inf`` distances score the limit of ``(b - a) / max(a, b)``."""
+
+    INF = np.inf
+
+    def test_infinite_b_scores_one(self):
+        D = np.array([
+            [0.0, 1.0, self.INF, self.INF],
+            [1.0, 0.0, self.INF, self.INF],
+            [self.INF, self.INF, 0.0, 2.0],
+            [self.INF, self.INF, 2.0, 0.0],
+        ])
+        labels = [0, 0, 1, 1]
+        np.testing.assert_array_equal(
+            silhouette_samples(D, labels, metric="precomputed"), [1.0, 1.0, 1.0, 1.0]
+        )
+        assert silhouette_score(D, labels, metric="precomputed") == 1.0
+
+    def test_infinite_a_scores_minus_one(self):
+        # Objects 0 and 1 share a cluster at infinite distance; b is 2 and 3.
+        # Objects 2 and 3: a = 1, b = (2 + 3) / 2 = 2.5, width (2.5 - 1) / 2.5.
+        D = np.array([
+            [0.0, self.INF, 2.0, 2.0],
+            [self.INF, 0.0, 3.0, 3.0],
+            [2.0, 3.0, 0.0, 1.0],
+            [2.0, 3.0, 1.0, 0.0],
+        ])
+        samples = silhouette_samples(D, [0, 0, 1, 1], metric="precomputed")
+        np.testing.assert_array_equal(samples, [-1.0, -1.0, 0.6, 0.6])
+
+    def test_both_infinite_scores_zero(self):
+        # Object 0: a = b = inf -> 0.  Object 1: a = inf, b = 4 -> -1.
+        # Objects 2 and 3: a = 1, b = (inf + 4) / 2 = inf -> 1.
+        D = np.array([
+            [0.0, self.INF, self.INF, self.INF],
+            [self.INF, 0.0, 4.0, 4.0],
+            [self.INF, 4.0, 0.0, 1.0],
+            [self.INF, 4.0, 1.0, 0.0],
+        ])
+        labels = [0, 0, 1, 1]
+        samples = silhouette_samples(D, labels, metric="precomputed")
+        np.testing.assert_array_equal(samples, [0.0, -1.0, 1.0, 1.0])
+        assert silhouette_score(D, labels, metric="precomputed") == 0.25
+
+
 class TestSimplifiedSilhouette:
     def test_agrees_qualitatively_with_full_silhouette(self, two_tight_clusters):
         X, labels = two_tight_clusters
