@@ -48,7 +48,7 @@ from repro.experiments.runner import (
     run_trials,
 )
 from repro.utils.rng import check_random_state
-from repro.utils.specs import SpecError, check_spec_mapping, unknown_key_problems
+from repro.utils.specs import SpecError, check_enum, check_spec_mapping, unknown_key_problems
 
 __all__ = [
     "FitReport",
@@ -179,10 +179,7 @@ class SelectionRequest:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.algorithm not in ALGORITHMS:
-            problems.append(
-                f"select.algorithm: must be one of {', '.join(ALGORITHMS)}; got {self.algorithm!r}"
-            )
+        check_enum(problems, "select", "algorithm", self.algorithm, ALGORITHMS)
         canonical = {name.lower(): name for name in DATASET_NAMES}
         if not isinstance(self.dataset, str) or self.dataset.lower() not in canonical:
             problems.append(
@@ -191,10 +188,7 @@ class SelectionRequest:
             )
         else:
             object.__setattr__(self, "dataset", canonical[self.dataset.lower()])
-        if self.scenario not in SCENARIOS:
-            problems.append(
-                f"select.scenario: must be one of {', '.join(SCENARIOS)}; got {self.scenario!r}"
-            )
+        check_enum(problems, "select", "scenario", self.scenario, SCENARIOS)
         if (
             isinstance(self.amount, bool)
             or not isinstance(self.amount, (int, float))

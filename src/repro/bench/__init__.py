@@ -170,7 +170,7 @@ SUITES: dict[str, Suite] = {
             Flag(
                 "--backends",
                 "comma-separated distance backends to run",
-                default=("dense", "blockwise", "memmap", "neighbors"),
+                default=("blockwise", "memmap", "neighbors"),
                 csv=True,
                 subset=0,
             ),
@@ -178,7 +178,7 @@ SUITES: dict[str, Suite] = {
                 "--sizes",
                 help=(
                     "comma-separated sizes to run for every backend (n1200, n5000, n10000, "
-                    "n100000; default: the per-backend schedule: dense/blockwise up to n5000, "
+                    "n100000; default: the per-backend schedule: blockwise up to n5000, "
                     "memmap up to n10000, neighbors up to n100000)"
                 ),
                 csv=True,

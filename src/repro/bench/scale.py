@@ -13,8 +13,7 @@ Parity is asserted **before** any timing is recorded:
 
 * the exact distance backends must produce bit-identical labels
   (checked in-process at a multi-panel size, and re-checked across every
-  timed cell via label digests; the ``dense/*`` cells keep their names and
-  run through the deprecated ``"dense"`` alias of ``blockwise``);
+  timed cell via label digests);
 * the serial/thread/process executors must select identical parameters
   with identical per-fold scores and final labels under every exact
   distance backend (a small CVCP grid per combination);
@@ -54,28 +53,22 @@ import numpy as np
 
 from repro.bench.engine import Spec, make_record
 from repro.core.distance_backend import (
-    DISTANCE_BACKEND_ALIASES,
     DISTANCE_BACKENDS,
     EXACT_DISTANCE_BACKENDS,
     SPILL_DIR_ENV_VAR,
 )
-
-#: Backend names a cell may carry: the tiers plus their deprecated aliases
-#: (the ``dense/*`` cells of the committed baseline run as ``blockwise``).
-CELL_BACKENDS = DISTANCE_BACKENDS + tuple(DISTANCE_BACKEND_ALIASES)
 
 #: Benchmark problem sizes (number of objects).
 SCALE_SIZES: dict[str, int] = {
     "n1200": 1200, "n5000": 5000, "n10000": 10000, "n100000": 100000,
 }
 
-#: Sizes each backend runs by default.  The dense/blockwise tiers stop at
+#: Sizes each backend runs by default.  The blockwise tier stops at
 #: ``n5000``; the memmap tier takes on ``n10000``, where the projected
 #: dense working set blows the memory budget; only the sparse neighbors
 #: tier reaches ``n100000``, where even the out-of-core exact tiers are
 #: impractical (an 80 GB spill per matrix).
 DEFAULT_CELLS: dict[str, tuple[str, ...]] = {
-    "dense": ("n1200", "n5000"),
     "blockwise": ("n1200", "n5000"),
     "memmap": ("n1200", "n5000", "n10000"),
     "neighbors": ("n1200", "n5000", "n10000", "n100000"),
@@ -386,7 +379,7 @@ def assert_executor_parity(n_samples: int = 240) -> None:
 
 
 def run(
-    backends: tuple[str, ...] = ("dense", "blockwise", "memmap", "neighbors"),
+    backends: tuple[str, ...] = DISTANCE_BACKENDS,
     sizes: tuple[str, ...] | None = None,
     rounds: int = 1,
     parity_only: bool = False,
@@ -400,9 +393,9 @@ def run(
     named sizes; ``None`` uses :data:`DEFAULT_CELLS`.  With ``parity_only``
     the timed cells are skipped and nothing is recorded (``None``).
     """
-    unknown = [name for name in backends if name not in CELL_BACKENDS]
+    unknown = [name for name in backends if name not in DISTANCE_BACKENDS]
     if unknown:
-        raise ValueError(f"unknown backend(s) {', '.join(unknown)}; expected {', '.join(CELL_BACKENDS)}")
+        raise ValueError(f"unknown backend(s) {', '.join(unknown)}; expected {', '.join(DISTANCE_BACKENDS)}")
     if sizes is not None:
         unknown = [name for name in sizes if name not in SCALE_SIZES]
         if unknown:
@@ -450,13 +443,14 @@ def checks(metrics: dict) -> list[str]:
     """Label digests must agree across the exact backends at every size.
 
     Only the exact tiers carry the bit-identity contract; the neighbors
-    tier is approximate and gated on ARI instead.
+    tier is approximate and gated on ARI instead.  Every other cell is
+    compared, so the ``dense/*`` cells of records written while
+    ``"dense"`` named the ``blockwise`` tier are still checked.
     """
     digests: dict[str, dict[str, str]] = {}
     for name, entry in metrics.items():
         parts = name.split("/")
-        tier = DISTANCE_BACKEND_ALIASES.get(parts[0], parts[0])
-        if len(parts) == 3 and parts[2] == "labels_digest" and tier in EXACT_DISTANCE_BACKENDS:
+        if len(parts) == 3 and parts[2] == "labels_digest" and parts[0] != "neighbors":
             digests.setdefault(parts[1], {})[parts[0]] = entry["value"]
     return [
         f"{size}: label digests differ across backends: {per_backend}"

@@ -145,8 +145,6 @@ class FOSCOpticsDend(BaseClusterer):
         were extracted from — the cached *structure phase* of the fit
         (core distances, MST, condensed tree), shared across every
         constraint set via :func:`~repro.clustering.hierarchy.cached_tree_structure`.
-    hierarchy_:
-        Alias of ``structure_`` (the pre-structure-cache name).
     selection_:
         The :class:`FOSCSelection` describing which hierarchy nodes were
         chosen.
@@ -215,7 +213,6 @@ class FOSCOpticsDend(BaseClusterer):
         selection = fosc.extract(structure.condensed_tree, constraints)
 
         self.structure_ = structure
-        self.hierarchy_ = structure
         self.selection_ = selection
         self.labels_ = selection.labels
         return self

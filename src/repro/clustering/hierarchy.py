@@ -574,9 +574,3 @@ def structure_cache_stats():
 def clear_structure_cache() -> None:
     """Drop all memoised tree structures (mainly for tests and benchmarks)."""
     _structure_cache.clear()
-
-
-def configure_structure_cache(max_items: int, max_bytes: int | None = None) -> None:
-    """Re-bound the per-process structure memo; clears the current contents."""
-    global _structure_cache
-    _structure_cache = MemoCache(max_items=max_items, max_bytes=max_bytes)

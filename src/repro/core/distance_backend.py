@@ -11,8 +11,6 @@ matrix *provider* pluggable instead:
     The default.  The matrix lives in RAM; it is filled panel-at-a-time and
     the core distances stream in row panels with a bounded working set — no
     full-matrix temporaries and no derived ``(n, n)`` matrix.
-    ``"dense"``, the name of a former whole-matrix tier that was never
-    faster and needed more memory, is a deprecated alias of this tier.
 ``memmap``
     Out-of-core: matrices live in spill files under
     :func:`spill_directory` and are consumed through read-only
@@ -65,7 +63,6 @@ import itertools
 import mmap
 import os
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,10 +80,6 @@ EXACT_DISTANCE_BACKENDS: tuple[str, ...] = ("blockwise", "memmap")
 #: :mod:`repro.core.neighbor_graph`) — bit-identity loops and shared-cache
 #: assumptions must iterate :data:`EXACT_DISTANCE_BACKENDS` instead.
 DISTANCE_BACKENDS: tuple[str, ...] = EXACT_DISTANCE_BACKENDS + ("neighbors",)
-
-#: Deprecated backend names and the tier each resolves to (with a
-#: ``DeprecationWarning``).
-DISTANCE_BACKEND_ALIASES: dict[str, str] = {"dense": "blockwise"}
 
 #: Backend used when neither the argument nor the environment selects one.
 DEFAULT_DISTANCE_BACKEND = "blockwise"
@@ -109,9 +102,7 @@ def resolve_distance_backend(backend: str | None = None) -> str:
     backend:
         ``"blockwise"``, ``"memmap"``, ``"neighbors"``, or ``None``.
         ``None`` reads ``REPRO_DISTANCE_BACKEND`` and falls back to
-        :data:`DEFAULT_DISTANCE_BACKEND` when it is unset or empty.  A
-        deprecated alias (:data:`DISTANCE_BACKEND_ALIASES`) resolves to its
-        tier with a ``DeprecationWarning``.
+        :data:`DEFAULT_DISTANCE_BACKEND` when it is unset or empty.
 
     Raises
     ------
@@ -124,14 +115,6 @@ def resolve_distance_backend(backend: str | None = None) -> str:
             DEFAULT_DISTANCE_BACKEND
         )
         origin = DISTANCE_BACKEND_ENV_VAR
-    if backend in DISTANCE_BACKEND_ALIASES:
-        resolved = DISTANCE_BACKEND_ALIASES[backend]
-        warnings.warn(
-            f"{origin}={backend!r} is deprecated; it resolves to {resolved!r}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return resolved
     if backend not in DISTANCE_BACKENDS:
         raise ValueError(f"{origin} must be one of {DISTANCE_BACKENDS}, got {backend!r}")
     return backend

@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.utils.specs import SpecError, check_spec_mapping, unknown_key_problems
+from repro.utils.specs import SpecError, check_enum, check_spec_mapping, unknown_key_problems
 
 #: The recognised backend names, in order of increasing isolation.
 BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
@@ -50,9 +50,7 @@ class ExecutionSpec:
     What :class:`~repro.core.cvcp.CVCP` and
     :func:`~repro.core.cvcp.select_parameter` take as ``execution=spec``;
     also the validated form of the pipeline ``[execution]`` config table
-    (minus the pipeline-level ``parallelize`` key).  A deprecated
-    ``distance_backend`` alias (``"dense"``) is resolved to its tier here,
-    with one ``DeprecationWarning``.
+    (minus the pipeline-level ``parallelize`` key).
 
     Every field defaults to ``None`` meaning "inherit the caller's
     default" — ``backend=None`` resolves to ``"serial"`` at the use site,
@@ -84,33 +82,17 @@ class ExecutionSpec:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.backend is not None and self.backend not in BACKENDS:
-            problems.append(
-                f"execution.backend: must be one of {', '.join(BACKENDS)}; got {self.backend!r}"
-            )
+        if self.backend is not None:
+            check_enum(problems, "execution", "backend", self.backend, BACKENDS)
         if self.n_jobs is not None and (
             isinstance(self.n_jobs, bool) or not isinstance(self.n_jobs, int)
         ):
             problems.append(f"execution.n_jobs: must be an integer, got {self.n_jobs!r}")
         if self.distance_backend is not None:
             # Imported lazily to keep this module importable standalone.
-            from repro.core.distance_backend import (
-                DISTANCE_BACKEND_ALIASES,
-                DISTANCE_BACKENDS,
-                resolve_distance_backend,
-            )
+            from repro.core.distance_backend import DISTANCE_BACKENDS
 
-            if isinstance(self.distance_backend, str) and (
-                self.distance_backend in DISTANCE_BACKEND_ALIASES
-            ):
-                object.__setattr__(
-                    self, "distance_backend", resolve_distance_backend(self.distance_backend)
-                )
-            elif self.distance_backend not in DISTANCE_BACKENDS:
-                problems.append(
-                    "execution.distance_backend: must be one of "
-                    f"{', '.join(DISTANCE_BACKENDS)}; got {self.distance_backend!r}"
-                )
+            check_enum(problems, "execution", "distance_backend", self.distance_backend, DISTANCE_BACKENDS)
         if self.epsilon is not None:
             if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, (int, float)):
                 problems.append(
@@ -132,11 +114,7 @@ class ExecutionSpec:
         if self.metric is not None:
             from repro.clustering.distances import DATASET_METRICS
 
-            if self.metric not in DATASET_METRICS:
-                problems.append(
-                    "execution.metric: must be one of "
-                    f"{', '.join(DATASET_METRICS)}; got {self.metric!r}"
-                )
+            check_enum(problems, "execution", "metric", self.metric, DATASET_METRICS)
         if (
             self.distance_backend is not None
             and self.distance_backend != "neighbors"

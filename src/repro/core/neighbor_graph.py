@@ -494,9 +494,3 @@ def clear_neighbor_graph_cache() -> None:
 def neighbor_graph_cache_stats():
     """Hit/miss/size counters of the neighbour-graph memo."""
     return _GRAPH_CACHE.stats()
-
-
-def configure_neighbor_graph_cache(max_items: int) -> None:
-    """Re-bound the memo (``0`` disables caching); clears existing entries."""
-    global _GRAPH_CACHE
-    _GRAPH_CACHE = MemoCache(max_items=max_items)

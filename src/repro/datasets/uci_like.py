@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.base import Dataset
-from repro.datasets.synthetic import make_two_moons
 from repro.utils.rng import RandomStateLike, check_random_state
 
 
@@ -189,14 +188,3 @@ def make_zyeast_like(*, random_state: RandomStateLike = 0) -> Dataset:
             "x 20 conditions, 4 phase-shifted expression patterns"
         ),
     )
-
-
-def make_density_structured(*, random_state: RandomStateLike = 0) -> Dataset:
-    """An explicitly non-convex 2-class data set (moons) for examples and tests.
-
-    Not one of the paper's data sets; exposed because it is the cleanest
-    illustration of the regime where MinPts selection matters and k-means'
-    Silhouette-selected models fail.
-    """
-    rng = check_random_state(random_state)
-    return make_two_moons(300, noise=0.07, random_state=rng, name="moons")

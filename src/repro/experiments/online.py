@@ -60,7 +60,7 @@ from repro.experiments.runner import (
     parameter_values_for,
 )
 from repro.utils.rng import RandomStateLike, check_random_state, spawn_seeds
-from repro.utils.specs import SpecError, check_spec_mapping, unknown_key_problems
+from repro.utils.specs import SpecError, check_positive_int, check_spec_mapping, unknown_key_problems
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.datasets.base import Dataset
@@ -118,12 +118,8 @@ class StreamSpec:
         known = ("n_deltas", "order")
         problems = unknown_key_problems(spec, known, "stream")
         kwargs: dict[str, object] = {}
-        if "n_deltas" in spec:
-            value = spec["n_deltas"]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                problems.append(f"stream.n_deltas: must be a positive integer, got {value!r}")
-            else:
-                kwargs["n_deltas"] = value
+        if "n_deltas" in spec and check_positive_int(problems, "stream", "n_deltas", spec["n_deltas"]):
+            kwargs["n_deltas"] = spec["n_deltas"]
         if "order" in spec:
             value = spec["order"]
             if not isinstance(value, str) or value not in STREAM_ORDERS:

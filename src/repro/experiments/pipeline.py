@@ -104,7 +104,13 @@ from repro.experiments.online import StreamSpec, replay_constraint_stream
 from repro.experiments.robustness import DEFAULT_FLIP_RATES, noise_robustness_table
 from repro.experiments.runner import run_trials
 from repro.serve.schemas import ServeSettings
-from repro.utils.specs import SpecError, unknown_key_problems
+from repro.utils.specs import (
+    SpecError,
+    check_enum,
+    check_nonempty_list,
+    check_positive_int,
+    unknown_key_problems,
+)
 
 #: Experiment kinds a pipeline can run, mapped to the paper's artefacts.
 PIPELINE_KINDS: tuple[str, ...] = (
@@ -136,6 +142,107 @@ _PARAMETER_KEYS: tuple[str, ...] = (
     "mpck_max_iter",
     "minpts_range",
 )
+
+
+@dataclass(frozen=True)
+class KindRules:
+    """What one pipeline kind forbids, each with the problem line that reports it.
+
+    ``None`` allows the setting.  The validator prints these lines, and
+    :meth:`PipelineSpec.to_spec` omits what they forbid, so a kind's rules
+    are written only here, in :data:`KIND_RULES`.
+    """
+
+    algorithm: str | None = None  # experiment.algorithm given at all
+    mpck: str | None = None  # algorithm = "mpck"
+    scenario: str | None = None  # experiment.scenario given at all
+    fixed_scenario: str | None = None  # the scenario the kind always runs
+    oracle: str | None = None  # an [oracle] table
+    oracle_keys: tuple[str, ...] = ()  # when set, [oracle] holds sweep settings with only these keys
+    parallelize: str | None = None  # execution.parallelize
+    neighbors: str | None = None  # distance_backend = "neighbors"
+    non_euclidean: str | None = None  # a metric other than "euclidean"; {metric} is filled in
+    precomputed: str | None = None  # dataset.metric = "precomputed"
+    stream: str | None = None  # a [stream] table
+
+
+def _single_trial(kind: str) -> str:
+    return f"execution.parallelize: has no effect for kind={kind!r} (single-trial work); remove the key"
+
+
+def _no_stream(kind: str) -> str:
+    return f'stream: only kind="online" replays a constraint stream; remove the table (kind is {kind!r})'
+
+
+def _registry_only(kind: str) -> str:
+    return (
+        f"dataset.metric: kind = {kind!r} resolves data sets through the"
+        ' registry; a precomputed matrix drives kinds "curves", "trials",'
+        ' "ablation" or "online"'
+    )
+
+
+#: The per-kind config rules (see :class:`KindRules`).
+KIND_RULES: dict[str, KindRules] = {
+    "comparison": KindRules(precomputed=_registry_only("comparison"), stream=_no_stream("comparison")),
+    "correlation": KindRules(precomputed=_registry_only("correlation"), stream=_no_stream("correlation")),
+    "curves": KindRules(parallelize=_single_trial("curves"), stream=_no_stream("curves")),
+    "trials": KindRules(stream=_no_stream("trials")),
+    "ablation": KindRules(
+        # Each ablation fixes its own scenario (closure-leakage is inherently
+        # constraint-based; fold-count and scorer are label-based) and its
+        # own side-information setup, so either setting would be silently
+        # ignored.
+        scenario=(
+            'experiment.scenario: not configurable for kind="ablation" — each ablation'
+            " fixes its own scenario; remove the key"
+        ),
+        oracle='oracle: not configurable for kind="ablation"; remove the table',
+        parallelize=_single_trial("ablation"),
+        stream=_no_stream("ablation"),
+    ),
+    "robustness": KindRules(
+        # The robustness sweep always reports every algorithm so the
+        # acceptance comparison is side by side; a single-algorithm setting
+        # would silently drop half the table.  That includes MPCKMeans, so
+        # the sweep needs the full matrix and Euclidean geometry.
+        algorithm=(
+            'experiment.algorithm: not configurable for kind="robustness" — the sweep'
+            " runs every algorithm; remove the key"
+        ),
+        # The sweep is over the noisy oracle itself; it is configured by
+        # the sweep parameters, not an oracle name.
+        oracle_keys=("flip_rates", "repair"),
+        neighbors=(
+            'execution.distance_backend: "neighbors" cannot drive '
+            'kind = "robustness" (the robustness sweep runs every '
+            "algorithm, including MPCKMeans, which needs the full "
+            "distance matrix); use an exact tier (blockwise, memmap)"
+        ),
+        non_euclidean=(
+            'dataset.metric: kind = "robustness" sweeps every algorithm,'
+            " including MPCKMeans, which needs Euclidean geometry;"
+            " metric = {metric} is not supported"
+        ),
+        stream=_no_stream("robustness"),
+    ),
+    "online": KindRules(
+        # The online kind replays constraint deltas through the cached,
+        # constraint-independent FOSC tree structures; MPCKMeans refits its
+        # metric on every constraint set and has no structure phase to reuse.
+        mpck=(
+            'experiment.algorithm: kind="online" replays constraint streams through'
+            ' the cached FOSC tree structures; MPCKMeans has no'
+            ' constraint-independent structure phase — use algorithm = "fosc"'
+        ),
+        scenario=(
+            'experiment.scenario: not configurable for kind="online" — a stream'
+            " is inherently pairwise constraints; remove the key"
+        ),
+        fixed_scenario="constraints",
+        parallelize=_single_trial("online"),
+    ),
+}
 
 
 class ConfigError(SpecError):
@@ -197,16 +304,15 @@ class PipelineSpec:
         The inverse of :func:`pipeline_spec_from_mapping`: for every
         validated spec, ``pipeline_spec_from_mapping(spec.to_spec())``
         rebuilds an equal spec (modulo ``source``, which names where a
-        spec was *loaded from* and has no place in the mapping).  Tables
-        a kind forbids (``[oracle]`` for ablations, ``experiment.scenario``
-        for ablations and online replays, ``experiment.algorithm`` for
-        robustness sweeps, ``[stream]`` for everything but online replays)
-        are omitted rather than emitted-and-rejected.
+        spec was *loaded from* and has no place in the mapping).  Keys and
+        tables the kind forbids (:data:`KIND_RULES`) are omitted rather
+        than emitted-and-rejected.
         """
+        rules = KIND_RULES[self.kind]
         experiment: dict = {"name": self.name, "kind": self.kind}
-        if self.kind != "robustness":
+        if rules.algorithm is None:
             experiment["algorithm"] = self.algorithm
-        if self.kind not in ("ablation", "online"):
+        if rules.scenario is None:
             experiment["scenario"] = self.scenario
         experiment["amounts"] = [float(amount) for amount in self.amounts]
         if self.dataset_path is None:
@@ -217,12 +323,12 @@ class PipelineSpec:
         parameters: dict = {key: getattr(self.config, key) for key in _PARAMETER_KEYS}
         parameters["minpts_range"] = list(self.config.minpts_range)
         spec: dict = {"experiment": experiment, "parameters": parameters}
-        if self.kind == "robustness":
+        if rules.oracle_keys:
             spec["oracle"] = {
                 "flip_rates": [float(rate) for rate in self.flip_rates],
                 "repair": self.oracle_repair,
             }
-        elif self.kind != "ablation":
+        elif rules.oracle is None:
             spec["oracle"] = self.oracle.to_spec()
         dataset_table: dict = {}
         if self.config.metric is not None:
@@ -243,7 +349,7 @@ class PipelineSpec:
         if execution:
             spec["execution"] = execution
         spec["artifacts"] = {"root": str(self.artifacts_root)}
-        if self.kind == "online":
+        if rules.stream is None:
             spec["stream"] = self.stream.to_spec()
         spec["report"] = {"formats": list(self.report_formats)}
         spec["fleet"] = self.fleet.to_spec()
@@ -284,20 +390,6 @@ def _parse_file(path: Path) -> dict:
             raise ConfigError(str(path), ["top level must be a JSON object"])
         return loaded
     raise ConfigError(str(path), [f"unsupported config extension {path.suffix!r} (use .toml or .json)"])
-
-
-def _check_enum(problems: list[str], table: str, key: str, value: object, allowed: tuple[str, ...]):
-    if not isinstance(value, str) or value not in allowed:
-        problems.append(f"{table}.{key}: must be one of {', '.join(allowed)}; got {value!r}")
-        return None
-    return value
-
-
-def _check_positive_int(problems: list[str], table: str, key: str, value: object) -> int | None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        problems.append(f"{table}.{key}: must be a positive integer, got {value!r}")
-        return None
-    return value
 
 
 def validate_pipeline_mapping(
@@ -341,45 +433,21 @@ def validate_pipeline_mapping(
         )
         name = None
 
-    kind = _check_enum(problems, "experiment", "kind", experiment.get("kind", None), PIPELINE_KINDS)
-    algorithm = _check_enum(
+    kind = check_enum(problems, "experiment", "kind", experiment.get("kind", None), PIPELINE_KINDS)
+    rules = KIND_RULES.get(kind, KindRules())
+    algorithm = check_enum(
         problems, "experiment", "algorithm", experiment.get("algorithm", "fosc"), ALGORITHMS
     )
-    if kind == "robustness" and "algorithm" in experiment:
-        # The robustness sweep always reports every algorithm so the
-        # acceptance comparison is side by side; a single-algorithm setting
-        # would silently drop half the table.
-        problems.append(
-            'experiment.algorithm: not configurable for kind="robustness" — the sweep'
-            " runs every algorithm; remove the key"
-        )
-    if kind == "online" and algorithm == "mpck":
-        # The online kind replays constraint deltas through the cached,
-        # constraint-independent FOSC tree structures; MPCKMeans refits its
-        # metric on every constraint set and has no structure phase to reuse.
-        problems.append(
-            'experiment.algorithm: kind="online" replays constraint streams through'
-            ' the cached FOSC tree structures; MPCKMeans has no'
-            ' constraint-independent structure phase — use algorithm = "fosc"'
-        )
-    scenario = _check_enum(
+    if rules.algorithm and "algorithm" in experiment:
+        problems.append(rules.algorithm)
+    if rules.mpck and algorithm == "mpck":
+        problems.append(rules.mpck)
+    scenario = check_enum(
         problems, "experiment", "scenario", experiment.get("scenario", "labels"), SCENARIOS
     )
-    if kind == "ablation" and "scenario" in experiment:
-        # Each ablation fixes its own scenario (closure-leakage is inherently
-        # constraint-based; fold-count and scorer are label-based), so an
-        # explicit setting would be silently misleading.
-        problems.append(
-            'experiment.scenario: not configurable for kind="ablation" — each ablation'
-            " fixes its own scenario; remove the key"
-        )
-    if kind == "online":
-        if "scenario" in experiment:
-            problems.append(
-                'experiment.scenario: not configurable for kind="online" — a stream'
-                " is inherently pairwise constraints; remove the key"
-            )
-        scenario = "constraints"
+    if rules.scenario and "scenario" in experiment:
+        problems.append(rules.scenario)
+    scenario = rules.fixed_scenario or scenario
 
     seed = experiment.get("seed", 20140324)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -387,33 +455,31 @@ def validate_pipeline_mapping(
         seed = 0
 
     default_amounts = LABEL_FRACTIONS if scenario == "labels" else CONSTRAINT_FRACTIONS
-    amounts_raw = experiment.get("amounts", list(default_amounts))
+    amounts_raw = check_nonempty_list(
+        problems, "experiment", "amounts", experiment.get("amounts", list(default_amounts)), "of fractions"
+    )
     amounts: list[float] = []
-    if not isinstance(amounts_raw, list) or not amounts_raw:
-        problems.append(f"experiment.amounts: must be a non-empty list of fractions, got {amounts_raw!r}")
-    else:
-        for value in amounts_raw:
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
-                problems.append(f"experiment.amounts: each amount must be in (0, 1], got {value!r}")
-            else:
-                amounts.append(float(value))
+    for value in amounts_raw or ():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
+            problems.append(f"experiment.amounts: each amount must be in (0, 1], got {value!r}")
+        else:
+            amounts.append(float(value))
 
     canonical_by_lower = {known.lower(): known for known in DATASET_NAMES}
-    datasets_raw = experiment.get("datasets", ["Iris"])
+    datasets_raw = check_nonempty_list(
+        problems, "experiment", "datasets", experiment.get("datasets", ["Iris"]), "of names"
+    )
     datasets: list[str] = []
-    if not isinstance(datasets_raw, list) or not datasets_raw:
-        problems.append(f"experiment.datasets: must be a non-empty list of names, got {datasets_raw!r}")
-    else:
-        for value in datasets_raw:
-            if not isinstance(value, str) or value.lower() not in canonical_by_lower:
-                problems.append(
-                    f"experiment.datasets: unknown data set {value!r} "
-                    f"(available: {', '.join(DATASET_NAMES)})"
-                )
-            elif canonical_by_lower[value.lower()] in datasets:
-                problems.append(f"experiment.datasets: duplicate data set {value!r}")
-            else:
-                datasets.append(canonical_by_lower[value.lower()])
+    for value in datasets_raw or ():
+        if not isinstance(value, str) or value.lower() not in canonical_by_lower:
+            problems.append(
+                f"experiment.datasets: unknown data set {value!r} "
+                f"(available: {', '.join(DATASET_NAMES)})"
+            )
+        elif canonical_by_lower[value.lower()] in datasets:
+            problems.append(f"experiment.datasets: duplicate data set {value!r}")
+        else:
+            datasets.append(canonical_by_lower[value.lower()])
 
     dataset_table = raw.get("dataset", {})
     metric: str | None = None
@@ -421,19 +487,12 @@ def validate_pipeline_mapping(
     dataset_form = "distance"
     precomputed_dataset: Dataset | None = None
     if isinstance(dataset_table, dict) and dataset_table:
-        known_dataset_keys = ("metric", "path", "form", "name")
-        for key in dataset_table:
-            if key not in known_dataset_keys:
-                problems.append(
-                    f"dataset.{key}: unknown key (expected {', '.join(known_dataset_keys)})"
-                )
+        problems.extend(unknown_key_problems(dataset_table, ("metric", "path", "form", "name"), "dataset"))
         if "metric" in dataset_table:
-            metric = _check_enum(
-                problems, "dataset", "metric", dataset_table["metric"], DATASET_METRICS
-            )
+            metric = check_enum(problems, "dataset", "metric", dataset_table["metric"], DATASET_METRICS)
         if "form" in dataset_table:
             dataset_form = (
-                _check_enum(problems, "dataset", "form", dataset_table["form"], PRECOMPUTED_FORMS)
+                check_enum(problems, "dataset", "form", dataset_table["form"], PRECOMPUTED_FORMS)
                 or "distance"
             )
         raw_path = dataset_table.get("path")
@@ -481,28 +540,19 @@ def validate_pipeline_mapping(
     parameters = raw.get("parameters", {})
     overrides: dict[str, object] = {}
     if isinstance(parameters, dict):
-        for key in parameters:
-            if key not in _PARAMETER_KEYS:
-                problems.append(f"parameters.{key}: unknown key (expected {', '.join(_PARAMETER_KEYS)})")
+        problems.extend(unknown_key_problems(parameters, _PARAMETER_KEYS, "parameters"))
         for key in _PARAMETER_KEYS:
             if key not in parameters:
                 continue
-            value = parameters[key]
             if key == "minpts_range":
-                ok = (
-                    isinstance(value, list)
-                    and value != []
-                    and all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value)
+                checked = check_nonempty_list(
+                    problems, "parameters", key, parameters[key], "of positive integers",
+                    lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
                 )
-                if not ok:
-                    problems.append(
-                        f"parameters.minpts_range: must be a non-empty list of positive"
-                        f" integers, got {value!r}"
-                    )
-                else:
-                    overrides["minpts_range"] = tuple(value)
+                if checked is not None:
+                    overrides[key] = tuple(checked)
             else:
-                checked = _check_positive_int(problems, "parameters", key, value)
+                checked = check_positive_int(problems, "parameters", key, parameters[key])
                 if checked is not None:
                     overrides[key] = checked
 
@@ -511,39 +561,22 @@ def validate_pipeline_mapping(
     flip_rates: tuple[float, ...] = DEFAULT_FLIP_RATES
     oracle_repair = False
     if isinstance(oracle_table, dict) and oracle_table:
-        if kind == "ablation":
-            # Each ablation fixes its own side-information setup, so an
-            # oracle setting would be silently ignored.
-            problems.append(
-                'oracle: not configurable for kind="ablation"; remove the table'
-            )
-        elif kind == "robustness":
-            # The robustness kind sweeps the noisy oracle itself; it is
-            # configured by the sweep parameters, not an oracle name.
-            allowed = ("flip_rates", "repair")
+        if rules.oracle:
+            problems.append(rules.oracle)
+        elif rules.oracle_keys:
             for key in oracle_table:
-                if key not in allowed:
+                if key not in rules.oracle_keys:
                     problems.append(
-                        f'oracle.{key}: unknown key for kind="robustness" '
-                        f"(expected {', '.join(allowed)})"
+                        f'oracle.{key}: unknown key for kind="{kind}" '
+                        f"(expected {', '.join(rules.oracle_keys)})"
                     )
             if "flip_rates" in oracle_table:
-                value = oracle_table["flip_rates"]
-                ok = (
-                    isinstance(value, list)
-                    and value != []
-                    and all(
-                        isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1
-                        for v in value
-                    )
+                checked = check_nonempty_list(
+                    problems, "oracle", "flip_rates", oracle_table["flip_rates"], "of rates in [0, 1]",
+                    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1,
                 )
-                if not ok:
-                    problems.append(
-                        f"oracle.flip_rates: must be a non-empty list of rates in [0, 1],"
-                        f" got {value!r}"
-                    )
-                else:
-                    flip_rates = tuple(float(v) for v in value)
+                if checked is not None:
+                    flip_rates = tuple(float(v) for v in checked)
             if "repair" in oracle_table:
                 value = oracle_table["repair"]
                 if not isinstance(value, bool):
@@ -586,15 +619,12 @@ def validate_pipeline_mapping(
         except SpecError as exc:
             problems.extend(exc.problems)
         if "parallelize" in execution:
-            checked = _check_enum(
+            checked = check_enum(
                 problems, "execution", "parallelize", execution["parallelize"], ("grid", "trials")
             )
             parallelize = checked or parallelize
-            if kind in ("curves", "ablation", "online"):
-                problems.append(
-                    f"execution.parallelize: has no effect for kind={kind!r} "
-                    "(single-trial work); remove the key"
-                )
+            if rules.parallelize:
+                problems.append(rules.parallelize)
 
     # The sparse neighbors tier cannot materialise the full distance matrix,
     # which MPCKMeans' metric-learning updates require — reject the
@@ -607,50 +637,36 @@ def validate_pipeline_mapping(
                 'algorithm = "mpck" (MPCKMeans needs the full distance matrix); '
                 "use an exact tier (blockwise, memmap)"
             )
-        if kind == "robustness":
-            problems.append(
-                'execution.distance_backend: "neighbors" cannot drive '
-                'kind = "robustness" (the robustness sweep runs every '
-                "algorithm, including MPCKMeans, which needs the full "
-                "distance matrix); use an exact tier (blockwise, memmap)"
-            )
+        if rules.neighbors:
+            problems.append(rules.neighbors)
 
     # Non-Euclidean metrics have the same shape of incompatibilities:
     # MPCKMeans learns per-cluster Euclidean metrics, and the neighbors
     # tier's KD-tree indexes Euclidean space only.  Report them as config
     # problems here, not runtime errors inside the trial loop.
     if metric is not None and metric != "euclidean":
-        if algorithm == "mpck" and kind != "robustness":
+        # A kind with its own non-Euclidean line reports it instead.
+        if algorithm == "mpck" and rules.non_euclidean is None:
             problems.append(
                 f'dataset.metric: algorithm = "mpck" learns per-cluster Euclidean'
                 f" metrics and cannot run under metric = {metric!r};"
                 ' use algorithm = "fosc"'
             )
-        if kind == "robustness":
-            problems.append(
-                f'dataset.metric: kind = "robustness" sweeps every algorithm,'
-                f" including MPCKMeans, which needs Euclidean geometry;"
-                f" metric = {metric!r} is not supported"
-            )
+        if rules.non_euclidean:
+            problems.append(rules.non_euclidean.format(metric=repr(metric)))
         if execution_spec.distance_backend == "neighbors":
             problems.append(
                 f'dataset.metric: distance_backend = "neighbors" supports'
                 f' metric = "euclidean" only (KD-tree index), got {metric!r};'
                 " use an exact tier (blockwise, memmap)"
             )
-    if metric == "precomputed" and kind in ("comparison", "correlation"):
-        problems.append(
-            f"dataset.metric: kind = {kind!r} resolves data sets through the"
-            ' registry; a precomputed matrix drives kinds "curves", "trials",'
-            ' "ablation" or "online"'
-        )
+    if metric == "precomputed" and rules.precomputed:
+        problems.append(rules.precomputed)
 
     artifacts = raw.get("artifacts", {})
     artifacts_root = ".repro-artifacts"
     if isinstance(artifacts, dict):
-        for key in artifacts:
-            if key != "root":
-                problems.append(f"artifacts.{key}: unknown key (expected root)")
+        problems.extend(unknown_key_problems(artifacts, ("root",), "artifacts"))
         if "root" in artifacts:
             value = artifacts["root"]
             if not isinstance(value, str) or not value:
@@ -658,55 +674,30 @@ def validate_pipeline_mapping(
             else:
                 artifacts_root = value
 
-    stream_table = raw.get("stream", {})
-    stream_spec = StreamSpec()
-    if isinstance(stream_table, dict) and stream_table:
-        if kind is not None and kind != "online":
-            problems.append(
-                f'stream: only kind="online" replays a constraint stream; '
-                f"remove the table (kind is {kind!r})"
-            )
+    settings: dict[str, object] = {}
+    for table, settings_type in (("stream", StreamSpec), ("fleet", FleetSettings), ("serve", ServeSettings)):
+        table_value = raw.get(table, {})
+        if not isinstance(table_value, dict) or not table_value:
+            continue
+        if table == "stream" and rules.stream:
+            problems.append(rules.stream)
         try:
-            stream_spec = StreamSpec.from_spec(stream_table)
-        except SpecError as exc:
-            problems.extend(exc.problems)
-
-    fleet_table = raw.get("fleet", {})
-    fleet_settings = FleetSettings()
-    if isinstance(fleet_table, dict) and fleet_table:
-        try:
-            fleet_settings = FleetSettings.from_spec(fleet_table)
-        except SpecError as exc:
-            problems.extend(exc.problems)
-
-    serve_table = raw.get("serve", {})
-    serve_settings = ServeSettings()
-    if isinstance(serve_table, dict) and serve_table:
-        try:
-            serve_settings = ServeSettings.from_spec(serve_table)
+            settings[table] = settings_type.from_spec(table_value)
         except SpecError as exc:
             problems.extend(exc.problems)
 
     report = raw.get("report", {})
     report_formats: tuple[str, ...] = REPORT_FORMATS
     if isinstance(report, dict):
-        for key in report:
-            if key != "formats":
-                problems.append(f"report.{key}: unknown key (expected formats)")
+        problems.extend(unknown_key_problems(report, ("formats",), "report"))
         if "formats" in report:
-            value = report["formats"]
-            ok = (
-                isinstance(value, list)
-                and value != []
-                and all(isinstance(v, str) and v in REPORT_FORMATS for v in value)
+            checked = check_nonempty_list(
+                problems, "report", "formats", report["formats"],
+                f"drawn from {', '.join(REPORT_FORMATS)}",
+                lambda v: isinstance(v, str) and v in REPORT_FORMATS,
             )
-            if not ok:
-                problems.append(
-                    f"report.formats: must be a non-empty list drawn from"
-                    f" {', '.join(REPORT_FORMATS)}, got {value!r}"
-                )
-            else:
-                report_formats = tuple(value)
+            if checked is not None:
+                report_formats = tuple(checked)
 
     if problems:
         return None, problems
@@ -745,13 +736,11 @@ def validate_pipeline_mapping(
         oracle=oracle,
         flip_rates=flip_rates,
         oracle_repair=oracle_repair,
-        stream=stream_spec,
-        fleet=fleet_settings,
-        serve=serve_settings,
         dataset_path=dataset_path,
         dataset_form=dataset_form,
         precomputed=precomputed_dataset,
         source=None,
+        **settings,
     )
     return spec, []
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from repro.utils.specs import SpecError, check_spec_mapping, unknown_key_problems
+from repro.utils.specs import SpecError, check_positive_int, check_spec_mapping, unknown_key_problems
 
 #: Lifecycle states a submitted job moves through, in order.
 JOB_STATES: tuple[str, ...] = ("queued", "running", "done", "failed")
@@ -60,9 +60,7 @@ class ServeSettings:
                 f"serve.port: must be an integer in [0, 65535] (0 = ephemeral), got {self.port!r}"
             )
         for key in ("workers", "max_pending"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                problems.append(f"serve.{key}: must be a positive integer, got {value!r}")
+            check_positive_int(problems, "serve", key, getattr(self, key))
         if problems:
             raise SpecError("serve", problems)
 

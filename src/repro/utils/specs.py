@@ -23,7 +23,7 @@ attributes the CLI and the serve layer render from.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Protocol, runtime_checkable
+from typing import Callable, Iterable, Mapping, Protocol, runtime_checkable
 
 
 class SpecError(ValueError):
@@ -74,6 +74,39 @@ def unknown_key_problems(spec: Mapping, known: tuple[str, ...], table: str) -> l
         for key in spec
         if key not in known
     ]
+
+
+# The field checks below append one problem to ``problems`` and return
+# ``None`` for a bad value, and return the value itself otherwise.
+
+
+def check_enum(problems: list[str], table: str, key: str, value: object, allowed: tuple[str, ...]):
+    """``value`` must be one of the strings in ``allowed``."""
+    if not isinstance(value, str) or value not in allowed:
+        problems.append(f"{table}.{key}: must be one of {', '.join(allowed)}; got {value!r}")
+        return None
+    return value
+
+
+def check_positive_int(problems: list[str], table: str, key: str, value: object) -> int | None:
+    """``value`` must be an integer >= 1 (``bool`` is not an integer here)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        problems.append(f"{table}.{key}: must be a positive integer, got {value!r}")
+        return None
+    return value
+
+
+def check_nonempty_list(
+    problems: list[str], table: str, key: str, value: object, items: str, item_ok: Callable | None = None
+) -> list | None:
+    """``value`` must be a non-empty list, each item passing ``item_ok`` if given.
+
+    ``items`` completes the message: ``"must be a non-empty list {items}"``.
+    """
+    if not isinstance(value, list) or not value or (item_ok and not all(map(item_ok, value))):
+        problems.append(f"{table}.{key}: must be a non-empty list {items}, got {value!r}")
+        return None
+    return value
 
 
 def assert_roundtrip(obj: Specable) -> None:

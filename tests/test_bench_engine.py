@@ -198,7 +198,7 @@ class TestSubsetFilter:
         flags = SUITES["scale"].flags
         covers = subset_filter(flags, {"backends": ("neighbors",), "sizes": None})
         assert covers("neighbors/n100000/wall_s")
-        assert not covers("dense/n1200/wall_s")
+        assert not covers("blockwise/n1200/wall_s")
         covers = subset_filter(flags, {"backends": ("neighbors",), "sizes": ("n1200",)})
         assert covers("neighbors/n1200/wall_s")
         assert not covers("neighbors/n5000/wall_s")
@@ -312,7 +312,7 @@ class TestBenchCli:
         [
             ("parallel", "serial/mean_s"),
             ("kernels", "optics/large/vectorized_s"),
-            ("scale", "dense/n1200/wall_s"),
+            ("scale", "blockwise/n1200/wall_s"),
             ("fleet", "1/wall_s"),
             ("serve", "latency/p99_ms"),
             ("online", "stream/incremental_s"),

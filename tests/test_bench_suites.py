@@ -86,46 +86,58 @@ class TestScale:
         assert scale.projected_dense_peak_bytes(10_000) > scale.MEMORY_BUDGET_BYTES
         assert scale.projected_dense_peak_bytes(5_000) < scale.MEMORY_BUDGET_BYTES
 
+    def test_default_cells_are_exactly_the_gated_cells(self):
+        from pathlib import Path
+
+        from repro.bench import SUITES
+
+        baseline = json.loads((Path(__file__).resolve().parent.parent / "BENCH_scale.json").read_text())
+        gated = {tuple(name.split("/")[:2]) for name, entry in baseline["metrics"].items() if entry["gate"]}
+        defaults = {(backend, size) for backend, sizes in scale.DEFAULT_CELLS.items() for size in sizes}
+        assert defaults == gated
+        backends_flag = next(flag for flag in SUITES["scale"].flags if flag.name == "--backends")
+        assert backends_flag.default == tuple(scale.DEFAULT_CELLS)
+
     def test_labels_digest_is_content_addressed(self):
         a = np.array([0, 1, 1, -1], dtype=np.int64)
         assert scale.labels_digest(a) == scale.labels_digest(a.copy())
         assert scale.labels_digest(a) != scale.labels_digest(a[::-1].copy())
 
     def test_checks_compare_digests_across_exact_backends_only(self):
-        agreeing = scale_record({"dense/n1200": "abc", "memmap/n1200": "abc", "neighbors/n1200": "zzz"})
+        agreeing = scale_record({"blockwise/n1200": "abc", "memmap/n1200": "abc", "neighbors/n1200": "zzz"})
         assert scale.checks(agreeing["metrics"]) == []
-        diverging = scale_record({"dense/n1200": "abc", "memmap/n1200": "abd"})
+        diverging = scale_record({"blockwise/n1200": "abc", "memmap/n1200": "abd"})
         (problem,) = scale.checks(diverging["metrics"])
         assert problem.startswith("n1200: label digests differ across backends")
 
     def test_memmap_and_neighbors_rss_carry_the_budget(self):
         record = make_record(
             "scale",
-            {"memmap/n1200/peak_rss_bytes": 1, "dense/n1200/peak_rss_bytes": 1},
+            {"memmap/n1200/peak_rss_bytes": 1, "blockwise/n1200/peak_rss_bytes": 1},
             scale.METRICS,
             context={},
         )
         assert record["metrics"]["memmap/n1200/peak_rss_bytes"]["budget"] == scale.MEMORY_BUDGET_BYTES
-        assert "budget" not in record["metrics"]["dense/n1200/peak_rss_bytes"]
+        assert "budget" not in record["metrics"]["blockwise/n1200/peak_rss_bytes"]
 
     def test_rejects_unknown_backends_and_sizes(self):
         with pytest.raises(ValueError, match="unknown backend"):
             scale.run(("ram-disk",))
         with pytest.raises(ValueError, match="unknown size"):
-            scale.run(("dense",), ("n99",))
+            scale.run(("blockwise",), ("n99",))
 
     def test_small_run_records_all_cells_with_matching_digests(self, tmp_path, monkeypatch):
         monkeypatch.setenv(SPILL_DIR_ENV_VAR, str(tmp_path / "spill"))
         monkeypatch.setattr(scale, "SCALE_SIZES", {"n180": 180})
         monkeypatch.setattr(scale, "PARITY_N", 180)
         monkeypatch.setattr(scale, "assert_executor_parity", lambda n_samples=240: None)
-        record = scale.run(("dense", "memmap"), ("n180",))
+        record = scale.run(("blockwise", "memmap"), ("n180",))
         values = values_of(record)
-        for backend in ("dense", "memmap"):
+        for backend in ("blockwise", "memmap"):
             assert values[f"{backend}/n180/parity"] is True
             assert values[f"{backend}/n180/wall_s"] > 0
             assert values[f"{backend}/n180/peak_rss_bytes"] > 0
-        assert values["dense/n180/labels_digest"] == values["memmap/n180/labels_digest"]
+        assert values["blockwise/n180/labels_digest"] == values["memmap/n180/labels_digest"]
         assert record["context"]["dense_projected_bytes"] == {"n180": 180 * 180 * 24}
 
     def test_run_cell_measures_in_process(self, tmp_path, monkeypatch):
@@ -151,11 +163,11 @@ class TestScale:
         monkeypatch.setattr(scale, "PARITY_N", 150)
         monkeypatch.setattr(scale, "assert_executor_parity", lambda n_samples=240: None)
         out_path = tmp_path / "record.json"
-        argv = ["bench", "scale", "--backends", "dense", "--sizes", "n150", "--json", str(out_path)]
+        argv = ["bench", "scale", "--backends", "blockwise", "--sizes", "n150", "--json", str(out_path)]
         assert main(argv) == 0
         record = json.loads(out_path.read_text(encoding="utf-8"))
         assert record["suite"] == "scale"
-        assert "dense/n150/wall_s" in record["metrics"]
+        assert "blockwise/n150/wall_s" in record["metrics"]
         assert "wrote" in capsys.readouterr().out
 
 
@@ -184,7 +196,7 @@ class TestScaleSpillFailFast:
 
     def test_run_fails_fast(self, blocked):
         with pytest.raises(RuntimeError, match="spill directory is not writable"):
-            scale.run(backends=("dense",), sizes=("n1200",))
+            scale.run(backends=("blockwise",), sizes=("n1200",))
 
 
 class TestScaleCellSubprocess:
@@ -200,12 +212,12 @@ class TestScaleCellSubprocess:
     def test_garbage_stdout_is_a_runtime_error(self, monkeypatch):
         self.fake_run(monkeypatch, stdout="not json at all")
         with pytest.raises(RuntimeError, match="no parseable measurement"):
-            scale._run_cell_subprocess("dense", 100)
+            scale._run_cell_subprocess("blockwise", 100)
 
     def test_empty_stdout_is_a_runtime_error(self, monkeypatch):
         self.fake_run(monkeypatch, stdout="", stderr="cell died")
         with pytest.raises(RuntimeError, match="no parseable measurement"):
-            scale._run_cell_subprocess("dense", 100)
+            scale._run_cell_subprocess("blockwise", 100)
 
     def test_nonzero_exit_reports_last_stderr_line(self, monkeypatch):
         self.fake_run(monkeypatch, returncode=1, stderr="noise\nMemoryError: out of memory")
@@ -218,7 +230,7 @@ class TestScaleCellSubprocess:
             raise RuntimeError("synthetic cell failure")
 
         monkeypatch.setattr(scale, "run_cell", explode)
-        assert scale._cell_main(["dense", "100"]) == 1
+        assert scale._cell_main(["blockwise", "100"]) == 1
         assert capsys.readouterr().err.strip() == "RuntimeError: synthetic cell failure"
 
 

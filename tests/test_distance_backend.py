@@ -3,7 +3,7 @@
 Covers the bit-identity contract across the exact tiers and executors, the memmap
 spill lifecycle (atomic writes, exception cleanup, reuse, kill-resume,
 process-backend sharing), the cache-stats parity across backends, and the
-deprecated ``"dense"`` alias of the blockwise tier.
+rejection of unknown tier names.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import subprocess
 import sys
 import textwrap
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,55 +94,56 @@ class TestResolution:
         assert isinstance(get_distance_backend("blockwise"), BlockwiseBackend)
         assert isinstance(get_distance_backend("memmap"), MemmapBackend)
 
-    def test_dense_alias_resolves_to_blockwise_and_warns_once(self, monkeypatch, tmp_path):
+    def test_retired_dense_name_is_an_unknown_backend_everywhere(self, monkeypatch, tmp_path, capsys):
+        """``"dense"`` gets the unknown-backend message at all five entry points."""
         from repro.cli.main import main
         from repro.experiments.pipeline import pipeline_spec_from_mapping
+        from repro.utils.specs import SpecError
 
-        def resolved_with_one_warning(entry_point):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                value = entry_point()
-            deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1, [str(w.message) for w in deprecations]
-            assert "'dense' is deprecated" in str(deprecations[0].message)
-            return value
+        def from_environment(name):
+            monkeypatch.setenv(DISTANCE_BACKEND_ENV_VAR, name)
+            try:
+                return resolve_distance_backend(None)
+            finally:
+                monkeypatch.delenv(DISTANCE_BACKEND_ENV_VAR)
 
-        assert resolved_with_one_warning(lambda: resolve_distance_backend("dense")) == "blockwise"
-        assert resolved_with_one_warning(lambda: get_distance_backend("dense")) is (
-            get_distance_backend("blockwise")
-        )
-        monkeypatch.setenv(DISTANCE_BACKEND_ENV_VAR, "dense")
-        assert resolved_with_one_warning(lambda: resolve_distance_backend(None)) == "blockwise"
-        monkeypatch.delenv(DISTANCE_BACKEND_ENV_VAR)
-
-        spec = resolved_with_one_warning(lambda: ExecutionSpec(distance_backend="dense"))
-        assert spec == ExecutionSpec(distance_backend="blockwise")
-        table = resolved_with_one_warning(
-            lambda: ExecutionSpec.from_spec({"distance_backend": "dense"})
-        )
-        assert table.distance_backend == "blockwise"
-        pipeline = resolved_with_one_warning(
-            lambda: pipeline_spec_from_mapping(
-                {
-                    "experiment": {"name": "alias", "kind": "trials"},
-                    "execution": {"distance_backend": "dense"},
-                }
+        def from_table(name):
+            return pipeline_spec_from_mapping(
+                {"experiment": {"name": "retired", "kind": "trials"}, "execution": {"distance_backend": name}}
             )
-        )
-        assert pipeline.config.distance_backend == "blockwise"
 
-        config = tmp_path / "alias.toml"
-        config.write_text(
-            '[experiment]\nname = "alias"\nkind = "trials"\nalgorithm = "fosc"\n'
-            'scenario = "labels"\namounts = [0.2]\ndatasets = ["Iris"]\n'
-            '[parameters]\nn_trials = 1\nn_folds = 3\nminpts_range = [3, 6]\n'
-            f'[artifacts]\nroot = "{tmp_path / "store"}"\n',
-            encoding="utf-8",
+        config = tmp_path / "retired.toml"
+        config.write_text('[experiment]\nname = "retired"\nkind = "trials"\n', encoding="utf-8")
+
+        def from_cli(name):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", str(config), "--distance-backend", name, "--quiet"])
+            assert excinfo.value.code == 2
+            raise ValueError(capsys.readouterr().err)
+
+        def message(entry_point, name):
+            with pytest.raises(ValueError) as excinfo:
+                entry_point(name)
+            return str(excinfo.value).replace(repr(name), "<name>")
+
+        entry_points = {
+            "distance_backend=": resolve_distance_backend,
+            DISTANCE_BACKEND_ENV_VAR: from_environment,
+            "ExecutionSpec": lambda name: ExecutionSpec(distance_backend=name),
+            "[execution]": from_table,
+            "--distance-backend": from_cli,
+        }
+        for label, entry_point in entry_points.items():
+            assert message(entry_point, "dense") == message(entry_point, "gpu"), label
+        assert message(get_distance_backend, "dense") == (
+            f"distance_backend must be one of {DISTANCE_BACKENDS}, got <name>"
         )
-        exit_code = resolved_with_one_warning(
-            lambda: main(["run", str(config), "--distance-backend", "dense", "--quiet"])
-        )
-        assert exit_code == 0
+        with pytest.raises(SpecError) as excinfo:
+            ExecutionSpec.from_spec({"distance_backend": "dense"})
+        assert excinfo.value.problems == [
+            "execution.distance_backend: must be one of blockwise, memmap, neighbors; got 'dense'"
+        ]
+        assert "invalid choice: 'dense'" in message(from_cli, "dense").replace("<name>", "'dense'")
 
 
 class TestMatrixBitIdentity:

@@ -283,9 +283,9 @@ class TestSchemaDocsInSync:
         architecture_page = (DOCS_DIR / "architecture.md").read_text(encoding="utf-8")
         assert "repro.core.distance_backend" in architecture_page
         assert "Distances" in architecture_page  # the component diagram row
-        from repro.core.distance_backend import DISTANCE_BACKEND_ALIASES, DISTANCE_BACKENDS
+        from repro.core.distance_backend import DISTANCE_BACKENDS
 
-        for tier in DISTANCE_BACKENDS + tuple(DISTANCE_BACKEND_ALIASES):
+        for tier in DISTANCE_BACKENDS:
             assert tier in architecture_page
         assert "repro.core.neighbor_graph" in architecture_page
 

@@ -2,8 +2,7 @@
 
 The CI ``metric-matrix`` job runs this module once per metric
 ({euclidean, cosine, precomputed}); each run asserts that the exact
-distance tiers (blockwise, memmap — plus the deprecated ``"dense"`` alias
-of blockwise) and the serial/process executors all produce
+distance tiers (blockwise, memmap) and the serial/process executors all produce
 *bit-identical* CVCP trials on the sparse
 planted-topic corpus — before any benchmark in the repo is allowed to
 time those paths.  A final cross-metric check pins the semantic link:
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.clustering.distances import pairwise_distances
-from repro.core.distance_backend import DISTANCE_BACKEND_ALIASES, EXACT_DISTANCE_BACKENDS
+from repro.core.distance_backend import EXACT_DISTANCE_BACKENDS
 from repro.datasets.base import Dataset
 from repro.datasets.text import make_text_blobs
 from repro.experiments.config import ExperimentConfig
@@ -85,8 +84,7 @@ def reference(corpus):
 
 
 @pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("tier", EXACT_DISTANCE_BACKENDS + tuple(DISTANCE_BACKEND_ALIASES))
-@pytest.mark.filterwarnings("ignore:distance_backend='dense' is deprecated:DeprecationWarning")
+@pytest.mark.parametrize("tier", EXACT_DISTANCE_BACKENDS)
 class TestTierParity:
     def test_tier_bit_identical_to_blockwise(self, corpus, reference, metric, tier):
         trial = _trial(_dataset_for(corpus, metric), distance_backend=tier)

@@ -19,7 +19,6 @@ import pytest
 from repro.clustering.fosc import FOSCOpticsDend
 from repro.core.cvcp import CVCP
 from repro.core.distance_backend import (
-    DISTANCE_BACKEND_ALIASES,
     DISTANCE_BACKENDS,
     EXACT_DISTANCE_BACKENDS,
     get_distance_backend,
@@ -92,8 +91,7 @@ class TestExecutionSpecSurface:
         with pytest.raises(SpecError, match="execution.k_neighbors"):
             ExecutionSpec(distance_backend="neighbors", k_neighbors=bad)
 
-    @pytest.mark.parametrize("backend", EXACT_DISTANCE_BACKENDS + tuple(DISTANCE_BACKEND_ALIASES))
-    @pytest.mark.filterwarnings("ignore:distance_backend='dense' is deprecated:DeprecationWarning")
+    @pytest.mark.parametrize("backend", EXACT_DISTANCE_BACKENDS)
     def test_knobs_with_an_exact_tier_are_rejected(self, backend):
         with pytest.raises(SpecError, match="only meaningful"):
             ExecutionSpec(distance_backend=backend, epsilon=2.0)

@@ -2,10 +2,9 @@
 
 ``tests/tier_oracle.py`` keeps the former ``dense`` path: core distances
 by one full-matrix partition, mutual reachability by full-matrix
-temporaries.  Every exact tier — ``blockwise``, ``memmap`` and the
-deprecated ``"dense"`` alias — must reproduce it bit for bit: core
-distances, the mutual-reachability matrix, MST edges, merge records and
-every array of the condensed tree.  The inputs straddle the 512-row panel
+temporaries.  Every exact tier — ``blockwise`` and ``memmap`` — must
+reproduce it bit for bit: core distances, the mutual-reachability matrix,
+MST edges, merge records and every array of the condensed tree.  The inputs straddle the 512-row panel
 width, include duplicate-heavy data (zero distances, tied distances) and
 precomputed matrices with ``+inf`` entries.
 """
@@ -33,12 +32,8 @@ import tier_oracle as oracle
 settings.register_profile("repro-tier-oracle", max_examples=20, deadline=None)
 settings.load_profile("repro-tier-oracle")
 
-#: Every exact tier, the deprecated alias of blockwise included.
-TIERS = ("blockwise", "memmap", "dense")
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:distance_backend='dense' is deprecated:DeprecationWarning"
-)
+#: Every exact tier.
+TIERS = ("blockwise", "memmap")
 
 
 @st.composite
