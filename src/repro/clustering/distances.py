@@ -13,6 +13,15 @@ earlier releases; for larger ``n`` the BLAS cross-product runs per panel,
 which can differ from a whole-matrix GEMM in the last ulp (see
 ``docs/determinism.md`` for this one-time break and its precedents).
 
+Each panel is computed **in place** in ``out[start:stop]``: the GEMM (or
+the sparse Gram panel) writes straight into it, and the elementwise steps
+that follow run in place, one row chunk at a time through one reused
+scratch of about :data:`_CHUNK_BYTES`.  So besides ``out`` itself a panel
+costs no ``(block, m)`` temporary, and Manhattan's ``(rows, m, d)``
+broadcast is bounded by the same chunk.  Only an ``out`` whose row panels
+are not C-contiguous ``float64`` (F-ordered, strided, another dtype) gets
+one reused panel-sized buffer that is copied into it.
+
 Inputs are accepted as they come: C-contiguous ``float64`` matrices are used
 in place (no hidden copy — regression-tested), non-contiguous views are
 consumed without materialising a contiguous copy, and other dtypes are
@@ -21,7 +30,7 @@ converted to ``float64`` exactly once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -36,6 +45,17 @@ if TYPE_CHECKING:
 #: operand blocks regardless of how (or where) the output is stored.
 DEFAULT_BLOCK_ROWS = 512
 
+#: Size of the reused row-chunk scratch: the ``x_sq + y_sq`` sums of a
+#: Euclidean panel, Manhattan's broadcast differences and the rows
+#: ``core_distance_table`` partitions at once.  Chunking changes no bit:
+#: every chunked step is elementwise, or a per-row order statistic.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes each that fit in :data:`_CHUNK_BYTES` (at least 1)."""
+    return max(1, _CHUNK_BYTES // row_bytes)
+
 
 def _check_block_rows(block_rows: int) -> int:
     if block_rows < 1:
@@ -49,6 +69,66 @@ def _as_float64(array: np.ndarray) -> np.ndarray:
     if array.dtype == np.float64:
         return array
     return array.astype(np.float64)
+
+
+def _panels(
+    out: np.ndarray, block: int, panel_done: Callable[[int, int], None] | None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(start, stop, panel)`` for each canonical row panel of ``out``.
+
+    ``panel`` is ``out[start:stop]`` itself whenever that slice is a
+    C-contiguous ``float64`` array (a fresh output, any C-ordered array or
+    memmap), so the caller computes straight into ``out``.  Otherwise it is
+    one reused C-contiguous buffer that is copied into ``out`` when the
+    caller is done with it: the GEMM writes the same C layout either way,
+    which keeps the bits canonical.  ``panel_done(start, stop)`` fires once
+    the panel is in ``out``.
+    """
+    n, m = out.shape
+    buffer = None
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        panel = out[start:stop]
+        direct = panel.dtype == np.float64 and panel.flags.c_contiguous
+        if not direct:
+            if buffer is None:
+                buffer = np.empty((min(block, n), m), dtype=np.float64)
+            panel = buffer[: stop - start]
+        yield start, stop, panel
+        if not direct:
+            out[start:stop] = panel
+        if panel_done is not None:
+            panel_done(start, stop)
+
+
+def _squared_from_cross(panel: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray, sums: np.ndarray) -> None:
+    """``panel <- max((x_sq[:, None] + y_sq[None, :]) - 2.0 * panel, 0)`` in place.
+
+    ``panel`` holds the cross products on entry.  The sums go through the
+    reused ``sums`` scratch one row chunk at a time; every step is the
+    elementwise operation of the whole-panel formula, in the same order.
+    """
+    step = sums.shape[0]
+    for a in range(0, panel.shape[0], step):
+        b = min(a + step, panel.shape[0])
+        chunk, chunk_sums = panel[a:b], sums[: b - a]
+        np.add(x_sq[a:b, None], y_sq[None, :], out=chunk_sums)
+        np.multiply(chunk, 2.0, out=chunk)
+        np.subtract(chunk_sums, chunk, out=chunk)
+    # Numerical noise can push tiny distances slightly negative.
+    np.maximum(panel, 0.0, out=panel)
+
+
+def _cosine_from_similarity(panel: np.ndarray, start: int, stop: int) -> None:
+    """``panel <- 1 - clip(panel, -1, 1)`` in place, with a zero self-distance."""
+    np.clip(panel, -1.0, 1.0, out=panel)
+    np.subtract(1.0, panel, out=panel)
+    panel[np.arange(stop - start), np.arange(start, stop)] = 0.0
+
+
+def _sums_scratch(n: int, m: int, block: int) -> np.ndarray:
+    """The reused row-chunk scratch of :func:`_squared_from_cross`."""
+    return np.empty((min(_chunk_rows(8 * m), block, n), m), dtype=np.float64)
 
 
 def euclidean_distances(
@@ -95,26 +175,22 @@ def euclidean_distances(
     if out is None:
         out = np.empty((n, m), dtype=np.float64)
     y_sq = np.einsum("ij,ij->i", Y, Y)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    sums = _sums_scratch(n, m, block)
+    for start, stop, panel in _panels(out, block, panel_done):
         rows = X[start:stop]
         x_sq = y_sq[start:stop] if self_distances else np.einsum("ij,ij->i", rows, rows)
-        cross = rows @ Y.T
-        panel = x_sq[:, None] + y_sq[None, :] - 2.0 * cross
-        # Numerical noise can push tiny distances slightly negative.
-        np.maximum(panel, 0.0, out=panel)
+        np.matmul(rows, Y.T, out=panel)
+        _squared_from_cross(panel, x_sq, y_sq, sums)
         if self_distances:
             panel[np.arange(stop - start), np.arange(start, stop)] = 0.0
         if not squared:
             np.sqrt(panel, out=panel)
-        out[start:stop] = panel
-        if panel_done is not None:
-            panel_done(start, stop)
     return out
 
 
 def _manhattan_panel(rows: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return np.abs(rows[:, None, :] - Y[None, :, :]).sum(axis=2)
+    difference = rows[:, None, :] - Y[None, :, :]
+    return np.abs(difference, out=difference).sum(axis=2)
 
 
 def _sparse_squared_norms(X: "sparse.spmatrix") -> np.ndarray:
@@ -131,22 +207,18 @@ def _sparse_euclidean(
 ) -> np.ndarray:
     """Blocked Euclidean distances over CSR rows — sparse dots, no densify.
 
-    The only dense temporaries are the ``(block, n)`` output panels; the
+    Each sparse Gram panel is densified straight into ``out``; the
     ``(n, d)`` operand stays sparse throughout.
     """
     n = X.shape[0]
     sq = _sparse_squared_norms(X)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        cross = (X[start:stop] @ X.T).toarray()
-        panel = sq[start:stop][:, None] + sq[None, :] - 2.0 * cross
-        np.maximum(panel, 0.0, out=panel)
+    sums = _sums_scratch(n, n, block)
+    for start, stop, panel in _panels(out, block, panel_done):
+        (X[start:stop] @ X.T).toarray(out=panel)
+        _squared_from_cross(panel, sq[start:stop], sq, sums)
         panel[np.arange(stop - start), np.arange(start, stop)] = 0.0
         if not squared:
             np.sqrt(panel, out=panel)
-        out[start:stop] = panel
-        if panel_done is not None:
-            panel_done(start, stop)
     return out
 
 
@@ -165,16 +237,9 @@ def _sparse_cosine(
     norms = np.where(norms == 0.0, 1.0, norms)
     # Row scaling keeps the CSR structure: D^-1 @ X with a sparse diagonal.
     normalised = sparse.diags(1.0 / norms).dot(X).tocsr()
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        similarity = np.clip(
-            (normalised[start:stop] @ normalised.T).toarray(), -1.0, 1.0
-        )
-        panel = 1.0 - similarity
-        panel[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        out[start:stop] = panel
-        if panel_done is not None:
-            panel_done(start, stop)
+    for start, stop, panel in _panels(out, block, panel_done):
+        (normalised[start:stop] @ normalised.T).toarray(out=panel)
+        _cosine_from_similarity(panel, start, stop)
     return out
 
 
@@ -260,8 +325,8 @@ def pairwise_distances(
     ----------
     X:
         ``(n, d)`` data matrix — dense, or scipy CSR for the sparse metrics
-        (:data:`SPARSE_METRICS`; the operand is never densified, only the
-        ``(block, n)`` output panels are dense).  Dense input is accepted
+        (:data:`SPARSE_METRICS`; the operand is never densified, only each
+        Gram panel, straight into ``out``).  Dense input is accepted
         as-is: C-contiguous ``float64`` input is never copied,
         non-contiguous views are consumed without a hidden contiguous copy,
         and other dtypes (e.g. ``float32``) are upcast exactly once.  For
@@ -273,9 +338,10 @@ def pairwise_distances(
     out:
         Optional ``(n, n)`` float64 output to fill (RAM or ``np.memmap``).
     block_rows:
-        Row-panel width (see :data:`DEFAULT_BLOCK_ROWS`); panelling also
-        bounds the per-metric temporaries — notably Manhattan's former
-        ``(n, n, d)`` broadcast intermediate is now ``(block, n, d)``.
+        Row-panel width (see :data:`DEFAULT_BLOCK_ROWS`).  Panels are
+        computed in place in ``out``, so the per-metric temporaries are
+        bounded by one row chunk of about :data:`_CHUNK_BYTES` (Manhattan's
+        broadcast difference included) rather than by the panel.
     panel_done:
         Optional per-panel callback ``panel_done(start, stop)`` (see
         :func:`euclidean_distances`).
@@ -292,11 +358,8 @@ def pairwise_distances(
             raise ValueError(f"out must have shape {(n, n)}, got {out.shape}")
         # Panel-copy so out-of-core consumers (memmap spill fill) see the
         # same incremental panel_done stream as the computed metrics.
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            out[start:stop] = matrix[start:stop]
-            if panel_done is not None:
-                panel_done(start, stop)
+        for start, stop, panel in _panels(out, block, panel_done):
+            panel[...] = matrix[start:stop]
         return out
     sparse_input = is_sparse(X)
     if sparse_input and metric not in ("euclidean", "sqeuclidean", "cosine"):
@@ -324,24 +387,21 @@ def pairwise_distances(
     if metric == "cosine" and sparse_input:
         return _sparse_cosine(X, out, block=block, panel_done=panel_done)
     if metric == "manhattan":
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            out[start:stop] = _manhattan_panel(X[start:stop], X)
-            if panel_done is not None:
-                panel_done(start, stop)
+        # Each difference row is (n, d); the broadcast is built a row chunk
+        # at a time, and each chunk reduces exactly as the whole panel did.
+        step = _chunk_rows(8 * n * X.shape[1])
+        for start, stop, panel in _panels(out, block, panel_done):
+            for a in range(start, stop, step):
+                b = min(a + step, stop)
+                panel[a - start : b - start] = _manhattan_panel(X[a:b], X)
         return out
     if metric == "cosine":
         norms = np.linalg.norm(X, axis=1)
         norms = np.where(norms == 0.0, 1.0, norms)
         normalised = X / norms[:, None]
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            similarity = np.clip(normalised[start:stop] @ normalised.T, -1.0, 1.0)
-            panel = 1.0 - similarity
-            panel[np.arange(stop - start), np.arange(start, stop)] = 0.0
-            out[start:stop] = panel
-            if panel_done is not None:
-                panel_done(start, stop)
+        for start, stop, panel in _panels(out, block, panel_done):
+            np.matmul(normalised[start:stop], normalised.T, out=panel)
+            _cosine_from_similarity(panel, start, stop)
         return out
     raise ValueError(f"unknown metric {metric!r}")
 
@@ -418,18 +478,20 @@ def core_distance_table(
     ``k <= width``: one partition serves a whole MinPts grid, and as order
     statistics are exact values, every width gives the same bits.
     ``distance_matrix`` may be an in-RAM array or a read-only ``np.memmap``;
-    it is partitioned per row panel, so the peak temporary is
-    ``(block_rows, n)``, and the result holds no reference to it.
+    it is partitioned in row sub-panels of at most ``block_rows`` rows and
+    about :data:`_CHUNK_BYTES`, so besides the ``(n, width)`` table the
+    peak temporary is one such sub-panel, and the result holds no
+    reference to the matrix.
     """
     # Plain asarray: zero-copy for any ndarray/memmap, converts array-likes.
     distance_matrix = np.asarray(distance_matrix)
     n = distance_matrix.shape[0]
     if not 1 <= width <= n:
         raise ValueError(f"width must be in [1, {n}], got {width}")
-    block = _check_block_rows(block_rows)
+    step = min(_check_block_rows(block_rows), _chunk_rows(8 * n))
     table = np.empty((n, width), dtype=np.float64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         rows = np.asarray(distance_matrix[start:stop], dtype=np.float64)
         table[start:stop] = np.sort(np.partition(rows, width - 1, axis=1)[:, :width], axis=1)
     return table
