@@ -187,10 +187,9 @@ def run(deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
             # from (the cold replay above cleared the process-local memo;
             # its own structure builds normally refill it, but the next
             # incremental timing must not depend on that side effect).
-            for value in values:
-                estimator.clone(**{estimator.tuned_parameter: value}).warm_structure(
-                    dataset.X, store=None
-                )
+            estimator.warm_structures(
+                dataset.X, [estimator.clone(**{estimator.tuned_parameter: value}) for value in values]
+            )
 
             delta_records.append(
                 {

@@ -26,11 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.clustering.base import BaseClusterer
-from repro.clustering.hierarchy import (
-    CondensedTreeArrays,
-    TreeStructure,
-    cached_tree_structure,
-)
+from repro.clustering.hierarchy import CondensedTreeArrays, cached_tree_structure
 from repro.clustering.kernels import fosc_extract
 from repro.constraints.closure import transitive_closure
 from repro.constraints.constraint import MUST_LINK, ConstraintSet
@@ -153,7 +149,7 @@ class FOSCOpticsDend(BaseClusterer):
     tuned_parameter = "min_pts"
 
     #: The CVCP driver warms and shares this estimator's structure phase
-    #: through the artifact store (see :meth:`warm_structure`).
+    #: through the artifact store (see :meth:`warm_structures`).
     structure_caching = True
 
     def __init__(
@@ -185,7 +181,7 @@ class FOSCOpticsDend(BaseClusterer):
     ) -> "FOSCOpticsDend":
         """Cluster ``X`` guided by constraints (or a partial labelling)."""
         X = check_array_2d(X)
-        check_positive_int(self.min_pts, name="min_pts")
+        min_pts = self._effective_min_pts(X)
 
         constraints = constraints if constraints is not None else ConstraintSet()
         if seed_labels:
@@ -199,10 +195,10 @@ class FOSCOpticsDend(BaseClusterer):
         # per-process memo; only the FOSC extraction below depends on the
         # constraint set.  Worker processes never touch the artifact store —
         # store-backed warming happens in the submitting process (see
-        # :meth:`warm_structure` and the CVCP driver).
+        # :meth:`warm_structures` and the CVCP driver).
         structure = cached_tree_structure(
             X,
-            self._effective_min_pts(X),
+            min_pts,
             min_cluster_size=self.min_cluster_size,
             metric=self.metric,
             distance_backend=self.distance_backend,
@@ -219,28 +215,40 @@ class FOSCOpticsDend(BaseClusterer):
 
     # ------------------------------------------------------------------
     def _effective_min_pts(self, X: np.ndarray) -> int:
-        """MinPts clamped to the sample count (tiny folds stay fittable)."""
-        return min(self.min_pts, max(2, X.shape[0] - 1))
+        """MinPts, validated, clamped to the sample count (tiny folds stay fittable)."""
+        return min(check_positive_int(self.min_pts, name="min_pts"), max(2, X.shape[0] - 1))
 
-    def warm_structure(self, X: np.ndarray, store) -> TreeStructure:
-        """Warm this estimator's structure phase through an artifact store.
+    @staticmethod
+    def warm_structures(X: np.ndarray, estimators, store=None) -> None:
+        """Warm the structure phase of several estimators, one per grid value.
 
-        Probes the store's ``"structure"`` kind first (recording a per-kind
-        hit/miss), decodes a persisted structure into the per-process memo,
-        or builds and writes one through.  The CVCP driver calls this in
-        the submitting process before launching the grid, so serial/thread
-        cells and fork-started process workers reuse the warmed memo and
-        re-runs — under *any* oracle or constraint set — reuse the
-        persisted artifact.
+        Estimators that differ only in MinPts (a CVCP grid) share one
+        :func:`~repro.clustering.hierarchy.cached_tree_structure` call, so
+        every structure the memo lacks is built in one lock-step pass.
+        With a ``store`` each structure is first probed in the store's
+        ``"structure"`` kind (recording a per-kind hit/miss), a persisted
+        one is decoded into the per-process memo, and a fresh one is
+        written through.  The CVCP driver calls this in the submitting
+        process before launching the grid, so serial/thread cells and
+        fork-started process workers reuse the warmed memo and re-runs —
+        under *any* oracle or constraint set — reuse the persisted artifact.
         """
         X = check_array_2d(X)
-        return cached_tree_structure(
-            X,
-            self._effective_min_pts(X),
-            min_cluster_size=self.min_cluster_size,
-            metric=self.metric,
-            distance_backend=self.distance_backend,
-            epsilon=self.epsilon,
-            k_neighbors=self.k_neighbors,
-            store=store,
-        )
+        grids: dict[tuple, list[int]] = {}
+        for estimator in estimators:
+            settings = (
+                estimator.min_cluster_size, estimator.metric, estimator.distance_backend,
+                estimator.epsilon, estimator.k_neighbors,
+            )
+            grids.setdefault(settings, []).append(estimator._effective_min_pts(X))
+        for (min_cluster_size, metric, distance_backend, epsilon, k_neighbors), values in grids.items():
+            cached_tree_structure(
+                X,
+                values,
+                min_cluster_size=min_cluster_size,
+                metric=metric,
+                distance_backend=distance_backend,
+                epsilon=epsilon,
+                k_neighbors=k_neighbors,
+                store=store,
+            )

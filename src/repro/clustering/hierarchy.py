@@ -12,7 +12,8 @@ The structure phase never materialises that ``(n, n)`` matrix: every
 MinPts reads its core distances from one memoised partition of the distance
 matrix, and Prim applies ``max`` row by row (McInnes & Healy, "Accelerated
 Hierarchical Density Based Clustering", 2017) — bit-identical, as ``max`` is
-exact.  The module provides:
+exact.  The trees of every MinPts of a CVCP grid grow in one lock-step Prim
+loop.  The module provides:
 
 * :func:`mutual_reachability` — the transformed matrix, for callers that
   want it;
@@ -31,6 +32,7 @@ exact.  The module provides:
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +45,7 @@ from repro.clustering.kernels import (
     single_linkage_tree as build_single_linkage_tree,
     stabilities,
 )
-from repro.utils.cache import MemoCache, array_fingerprint, cached_core_distances
+from repro.utils.cache import MemoCache, array_fingerprint, cached_core_table
 from repro.utils.validation import check_array_2d, check_positive_int
 
 
@@ -176,6 +178,56 @@ class CondensedTreeArrays:
         return labels_for_selection(self.arrays, list(selected))
 
 
+def _spanning_trees(
+    X: np.ndarray,
+    min_pts_values: Sequence[int],
+    *,
+    metric: str,
+    distance_backend: str | None,
+    epsilon: float | None,
+    k_neighbors: int | None,
+) -> tuple[np.ndarray | None, list[tuple]]:
+    """Core distances and mutual-reachability MST of every MinPts of a grid.
+
+    Returns ``(distances, trees)``: the exact tiers' distance matrix (``None``
+    on the ``neighbors`` tier) and one ``(core_distances, mst_edges,
+    mutual_reachability_graph)`` per value, in order.  On the exact tiers
+    every value reads its core distances from one partition of the memoised
+    matrix, taken at the grid's widest MinPts, and all trees grow in one
+    lock-step Prim that applies mutual reachability to each row it reads;
+    their graph entry is ``None``.  The ``neighbors`` tier derives core
+    distances, mutual reachability and a sparse MST per value from the
+    epsilon-bounded k-NN graph, so storage and work scale with n·k, never n².
+    """
+    from repro.core.distance_backend import get_distance_backend
+
+    backend = get_distance_backend(distance_backend)
+    if backend.name == "neighbors":
+        from repro.core.neighbor_graph import (
+            cached_neighbor_graph,
+            mutual_reachability_graph,
+            sparse_mst_edges,
+        )
+
+        graph = cached_neighbor_graph(X, metric=metric, epsilon=epsilon, k_neighbors=k_neighbors)
+        trees = []
+        for min_pts in min_pts_values:
+            core_distances = graph.core_distances(min_pts)
+            mreach = mutual_reachability_graph(graph.graph, core_distances)
+            trees.append((core_distances, sparse_mst_edges(mreach), mreach))
+        return None, trees
+    # Memoised: every (value × fold) grid cell of a CVCP sweep shares the
+    # same O(n²) matrix and its core-distance table.  Then the matrix's page
+    # residency is dropped (memmap tier).
+    distances, table = cached_core_table(
+        X, max(min_pts_values), metric, distance_backend=backend.name
+    )
+    cores = np.ascontiguousarray(table[:, [min_pts - 1 for min_pts in min_pts_values]].T)
+    edges = minimum_spanning_tree(distances, cores)
+    backend.release(distances)
+    return distances, [(core, tree, None) for core, tree in zip(cores, edges)]
+
+
 class DensityHierarchy:
     """Facade: data matrix → condensed density hierarchy.
 
@@ -224,44 +276,17 @@ class DensityHierarchy:
 
     def fit(self, X: np.ndarray) -> "DensityHierarchy":
         """Build the hierarchy for ``X``."""
-        from repro.core.distance_backend import get_distance_backend
-
         X = check_array_2d(X)
         if self.min_pts > X.shape[0]:
             raise ValueError(
                 f"min_pts={self.min_pts} exceeds the number of samples {X.shape[0]}"
             )
         n_samples = X.shape[0]
-        backend = get_distance_backend(self.distance_backend)
-        if backend.name == "neighbors":
-            # Sparse tier: core distances, mutual reachability and the MST
-            # are all derived from the epsilon-bounded k-NN graph — storage
-            # and work scale with n·k, never n².  The merge records feed
-            # the same single-linkage/condense kernels as the exact tiers.
-            from repro.core.neighbor_graph import (
-                cached_neighbor_graph,
-                mutual_reachability_graph,
-                sparse_mst_edges,
-            )
-
-            graph = cached_neighbor_graph(
-                X, metric=self.metric, epsilon=self.epsilon, k_neighbors=self.k_neighbors
-            )
-            self.core_distances_ = graph.core_distances(self.min_pts)
-            self._mutual_reachability = mutual_reachability_graph(graph.graph, self.core_distances_)
-            self.mst_edges_ = sparse_mst_edges(self._mutual_reachability)
-        else:
-            # Memoised: every (value × fold) grid cell of a CVCP sweep shares
-            # the same O(n²) matrix and its core-distance table.  Prim applies
-            # mutual reachability to each row it reads; then the matrix's
-            # page residency is dropped (memmap tier).
-            distances, self.core_distances_ = cached_core_distances(
-                X, self.min_pts, self.metric, distance_backend=backend.name
-            )
-            self._distances = distances
-            self._mutual_reachability = None
-            self.mst_edges_ = minimum_spanning_tree(distances, self.core_distances_)
-            backend.release(distances)
+        self._distances, trees = _spanning_trees(
+            X, [self.min_pts], metric=self.metric, distance_backend=self.distance_backend,
+            epsilon=self.epsilon, k_neighbors=self.k_neighbors,
+        )
+        ((self.core_distances_, self.mst_edges_, self._mutual_reachability),) = trees
         self.single_linkage_tree_ = build_single_linkage_tree(self.mst_edges_, n_samples)
         self.condensed_tree_ = CondensedTreeArrays(
             condense_tree(self.single_linkage_tree_, n_samples, self.min_cluster_size)
@@ -336,38 +361,53 @@ def resolve_min_cluster_size(min_pts: int, min_cluster_size: int | None) -> int:
     return check_positive_int(min_cluster_size, name="min_cluster_size", minimum=2)
 
 
-def build_tree_structure(
+def build_tree_structures(
     X: np.ndarray,
-    min_pts: int,
+    min_pts_values: Sequence[int],
     *,
     min_cluster_size: int | None = None,
     metric: str = "euclidean",
     distance_backend: str | None = None,
     epsilon: float | None = None,
     k_neighbors: int | None = None,
-) -> TreeStructure:
-    """Build the structure phase of one fit (no memo, no store)."""
-    hierarchy = DensityHierarchy(
-        min_pts,
-        min_cluster_size=min_cluster_size,
-        metric=metric,
-        distance_backend=distance_backend,
-        epsilon=epsilon,
-        k_neighbors=k_neighbors,
-    ).fit(X)
-    # Only the O(n) outputs are retained; the hierarchy facade (and its
-    # reference to the distance matrix) is dropped here so memoised
-    # structures never hold whole matrices alive.
-    return TreeStructure(
-        n_samples=int(np.asarray(hierarchy.core_distances_).shape[0]),
-        min_pts=int(hierarchy.min_pts),
-        min_cluster_size=int(hierarchy.min_cluster_size),
-        metric=metric,
-        core_distances=np.asarray(hierarchy.core_distances_, dtype=np.float64),
-        mst_edges=np.asarray(hierarchy.mst_edges_, dtype=np.float64),
-        single_linkage_tree=np.asarray(hierarchy.single_linkage_tree_, dtype=np.float64),
-        condensed_tree=hierarchy.condensed_tree_,
+) -> list[TreeStructure]:
+    """Build the structure phase of every MinPts of a grid in one pass (no memo, no store).
+
+    Each structure equals the one its MinPts alone would give.
+    """
+    X = check_array_2d(X)
+    n_samples = X.shape[0]
+    values = [check_positive_int(min_pts, name="min_pts") for min_pts in min_pts_values]
+    if max(values) > n_samples:
+        raise ValueError(f"min_pts={max(values)} exceeds the number of samples {n_samples}")
+    _, trees = _spanning_trees(
+        X, values, metric=metric, distance_backend=distance_backend,
+        epsilon=epsilon, k_neighbors=k_neighbors,
     )
+    # Only the O(n) outputs are retained, so memoised structures never
+    # hold whole matrices alive.
+    structures = []
+    for min_pts, (core_distances, mst_edges, _) in zip(values, trees):
+        merges = build_single_linkage_tree(mst_edges, n_samples)
+        size = resolve_min_cluster_size(min_pts, min_cluster_size)
+        structures.append(
+            TreeStructure(
+                n_samples=n_samples,
+                min_pts=min_pts,
+                min_cluster_size=size,
+                metric=metric,
+                core_distances=np.asarray(core_distances, dtype=np.float64),
+                mst_edges=np.asarray(mst_edges, dtype=np.float64),
+                single_linkage_tree=np.asarray(merges, dtype=np.float64),
+                condensed_tree=CondensedTreeArrays(condense_tree(merges, n_samples, size)),
+            )
+        )
+    return structures
+
+
+def build_tree_structure(X: np.ndarray, min_pts: int, **settings) -> TreeStructure:
+    """Build the structure phase of one fit: the one-value grid of :func:`build_tree_structures`."""
+    return build_tree_structures(X, [min_pts], **settings)[0]
 
 
 def _encode_floats(array: np.ndarray) -> list:
@@ -510,7 +550,7 @@ _structure_cache = MemoCache(max_items=64)
 
 def cached_tree_structure(
     X: np.ndarray,
-    min_pts: int,
+    min_pts: int | Sequence[int],
     *,
     min_cluster_size: int | None = None,
     metric: str = "euclidean",
@@ -518,35 +558,64 @@ def cached_tree_structure(
     epsilon: float | None = None,
     k_neighbors: int | None = None,
     store=None,
-) -> TreeStructure:
+) -> TreeStructure | list[TreeStructure]:
     """The structure phase, memoised per process and optionally store-backed.
+
+    ``min_pts`` is one value, or a CVCP grid of values (a list of
+    structures comes back, one per value, in order).  Repeated values are
+    built once, and every structure that neither the memo nor the store
+    holds is built in one lock-step pass (:func:`build_tree_structures`),
+    in chunks no larger than the memo so a call never evicts its own
+    structures.  A single value is the one-value grid.
 
     Without ``store`` this is a plain memo lookup (the path
     :meth:`repro.clustering.fosc.FOSCOpticsDend.fit` takes — worker
     processes never touch the artifact store).  With a ``store``
     (:class:`~repro.experiments.artifacts.ArtifactStore`-compatible), the
-    store is probed *first* so its per-kind hit/miss stats record every
-    structure reuse, a persisted structure is decoded into the memo on a
-    memo miss, and a freshly built structure is written through as a
-    ``"structure"`` artifact.
+    store is probed *first*, value by value, so its per-kind hit/miss stats
+    record every structure reuse, a persisted structure is decoded into the
+    memo on a memo miss, and a freshly built structure is written through
+    as a ``"structure"`` artifact.
     """
-    key = structure_store_key(
-        X, min_pts, min_cluster_size=min_cluster_size, metric=metric,
-        distance_backend=distance_backend, epsilon=epsilon, k_neighbors=k_neighbors,
+    settings = dict(
+        min_cluster_size=min_cluster_size, metric=metric, distance_backend=distance_backend,
+        epsilon=epsilon, k_neighbors=k_neighbors,
     )
+    grid = not isinstance(min_pts, (int, np.integer))
     # The store key pins everything a structure depends on (the exact tiers
     # share it), so its canonical text is the memo key as well.
-    memo_key = json.dumps(key, sort_keys=True)
+    store_keys: dict[str, tuple[int, dict]] = {}
+    memo_keys = []
+    for value in min_pts if grid else [min_pts]:
+        key = structure_store_key(X, value, **settings)
+        memo_keys.append(json.dumps(key, sort_keys=True))
+        store_keys.setdefault(memo_keys[-1], (value, key))
 
-    def build() -> TreeStructure:
-        return build_tree_structure(
-            X, min_pts, min_cluster_size=min_cluster_size, metric=metric,
-            distance_backend=distance_backend, epsilon=epsilon, k_neighbors=k_neighbors,
-        )
+    def build(missing: list[str]) -> list[TreeStructure]:
+        return build_tree_structures(X, [store_keys[memo_key][0] for memo_key in missing], **settings)
 
-    if store is None:
-        return _structure_cache.get_or_compute(memo_key, build)
+    unique = list(store_keys)
+    chunk = _structure_cache.max_items or max(len(unique), 1)
+    structures: dict[str, TreeStructure] = {}
+    for start in range(0, len(unique), chunk):
+        pending = []
+        for memo_key in unique[start:start + chunk]:
+            found = None if store is None else _stored_structure(store, memo_key, store_keys[memo_key][1])
+            if found is None:
+                pending.append(memo_key)
+            else:
+                structures[memo_key] = found
+        for memo_key, structure in zip(pending, _structure_cache.get_or_compute_many(pending, build)):
+            if store is not None:
+                store.put("structure", store_keys[memo_key][1], structure_payload(structure))
+            structures[memo_key] = structure
+    if grid:
+        return [structures[memo_key] for memo_key in memo_keys]
+    return structures[memo_keys[0]]
 
+
+def _stored_structure(store, memo_key: str, key: dict) -> TreeStructure | None:
+    """The memoised or persisted structure of ``key``, or ``None`` when it must be built."""
     memoised = _structure_cache.peek(memo_key)
     if memoised is not None:
         # The memo already holds the decoded structure: a cheap existence
@@ -557,13 +626,9 @@ def cached_tree_structure(
             store.put("structure", key, structure_payload(memoised))
         return memoised
     payload = store.get("structure", key)
-    if payload is not None:
-        return _structure_cache.get_or_compute(
-            memo_key, lambda: structure_from_payload(payload)
-        )
-    structure = _structure_cache.get_or_compute(memo_key, build)
-    store.put("structure", key, structure_payload(structure))
-    return structure
+    if payload is None:
+        return None
+    return _structure_cache.get_or_compute(memo_key, lambda: structure_from_payload(payload))
 
 
 def structure_cache_stats():

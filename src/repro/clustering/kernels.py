@@ -115,7 +115,7 @@ def optics_ordering(
 # ======================================================================
 
 def minimum_spanning_tree(distances: np.ndarray, core_distances: np.ndarray | None = None) -> np.ndarray:
-    """Prim MST over a single masked frontier array.
+    """Prim MST over a single masked frontier array, for one MinPts or a stack.
 
     In-tree entries are kept at ``+inf`` *inside* the frontier array, so
     the per-iteration ``np.where`` re-mask of the reference disappears and
@@ -127,6 +127,13 @@ def minimum_spanning_tree(distances: np.ndarray, core_distances: np.ndarray | No
     materialising it: row ``c`` becomes ``max(D[c], core[c], core)`` in one
     buffer when ``c`` joins the tree — bit-identical to passing
     ``mutual_reachability(distances, core_distances)``, as ``max`` is exact.
+    An ``(m, n)`` stack of core-distance rows (one per MinPts of a CVCP
+    grid) grows all ``m`` trees in lock step and returns ``(m, n - 1, 3)``
+    edges: each step pays one ``argmin``, one ``max`` with the pinned
+    cores, one ``less`` and two ``copyto`` calls for the whole stack, and
+    one in-place ``max`` per tree.  Each tree is the one its core row
+    alone would give.  Without ``core_distances`` the rows are read as
+    they are.
 
     A disconnected graph (no finite entry left toward the tree) is
     completed into one tree the way
@@ -137,50 +144,78 @@ def minimum_spanning_tree(distances: np.ndarray, core_distances: np.ndarray | No
     """
     distances = np.asarray(distances, dtype=np.float64)
     n_samples = distances.shape[0]
-    if n_samples < 2:
-        return np.empty((0, 3), dtype=np.float64)
     fused = core_distances is not None
     if fused:
         core = np.asarray(core_distances, dtype=np.float64)
+        stacked = core.ndim == 2
+        core = core.reshape(-1, n_samples)
         # ``core`` with in-tree vertices raised to +inf: their entries of
         # later rows are +inf, so no separate in-tree mask pass is needed.
         pinned = core.copy()
-        pinned[0] = np.inf
-        buffer = np.empty(n_samples, dtype=np.float64)
-        frontier = np.maximum(np.maximum(distances[0], core[0]), pinned)
     else:
-        frontier = distances[0].astype(np.float64, copy=True)
-    # ``frontier[j]`` is the best known edge weight from the tree to j,
+        stacked = False
+        # ``max(x, -inf) == x``: the plain rows pass through unchanged.
+        pinned = np.full((1, n_samples), -np.inf)
+    n_trees = pinned.shape[0]
+    if n_samples < 2:
+        empty = np.empty((n_trees, 0, 3), dtype=np.float64)
+        return empty if stacked else empty[0]
+    pinned[:, 0] = np.inf
+    # ``frontier[k, j]`` is the best known edge weight from tree k to j,
     # with in-tree entries pinned at +inf so argmin skips them.
-    frontier[0] = np.inf
-    source = np.zeros(n_samples, dtype=np.int64)
-    active = np.ones(n_samples, dtype=bool)
-    active[0] = False
-    improved = np.empty(n_samples, dtype=bool)
+    frontier = np.maximum(distances[0], core[:, :1]) if fused else distances[0][None, :].copy()
+    np.maximum(frontier, pinned, out=frontier)
+    frontier[:, 0] = np.inf
+    buffer = np.empty((n_trees, n_samples), dtype=np.float64)
+    # The step at which the tree vertex that offers ``frontier[k, j]``
+    # joined (0 for vertex 0); a joined vertex's entry never changes again,
+    # so the edge sources are gathered once at the end.
+    joined_at = np.zeros((n_trees, n_samples), dtype=np.int64)
+    improved = np.empty((n_trees, n_samples), dtype=bool)
+    # Per tree: its frontier, pinned, buffer and core rows (views into the
+    # stacks), and the vertices and weights in the order they joined.
+    trees = [
+        (frontier[k], pinned[k], buffer[k], core[k] if fused else None, [0], [])
+        for k in range(n_trees)
+    ]
 
-    edges = np.empty((n_samples - 1, 3), dtype=np.float64)
-    for edge_index in range(n_samples - 1):
-        candidate = int(frontier.argmin())
-        if active[candidate]:
-            edges[edge_index] = (source[candidate], candidate, frontier[candidate])
-        else:
-            candidate = int(active.argmax())
-            edges[edge_index] = (0, candidate, np.inf)
-        active[candidate] = False
-        frontier[candidate] = np.inf
+    for step in range(1, n_samples):
+        candidates = frontier.argmin(axis=1).tolist()
+        for k, (row_frontier, row_pinned, row, row_core, joined, weights) in enumerate(trees):
+            candidate = candidates[k]
+            weight = row_frontier[candidate]
+            if weight == np.inf:
+                # Only +inf is left, so argmin landed on vertex 0: the
+                # lowest-index vertex outside the tree joins through
+                # (0, r, inf).  Its frontier entry never improved, so its
+                # ``joined_at`` still names vertex 0.
+                outside = np.ones(n_samples, dtype=bool)
+                outside[joined] = False
+                candidate = int(outside.argmax())
+            joined.append(candidate)
+            weights.append(weight)
+            row_frontier[candidate] = np.inf
+            row_pinned[candidate] = np.inf
+            if fused:
+                np.maximum(distances[candidate], row_core[candidate], out=row)
+            else:
+                np.maximum(distances[candidate], row_pinned, out=row)
         if fused:
-            pinned[candidate] = np.inf
-            row = np.maximum(distances[candidate], core[candidate], out=buffer)
-            np.maximum(row, pinned, out=row)
-            np.less(row, frontier, out=improved)
-        else:
-            row = distances[candidate]
-            np.less(row, frontier, out=improved)
-            improved &= active
-        np.copyto(frontier, row, where=improved)
-        np.copyto(source, candidate, where=improved)
-    order = np.argsort(edges[:, 2], kind="stable")
-    return edges[order]
+            np.maximum(buffer, pinned, out=buffer)
+        np.less(buffer, frontier, out=improved)
+        np.copyto(frontier, buffer, where=improved)
+        np.copyto(joined_at, step, where=improved)
+
+    joined = np.array([tree[4] for tree in trees], dtype=np.int64)
+    weights = np.array([tree[5] for tree in trees], dtype=np.float64)
+    targets = joined[:, 1:]
+    sources = np.take_along_axis(joined, np.take_along_axis(joined_at, targets, axis=1), axis=1)
+    order = np.argsort(weights, axis=1, kind="stable")
+    edges = np.empty((n_trees, n_samples - 1, 3), dtype=np.float64)
+    edges[:, :, 0] = np.take_along_axis(sources, order, axis=1)
+    edges[:, :, 1] = np.take_along_axis(targets, order, axis=1)
+    edges[:, :, 2] = np.take_along_axis(weights, order, axis=1)
+    return edges if stacked else edges[0]
 
 
 def _check_edge_count(mst_edges: np.ndarray, n_samples: int) -> np.ndarray:

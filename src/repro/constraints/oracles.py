@@ -340,6 +340,8 @@ class NoisyOracle(ConstraintOracle):
     def __post_init__(self) -> None:
         if not 0 <= self.flip_probability <= 1:
             raise ValueError(f"flip_probability must be in [0, 1], got {self.flip_probability!r}")
+        if not isinstance(self.repair, bool):
+            raise TypeError(f"repair must be a bool, got {self.repair!r}")
         if not 0 < self.pool_fraction_per_class <= 1:
             raise ValueError(
                 f"pool_fraction_per_class must be in (0, 1], got {self.pool_fraction_per_class!r}"

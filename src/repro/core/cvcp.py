@@ -359,12 +359,13 @@ class CVCP:
 
         if pending:
             # Warm the constraint-independent structure phase of every value
-            # that still has cells to compute: persisted "structure"
-            # artifacts (shared across oracles, folds and constraint
-            # amounts) are decoded into the per-process memo here in the
-            # submitting process, so serial/thread cells and fork-started
-            # process workers re-extract instead of refitting.  Fully
-            # cache-served grids skip the warm-up entirely.
+            # that still has cells to compute, in one lock-step pass:
+            # persisted "structure" artifacts (shared across oracles, folds
+            # and constraint amounts) are decoded and the rest built into
+            # the per-process memo here in the submitting process, so
+            # serial/thread cells and fork-started process workers
+            # re-extract instead of refitting.  Fully cache-served grids
+            # skip the warm-up entirely.
             self._warm_structures(
                 X, sorted({divmod(index, n_folds)[0] for index in pending})
             )
@@ -437,20 +438,31 @@ class CVCP:
 
     # ------------------------------------------------------------------
     def _warm_structures(self, X: np.ndarray, value_indices: Sequence[int]) -> None:
-        """Warm the store-backed structure phase for the given grid values.
+        """Warm the structure phase of the given grid values in one pass.
 
-        A no-op without an artifact store or for estimators that declare no
-        cached structure phase (e.g. MPCKMeans, whose metric learning is
-        constraint-dependent end to end).  The warm-up stays in the
-        submitting process — worker tasks never touch the store.
+        Every value's structure is built (or, with an artifact store,
+        decoded from its persisted artifact) by one grid call in this
+        process, so serial/thread cells and fork-started process workers
+        re-extract instead of refitting.  Under spawn/forkserver workers
+        without a store, each worker would rebuild anyway, so nothing is
+        warmed — the same rule as the distance warm-up in :meth:`fit`.  A
+        no-op for estimators that declare no cached structure phase (e.g.
+        MPCKMeans, whose metric learning is constraint-dependent end to
+        end).  Worker tasks never touch the store.
         """
-        if self.artifact_store is None:
-            return
         if not getattr(self.estimator, "structure_caching", False):
             return
-        for value_index in value_indices:
-            estimator = self._make_estimator(self.parameter_values[value_index], 0)
-            estimator.warm_structure(X, self.artifact_store)
+        if (
+            self.backend == "process"
+            and self.artifact_store is None
+            and multiprocessing.get_start_method() != "fork"
+        ):
+            return
+        self.estimator.warm_structures(
+            X,
+            [self._make_estimator(self.parameter_values[index], 0) for index in value_indices],
+            store=self.artifact_store,
+        )
 
     def _effective_distance_backend(self) -> str | None:
         """The tier grid cells run under: the CVCP override or the template's own."""

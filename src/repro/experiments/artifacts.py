@@ -381,15 +381,22 @@ class CellJournal:
         self.path = store.root / JOURNAL_DIRNAME / self.digest[:2] / f"{self.digest}.jsonl"
         self._cells: dict[tuple, Any] | None = None
 
-    def get(self, phase: str, value_index: int, fold: int | None = None) -> Any | None:
-        """The journalled payload of one cell, or ``None`` on a miss."""
+    def _loaded(self) -> dict[tuple, Any]:
         if self._cells is None:
             if self.store.refresh:
                 self._cells = {}
                 self.path.unlink(missing_ok=True)
             else:
                 self._cells = _read_journal(self.path, self.digest)
-        payload = self._cells.get((phase, value_index, fold))
+        return self._cells
+
+    def has(self, phase: str, value_index: int, fold: int | None = None) -> bool:
+        """Whether one cell is journalled; unlike :meth:`get`, counts nothing."""
+        return self._loaded().get((phase, value_index, fold)) is not None
+
+    def get(self, phase: str, value_index: int, fold: int | None = None) -> Any | None:
+        """The journalled payload of one cell, or ``None`` on a miss."""
+        payload = self._loaded().get((phase, value_index, fold))
         if payload is None:
             self.store._count(misses=1, kind="cell")
         else:

@@ -363,21 +363,31 @@ def run_trial(
     external_scores: list[float] = []
     silhouettes: list[float] = []
     journal = cell_store.journal(key) if cell_store is not None else None
-    for value_index, value in enumerate(values):
+    models = []
+    for value in values:
         model = estimator.clone(**{estimator.tuned_parameter: value})
         if "random_state" in model.get_params():
             model.set_params(random_state=int(rng.integers(0, 2**31 - 1)))
+        models.append(model)
+    if cell_store is not None and getattr(estimator, "structure_caching", False):
+        # The external fits reuse the same constraint-independent structure
+        # artifacts the CVCP grid warmed (or persist them, in one pass, for
+        # the next run if the grid was fully cache-served).
+        estimator.warm_structures(
+            dataset.X,
+            [
+                model for value_index, model in enumerate(models)
+                if not journal.has("external", value_index)
+            ],
+            store=cell_store,
+        )
+    for value_index, model in enumerate(models):
         if journal is not None:
             cached_cell = journal.get("external", value_index)
             if cached_cell is not None:
                 external_scores.append(float(cached_cell["external"]))
                 silhouettes.append(float(cached_cell["silhouette"]))
                 continue
-        if cell_store is not None and getattr(model, "structure_caching", False):
-            # The external fit reuses the same constraint-independent
-            # structure artifacts the CVCP grid warmed (or persists them
-            # for the next run if the grid was fully cache-served).
-            model.warm_structure(dataset.X, cell_store)
         model.fit(dataset.X, constraints=training)
         external_scores.append(
             overall_f_measure(dataset.y, model.labels_, exclude=exclude)

@@ -139,20 +139,32 @@ class MemoCache:
         The lock is held across the compute so concurrent threads asking for
         the same key run it exactly once.
         """
+        return self.get_or_compute_many([key], lambda missing: [compute()])[0]
+
+    def get_or_compute_many(self, keys: list, compute: Callable[[list], list]) -> list:
+        """The values of distinct ``keys``; the missing ones come from one ``compute(missing)`` call.
+
+        Counts a hit or a miss per key and holds the lock across the
+        compute, so a key is computed once however many threads ask.
+        """
         if self.max_items == 0:
-            return compute()
+            return compute(list(keys))
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return self._entries[key]
-            value = compute()
-            self._stats.misses += 1
-            self._entries[key] = value
-            self._total_bytes += _value_nbytes(value)
-            self._evict_over_bounds()
-            self._stats.size = len(self._entries)
-            return value
+            values = {}
+            for key in keys:
+                if key in self._entries:
+                    self._entries.move_to_end(key)
+                    self._stats.hits += 1
+                    values[key] = self._entries[key]
+            missing = [key for key in keys if key not in values]
+            if missing:
+                for key, value in zip(missing, compute(missing)):
+                    self._stats.misses += 1
+                    self._entries[key] = values[key] = value
+                    self._total_bytes += _value_nbytes(value)
+                self._evict_over_bounds()
+                self._stats.size = len(self._entries)
+            return [values[key] for key in keys]
 
     def get_or_compute_derived(
         self, base_key: object, tag: str, compute: Callable[[], object], usable: Callable[[object], bool]
@@ -253,29 +265,42 @@ def _cached_matrix(X: np.ndarray, metric: str, distance_backend: str | None) -> 
     return _distance_cache.get_or_compute(key, compute), key
 
 
-def cached_core_distances(
-    X: np.ndarray, min_pts: int, metric: str = "euclidean", *, distance_backend: str | None = None
+def cached_core_table(
+    X: np.ndarray, width: int, metric: str = "euclidean", *, distance_backend: str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(distances, core_distances)``: the memoised matrix and its MinPts core distances.
+    """``(distances, table)``: the memoised matrix and a core-distance table at least ``width`` wide.
 
-    The core distances are a column of the matrix's core-distance table,
-    memoised under the matrix's key plus a tag: one partition per matrix.
+    Column ``k - 1`` of the table holds the MinPts = k core distances.  The
+    table is memoised under the matrix's key plus a tag: one partition per
+    matrix, at ``CORE_TABLE_WIDTH`` or the widest MinPts asked for so far.
+    A CVCP grid asks at its widest MinPts first, so it partitions once.
     """
     from repro.clustering.distances import core_distance_table
 
     distances, key = _cached_matrix(X, metric, distance_backend)
     n_samples = distances.shape[0]
-    if not 1 <= min_pts <= n_samples:
-        raise ValueError(f"min_pts must be in [1, {n_samples}], got {min_pts}")
+    if not 1 <= width <= n_samples:
+        raise ValueError(f"min_pts must be in [1, {n_samples}], got {width}")
 
     def compute() -> np.ndarray:
-        table = core_distance_table(distances, min(n_samples, max(min_pts, CORE_TABLE_WIDTH)))
+        table = core_distance_table(distances, min(n_samples, max(width, CORE_TABLE_WIDTH)))
         table.setflags(write=False)
         return table
 
     table = _distance_cache.get_or_compute_derived(
-        key, "core-table", compute, lambda table: table.shape[1] >= min_pts
+        key, "core-table", compute, lambda table: table.shape[1] >= width
     )
+    return distances, table
+
+
+def cached_core_distances(
+    X: np.ndarray, min_pts: int, metric: str = "euclidean", *, distance_backend: str | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(distances, core_distances)``: the memoised matrix and its MinPts core distances.
+
+    The core distances are a copy of one column of :func:`cached_core_table`.
+    """
+    distances, table = cached_core_table(X, min_pts, metric, distance_backend=distance_backend)
     return distances, table[:, min_pts - 1].copy()
 
 

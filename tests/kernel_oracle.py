@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.clustering import fosc, hierarchy, mpckmeans, optics, reference
@@ -35,7 +36,12 @@ def materialised_minimum_spanning_tree(distances, core_distances=None):
 
     The hierarchy calls the kernel with the raw matrix and the core
     distances; the oracle materialises the matrix the kernel never builds.
+    A stack of core-distance rows (a MinPts grid) gets one tree per row.
     """
+    if core_distances is not None and np.ndim(core_distances) == 2:
+        return np.stack([
+            materialised_minimum_spanning_tree(distances, core) for core in core_distances
+        ])
     if core_distances is not None:
         distances = hierarchy.mutual_reachability(distances, core_distances)
     return reference.minimum_spanning_tree_reference(distances)

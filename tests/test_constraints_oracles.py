@@ -83,6 +83,10 @@ class TestRegistry:
             BudgetedOracle(ordering="sideways")
         with pytest.raises(ValueError, match="batch_size"):
             ActiveOracle(batch_size=-1)
+        # A spec that built an oracle must round-trip: a list here used to
+        # build one whose spec() then raised.
+        with pytest.raises(TypeError, match="repair"):
+            oracle_from_spec({"name": "noisy", "repair": []})
 
     def test_oracles_are_picklable(self):
         import pickle

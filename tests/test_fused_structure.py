@@ -30,6 +30,7 @@ from repro.clustering.distances import (
     k_nearest_distances,
     pairwise_distances,
 )
+from repro.clustering.fosc import FOSCOpticsDend
 from repro.clustering.hierarchy import (
     DensityHierarchy,
     build_tree_structure,
@@ -37,7 +38,10 @@ from repro.clustering.hierarchy import (
 )
 from repro.clustering.kernels import condense_tree, minimum_spanning_tree, single_linkage_tree
 from repro.clustering.optics import OPTICS
+from repro.constraints import sample_labeled_objects
+from repro.core import CVCP
 from repro.core.distance_backend import EXACT_DISTANCE_BACKENDS
+from repro.datasets import make_blobs
 from repro.utils.cache import (
     CORE_TABLE_WIDTH,
     cached_core_distances,
@@ -250,6 +254,24 @@ class TestCoreDistanceTable:
         for min_pts in (40, 35, 3):
             DensityHierarchy(min_pts).fit(X)
         assert builds == [CORE_TABLE_WIDTH, 40]
+
+    def test_one_partition_for_a_grid_past_the_table_width(self, monkeypatch):
+        builds = []
+
+        def counting(distance_matrix, width, **kwargs):
+            builds.append(width)
+            return core_distance_table(distance_matrix, width, **kwargs)
+
+        monkeypatch.setattr(distances_module, "core_distance_table", counting)
+        data = make_blobs([34, 33, 33], 2, center_spread=6.0, random_state=3)
+        side = sample_labeled_objects(data.y, 0.2, random_state=4)
+        clear_distance_cache()
+        # The grid reads the table at its widest MinPts first, so the
+        # values past 32 never widen it one by one.
+        CVCP(FOSCOpticsDend(), range(3, 41), n_folds=2, random_state=0).fit(
+            data.X, labeled_objects=side
+        )
+        assert builds == [40]
 
     def test_optics_reads_the_shared_table(self):
         X = np.random.default_rng(4).normal(size=(60, 3))
