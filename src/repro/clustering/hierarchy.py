@@ -519,10 +519,10 @@ def structure_store_key(
     seed, so structures are shared across all of them.
     The exact distance tiers (blockwise/memmap) are bit-identical and
     share keys; the approximate ``neighbors`` tier carries an ``approx``
-    entry (mirroring :func:`repro.experiments.runner.trial_artifact_key`)
-    and can never shadow (or be shadowed by) an exact-tier structure.
+    entry (see :func:`repro.core.distance_backend.approx_key_entry`) and
+    can never shadow (or be shadowed by) an exact-tier structure.
     """
-    from repro.core.distance_backend import get_distance_backend
+    from repro.core.distance_backend import approx_key_entry
 
     key = {
         "x": array_fingerprint(X),
@@ -530,17 +530,7 @@ def structure_store_key(
         "min_pts": int(min_pts),
         "min_cluster_size": int(resolve_min_cluster_size(min_pts, min_cluster_size)),
     }
-    if get_distance_backend(distance_backend).name == "neighbors":
-        from repro.core.neighbor_graph import resolve_neighbor_epsilon, resolve_neighbor_k
-
-        resolved_epsilon = resolve_neighbor_epsilon(epsilon)
-        key["approx"] = {
-            "distance_backend": "neighbors",
-            # JSON has no inf literal; serialise it as the string "inf".
-            "epsilon": "inf" if np.isinf(resolved_epsilon) else float(resolved_epsilon),
-            "k_neighbors": resolve_neighbor_k(k_neighbors),
-        }
-    return key
+    return {**key, **approx_key_entry(distance_backend, epsilon, k_neighbors)}
 
 
 #: Per-process memo of tree structures.  Structures are O(n) each, so the

@@ -120,6 +120,30 @@ def resolve_distance_backend(backend: str | None = None) -> str:
     return backend
 
 
+def approx_key_entry(backend: str | None, epsilon: float | None, k_neighbors: int | None) -> dict:
+    """The ``approx`` entry an artifact key carries under ``backend``.
+
+    The exact tiers are bit-identical and share keys, so they add nothing
+    (``{}``).  The approximate ``neighbors`` tier adds the tier name and
+    the resolved ``epsilon``/``k_neighbors``, so its artifacts can never
+    shadow (or be shadowed by) an exact-tier entry.  Merge the result into
+    a key: ``{**key, **approx_key_entry(...)}``.
+    """
+    if resolve_distance_backend(backend) != "neighbors":
+        return {}
+    from repro.core.neighbor_graph import resolve_neighbor_epsilon, resolve_neighbor_k
+
+    epsilon = resolve_neighbor_epsilon(epsilon)
+    return {
+        "approx": {
+            "distance_backend": "neighbors",
+            # JSON has no inf literal; serialise it as the string "inf".
+            "epsilon": "inf" if np.isinf(epsilon) else float(epsilon),
+            "k_neighbors": resolve_neighbor_k(k_neighbors),
+        }
+    }
+
+
 def spill_directory() -> Path:
     """Directory holding memmap spill files (created on first use).
 

@@ -19,15 +19,16 @@ of Figures 9–12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.constraints.oracles import ConstraintOracle
-from repro.datasets.registry import get_dataset, get_dataset_collection
+from repro.datasets.registry import get_dataset_collection
 from repro.evaluation.significance import paired_t_test
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.config import ExperimentConfig, default_config
-from repro.experiments.runner import AlgorithmName, ScenarioName, TrialResult, run_trials
+from repro.experiments.runner import AlgorithmName, ScenarioName, TrialBatch, run_batches
 from repro.utils.rng import RandomStateLike, check_random_state
 
 
@@ -118,34 +119,35 @@ class ComparisonTable:
         raise KeyError(f"no row for data set {dataset!r}")
 
 
-def _trial_sets(
-    name: str,
+def table_batches(
+    names: Sequence[str],
     algorithm: AlgorithmName,
     scenario: ScenarioName,
     amount: float,
     config: ExperimentConfig,
-    rng: np.random.Generator,
-    store: ArtifactStore | None = None,
-    parallelize: str = "grid",
+    random_state: RandomStateLike,
     oracle: ConstraintOracle | None = None,
-) -> list[TrialResult]:
-    if name.lower() == "aloi":
-        datasets = get_dataset_collection(
-            "ALOI", n_datasets=config.n_aloi_datasets,
-            random_state=int(rng.integers(0, 2**31 - 1)),
+) -> Iterator[tuple[str, list[TrialBatch]]]:
+    """``(name, batches)`` of one table row per data-set name, in draw order.
+
+    Per name, the generator draws one data-set seed — the ALOI column is a
+    collection of ``config.n_aloi_datasets`` members, every other name a
+    single data set — then one batch seed per member (an int
+    ``random_state`` starts a fresh generator; a generator is consumed in
+    place).  The comparison and correlation tables and
+    :func:`repro.experiments.pipeline.trial_batches` all read it.
+    """
+    rng = check_random_state(random_state)
+    for name in names:
+        members = get_dataset_collection(
+            name, n_datasets=config.n_aloi_datasets, random_state=int(rng.integers(0, 2**31 - 1))
         )
-    else:
-        datasets = [get_dataset(name, random_state=int(rng.integers(0, 2**31 - 1)))]
-    trials: list[TrialResult] = []
-    for dataset in datasets:
-        trials.extend(
-            run_trials(
-                dataset, algorithm, scenario, amount, config.n_trials,
-                config=config, random_state=int(rng.integers(0, 2**31 - 1)),
-                store=store, parallelize=parallelize, oracle=oracle,
+        yield name, [
+            TrialBatch(
+                name, dataset, algorithm, scenario, amount, int(rng.integers(0, 2**31 - 1)), oracle
             )
-        )
-    return trials
+            for dataset in members
+        ]
 
 
 def comparison_table(
@@ -178,10 +180,8 @@ def comparison_table(
         include_silhouette = algorithm == "mpck"
 
     table = ComparisonTable(algorithm=algorithm, scenario=scenario, amount=amount)
-    for name in config.datasets:
-        trials = _trial_sets(
-            name, algorithm, scenario, amount, config, rng, store, parallelize, oracle
-        )
+    for name, batches in table_batches(config.datasets, algorithm, scenario, amount, config, rng, oracle):
+        trials = run_batches(batches, config, store=store, parallelize=parallelize)
         table.rows.append(
             ComparisonRow(
                 dataset=name,
@@ -221,16 +221,10 @@ def aloi_distribution(
     rng = check_random_state(random_state if random_state is not None else config.seed)
     if include_silhouette is None:
         include_silhouette = algorithm == "mpck"
-    amounts = (
-        list(config.label_fractions) if scenario == "labels"
-        else list(config.constraint_fractions)
-    )
-
     distribution: dict[str, list[float]] = {}
-    for amount in amounts:
-        trials = _trial_sets(
-            "ALOI", algorithm, scenario, amount, config, rng, store, parallelize, oracle
-        )
+    for amount in config.amounts_for(scenario):
+        [(_, batches)] = table_batches(["ALOI"], algorithm, scenario, amount, config, rng, oracle)
+        trials = run_batches(batches, config, store=store, parallelize=parallelize)
         tag = int(round(amount * 100))
         distribution[f"CVCP-{tag}"] = [trial.cvcp_quality for trial in trials]
         distribution[f"Exp-{tag}"] = [trial.expected_quality for trial in trials]

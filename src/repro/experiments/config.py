@@ -116,6 +116,10 @@ class ExperimentConfig:
         """Return a copy with the given fields replaced."""
         return replace(self, **overrides)
 
+    def amounts_for(self, scenario: str) -> list[float]:
+        """The side-information amounts a table sweeps for ``scenario``."""
+        return list(self.label_fractions if scenario == "labels" else self.constraint_fractions)
+
     def with_execution(
         self,
         backend: str | None = None,

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.constraints.oracles import ConstraintOracle
-from repro.datasets.registry import get_dataset, get_dataset_collection
 from repro.experiments.artifacts import ArtifactStore
+from repro.experiments.comparison import table_batches
 from repro.experiments.config import ExperimentConfig, default_config
-from repro.experiments.runner import AlgorithmName, ScenarioName, run_trials
+from repro.experiments.runner import AlgorithmName, ScenarioName, run_batches
 from repro.utils.rng import RandomStateLike, check_random_state
 
 
@@ -52,13 +52,6 @@ class CorrelationTable:
         return [[amount, *self.row(amount)] for amount in self.amounts]
 
 
-def _datasets_for(name: str, config: ExperimentConfig, seed: int) -> list:
-    if name.lower() == "aloi":
-        return get_dataset_collection("ALOI", n_datasets=config.n_aloi_datasets,
-                                      random_state=seed)
-    return [get_dataset(name, random_state=seed)]
-
-
 def correlation_table(
     algorithm: AlgorithmName,
     scenario: ScenarioName,
@@ -80,10 +73,7 @@ def correlation_table(
     """
     config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
     rng = check_random_state(random_state if random_state is not None else config.seed)
-    amounts = (
-        list(config.label_fractions) if scenario == "labels"
-        else list(config.constraint_fractions)
-    )
+    amounts = config.amounts_for(scenario)
 
     table = CorrelationTable(
         algorithm=algorithm,
@@ -93,15 +83,7 @@ def correlation_table(
     )
     for amount in amounts:
         table.values[amount] = {}
-        for name in config.datasets:
-            datasets = _datasets_for(name, config, int(rng.integers(0, 2**31 - 1)))
-            correlations: list[float] = []
-            for dataset in datasets:
-                trials = run_trials(
-                    dataset, algorithm, scenario, amount, config.n_trials,
-                    config=config, random_state=int(rng.integers(0, 2**31 - 1)),
-                    store=store, parallelize=parallelize, oracle=oracle,
-                )
-                correlations.extend(trial.correlation for trial in trials)
-            table.values[amount][name] = float(np.mean(correlations))
+        for name, batches in table_batches(config.datasets, algorithm, scenario, amount, config, rng, oracle):
+            trials = run_batches(batches, config, store=store, parallelize=parallelize)
+            table.values[amount][name] = float(np.mean([trial.correlation for trial in trials]))
     return table

@@ -25,19 +25,20 @@ on top:
   mtime doubles as the liveness signal for ``repro status`` and the
   dashboard).
 
-:func:`enumerate_units` replicates, per pipeline kind, the exact
-random-stream draw order of the experiment drivers
-(:mod:`~repro.experiments.comparison`, :mod:`~repro.experiments.correlation`,
-:mod:`~repro.experiments.robustness`, :func:`~repro.experiments.runner.run_trials`),
-so the set of unit keys a worker steals over is precisely the set of trial
-artifacts a single-process :func:`~repro.experiments.pipeline.run_pipeline`
-would write.  After the steal loop drains, every worker runs the pipeline
-normally — entirely from cache — and therefore emits a byte-identical
-``summary.json``.
+:func:`enumerate_units` reads the pipeline's own trial plan
+(:func:`~repro.experiments.pipeline.trial_batches`, the batches every
+experiment driver runs, expanded by
+:func:`~repro.experiments.runner.trial_plan`, the seeds and keys
+``run_trials`` computes), so the set of unit keys a worker steals over is
+the set of trial artifacts a single-process
+:func:`~repro.experiments.pipeline.run_pipeline` writes — by construction,
+not by a mirror of the drivers' draw order.  After the steal loop drains,
+every worker runs the pipeline normally — entirely from cache — and
+therefore emits a byte-identical ``summary.json``.
 
-The ``curves`` and ``ablation`` kinds do single-trial/figure work with no
-per-trial units; for them the steal loop is empty and every worker simply
-runs the (idempotent, store-backed) pipeline.
+The ``curves``, ``ablation`` and ``online`` kinds do single-trial/figure
+work with no per-trial units; for them the steal loop is empty and every
+worker simply runs the (idempotent, store-backed) pipeline.
 """
 
 from __future__ import annotations
@@ -54,13 +55,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-import numpy as np
-
-from repro.constraints.oracles import ConstraintOracle, NoisyOracle
-from repro.datasets.registry import get_dataset, get_dataset_collection
+from repro.constraints.oracles import ConstraintOracle
 from repro.experiments.artifacts import ArtifactStore, key_digest
-from repro.experiments.runner import run_trial, trial_artifact_key
-from repro.utils.rng import spawn_seeds
+from repro.experiments.runner import run_trial, trial_plan
 from repro.utils.specs import SpecError, check_spec_mapping, unknown_key_problems
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -379,110 +376,38 @@ class TrialUnit:
 def enumerate_units(spec: "PipelineSpec") -> list[TrialUnit]:
     """All keyed trial units a pipeline run will need, deduplicated.
 
-    Replicates the exact random-stream draw order of the corresponding
-    experiment driver — one ``rng.integers`` draw per data-set seed, one
-    per ``run_trials`` batch seed, in driver iteration order — so the
-    returned keys are precisely the trial artifacts the single-process
-    pipeline writes (``tests/test_experiments_fleet.py`` locks this in by
-    diffing against a real run's store).  Kinds without per-trial units
-    (``curves``, ``ablation``) return an empty list.
+    Reads the pipeline's own trial plan: every batch of
+    :func:`~repro.experiments.pipeline.trial_batches`, expanded by
+    :func:`~repro.experiments.runner.trial_plan` — the derivation
+    ``run_trials`` itself uses — so the returned keys are precisely the
+    trial artifacts the single-process pipeline writes
+    (``tests/test_experiments_fleet.py`` locks this in by diffing against
+    a real run's store).  Kinds without per-trial units (``curves``,
+    ``ablation``, ``online``) return an empty list.
     """
-    config = spec.config
+    from repro.experiments.pipeline import trial_batches
+
     units: list[TrialUnit] = []
     seen: set[str] = set()
-    single_cache: dict[tuple[str, int], "Dataset"] = {}
-    collection_cache: dict[tuple[str, int], list] = {}
-
-    def single(name: str, seed: int) -> "Dataset":
-        if (name, seed) not in single_cache:
-            single_cache[(name, seed)] = get_dataset(name, random_state=seed)
-        return single_cache[(name, seed)]
-
-    def collection(name: str, seed: int) -> list:
-        # Mirrors ``_trial_sets``/``_datasets_for``: the ALOI column is a
-        # collection draw; every other name is a single data set.
-        if (name, seed) not in collection_cache:
-            if name.lower() == "aloi":
-                members = list(
-                    get_dataset_collection(
-                        "ALOI", n_datasets=config.n_aloi_datasets, random_state=seed
-                    )
-                )
-            else:
-                members = [single(name, seed)]
-            collection_cache[(name, seed)] = members
-        return collection_cache[(name, seed)]
-
-    def add(dataset: "Dataset", name: str, algorithm: str, amount: float, batch_seed: int,
-            oracle: ConstraintOracle | None) -> None:
-        for trial_seed in spawn_seeds(np.random.default_rng(batch_seed), config.n_trials):
-            key = trial_artifact_key(
-                config, dataset, algorithm, spec.scenario, amount, int(trial_seed), oracle
-            )
+    for batch in trial_batches(spec):
+        for trial_seed, key in trial_plan(batch, spec.config, spec.config.n_trials):
             digest = key_digest("trial", key)
             if digest in seen:
                 continue
             seen.add(digest)
             units.append(
                 TrialUnit(
-                    dataset=dataset,
-                    dataset_name=name,
-                    algorithm=algorithm,
-                    scenario=spec.scenario,
-                    amount=float(amount),
-                    trial_seed=int(trial_seed),
-                    oracle=oracle,
+                    dataset=batch.dataset,
+                    dataset_name=batch.name,
+                    algorithm=batch.algorithm,
+                    scenario=batch.scenario,
+                    amount=float(batch.amount),
+                    trial_seed=trial_seed,
+                    oracle=batch.oracle,
                     key=key,
                     digest=digest,
                 )
             )
-
-    def draw(rng: np.random.Generator) -> int:
-        return int(rng.integers(0, 2**31 - 1))
-
-    if spec.kind == "comparison":
-        # ``_run_comparison`` calls ``comparison_table`` once per amount,
-        # each with a fresh generator from the config seed.
-        for amount in spec.amounts:
-            rng = np.random.default_rng(config.seed)
-            for name in config.datasets:
-                for dataset in collection(name, draw(rng)):
-                    add(dataset, name, spec.algorithm, amount, draw(rng), spec.oracle)
-    elif spec.kind == "correlation":
-        # ``correlation_table`` runs once, one generator across the whole
-        # (amount × data set) table, amounts taken from the config.
-        rng = np.random.default_rng(config.seed)
-        amounts = (
-            list(config.label_fractions)
-            if spec.scenario == "labels"
-            else list(config.constraint_fractions)
-        )
-        for amount in amounts:
-            for name in config.datasets:
-                for dataset in collection(name, draw(rng)):
-                    add(dataset, name, spec.algorithm, amount, draw(rng), spec.oracle)
-    elif spec.kind == "trials":
-        # ``_run_trials_kind``: dataset and batch seeds are the config seed.
-        for name in spec.datasets:
-            dataset = single(name, config.seed)
-            for amount in spec.amounts:
-                add(dataset, name, spec.algorithm, amount, config.seed, spec.oracle)
-    elif spec.kind == "robustness":
-        # ``_run_robustness`` sweeps every algorithm; each
-        # ``noise_robustness_table`` call starts a fresh generator, draws a
-        # data-set seed and one batch seed shared across all flip rates.
-        from repro.experiments.pipeline import ALGORITHMS
-
-        rates = sorted({0.0} | {float(rate) for rate in spec.flip_rates})
-        for algorithm in ALGORITHMS:
-            for amount in spec.amounts:
-                rng = np.random.default_rng(config.seed)
-                for name in config.datasets:
-                    dataset = single(name, draw(rng))
-                    batch_seed = draw(rng)
-                    for rate in rates:
-                        oracle = NoisyOracle(flip_probability=rate, repair=spec.oracle_repair)
-                        add(dataset, name, algorithm, amount, batch_seed, oracle)
     return units
 
 

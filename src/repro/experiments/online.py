@@ -47,7 +47,7 @@ import numpy as np
 from repro.constraints.constraint import ConstraintSet
 from repro.constraints.oracles import ConstraintOracle
 from repro.core.cvcp import CVCP
-from repro.core.distance_backend import resolve_distance_backend
+from repro.core.distance_backend import approx_key_entry
 from repro.experiments.artifacts import (
     ArtifactStore,
     dataset_fingerprint,
@@ -281,17 +281,7 @@ def stream_step_key(
         "step": int(step),
         "step_seed": int(step_seed),
     }
-    if resolve_distance_backend(config.distance_backend) == "neighbors":
-        from repro.core.neighbor_graph import resolve_neighbor_epsilon, resolve_neighbor_k
-
-        epsilon = resolve_neighbor_epsilon(config.epsilon)
-        key["approx"] = {
-            "distance_backend": "neighbors",
-            # JSON has no inf literal; serialise it as the string "inf".
-            "epsilon": "inf" if np.isinf(epsilon) else float(epsilon),
-            "k_neighbors": resolve_neighbor_k(config.k_neighbors),
-        }
-    return key
+    return {**key, **approx_key_entry(config.distance_backend, config.epsilon, config.k_neighbors)}
 
 
 def ordered_stream(

@@ -60,7 +60,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 try:
     import tomllib
@@ -81,7 +81,7 @@ from repro.experiments.ablation import (
     scorer_ablation,
 )
 from repro.experiments.artifacts import ArtifactStore, trial_config_fingerprint
-from repro.experiments.comparison import comparison_table
+from repro.experiments.comparison import comparison_table, table_batches
 from repro.experiments.config import (
     CONSTRAINT_FRACTIONS,
     LABEL_FRACTIONS,
@@ -101,9 +101,15 @@ from repro.experiments.reporting import (
     write_report,
 )
 from repro.experiments.online import StreamSpec, replay_constraint_stream
-from repro.experiments.robustness import DEFAULT_FLIP_RATES, noise_robustness_table
-from repro.experiments.runner import run_trials
+from repro.experiments.robustness import (
+    DEFAULT_FLIP_RATES,
+    noise_robustness_table,
+    robustness_batches,
+    swept_flip_rates,
+)
+from repro.experiments.runner import TrialBatch, run_batches
 from repro.serve.schemas import ServeSettings
+from repro.utils.rng import check_random_state
 from repro.utils.specs import (
     SpecError,
     check_enum,
@@ -900,30 +906,17 @@ def _run_trials_kind(spec: PipelineSpec, store: ArtifactStore) -> tuple[list[tup
     sections: list[tuple[str, str]] = []
     results: dict = {}
     headers = ["trial", "cvcp_value", "cvcp_quality", "expected_quality", "correlation"]
-    for name in spec.datasets:
-        dataset = _resolve_dataset(spec, name)
-        per_amount: dict = {}
-        for amount in spec.amounts:
-            trials = run_trials(
-                dataset,
-                spec.algorithm,
-                spec.scenario,
-                amount,
-                spec.config.n_trials,
-                config=spec.config,
-                random_state=spec.config.seed,
-                parallelize=spec.parallelize,
-                store=store,
-                oracle=spec.oracle,
-            )
-            rows = [
-                [index, trial.cvcp_value, trial.cvcp_quality, trial.expected_quality, trial.correlation]
-                for index, trial in enumerate(trials)
-            ]
-            heading = f"Trials, {name}, {int(round(amount * 100))}% side information"
-            sections.append((heading, format_table(headers, rows)))
-            per_amount[_format_amount(amount)] = [trial.to_dict() for trial in trials]
-        results[name] = per_amount
+    for batch in trial_batches(spec):
+        trials = run_batches([batch], spec.config, store=store, parallelize=spec.parallelize)
+        rows = [
+            [index, trial.cvcp_value, trial.cvcp_quality, trial.expected_quality, trial.correlation]
+            for index, trial in enumerate(trials)
+        ]
+        heading = f"Trials, {batch.name}, {int(round(batch.amount * 100))}% side information"
+        sections.append((heading, format_table(headers, rows)))
+        results.setdefault(batch.name, {})[_format_amount(batch.amount)] = [
+            trial.to_dict() for trial in trials
+        ]
     return sections, results
 
 
@@ -1039,6 +1032,47 @@ def _run_online(spec: PipelineSpec, store: ArtifactStore) -> tuple[list[tuple[st
     return sections, results
 
 
+def trial_batches(spec: PipelineSpec) -> Iterator[TrialBatch]:
+    """Every :func:`~repro.experiments.runner.run_trials` batch of a pipeline, in run order.
+
+    The kind runners draw their batches from the same generators with the
+    same seeds, so the fleet, ``repro status`` and ``repro serve`` see
+    exactly the trials a run computes.  ``curves``, ``ablation`` and
+    ``online`` run no batches and yield nothing.
+    """
+    config, algorithm, scenario, oracle = spec.config, spec.algorithm, spec.scenario, spec.oracle
+    tables: list[Iterator[tuple[str, list[TrialBatch]]]] = []
+    if spec.kind == "trials":
+        for name in spec.datasets:
+            dataset = _resolve_dataset(spec, name)
+            for amount in spec.amounts:
+                yield TrialBatch(name, dataset, algorithm, scenario, amount, config.seed, oracle)
+    elif spec.kind == "comparison":
+        # One ``comparison_table`` per amount, each from a fresh generator.
+        tables = [
+            table_batches(config.datasets, algorithm, scenario, amount, config, config.seed, oracle)
+            for amount in spec.amounts
+        ]
+    elif spec.kind == "correlation":
+        # One ``correlation_table``: one generator across every amount.
+        rng = check_random_state(config.seed)
+        tables = [
+            table_batches(config.datasets, algorithm, scenario, amount, config, rng, oracle)
+            for amount in config.amounts_for(scenario)
+        ]
+    elif spec.kind == "robustness":
+        # One ``noise_robustness_table`` per (algorithm, amount), each fresh.
+        rates = swept_flip_rates(spec.flip_rates)
+        tables = [
+            robustness_batches(algorithm, scenario, amount, rates, spec.oracle_repair, config, config.seed)
+            for algorithm in ALGORITHMS
+            for amount in spec.amounts
+        ]
+    for rows in tables:
+        for _, batches in rows:
+            yield from batches
+
+
 _KIND_RUNNERS = {
     "comparison": _run_comparison,
     "correlation": _run_correlation,
@@ -1101,7 +1135,7 @@ def run_pipeline(
         "results": results,
     }
     if spec.kind == "robustness":
-        summary["flip_rates"] = sorted({0.0} | {float(rate) for rate in spec.flip_rates})
+        summary["flip_rates"] = swept_flip_rates(spec.flip_rates)
         summary["oracle_repair"] = spec.oracle_repair
     if spec.kind == "online":
         summary["stream"] = spec.stream.to_spec()

@@ -25,6 +25,7 @@ re-running a sweep with one extra rate reuses every already-computed rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.constraints.oracles import ConstraintOracle, NoisyOracle
 from repro.datasets.registry import get_dataset
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.config import ExperimentConfig, default_config
-from repro.experiments.runner import AlgorithmName, ScenarioName, TrialResult, run_trials
+from repro.experiments.runner import AlgorithmName, ScenarioName, TrialBatch, TrialResult, run_batches
 from repro.utils.rng import RandomStateLike, check_random_state
 
 #: Flip rates swept when the caller does not specify any.
@@ -111,6 +112,36 @@ def _oracle_for(flip_rate: float, repair: bool) -> ConstraintOracle:
     return NoisyOracle(flip_probability=flip_rate, repair=repair)
 
 
+def swept_flip_rates(flip_rates: Iterable[float]) -> list[float]:
+    """The flip rates a sweep runs: ``flip_rates`` plus the rate-0 baseline, ascending."""
+    return sorted({0.0} | {float(rate) for rate in flip_rates})
+
+
+def robustness_batches(
+    algorithm: AlgorithmName,
+    scenario: ScenarioName,
+    amount: float,
+    rates: Sequence[float],
+    repair: bool,
+    config: ExperimentConfig,
+    random_state: RandomStateLike,
+) -> Iterator[tuple[str, list[TrialBatch]]]:
+    """``(name, batches)`` per data set, one batch per flip rate of ``rates``.
+
+    Per name, the generator of ``random_state`` draws one data-set seed and
+    one batch seed that every rate shares.  :func:`noise_robustness_table`
+    and :func:`repro.experiments.pipeline.trial_batches` both read it.
+    """
+    rng = check_random_state(random_state)
+    for name in config.datasets:
+        dataset = get_dataset(name, random_state=int(rng.integers(0, 2**31 - 1)))
+        seed = int(rng.integers(0, 2**31 - 1))
+        yield name, [
+            TrialBatch(name, dataset, algorithm, scenario, amount, seed, _oracle_for(rate, repair))
+            for rate in rates
+        ]
+
+
 def noise_robustness_table(
     algorithm: AlgorithmName,
     scenario: ScenarioName,
@@ -145,7 +176,7 @@ def noise_robustness_table(
     """
     config = config or default_config()
     rng = check_random_state(random_state if random_state is not None else config.seed)
-    rates = sorted({0.0} | {float(rate) for rate in flip_rates})
+    rates = swept_flip_rates(flip_rates)
     for rate in rates:
         if not 0 <= rate <= 1:
             raise ValueError(f"flip rates must be in [0, 1], got {rate!r}")
@@ -158,17 +189,10 @@ def noise_robustness_table(
         flip_rates=rates,
         datasets=list(config.datasets),
     )
-    for name in config.datasets:
-        dataset = get_dataset(name, random_state=int(rng.integers(0, 2**31 - 1)))
-        trial_seed = int(rng.integers(0, 2**31 - 1))
+    for name, batches in robustness_batches(algorithm, scenario, amount, rates, repair, config, rng):
         baseline: list[TrialResult] | None = None
-        for rate in rates:
-            trials = run_trials(
-                dataset, algorithm, scenario, amount, config.n_trials,
-                config=config, random_state=trial_seed,
-                oracle=_oracle_for(rate, repair),
-                store=store, parallelize=parallelize,
-            )
+        for rate, batch in zip(rates, batches):
+            trials = run_batches([batch], config, store=store, parallelize=parallelize)
             if baseline is None:
                 baseline = trials
             table.rows.append(

@@ -19,7 +19,7 @@ constraints) and an amount of side information, then
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.constraints.constraint import ConstraintSet
 from repro.constraints.generation import constraints_from_labels
 from repro.constraints.oracles import ConstraintOracle, PerfectOracle
 from repro.core.cvcp import CVCP
-from repro.core.distance_backend import resolve_distance_backend
+from repro.core.distance_backend import approx_key_entry, resolve_distance_backend
 from repro.core.executor import get_executor
 from repro.core.model_selection import expected_quality
 from repro.datasets.base import Dataset
@@ -259,17 +259,7 @@ def trial_artifact_key(
         "oracle": oracle.spec(),
         "trial_seed": int(trial_seed),
     }
-    if resolve_distance_backend(config.distance_backend) == "neighbors":
-        from repro.core.neighbor_graph import resolve_neighbor_epsilon, resolve_neighbor_k
-
-        epsilon = resolve_neighbor_epsilon(config.epsilon)
-        key["approx"] = {
-            "distance_backend": "neighbors",
-            # JSON has no inf literal; serialise it as the string "inf".
-            "epsilon": "inf" if np.isinf(epsilon) else float(epsilon),
-            "k_neighbors": resolve_neighbor_k(config.k_neighbors),
-        }
-    return key
+    return {**key, **approx_key_entry(config.distance_backend, config.epsilon, config.k_neighbors)}
 
 
 def _load_cached_trial(store: ArtifactStore, key: dict) -> "TrialResult | None":
@@ -431,29 +421,50 @@ def run_trial(
     return result
 
 
-@dataclass
-class _TrialTask:
-    """Payload of one trial submitted through the execution engine.
+@dataclass(frozen=True)
+class TrialBatch:
+    """The inputs of one :func:`run_trials` call.
 
-    Must stay picklable for the process backend; the child seed is derived
-    up-front, so trials are order-independent.  The artifact store is *not*
-    shipped with the task — cache lookups and writes happen in the
-    submitting process, so worker processes never contend for the store.
+    ``name`` is the data-set name the batch reports under (an ALOI column
+    runs one batch per member of its collection); ``seed`` is the batch
+    seed its trial seeds are spawned from.
     """
 
+    name: str
     dataset: Dataset
     algorithm: AlgorithmName
     scenario: ScenarioName
     amount: float
-    config: ExperimentConfig
-    random_state: int
+    seed: RandomStateLike
     oracle: ConstraintOracle | None = None
 
 
-def _run_trial_task(task: _TrialTask) -> TrialResult:
+def trial_plan(batch: TrialBatch, config: ExperimentConfig, n_trials: int) -> list[tuple[int, dict]]:
+    """``(trial_seed, artifact key)`` of the batch's ``n_trials`` trials, in run order.
+
+    The one derivation of a batch's trials — the config's metric override
+    applied to the data set, the seeds spawned from the batch seed, a
+    :func:`trial_artifact_key` each — read by :func:`run_trials` and by
+    the fleet's unit enumeration alike.
+    """
+    dataset = batch.dataset if config.metric is None else batch.dataset.with_metric(config.metric)
+    seeds = spawn_seeds(check_random_state(batch.seed), n_trials)
+    return [
+        (seed, trial_artifact_key(
+            config, dataset, batch.algorithm, batch.scenario, batch.amount, seed, batch.oracle
+        ))
+        for seed in seeds
+    ]
+
+
+def _run_trial_task(task: tuple[TrialBatch, ExperimentConfig, int]) -> TrialResult:
+    # One trial of the trial-level pool.  The task must stay picklable for
+    # the process backend; the artifact store is *not* shipped with it, so
+    # worker processes never contend for the store.
+    batch, config, seed = task
     return run_trial(
-        task.dataset, task.algorithm, task.scenario, task.amount,
-        config=task.config, random_state=task.random_state, oracle=task.oracle,
+        batch.dataset, batch.algorithm, batch.scenario, batch.amount,
+        config=config, random_state=seed, oracle=batch.oracle,
     )
 
 
@@ -496,35 +507,20 @@ def run_trials(
             f"parallelize must be 'grid' or 'trials', got {parallelize!r}"
         )
     config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
-    if config.metric is not None:
-        # Applied here as well as in run_trial so the artifact keys computed
-        # for the trial-level pool match the keys run_trial itself derives.
-        dataset = dataset.with_metric(config.metric)
-    rng = check_random_state(random_state)
-    seeds = spawn_seeds(rng, n_trials)
+    batch = TrialBatch(dataset.name, dataset, algorithm, scenario, amount, random_state, oracle)
+    plan = trial_plan(batch, config, n_trials)
 
     if parallelize == "trials" and config.backend != "serial":
         # Whole trials travel through the pool, so artifact handling stays
         # in the submitting process: completed trials are looked up here,
         # missing ones computed by workers (without per-cell persistence,
         # which would contend across processes) and written back here.
-        results: list[TrialResult | None] = [None] * n_trials
-        pending: list[tuple[int, dict | None]] = []
-        for index, seed in enumerate(seeds):
-            cached = None
-            key = None
-            if store is not None:
-                key = trial_artifact_key(config, dataset, algorithm, scenario, amount, seed, oracle)
-                cached = _load_cached_trial(store, key)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append((index, key))
-        inner = config.with_overrides(backend="serial")
-        tasks = [
-            _TrialTask(dataset, algorithm, scenario, amount, inner, seeds[index], oracle)
-            for index, _ in pending
+        results: list[TrialResult | None] = [
+            _load_cached_trial(store, key) if store is not None else None for _, key in plan
         ]
+        pending = [index for index, result in enumerate(results) if result is None]
+        inner = config.with_overrides(backend="serial")
+        tasks = [(batch, inner, plan[index][0]) for index in pending]
         persist_trial = None
         if store is not None:
             def persist_trial(position: int, result: TrialResult) -> None:
@@ -532,15 +528,14 @@ def run_trials(
                 # an interrupted batch keeps its finished trials on disk.
                 # Dropping the journal clears cells an earlier grid-level
                 # attempt at this trial left in flight.
-                key = pending[position][1]
-                if key is not None:
-                    store.put("trial", key, result.to_dict())
-                    store.journal(key).remove()
+                key = plan[pending[position]][1]
+                store.put("trial", key, result.to_dict())
+                store.journal(key).remove()
 
         computed = get_executor(config.backend, config.n_jobs).run(
             _run_trial_task, tasks, on_result=persist_trial
         )
-        for (index, _), result in zip(pending, computed):
+        for index, result in zip(pending, computed):
             results[index] = result
         return [result for result in results if result is not None]
 
@@ -551,7 +546,26 @@ def run_trials(
             dataset, algorithm, scenario, amount,
             config=config, random_state=seed, store=store, oracle=oracle,
         )
-        for seed in seeds
+        for seed, _ in plan
+    ]
+
+
+def run_batches(
+    batches: Iterable[TrialBatch],
+    config: ExperimentConfig,
+    *,
+    store: ArtifactStore | None = None,
+    parallelize: Literal["grid", "trials"] = "grid",
+) -> list[TrialResult]:
+    """Every batch's ``config.n_trials`` trials (see :func:`run_trials`), in batch order."""
+    return [
+        trial
+        for batch in batches
+        for trial in run_trials(
+            batch.dataset, batch.algorithm, batch.scenario, batch.amount, config.n_trials,
+            config=config, random_state=batch.seed, store=store,
+            parallelize=parallelize, oracle=batch.oracle,
+        )
     ]
 
 

@@ -108,6 +108,15 @@ class TestStatusCli:
     def test_status_bad_config(self, tmp_path, capsys):
         assert main(["status", str(tmp_path / "absent.toml")]) == 2
 
+    def test_status_after_a_worker_run_of_the_precomputed_example(self, tmp_path, capsys):
+        # The example's data set is its own matrix, not a registry name.
+        example = str(Path(__file__).resolve().parent.parent / "examples" / "precomputed_similarity.toml")
+        store = str(tmp_path / "store")
+        assert main(["run", example, "--worker", "--quiet", "--artifacts-root", store]) == 0
+        capsys.readouterr()
+        assert main(["status", example, "--artifacts-root", store]) == 0
+        assert "2/2 done (100%)" in capsys.readouterr().out
+
 
 class TestKillReclaim:
     def test_surviving_worker_finishes_a_killed_workers_grid(self, tmp_path):

@@ -13,6 +13,7 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,9 +32,10 @@ from repro.experiments.fleet import (
     work_steal,
     write_worker_record,
 )
-from repro.experiments.pipeline import run_pipeline, validate_pipeline_mapping
+from repro.experiments.pipeline import load_pipeline_spec, run_pipeline, validate_pipeline_mapping
 
 DIGEST = "a" * 64
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def make_spec(root, kind="trials", *, n_trials=2, extra_experiment=None, extra_tables=None):
@@ -286,12 +288,32 @@ class TestWorkSteal:
         assert not manager.lease_path(DIGEST).exists()
 
 
+def unit_spec(root, case):
+    """The spec of one enumeration case: ``<kind>``, ``<kind>-cosine`` or ``precomputed``."""
+    if case == "precomputed":
+        return load_pipeline_spec(EXAMPLES / "precomputed_similarity.toml").with_overrides(
+            artifacts_root=root
+        )
+    kind, _, metric = case.partition("-")
+    tables = {"dataset": {"metric": metric}} if metric else None
+    return make_spec(root, kind=kind, n_trials=2, extra_tables=tables)
+
+
 class TestEnumerateUnits:
-    @pytest.mark.parametrize("kind", ["trials", "comparison", "correlation", "robustness"])
-    def test_units_match_the_pipeline_store_exactly(self, kind, tmp_path):
+    # No "robustness-cosine" case: the sweep runs MPCKMeans, so the config
+    # validator rejects any non-Euclidean metric for that kind.
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "trials", "comparison", "correlation", "robustness",
+            "trials-cosine", "comparison-cosine", "correlation-cosine",
+            "precomputed",
+        ],
+    )
+    def test_units_match_the_pipeline_store_exactly(self, case, tmp_path):
         # The decisive sync contract: the digests a worker steals over are
         # precisely the trial artifacts a single-process run writes.
-        spec = make_spec(tmp_path / "store", kind=kind, n_trials=2)
+        spec = unit_spec(tmp_path / "store", case)
         store = ArtifactStore(spec.artifacts_root)
         run_pipeline(spec, store=store, write_reports=False)
         written = {path.stem for path in (store.root / "trial").glob("*/*.json")}
@@ -402,6 +424,15 @@ class TestFleetStatus:
         assert status.trial_artifacts >= status.done
         assert [record["worker"] for record in status.workers] == ["w1"]
         assert status.as_dict()["done"] == status.done
+
+    @pytest.mark.parametrize("case", ["trials-cosine", "comparison-cosine", "precomputed"])
+    def test_every_unit_is_done_after_a_plain_run(self, case, tmp_path):
+        # Units and artifacts must agree under a [dataset] table too: a
+        # complete single-process run leaves nothing for a fleet to do.
+        spec = unit_spec(tmp_path / "store", case)
+        run_pipeline(spec, write_reports=False)
+        status = fleet_status(spec)
+        assert status.total_units == status.done == status.trial_artifacts == 2
 
     def test_format_renders_workers_and_progress(self, tmp_path):
         spec = make_spec(tmp_path / "store", kind="trials")

@@ -346,3 +346,89 @@ class TestArtifactFingerprinting:
         cached_exact = store.get("trial", exact_key)
         assert cached_exact is not None
         assert result.to_dict() == cached_exact
+
+
+class TestApproxKeyPins:
+    """The three keys carrying the neighbors tier's ``approx`` entry, pinned.
+
+    The expected dicts were computed by the code before the entry moved
+    into :func:`repro.core.distance_backend.approx_key_entry`; a changed
+    byte here would orphan every stored neighbors-tier artifact.
+    """
+
+    X = np.arange(24, dtype=np.float64).reshape(8, 3)
+    CONFIG_FP = "15a789dd1c258f68d2e2152436a5b4f0c96fe80d7804805153e6f050a01c5a1c"
+    DATASET_FP = "b92c35083837558bf2934f0da52f4172b545a5fff0f1d7b63a7f9d912df52f43"
+
+    def keys(self, epsilon):
+        from repro.clustering.hierarchy import structure_store_key
+        from repro.constraints.oracles import NoisyOracle
+        from repro.datasets.base import Dataset
+        from repro.experiments.online import StreamSpec, stream_step_key
+
+        dataset = Dataset(name="pinned", X=self.X, y=np.array([0, 0, 0, 0, 1, 1, 1, 1]))
+        config = ExperimentConfig(
+            n_trials=2, n_folds=3, minpts_range=(3, 4), distance_backend="neighbors",
+            epsilon=epsilon, k_neighbors=4, datasets=("pinned",), seed=11,
+        )
+        return {
+            "structure": structure_store_key(
+                self.X, 3, distance_backend="neighbors", epsilon=epsilon, k_neighbors=4
+            ),
+            "trial": trial_artifact_key(
+                config, dataset, "fosc", "labels", 0.25, 123, NoisyOracle(flip_probability=0.1)
+            ),
+            "online": stream_step_key(
+                config, dataset, 0.5, StreamSpec(n_deltas=3, order="sorted"), 1, 77
+            ),
+        }
+
+    def expected(self, approx_epsilon):
+        approx = {"distance_backend": "neighbors", "epsilon": approx_epsilon, "k_neighbors": 4}
+        return {
+            "structure": {
+                "x": "(8, 3):<f8:81439129f87b71fc9bd986a61636a408",
+                "metric": "euclidean",
+                "min_pts": 3,
+                "min_cluster_size": 3,
+                "approx": approx,
+            },
+            "trial": {
+                "config": self.CONFIG_FP,
+                "dataset": self.DATASET_FP,
+                "algorithm": "fosc",
+                "scenario": "labels",
+                "amount": 0.25,
+                "oracle": {
+                    "name": "noisy",
+                    "flip_probability": 0.1,
+                    "pool_fraction_per_class": 0.1,
+                    "repair": False,
+                },
+                "trial_seed": 123,
+                "approx": approx,
+            },
+            "online": {
+                "config": self.CONFIG_FP,
+                "dataset": self.DATASET_FP,
+                "algorithm": "fosc",
+                "scenario": "constraints",
+                "amount": 0.5,
+                "oracle": {"name": "perfect", "pool_fraction_per_class": 0.1},
+                "stream": {"n_deltas": 3, "order": "sorted"},
+                "step": 1,
+                "step_seed": 77,
+                "approx": approx,
+            },
+        }
+
+    @pytest.mark.parametrize(
+        ("epsilon", "approx_epsilon"), [(float("inf"), "inf"), (2.5, 2.5)], ids=["inf", "finite"]
+    )
+    def test_keys_are_byte_identical_to_the_pinned_dicts(self, epsilon, approx_epsilon):
+        from repro.experiments.artifacts import canonical_json
+
+        keys = self.keys(epsilon)
+        expected = self.expected(approx_epsilon)
+        for name, key in keys.items():
+            assert canonical_json(key) == canonical_json(expected[name]), name

@@ -168,6 +168,16 @@ class TestJobManager:
         release.set()
 
 
+    def test_precomputed_spec_counts_its_units(self, gated_manager):
+        # A spec whose data set is a precomputed matrix (not a registry
+        # name) is accepted and counted like any other trials spec.
+        manager, release = gated_manager
+        example = Path(__file__).resolve().parent.parent / "examples" / "precomputed_similarity.toml"
+        view = manager.submit(api.load_spec(example).to_spec())
+        assert view.progress.total_units == 2
+        release.set()
+
+
 class TestServeHTTP:
     def test_health_and_store_stats(self, server):
         _, client = server
