@@ -130,25 +130,7 @@ def run_pipeline(
     if artifacts_root is not None:
         spec = spec.with_overrides(artifacts_root=Path(artifacts_root))
     if execution is not None:
-        if execution.metric is not None and spec.config.metric == "precomputed":
-            # The matrix-backed data set admits no other metric.
-            raise SpecError(
-                "run",
-                [
-                    "execution.metric: cannot override the metric of a precomputed"
-                    f" pipeline with {execution.metric!r}"
-                ],
-            )
-        spec = spec.with_overrides(
-            config=spec.config.with_execution(
-                backend=execution.backend,
-                n_jobs=execution.n_jobs,
-                distance_backend=execution.distance_backend,
-                epsilon=execution.epsilon,
-                k_neighbors=execution.k_neighbors,
-                metric=execution.metric,
-            )
-        )
+        spec = spec.with_overrides(config=spec.config.with_execution(**dataclasses.asdict(execution)))
     result = _run_pipeline_spec(spec, store=store, write_reports=write_reports)
     return PipelineRunReport(
         spec=result.spec,
@@ -309,13 +291,8 @@ def select_parameter(
     """
     config = QUICK_CONFIG.with_overrides(
         seed=request.seed, n_trials=request.n_trials, n_folds=request.n_folds
-    ).with_execution(
-        backend=request.execution.backend,
-        n_jobs=request.execution.n_jobs,
-        distance_backend=request.execution.distance_backend,
-        metric=request.execution.metric,
-    )
-    dataset = get_dataset(request.dataset, random_state=config.seed, metric=config.metric)
+    ).with_execution(**dataclasses.asdict(request.execution))
+    dataset = get_dataset(request.dataset, random_state=config.seed, metric=config.execution.metric)
     estimator = algorithm_factory(
         request.algorithm, config, random_state=config.seed, metric=dataset.metric
     )

@@ -138,7 +138,7 @@ def run(deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
             n_folds=config.n_folds,
             refit=True,
             random_state=step_seeds[index],
-            execution=config.execution_spec(),
+            execution=config.execution,
             artifact_store=store,
             artifact_scope=key,
         )

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.bench import DEFAULT_SUITE, SUITES, Suite
 from repro.core.distance_backend import DISTANCE_BACKENDS
-from repro.core.executor import BACKENDS, ExecutionSpec
+from repro.core.executor import BACKENDS
 from repro.datasets.registry import DATASET_NAMES, get_dataset
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.fleet import fleet_status, format_fleet_status, run_worker
@@ -350,6 +350,22 @@ def _command_run(args: argparse.Namespace, *, reports_only: bool = False) -> int
             print(exc, file=sys.stderr)
             return 2
         spec = spec.with_overrides(stream=stream)
+    try:
+        # One overlay for batch runs and fleet workers alike.
+        spec = spec.with_overrides(
+            config=spec.config.with_execution(
+                backend=args.backend,
+                n_jobs=args.n_jobs,
+                distance_backend=args.distance_backend,
+                epsilon=args.epsilon,
+                k_neighbors=args.k_neighbors,
+                metric=args.metric,
+            )
+        )
+    except SpecError as exc:
+        # e.g. --metric clashing with the spec's backend or data set
+        print(exc, file=sys.stderr)
+        return 2
     refresh = bool(getattr(args, "force", False))
     store = ArtifactStore(spec.artifacts_root, refresh=refresh)
     quiet = bool(getattr(args, "quiet", False)) or reports_only
@@ -378,24 +394,7 @@ def _command_run(args: argparse.Namespace, *, reports_only: bool = False) -> int
         # reports byte-identical).
         from repro import api
 
-        try:
-            execution = ExecutionSpec(
-                backend=args.backend,
-                n_jobs=args.n_jobs,
-                distance_backend=args.distance_backend,
-                epsilon=args.epsilon,
-                k_neighbors=args.k_neighbors,
-                metric=args.metric,
-            )
-        except SpecError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        try:
-            result = api.run_pipeline(spec, store=store, execution=execution)
-        except SpecError as exc:
-            # e.g. --metric clashing with the spec's backend or data set
-            print(exc, file=sys.stderr)
-            return 2
+        result = api.run_pipeline(spec, store=store)
 
     if not quiet:
         print(result.report_text)

@@ -207,8 +207,7 @@ class CVCP:
     ) -> None:
         if not list(parameter_values):
             raise ValueError("parameter_values must not be empty")
-        execution = execution if execution is not None else ExecutionSpec()
-        self.execution = execution
+        self.execution = execution if execution is not None else ExecutionSpec()
         self.estimator = estimator
         self.parameter_values = list(parameter_values)
         self.parameter_name = parameter_name or estimator.tuned_parameter
@@ -228,12 +227,6 @@ class CVCP:
         self.oracle = oracle
         self.oracle_scenario = oracle_scenario
         self.oracle_amount = oracle_amount
-        self.n_jobs = execution.n_jobs
-        self.backend = execution.backend or "serial"
-        self.distance_backend = execution.distance_backend
-        self.epsilon = execution.epsilon
-        self.k_neighbors = execution.k_neighbors
-        self.metric = execution.metric
         self.artifact_store = artifact_store
         self.artifact_scope = artifact_scope
 
@@ -300,7 +293,7 @@ class CVCP:
         # thread/process backends bit-identical to the serial one.
         master_seed = int(rng.integers(0, 2**63 - 1))
 
-        if self.backend == "process" and "metric" in self.estimator.get_params():
+        if self.execution.backend == "process" and "metric" in self.estimator.get_params():
             effective = self._effective_distance_backend()
             resolved = resolve_distance_backend(effective)
             # Warm the per-process distance cache before the pool starts.
@@ -376,10 +369,11 @@ class CVCP:
                 def persist_cell(position: int, score: float) -> None:
                     journal.put("grid", *divmod(pending[position], n_folds), score)
 
+            process = self.execution.backend == "process"
             executor = get_executor(
-                self.backend, self.n_jobs,
-                initializer=_register_grid_data if self.backend == "process" else None,
-                initargs=(data_key, X) if self.backend == "process" else (),
+                self.execution.backend or "serial", self.execution.n_jobs,
+                initializer=_register_grid_data if process else None,
+                initargs=(data_key, X) if process else (),
             )
             _acquire_grid_data(data_key, X)
             try:
@@ -453,7 +447,7 @@ class CVCP:
         if not getattr(self.estimator, "structure_caching", False):
             return
         if (
-            self.backend == "process"
+            self.execution.backend == "process"
             and self.artifact_store is None
             and multiprocessing.get_start_method() != "fork"
         ):
@@ -466,14 +460,14 @@ class CVCP:
 
     def _effective_distance_backend(self) -> str | None:
         """The tier grid cells run under: the CVCP override or the template's own."""
-        if self.distance_backend is not None:
-            return self.distance_backend
+        if self.execution.distance_backend is not None:
+            return self.execution.distance_backend
         return self.estimator.get_params().get("distance_backend")
 
     def _effective_metric(self) -> str:
         """The metric grid cells run under: the CVCP override or the template's own."""
-        if self.metric is not None:
-            return self.metric
+        if self.execution.metric is not None:
+            return self.execution.metric
         return self.estimator.get_params().get("metric", "euclidean")
 
     def _make_estimator(self, value: Any, seed: int) -> BaseClusterer:
@@ -481,18 +475,11 @@ class CVCP:
         overrides: dict[str, Any] = {self.parameter_name: value}
         if "random_state" in self.estimator.get_params():
             overrides["random_state"] = int(seed)
-        if (
-            self.distance_backend is not None
-            and "distance_backend" in self.estimator.get_params()
-        ):
-            overrides["distance_backend"] = self.distance_backend
         params = self.estimator.get_params()
-        if self.epsilon is not None and "epsilon" in params:
-            overrides["epsilon"] = self.epsilon
-        if self.k_neighbors is not None and "k_neighbors" in params:
-            overrides["k_neighbors"] = self.k_neighbors
-        if self.metric is not None and "metric" in params:
-            overrides["metric"] = self.metric
+        for name in ("distance_backend", "epsilon", "k_neighbors", "metric"):
+            setting = getattr(self.execution, name)
+            if setting is not None and name in params:
+                overrides[name] = setting
         return self.estimator.clone(**overrides)
 
     def _refit(

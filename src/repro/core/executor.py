@@ -48,9 +48,11 @@ class ExecutionSpec:
     """The execution engine as one validated, picklable value.
 
     What :class:`~repro.core.cvcp.CVCP` and
-    :func:`~repro.core.cvcp.select_parameter` take as ``execution=spec``;
-    also the validated form of the pipeline ``[execution]`` config table
-    (minus the pipeline-level ``parallelize`` key).
+    :func:`~repro.core.cvcp.select_parameter` take as ``execution=spec``
+    and what :class:`~repro.experiments.config.ExperimentConfig` carries
+    as its ``execution`` field; also the validated form of the pipeline
+    ``[execution]`` config table (minus the pipeline-level ``parallelize``
+    key).
 
     Every field defaults to ``None`` meaning "inherit the caller's
     default" — ``backend=None`` resolves to ``"serial"`` at the use site,

@@ -138,8 +138,6 @@ def closure_leakage_ablation(
     amount: float = 0.20,
     config: ExperimentConfig | None = None,
     random_state: RandomStateLike = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
     store: ArtifactStore | None = None,
 ) -> AblationResult:
     """Internal-score inflation of the naive constraint split vs the proper one.
@@ -150,7 +148,7 @@ def closure_leakage_ablation(
     biased) because derived test constraints are implicitly available at
     training time.
     """
-    config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
+    config = config or default_config()
     seed = _keyable_seed(random_state, config)
     key = None
     if seed is not None:
@@ -164,7 +162,7 @@ def closure_leakage_ablation(
         values = parameter_values_for(algorithm, dataset, config)
 
         proper = CVCP(estimator, values, n_folds=config.n_folds, refit=False, random_state=rng,
-                      execution=config.execution_spec())
+                      execution=config.execution)
         proper.fit(dataset.X, constraints=side.constraints)
 
         naive_folds = _naive_constraint_folds(
@@ -203,12 +201,10 @@ def fold_count_ablation(
     fold_counts: tuple[int, ...] = (2, 3, 5, 10),
     config: ExperimentConfig | None = None,
     random_state: RandomStateLike = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
     store: ArtifactStore | None = None,
 ) -> AblationResult:
     """External quality of the CVCP-selected parameter for several fold counts."""
-    config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
+    config = config or default_config()
     seed = _keyable_seed(random_state, config)
     key = None
     if seed is not None:
@@ -227,7 +223,7 @@ def fold_count_ablation(
         for n_folds in fold_counts:
             search = CVCP(estimator, values, n_folds=n_folds, refit=True,
                           random_state=int(rng.integers(0, 2**31 - 1)),
-                          execution=config.execution_spec())
+                          execution=config.execution)
             search.fit(dataset.X, labeled_objects=side.labeled_objects)
             measurements[f"n_folds={n_folds}"] = overall_f_measure(
                 dataset.y, search.labels_, exclude=exclude
@@ -245,12 +241,10 @@ def scorer_ablation(
     scorers: tuple[str, ...] = ("average_f", "accuracy", "must_link_f"),
     config: ExperimentConfig | None = None,
     random_state: RandomStateLike = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
     store: ArtifactStore | None = None,
 ) -> AblationResult:
     """External quality of the parameter chosen under different internal scorers."""
-    config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
+    config = config or default_config()
     seed = _keyable_seed(random_state, config)
     key = None
     if seed is not None:
@@ -269,7 +263,7 @@ def scorer_ablation(
         for scoring in scorers:
             search = CVCP(estimator, values, n_folds=config.n_folds, scoring=scoring,
                           refit=True, random_state=int(rng.integers(0, 2**31 - 1)),
-                          execution=config.execution_spec())
+                          execution=config.execution)
             search.fit(dataset.X, labeled_objects=side.labeled_objects)
             measurements[scoring] = overall_f_measure(dataset.y, search.labels_, exclude=exclude)
         return AblationResult(name="internal-scorer", measurements=measurements)

@@ -158,8 +158,6 @@ def comparison_table(
     config: ExperimentConfig | None = None,
     random_state: RandomStateLike = None,
     include_silhouette: bool | None = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
     store: ArtifactStore | None = None,
     parallelize: str = "grid",
     oracle: ConstraintOracle | None = None,
@@ -170,11 +168,10 @@ def comparison_table(
     ``("fosc", "labels", 0.05/0.10/0.20)``, Tables 8/9/10 are
     ``("mpck", "labels", ...)``; constraint scenario: Tables 11/12/13 are
     ``("fosc", "constraints", 0.10/0.20/0.50)`` and Tables 14/15/16 are
-    ``("mpck", "constraints", ...)``.  ``n_jobs``/``backend`` override the
-    execution engine of ``config``; with a ``store``, per-trial artifacts
+    ``("mpck", "constraints", ...)``.  With a ``store``, per-trial artifacts
     are reused and written through (see :mod:`repro.experiments.artifacts`).
     """
-    config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
+    config = config or default_config()
     rng = check_random_state(random_state if random_state is not None else config.seed)
     if include_silhouette is None:
         include_silhouette = algorithm == "mpck"
@@ -204,8 +201,6 @@ def aloi_distribution(
     config: ExperimentConfig | None = None,
     random_state: RandomStateLike = None,
     include_silhouette: bool | None = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
     store: ArtifactStore | None = None,
     parallelize: str = "grid",
     oracle: ConstraintOracle | None = None,
@@ -214,10 +209,9 @@ def aloi_distribution(
 
     Returns a mapping from box label (e.g. ``"CVCP-10"``, ``"Exp-10"``,
     ``"Sil-10"``) to the list of Overall F-Measure values whose distribution
-    the corresponding box plot shows.  ``n_jobs``/``backend`` override the
-    execution engine of ``config``.
+    the corresponding box plot shows.
     """
-    config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
+    config = config or default_config()
     rng = check_random_state(random_state if random_state is not None else config.seed)
     if include_silhouette is None:
         include_silhouette = algorithm == "mpck"

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.executor import ExecutionSpec
 from repro.datasets.base import Dataset
+from repro.utils.specs import SpecError
 
 #: MinPts values swept for FOSC-OPTICSDend (Section 4.1).
 MINPTS_RANGE: tuple[int, ...] = (3, 6, 9, 12, 15, 18, 21, 24)
@@ -66,32 +67,11 @@ class ExperimentConfig:
         Data-set names to include (paper order).
     seed:
         Master seed; every trial derives its own child seed from it.
-    backend:
-        Execution backend for the CVCP grid and the trial loops
-        (``"serial"``, ``"thread"`` or ``"process"``); see
-        :mod:`repro.core.executor`.  All backends are bit-identical for a
-        fixed seed.
-    n_jobs:
-        Worker count for the parallel backends (``None`` = all cores).
-    distance_backend:
-        Distance-matrix storage tier (``"blockwise"``, ``"memmap"`` or
-        ``"neighbors"``; see :mod:`repro.core.distance_backend`).  ``None``
-        defers to ``REPRO_DISTANCE_BACKEND``/the blockwise default.  The exact tiers are
-        bit-identical, so they are deliberately *not* part of the trial
-        artifact fingerprint — stores are shared across them.  The
-        ``neighbors`` tier is approximate and *is* fingerprinted (together
-        with ``epsilon``/``k_neighbors``), so its trials never shadow
-        exact ones.
-    epsilon / k_neighbors:
-        Neighbour-graph radius and out-degree for the ``neighbors`` tier
-        (``None`` defers to ``REPRO_NEIGHBOR_EPSILON`` /
-        ``REPRO_NEIGHBOR_K``); ignored by the exact tiers.
-    metric:
-        Distance metric every resolved data set is evaluated under
-        (``"euclidean"``, ``"cosine"`` or ``None``).  ``None`` keeps each
-        data set's own default (euclidean for the UCI-style sets, cosine
-        for ``"Text"``).  Non-Euclidean metrics become part of the trial
-        artifact fingerprint, so cosine trials never shadow euclidean ones.
+    execution:
+        The execution engine — executor backend, worker count, distance
+        tier, neighbour-graph knobs and metric override — as one
+        :class:`~repro.core.executor.ExecutionSpec`.  Set it here (or
+        through :meth:`with_execution`), never per driver call.
     """
 
     n_trials: int = 50
@@ -105,12 +85,7 @@ class ExperimentConfig:
     mpck_max_iter: int = 30
     datasets: tuple[str, ...] = TABLE_DATASETS
     seed: int = 20140324  # EDBT 2014 conference start date
-    backend: str = "serial"
-    n_jobs: int | None = None
-    distance_backend: str | None = None
-    epsilon: float | None = None
-    k_neighbors: int | None = None
-    metric: str | None = None
+    execution: ExecutionSpec = ExecutionSpec(backend="serial")
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         """Return a copy with the given fields replaced."""
@@ -120,41 +95,28 @@ class ExperimentConfig:
         """The side-information amounts a table sweeps for ``scenario``."""
         return list(self.label_fractions if scenario == "labels" else self.constraint_fractions)
 
-    def with_execution(
-        self,
-        backend: str | None = None,
-        n_jobs: int | None = None,
-        distance_backend: str | None = None,
-        epsilon: float | None = None,
-        k_neighbors: int | None = None,
-        metric: str | None = None,
-    ) -> "ExperimentConfig":
-        """Copy with the execution engine overridden where arguments are given."""
-        if (
-            backend is None and n_jobs is None and distance_backend is None
-            and epsilon is None and k_neighbors is None and metric is None
-        ):
-            return self
-        return replace(
-            self,
-            backend=backend if backend is not None else self.backend,
-            n_jobs=n_jobs if n_jobs is not None else self.n_jobs,
-            distance_backend=(
-                distance_backend if distance_backend is not None else self.distance_backend
-            ),
-            epsilon=epsilon if epsilon is not None else self.epsilon,
-            k_neighbors=k_neighbors if k_neighbors is not None else self.k_neighbors,
-            metric=metric if metric is not None else self.metric,
-        )
+    def with_execution(self, **fields) -> "ExperimentConfig":
+        """Copy with the engine fields given as non-``None`` keywords replaced.
 
-    def execution_spec(self) -> ExecutionSpec:
-        """The execution engine fields as one validated ``ExecutionSpec``."""
-        return ExecutionSpec(
-            backend=self.backend, n_jobs=self.n_jobs,
-            distance_backend=self.distance_backend,
-            epsilon=self.epsilon, k_neighbors=self.k_neighbors,
-            metric=self.metric,
-        )
+        The one overlay every engine override goes through (pipeline
+        specs, ``REPRO_BACKEND``/``REPRO_N_JOBS``, the CLI flags, the
+        facade's ``execution=`` arguments).  The result is validated by
+        :class:`~repro.core.executor.ExecutionSpec`; a precomputed metric
+        (the data set *is* its matrix) admits no other.
+        """
+        given = {name: value for name, value in fields.items() if value is not None}
+        if not given:
+            return self
+        metric = given.get("metric")
+        if self.execution.metric == "precomputed" and metric not in (None, "precomputed"):
+            raise SpecError(
+                "execution",
+                [
+                    "execution.metric: cannot override the metric of a precomputed"
+                    f" pipeline with {metric!r}"
+                ],
+            )
+        return replace(self, execution=replace(self.execution, **given))
 
 
 #: The paper-scale configuration (50 trials, 100 ALOI data sets, 10 folds).
@@ -177,7 +139,9 @@ def default_config() -> ExperimentConfig:
     ``REPRO_FULL=1`` switches to the paper-scale configuration;
     ``REPRO_BACKEND`` (``serial``/``thread``/``process``) and
     ``REPRO_N_JOBS`` select the execution engine without touching code,
-    which is how the benchmark harness and CI exercise the parallel paths.
+    which is how the benchmark harness and CI exercise the parallel paths;
+    both go through :meth:`ExperimentConfig.with_execution`, so an unknown
+    backend raises :class:`~repro.utils.specs.SpecError`.
     (``REPRO_DISTANCE_BACKEND`` needs no plumbing here: a ``None``
     ``distance_backend`` defers to the environment at every use site — see
     :func:`repro.core.distance_backend.resolve_distance_backend`.)
@@ -186,7 +150,6 @@ def default_config() -> ExperimentConfig:
         config = PAPER_CONFIG
     else:
         config = QUICK_CONFIG
-    backend = os.environ.get("REPRO_BACKEND", "").strip() or None
     n_jobs_raw = os.environ.get("REPRO_N_JOBS", "").strip()
     n_jobs = None
     if n_jobs_raw:
@@ -196,7 +159,7 @@ def default_config() -> ExperimentConfig:
             raise ValueError(
                 f"REPRO_N_JOBS must be an integer, got {n_jobs_raw!r}"
             ) from None
-    return config.with_execution(backend=backend, n_jobs=n_jobs)
+    return config.with_execution(backend=os.environ.get("REPRO_BACKEND", "").strip() or None, n_jobs=n_jobs)
 
 
 def k_range_for_dataset(dataset: Dataset, *, max_k: int = 10) -> list[int]:

@@ -58,8 +58,6 @@ def correlation_table(
     *,
     config: ExperimentConfig | None = None,
     random_state: RandomStateLike = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
     store: ArtifactStore | None = None,
     parallelize: str = "grid",
     oracle: ConstraintOracle | None = None,
@@ -68,10 +66,9 @@ def correlation_table(
 
     Table 1 = ``("fosc", "labels")``, Table 2 = ``("mpck", "labels")``,
     Table 3 = ``("fosc", "constraints")``, Table 4 = ``("mpck", "constraints")``.
-    ``n_jobs``/``backend`` override the execution engine of ``config``; with
-    a ``store``, per-trial artifacts are reused and written through.
+    With a ``store``, per-trial artifacts are reused and written through.
     """
-    config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
+    config = config or default_config()
     rng = check_random_state(random_state if random_state is not None else config.seed)
     amounts = config.amounts_for(scenario)
 

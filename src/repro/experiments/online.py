@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from math import ceil
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -281,7 +281,8 @@ def stream_step_key(
         "step": int(step),
         "step_seed": int(step_seed),
     }
-    return {**key, **approx_key_entry(config.distance_backend, config.epsilon, config.k_neighbors)}
+    execution = config.execution
+    return {**key, **approx_key_entry(execution.distance_backend, execution.epsilon, execution.k_neighbors)}
 
 
 def ordered_stream(
@@ -354,7 +355,7 @@ def replay_constraint_stream(
             n_folds=config.n_folds,
             refit=True,
             random_state=step_seed,
-            execution=config.execution_spec(),
+            execution=config.execution,
             artifact_store=store,
             artifact_scope=key,
         )
@@ -408,7 +409,7 @@ def cold_selection(
         n_folds=config.n_folds,
         refit=True,
         random_state=step_seed,
-        execution=config.execution_spec(),
+        execution=config.execution,
     )
     search.fit(dataset.X, constraints=constraints)
     return (

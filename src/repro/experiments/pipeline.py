@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -337,8 +337,8 @@ class PipelineSpec:
         elif rules.oracle is None:
             spec["oracle"] = self.oracle.to_spec()
         dataset_table: dict = {}
-        if self.config.metric is not None:
-            dataset_table["metric"] = self.config.metric
+        if self.config.execution.metric is not None:
+            dataset_table["metric"] = self.config.execution.metric
         if self.dataset_path is not None:
             dataset_table["path"] = str(self.dataset_path)
             if self.dataset_form != "distance":
@@ -347,7 +347,7 @@ class PipelineSpec:
                 dataset_table["name"] = self.precomputed.name
         if dataset_table:
             spec["dataset"] = dataset_table
-        execution = self.config.execution_spec().to_spec()
+        execution = self.config.execution.to_spec()
         # The metric travels in [dataset], not [execution].
         execution.pop("metric", None)
         if self.parallelize != "grid":
@@ -719,14 +719,7 @@ def validate_pipeline_mapping(
     if precomputed_dataset is not None:
         datasets = [precomputed_dataset.name]
         config = config.with_overrides(datasets=tuple(datasets))
-    config = config.with_execution(
-        backend=execution_spec.backend or "serial",
-        n_jobs=execution_spec.n_jobs,
-        distance_backend=execution_spec.distance_backend,
-        epsilon=execution_spec.epsilon,
-        k_neighbors=execution_spec.k_neighbors,
-        metric=metric,
-    )
+    config = config.with_execution(**asdict(replace(execution_spec, metric=metric)))
 
     spec = PipelineSpec(
         name=name,
@@ -816,7 +809,7 @@ def _resolve_dataset(spec: PipelineSpec, name: str) -> Dataset:
     """
     if spec.precomputed is not None:
         return spec.precomputed
-    return get_dataset(name, random_state=spec.config.seed, metric=spec.config.metric)
+    return get_dataset(name, random_state=spec.config.seed, metric=spec.config.execution.metric)
 
 
 def _comparison_summary_row(row) -> dict:
@@ -1088,34 +1081,14 @@ def run_pipeline(
     spec: PipelineSpec,
     *,
     store: ArtifactStore | None = None,
-    backend: str | None = None,
-    n_jobs: int | None = None,
-    distance_backend: str | None = None,
-    epsilon: float | None = None,
-    k_neighbors: int | None = None,
     write_reports: bool = True,
 ) -> PipelineResult:
     """Execute a pipeline spec through the artifact store.
 
-    ``backend``/``n_jobs``/``distance_backend`` override the spec's
-    execution engine and distance-matrix storage tier (results are
-    bit-identical across execution backends and across the *exact*
-    distance tiers, so overriding those never invalidates cached
-    artifacts; the approximate ``neighbors`` tier — tuned with
-    ``epsilon``/``k_neighbors`` — keys its own artifacts).  With
-    ``write_reports`` the rendered report and the deterministic
-    ``summary.json`` are persisted under ``<artifacts root>/reports/<name>/``.
+    The engine is the spec's ``config.execution``.  With ``write_reports``
+    the rendered report and the deterministic ``summary.json`` are
+    persisted under ``<artifacts root>/reports/<name>/``.
     """
-    if (
-        backend is not None or n_jobs is not None or distance_backend is not None
-        or epsilon is not None or k_neighbors is not None
-    ):
-        spec = spec.with_overrides(
-            config=spec.config.with_execution(
-                backend=backend, n_jobs=n_jobs, distance_backend=distance_backend,
-                epsilon=epsilon, k_neighbors=k_neighbors,
-            )
-        )
     if store is None:
         store = ArtifactStore(spec.artifacts_root)
     store.reset_stats()

@@ -178,8 +178,9 @@ def algorithm_factory(
     """
     seed = int(check_random_state(random_state).integers(0, 2**31 - 1))
     metric = metric or "euclidean"
+    execution = config.execution
     if algorithm == "fosc":
-        if metric != "euclidean" and resolve_distance_backend(config.distance_backend) == "neighbors":
+        if metric != "euclidean" and resolve_distance_backend(execution.distance_backend) == "neighbors":
             from repro.core.distance_backend import EXACT_DISTANCE_BACKENDS
 
             raise ValueError(
@@ -190,11 +191,11 @@ def algorithm_factory(
             )
         return FOSCOpticsDend(
             min_pts=5, random_state=seed, metric=metric,
-            distance_backend=config.distance_backend,
-            epsilon=config.epsilon, k_neighbors=config.k_neighbors,
+            distance_backend=execution.distance_backend,
+            epsilon=execution.epsilon, k_neighbors=execution.k_neighbors,
         )
     if algorithm == "mpck":
-        if resolve_distance_backend(config.distance_backend) == "neighbors":
+        if resolve_distance_backend(execution.distance_backend) == "neighbors":
             raise ValueError(
                 "distance_backend='neighbors' cannot drive MPCKMeans: the "
                 "metric-learning updates need every pairwise entry, not a "
@@ -259,7 +260,8 @@ def trial_artifact_key(
         "oracle": oracle.spec(),
         "trial_seed": int(trial_seed),
     }
-    return {**key, **approx_key_entry(config.distance_backend, config.epsilon, config.k_neighbors)}
+    execution = config.execution
+    return {**key, **approx_key_entry(execution.distance_backend, execution.epsilon, execution.k_neighbors)}
 
 
 def _load_cached_trial(store: ArtifactStore, key: dict) -> "TrialResult | None":
@@ -283,15 +285,12 @@ def run_trial(
     *,
     config: ExperimentConfig | None = None,
     random_state: RandomStateLike = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
     store: ArtifactStore | None = None,
     oracle: ConstraintOracle | None = None,
 ) -> TrialResult:
     """Run one full trial (see the module docstring).
 
-    ``n_jobs``/``backend`` override the execution engine of
-    ``config`` for the CVCP grid inside this trial.  ``oracle`` selects the
+    ``oracle`` selects the
     supervision source the side information is drawn from (default: the
     paper's perfect oracle); its spec is part of the artifact key, so
     trials generated under different oracles never share cache entries.
@@ -306,12 +305,12 @@ def run_trial(
     the trial completes, its result is written as one ``trial`` artifact
     and the journal is removed.
     """
-    config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
-    if config.metric is not None:
+    config = config or default_config()
+    if config.execution.metric is not None:
         # The config-level metric override is applied to the data set itself
         # so every downstream consumer — estimator construction, silhouette,
         # the trial fingerprint — sees one consistent effective metric.
-        dataset = dataset.with_metric(config.metric)
+        dataset = dataset.with_metric(config.execution.metric)
     key: dict | None = None
     if store is not None and isinstance(random_state, (int, np.integer)):
         key = trial_artifact_key(
@@ -335,7 +334,7 @@ def run_trial(
         n_folds=config.n_folds,
         refit=False,
         random_state=rng,
-        execution=config.execution_spec(),
+        execution=config.execution,
         artifact_store=cell_store,
         artifact_scope=key,
     )
@@ -385,7 +384,7 @@ def run_trial(
         # The Silhouette baseline needs the full matrix; under the sparse
         # neighbors tier it falls back to the blockwise exact tier (same
         # values bit-for-bit, streamed row blocks).
-        silhouette_backend = config.distance_backend
+        silhouette_backend = config.execution.distance_backend
         if resolve_distance_backend(silhouette_backend) == "neighbors":
             silhouette_backend = "blockwise"
         silhouettes.append(
@@ -447,7 +446,8 @@ def trial_plan(batch: TrialBatch, config: ExperimentConfig, n_trials: int) -> li
     :func:`trial_artifact_key` each — read by :func:`run_trials` and by
     the fleet's unit enumeration alike.
     """
-    dataset = batch.dataset if config.metric is None else batch.dataset.with_metric(config.metric)
+    metric = config.execution.metric
+    dataset = batch.dataset if metric is None else batch.dataset.with_metric(metric)
     seeds = spawn_seeds(check_random_state(batch.seed), n_trials)
     return [
         (seed, trial_artifact_key(
@@ -477,8 +477,6 @@ def run_trials(
     *,
     config: ExperimentConfig | None = None,
     random_state: RandomStateLike = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
     parallelize: Literal["grid", "trials"] = "grid",
     store: ArtifactStore | None = None,
     oracle: ConstraintOracle | None = None,
@@ -506,11 +504,12 @@ def run_trials(
         raise ValueError(
             f"parallelize must be 'grid' or 'trials', got {parallelize!r}"
         )
-    config = (config or default_config()).with_execution(backend=backend, n_jobs=n_jobs)
+    config = config or default_config()
     batch = TrialBatch(dataset.name, dataset, algorithm, scenario, amount, random_state, oracle)
     plan = trial_plan(batch, config, n_trials)
 
-    if parallelize == "trials" and config.backend != "serial":
+    backend = config.execution.backend or "serial"
+    if parallelize == "trials" and backend != "serial":
         # Whole trials travel through the pool, so artifact handling stays
         # in the submitting process: completed trials are looked up here,
         # missing ones computed by workers (without per-cell persistence,
@@ -519,7 +518,7 @@ def run_trials(
             _load_cached_trial(store, key) if store is not None else None for _, key in plan
         ]
         pending = [index for index, result in enumerate(results) if result is None]
-        inner = config.with_overrides(backend="serial")
+        inner = config.with_execution(backend="serial")
         tasks = [(batch, inner, plan[index][0]) for index in pending]
         persist_trial = None
         if store is not None:
@@ -532,7 +531,7 @@ def run_trials(
                 store.put("trial", key, result.to_dict())
                 store.journal(key).remove()
 
-        computed = get_executor(config.backend, config.n_jobs).run(
+        computed = get_executor(backend, config.execution.n_jobs).run(
             _run_trial_task, tasks, on_result=persist_trial
         )
         for index, result in zip(pending, computed):

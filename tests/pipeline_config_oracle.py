@@ -577,8 +577,8 @@ def to_spec(self) -> dict:
     elif self.kind != "ablation":
         spec["oracle"] = self.oracle.to_spec()
     dataset_table: dict = {}
-    if self.config.metric is not None:
-        dataset_table["metric"] = self.config.metric
+    if self.config.execution.metric is not None:
+        dataset_table["metric"] = self.config.execution.metric
     if self.dataset_path is not None:
         dataset_table["path"] = str(self.dataset_path)
         if self.dataset_form != "distance":
@@ -587,7 +587,7 @@ def to_spec(self) -> dict:
             dataset_table["name"] = self.precomputed.name
     if dataset_table:
         spec["dataset"] = dataset_table
-    execution = self.config.execution_spec().to_spec()
+    execution = self.config.execution.to_spec()
     # The metric travels in [dataset], not [execution].
     execution.pop("metric", None)
     if self.parallelize != "grid":

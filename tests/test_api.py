@@ -8,6 +8,7 @@ drivers they wrap (same store artifacts, same selections).
 """
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -97,7 +98,7 @@ class TestExecutionSpecOnly:
         spec = ExecutionSpec(backend="thread", n_jobs=2)
         search = CVCP(_Estimator(), [2, 3], n_folds=2, execution=spec)
         assert search.execution == spec
-        assert (search.backend, search.n_jobs) == ("thread", 2)
+        assert (search.execution.backend, search.execution.n_jobs) == ("thread", 2)
         with pytest.raises(TypeError, match="backend"):
             CVCP(_Estimator(), [2, 3], n_folds=2, backend="thread", n_jobs=2)
 
@@ -181,6 +182,40 @@ class TestSelectAndFit:
         assert second.stats == {"hits": 1, "misses": 0, "writes": 0}
         assert second.selected_value == first.selected_value
         assert second.trials == first.trials
+
+    def test_select_parameter_runs_every_requested_engine_field(self, tmp_path, monkeypatch):
+        # The request's neighbour-graph knobs reach every fit and the
+        # trial key's approx entry, not just its distance tier.
+        from repro.clustering.fosc import FOSCOpticsDend
+
+        engines = set()
+        original_fit = FOSCOpticsDend.fit
+
+        def recording_fit(self, X, *args, **kwargs):
+            engines.add((self.distance_backend, self.epsilon, self.k_neighbors))
+            return original_fit(self, X, *args, **kwargs)
+
+        monkeypatch.setattr(FOSCOpticsDend, "fit", recording_fit)
+        # k_neighbors = 20 covers the quick profile's largest MinPts (18).
+        engine = ExecutionSpec(distance_backend="neighbors", epsilon=2.5, k_neighbors=20)
+        request = api.SelectionRequest(n_folds=3, amount=0.2, seed=9, execution=engine)
+        api.select_parameter(request, store=api.open_store(tmp_path / "store"))
+        assert engines == {("neighbors", 2.5, 20)}
+        keys = [
+            json.loads(path.read_text(encoding="utf-8"))["key"]
+            for path in (tmp_path / "store" / "trial").glob("*/*.json")
+        ]
+        assert [key["approx"] for key in keys] == [
+            {"distance_backend": "neighbors", "epsilon": 2.5, "k_neighbors": 20}
+        ]
+
+    def test_select_parameter_honours_a_too_small_neighbor_horizon(self):
+        # k_neighbors = 8 cannot serve MinPts 12..18; the request must fail
+        # on its own horizon rather than run under the environment defaults.
+        engine = ExecutionSpec(distance_backend="neighbors", epsilon=2.5, k_neighbors=8)
+        request = api.SelectionRequest(n_folds=3, amount=0.2, seed=9, execution=engine)
+        with pytest.raises(ValueError, match=r"k_neighbors\+1=9"):
+            api.select_parameter(request)
 
     def test_fit_returns_a_partition(self):
         report = api.fit("fosc", "Iris", amount=0.2, n_folds=3, seed=2)

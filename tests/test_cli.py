@@ -373,11 +373,11 @@ class TestDistanceBackendConfig:
             encoding="utf-8",
         )
         spec = load_pipeline_spec(path)
-        assert spec.config.distance_backend == "blockwise"
+        assert spec.config.execution.distance_backend == "blockwise"
 
     def test_unset_key_defers_to_the_environment(self, tiny_config):
         spec = load_pipeline_spec(tiny_config)
-        assert spec.config.distance_backend is None
+        assert spec.config.execution.distance_backend is None
 
     def test_invalid_value_is_reported(self, tmp_path):
         path = tmp_path / "bad.toml"

@@ -66,6 +66,17 @@ class TestRunWorkerCli:
         capsys.readouterr()
         assert summary_bytes(tmp_path / "fleet") == summary_bytes(tmp_path / "plain")
 
+    def test_worker_honours_the_engine_flags(self, tmp_path, capsys):
+        # --metric changes the trial keys, so a worker that dropped it would
+        # write the plain euclidean summary instead.
+        example = str(Path(__file__).resolve().parent.parent / "examples" / "quickstart.toml")
+        plain, fleet = str(tmp_path / "plain"), str(tmp_path / "fleet")
+        assert main(["run", example, "--quiet", "--artifacts-root", plain, "--metric", "cosine"]) == 0
+        worker = ["run", example, "--quiet", "--artifacts-root", fleet, "--worker", "--metric", "cosine"]
+        assert main(worker) == 0
+        capsys.readouterr()
+        assert summary_bytes(tmp_path / "fleet") == summary_bytes(tmp_path / "plain")
+
     def test_force_refuses_worker_mode(self, tmp_path, capsys):
         config = write_config(tmp_path, root=tmp_path / "store")
         assert main(["run", str(config), "--worker", "--force"]) == 2

@@ -208,6 +208,6 @@ class TestExperimentLayerIntegration:
         serial = run_trials(blobs_dataset, "fosc", "labels", 0.2, 2,
                             config=config, random_state=6)
         threaded = run_trials(blobs_dataset, "fosc", "labels", 0.2, 2,
-                              config=config, random_state=6,
-                              backend="thread", parallelize="trials")
+                              config=config.with_execution(backend="thread"), random_state=6,
+                              parallelize="trials")
         assert serial == threaded

@@ -7,6 +7,7 @@ few seconds; the full-scale reproduction lives in ``benchmarks/``.
 import numpy as np
 import pytest
 
+from repro.core.executor import ExecutionSpec
 from repro.datasets import make_aloi_k5_like, make_blobs
 from repro.experiments import (
     QUICK_CONFIG,
@@ -34,6 +35,7 @@ from repro.experiments.reporting import (
     format_curves,
     format_table,
 )
+from repro.utils.specs import SpecError
 
 TINY = ExperimentConfig(
     n_trials=1,
@@ -68,6 +70,23 @@ class TestConfig:
     def test_default_config_with_env_is_paper(self, monkeypatch):
         monkeypatch.setenv("REPRO_FULL", "1")
         assert default_config() == PAPER_CONFIG
+
+    def test_default_config_rejects_an_unknown_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        with pytest.raises(SpecError, match=r"execution\.backend"):
+            default_config()
+
+    def test_with_execution_overlays_the_engine(self):
+        config = QUICK_CONFIG.with_execution(n_jobs=2, distance_backend="neighbors")
+        assert config.execution == ExecutionSpec(
+            backend="serial", n_jobs=2, distance_backend="neighbors"
+        )
+        assert config.with_execution(backend=None, metric=None) is config
+        with pytest.raises(SpecError, match=r"execution\.metric"):
+            config.with_execution(metric="cosine")
+        precomputed = ExperimentConfig(execution=ExecutionSpec(metric="precomputed"))
+        with pytest.raises(SpecError, match="cannot override the metric of a precomputed"):
+            precomputed.with_execution(metric="euclidean")
 
     def test_with_overrides(self):
         assert QUICK_CONFIG.with_overrides(n_trials=7).n_trials == 7

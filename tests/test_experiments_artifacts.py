@@ -44,7 +44,7 @@ class TestKeying:
 
     def test_trial_config_fingerprint_ignores_execution_and_counts(self):
         base = trial_config_fingerprint(TINY)
-        assert trial_config_fingerprint(TINY.with_overrides(backend="process", n_jobs=4)) == base
+        assert trial_config_fingerprint(TINY.with_execution(backend="process", n_jobs=4)) == base
         assert trial_config_fingerprint(TINY.with_overrides(n_trials=50)) == base
         assert trial_config_fingerprint(TINY.with_overrides(n_folds=5)) != base
         assert trial_config_fingerprint(TINY.with_overrides(minpts_range=(3, 6))) != base
@@ -241,13 +241,14 @@ class TestTrialResume:
 
     def test_trials_parallelize_path_uses_store(self, tmp_path, dataset):
         store = ArtifactStore(tmp_path / "store")
+        threaded = TINY.with_execution(backend="thread", n_jobs=2)
         fresh = run_trials(
-            dataset, "fosc", "labels", 0.1, 2, config=TINY, random_state=3,
-            backend="thread", n_jobs=2, parallelize="trials", store=store,
+            dataset, "fosc", "labels", 0.1, 2, config=threaded, random_state=3,
+            parallelize="trials", store=store,
         )
         resumed = run_trials(
-            dataset, "fosc", "labels", 0.1, 2, config=TINY, random_state=3,
-            backend="thread", n_jobs=2, parallelize="trials", store=store,
+            dataset, "fosc", "labels", 0.1, 2, config=threaded, random_state=3,
+            parallelize="trials", store=store,
         )
         assert store.stats_for("trial").hits == 2
         assert fresh == resumed
@@ -269,16 +270,17 @@ class TestTrialResume:
         # n_jobs=1 makes the pool inline its tasks, so delivery order (and
         # with it the set of persisted trials) is deterministic.
         monkeypatch.setattr(runner_module, "_run_trial_task", failing)
+        inline = TINY.with_execution(backend="thread", n_jobs=1)
         with pytest.raises(KeyboardInterrupt):
             run_trials(
-                dataset, "fosc", "labels", 0.1, 2, config=TINY, random_state=3,
-                backend="thread", n_jobs=1, parallelize="trials", store=store,
+                dataset, "fosc", "labels", 0.1, 2, config=inline, random_state=3,
+                parallelize="trials", store=store,
             )
         monkeypatch.setattr(runner_module, "_run_trial_task", original)
         assert store.count("trial") == 1  # the finished trial survived the kill
         resumed = run_trials(
-            dataset, "fosc", "labels", 0.1, 2, config=TINY, random_state=3,
-            backend="thread", n_jobs=1, parallelize="trials", store=store,
+            dataset, "fosc", "labels", 0.1, 2, config=inline, random_state=3,
+            parallelize="trials", store=store,
         )
         assert resumed == run_trials(dataset, "fosc", "labels", 0.1, 2, config=TINY, random_state=3)
 

@@ -332,6 +332,45 @@ class TestEnumerateUnits:
         assert len({unit.digest for unit in units}) == len(units)
 
 
+class TestEngineKeyPins:
+    """Trial-key digests of the quickstart grid under three engines, pinned.
+
+    The digests were computed before the engine fields moved into
+    ``ExperimentConfig.execution``; a changed byte here would orphan every
+    stored trial of that engine.
+    """
+
+    PINS = {
+        "quickstart": [
+            "1340adf67f6b513796773d8dd4fabc3743faca4ad1ce44e327aa1946817e64f2",
+            "d518c821a6a43d8d9ec1f9def2b95f52787a828cf0631279638afa0f60ad3a2c",
+        ],
+        "cosine": [
+            "ce06ca00b12cefc12eb2b388b2ab262c172e2c7279f683e9be71a38fb1769878",
+            "90060b3113c26ee7b7b7fe942a87419a99eae71c62a08818fa82103fe37e1800",
+        ],
+        "neighbors": [
+            "614a78614d45cfc070f45a0b4411e6cee129025b126950ede720d3f582eedd6a",
+            "f319bf95082f46023b76f86be9a16af455af9087f8a673f5ebe5c248d61d93f9",
+        ],
+    }
+    TABLES = {
+        "quickstart": {},
+        "cosine": {"dataset": {"metric": "cosine"}},
+        "neighbors": {
+            "execution": {"backend": "serial", "distance_backend": "neighbors", "epsilon": 2.5}
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_quickstart_trial_keys_are_pinned(self, case):
+        mapping = load_pipeline_spec(EXAMPLES / "quickstart.toml").to_spec()
+        mapping.update(self.TABLES[case])
+        spec, problems = validate_pipeline_mapping(mapping, "inline")
+        assert spec is not None, problems
+        assert [unit.digest for unit in enumerate_units(spec)] == self.PINS[case]
+
+
 class TestWorkerRegistry:
     def test_write_then_read_with_liveness(self, tmp_path):
         write_worker_record(tmp_path, "w1", phase="stealing", stats=FleetStats(claimed=3), n_units=9)

@@ -238,7 +238,7 @@ class TestValidateConfig:
         assert any("execution.epsilon" in p for p in problems)
 
     def test_runner_rejects_mpck_under_neighbors_with_guidance(self):
-        config = ExperimentConfig(distance_backend="neighbors")
+        config = ExperimentConfig().with_execution(distance_backend="neighbors")
         with pytest.raises(ValueError, match="MPCKMeans"):
             algorithm_factory("mpck", config)
 
@@ -368,9 +368,8 @@ class TestApproxKeyPins:
 
         dataset = Dataset(name="pinned", X=self.X, y=np.array([0, 0, 0, 0, 1, 1, 1, 1]))
         config = ExperimentConfig(
-            n_trials=2, n_folds=3, minpts_range=(3, 4), distance_backend="neighbors",
-            epsilon=epsilon, k_neighbors=4, datasets=("pinned",), seed=11,
-        )
+            n_trials=2, n_folds=3, minpts_range=(3, 4), datasets=("pinned",), seed=11,
+        ).with_execution(distance_backend="neighbors", epsilon=epsilon, k_neighbors=4)
         return {
             "structure": structure_store_key(
                 self.X, 3, distance_backend="neighbors", epsilon=epsilon, k_neighbors=4

@@ -235,7 +235,7 @@ def test_dense_is_the_one_intended_difference(name):
     raw.setdefault("execution", {})["distance_backend"] = "dense"
     _, old_spec, old_problems = outcome(oracle.validate_pipeline_mapping, raw)
     _, spec, problems = outcome(validate_pipeline_mapping, raw)
-    assert old_problems == [] and old_spec.config.distance_backend == "blockwise"
+    assert old_problems == [] and old_spec.config.execution.distance_backend == "blockwise"
     assert spec is None
     assert problems == [
         "execution.distance_backend: must be one of blockwise, memmap, neighbors; got 'dense'"

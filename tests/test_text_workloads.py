@@ -319,7 +319,7 @@ class TestDatasetTableValidation:
         )
         assert spec.precomputed is not None
         assert spec.precomputed.name == "mat"
-        assert spec.config.metric == "precomputed"
+        assert spec.config.execution.metric == "precomputed"
 
     @pytest.mark.parametrize(
         "matrix, expected",
