@@ -8,7 +8,7 @@ construction) are visible in the pytest-benchmark summary.
 
 import pytest
 
-from repro.clustering import FOSCOpticsDend, MPCKMeans, OPTICS
+from repro.clustering import FOSCOpticsDend, MPCKMeans
 from repro.constraints import (
     build_constraint_pool,
     constraints_from_labels,
@@ -84,13 +84,6 @@ def test_bench_fosc_fit(benchmark, aloi, aloi_side):
         rounds=3, iterations=1,
     )
     assert fitted.labels_.shape == (aloi.n_samples,)
-
-
-@pytest.mark.benchmark(group="substrates-clustering")
-def test_bench_optics_fit(benchmark, ionosphere):
-    model = OPTICS(min_pts=9)
-    fitted = benchmark.pedantic(model.clone().fit, args=(ionosphere.X,), rounds=3, iterations=1)
-    assert fitted.ordering_.shape == (ionosphere.n_samples,)
 
 
 @pytest.mark.benchmark(group="substrates-cvcp")

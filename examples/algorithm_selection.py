@@ -7,12 +7,12 @@ produced partition and the held-out constraints, the scores of different
 algorithms are directly comparable — so the same cross-validation budget
 can rank (algorithm, parameter) pairs.
 
-The example pits three paradigms against each other on a non-convex data
-set (two interleaved moons embedded in 10-d):
+The example pits three semi-supervised clusterers against each other on a
+non-convex data set (two interleaved moons embedded in 10-d):
 
 * FOSC-OPTICSDend (density-based, sweeps MinPts),
 * MPCK-Means (partitional with metric learning, sweeps k),
-* average-linkage agglomerative clustering (hierarchical baseline, sweeps k),
+* Seeded-KMeans (k-means initialised from the labelled objects, sweeps k),
 
 each receiving the same 15% of labelled objects.
 
@@ -24,10 +24,10 @@ Run with::
 from __future__ import annotations
 
 from repro import (
-    AgglomerativeClustering,
     CVCPAlgorithmSelector,
     FOSCOpticsDend,
     MPCKMeans,
+    SeededKMeans,
     overall_f_measure,
     sample_labeled_objects,
 )
@@ -47,7 +47,7 @@ def main() -> None:
         {
             "fosc-opticsdend": (FOSCOpticsDend(), [3, 6, 9, 12, 15, 18]),
             "mpck-means": (MPCKMeans(random_state=0), [2, 3, 4, 5, 6]),
-            "agglomerative": (AgglomerativeClustering(linkage="average"), [2, 3, 4, 5, 6]),
+            "seeded-kmeans": (SeededKMeans(random_state=0), [2, 3, 4, 5, 6]),
         },
         n_folds=5,
         random_state=4,

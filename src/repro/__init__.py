@@ -40,8 +40,6 @@ from repro.clustering import (
     MPCKMeans,
     SeededKMeans,
     ConstrainedKMeans,
-    AgglomerativeClustering,
-    OPTICS,
     FOSC,
     FOSCOpticsDend,
 )
@@ -96,8 +94,6 @@ __all__ = [
     "MPCKMeans",
     "SeededKMeans",
     "ConstrainedKMeans",
-    "AgglomerativeClustering",
-    "OPTICS",
     "FOSC",
     "FOSCOpticsDend",
     # core

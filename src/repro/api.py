@@ -364,7 +364,6 @@ def fit(
         raise SpecError("fit", [f"fit.algorithm: must be one of {', '.join(ALGORITHMS)}; got {algorithm!r}"])
     if scenario not in SCENARIOS:
         raise SpecError("fit", [f"fit.scenario: must be one of {', '.join(SCENARIOS)}; got {scenario!r}"])
-    config = QUICK_CONFIG.with_overrides(seed=seed, n_folds=n_folds)
     if isinstance(dataset, str):
         dataset = get_dataset(dataset, random_state=seed)
     execution = execution if execution is not None else ExecutionSpec()
@@ -380,6 +379,9 @@ def fit(
                 f" run under metric = {execution.metric!r}; use algorithm = \"fosc\""
             ],
         )
+    config = QUICK_CONFIG.with_overrides(seed=seed, n_folds=n_folds).with_execution(
+        **dataclasses.asdict(execution)
+    )
     rng = check_random_state(seed)
     side = make_side_information(dataset, scenario, amount, random_state=rng)
     estimator = algorithm_factory(algorithm, config, random_state=rng, metric=dataset.metric)
@@ -390,7 +392,7 @@ def fit(
         n_folds=n_folds,
         refit=True,
         random_state=rng,
-        execution=execution,
+        execution=config.execution,
     )
     if scenario == "labels":
         search.fit(dataset.X, labeled_objects=side.labeled_objects)

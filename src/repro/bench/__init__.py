@@ -18,9 +18,9 @@ formatter and the dashboard reader.
     {"suite": "kernels",
      "machine": {"cpu_count": 1, "python": "3.11.7"},
      "context": {...free-form description of the workload...},
-     "metrics": {"optics/large/speedup": {"value": 4.43, "unit": "x",
-                                          "better": "higher", "gate": "floor",
-                                          "floor": 1.5}, ...}}
+     "metrics": {"fosc/large/speedup": {"value": 8.93, "unit": "x",
+                                        "better": "higher", "gate": "floor",
+                                        "floor": 1.3}, ...}}
 
 Metric names are ``/``-separated paths.  ``gate`` is one of ``exact``
 (equal to the baseline's value), ``floor`` (at least the metric's
@@ -127,10 +127,10 @@ SUITES: dict[str, Suite] = {
         module="repro.bench.kernels",
         help="micro-benchmark the vectorised clustering kernels vs their reference loops",
         description=(
-            "Time each of the four hot clustering kernels (OPTICS reachability sweep, "
-            "single-linkage MST + dendrogram, FOSC condensed-tree extraction, MPCK-Means "
-            "assignment) against its reference oracle at three problem sizes, assert that "
-            "the two are bit-identical, and optionally gate the record against the committed "
+            "Time each of the three hot clustering kernels (single-linkage MST + "
+            "dendrogram, FOSC condensed-tree extraction, MPCK-Means assignment) against "
+            "its reference oracle at three problem sizes, assert that the two are "
+            "bit-identical, and optionally gate the record against the committed "
             "BENCH_kernels.json baseline (exit 1 on a parity mismatch, a slowdown beyond "
             "--max-slowdown, or a speedup below the baseline's per-kernel floor)."
         ),

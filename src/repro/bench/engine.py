@@ -142,8 +142,8 @@ def subset_filter(flags: tuple[Flag, ...], options: Mapping[str, object]) -> Cal
     """Which metric names a run with ``options`` covers.
 
     A ``subset`` flag restricts one path segment to the values it was given
-    (``--sizes small`` covers ``optics/small/speedup`` but not
-    ``optics/large/speedup``); a flag left unset restricts nothing.
+    (``--sizes small`` covers ``fosc/small/speedup`` but not
+    ``fosc/large/speedup``); a flag left unset restricts nothing.
     """
     limits = [
         (flag.subset, set(options[flag.key]))

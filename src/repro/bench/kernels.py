@@ -1,4 +1,4 @@
-"""``repro bench kernels``: the four hot clustering kernels, before and after.
+"""``repro bench kernels``: the three hot clustering kernels, before and after.
 
 Times each kernel (see :mod:`repro.clustering.kernels`, masked NumPy
 array operations — the ``vectorized`` side) against its interpreter-bound
@@ -35,8 +35,8 @@ from repro.constraints.constraint import MUST_LINK
 from repro.constraints.generation import constraints_from_labels, sample_labeled_objects
 from repro.datasets.synthetic import make_blobs
 
-#: The four timed kernels, in pipeline order.
-KERNEL_NAMES = ("optics", "single_linkage", "fosc", "mpck_assign")
+#: The three timed kernels, in pipeline order.
+KERNEL_NAMES = ("single_linkage", "fosc", "mpck_assign")
 
 #: Benchmark problem sizes (number of objects).  ``large`` is the size the
 #: acceptance speedups are quoted at; ``small`` keeps CI smoke runs cheap.
@@ -53,7 +53,7 @@ _MIN_PTS = 5
 
 #: Per-kernel speedup floors, at roughly half the ratios observed at the
 #: largest size to absorb runner noise.
-SPEEDUP_FLOORS = {"optics": 1.5, "single_linkage": 1.2, "fosc": 1.3, "mpck_assign": 2.0}
+SPEEDUP_FLOORS = {"single_linkage": 1.2, "fosc": 1.3, "mpck_assign": 2.0}
 
 METRICS = {
     "*/reference_s": Spec("s", "lower"),
@@ -114,9 +114,6 @@ def make_cases(n_samples: int) -> dict[str, KernelBenchCase]:
     i_idx, j_idx, kinds = closure.as_arrays()
     is_must = kinds == MUST_LINK
 
-    def ordering_equal(a: object, b: object) -> bool:
-        return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
     def fosc_reference() -> tuple:
         tree = reference.CondensedTree(merges, n_samples, _MIN_PTS)
         selection = reference.ReferenceFOSC().extract(tree, closure)
@@ -164,12 +161,6 @@ def make_cases(n_samples: int) -> dict[str, KernelBenchCase]:
         return lambda: slt(mst(mreach), n_samples)
 
     return {
-        "optics": KernelBenchCase(
-            "optics",
-            lambda: reference.optics_ordering_reference(distances, core),
-            lambda: kernel_module.optics_ordering(distances, core),
-            ordering_equal,
-        ),
         "single_linkage": KernelBenchCase(
             "single_linkage",
             single_linkage(

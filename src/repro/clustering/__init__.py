@@ -12,11 +12,13 @@ need:
   OPTICS-derived dendrogram (Campello, Moulavi, Zimek & Sander, DMKD 2013),
   parameterised by ``min_pts``.
 
-Additional algorithms are provided as substrates and baselines:
+Additional algorithms are provided as substrates and as the other
+semi-supervised clusterers the paper's conclusion names as extensions:
 plain :class:`~repro.clustering.kmeans.KMeans`,
 :class:`~repro.clustering.copkmeans.COPKMeans` (hard constraints),
-:class:`~repro.clustering.optics.OPTICS`, and the density hierarchy
-machinery in :mod:`repro.clustering.hierarchy`.
+:class:`~repro.clustering.seeded_kmeans.SeededKMeans` /
+:class:`~repro.clustering.seeded_kmeans.ConstrainedKMeans`, and the density
+hierarchy machinery in :mod:`repro.clustering.hierarchy`.
 """
 
 from repro.clustering.base import BaseClusterer, ClusteringResult
@@ -29,8 +31,6 @@ from repro.clustering.kmeans import KMeans, kmeans_plus_plus_init
 from repro.clustering.copkmeans import COPKMeans
 from repro.clustering.mpckmeans import MPCKMeans
 from repro.clustering.seeded_kmeans import SeededKMeans, ConstrainedKMeans
-from repro.clustering.agglomerative import AgglomerativeClustering
-from repro.clustering.optics import OPTICS
 from repro.clustering.hierarchy import (
     DensityHierarchy,
     mutual_reachability,
@@ -51,8 +51,6 @@ __all__ = [
     "MPCKMeans",
     "SeededKMeans",
     "ConstrainedKMeans",
-    "AgglomerativeClustering",
-    "OPTICS",
     "DensityHierarchy",
     "mutual_reachability",
     "build_single_linkage_tree",

@@ -1,4 +1,4 @@
-"""Vectorised clustering kernels — the four hot loops of the CVCP stack.
+"""Vectorised clustering kernels — the three hot loops of the CVCP stack.
 
 CVCP's cost is dominated by re-clustering every parameter value × fold, so
 the per-fit kernels decide how far the paper's scalability argument
@@ -6,29 +6,26 @@ the per-fit kernels decide how far the paper's scalability argument
 NumPy array operations over the memoised distance matrix, array-based
 union–find, flat parent/lambda arrays, and CSR-style neighbour indexing:
 
-1. :func:`optics_ordering` — the OPTICS core-distance + reachability
-   update sweep (used by :class:`~repro.clustering.optics.OPTICS`);
-2. :func:`minimum_spanning_tree` / :func:`single_linkage_tree` — dense
+1. :func:`minimum_spanning_tree` / :func:`single_linkage_tree` — dense
    Prim MST over mutual reachability (computed row by row) and its
    conversion into scipy-style merge records (used by
    :class:`~repro.clustering.hierarchy.DensityHierarchy`);
-3. :func:`condense_tree` + :func:`fosc_extract` — the FOSC condensed-tree
+2. :func:`condense_tree` + :func:`fosc_extract` — the FOSC condensed-tree
    construction, stability computation and optimal-selection dynamic
    program over flat parent/lambda arrays (used by
    :class:`~repro.clustering.fosc.FOSCOpticsDend`);
-4. :func:`mpck_assign` — the MPCK-Means greedy ICM assignment step with
+3. :func:`mpck_assign` — the MPCK-Means greedy ICM assignment step with
    constraint-violation terms computed through CSR neighbour index arrays
    (used by :class:`~repro.clustering.mpckmeans.MPCKMeans`).
 
 Bit-identical contract
 ----------------------
 Each kernel is **bit-identical** to its interpreter-bound oracle in
-:mod:`repro.clustering.reference` (heaps, dict-based union–find, per-point
-Python loops — the formulation the library shipped with) — identical
-orderings, reachabilities, merge records, condensed trees, selections and
-labels, not merely approximately equal ones.  Argmin tie-breaking is
-preserved (first occurrence = smallest index, matching the reference heaps
-and loops), floating-point reductions use the same operation sequences on
+:mod:`repro.clustering.reference` (dict-based union–find, per-cluster
+objects, per-point Python loops — the formulation the library shipped with) — identical
+merge records, condensed trees, selections and labels, not merely approximately equal ones.  Argmin tie-breaking is
+preserved (first occurrence = smallest index, matching the reference
+loops), floating-point reductions use the same operation sequences on
 both paths (elementwise products followed by last-axis sums; ordered
 :func:`numpy.ufunc.at` accumulation where the reference accumulates
 sequentially), and the property-based parity suite in
@@ -39,9 +36,9 @@ sets).  ``repro bench kernels`` times each kernel against its oracle.
 Distance-matrix storage
 -----------------------
 Every kernel that consumes an ``(n, n)`` distance matrix reads it **one row
-at a time** and never materialises a full-matrix temporary: the OPTICS
-sweep and the Prim MST (which applies mutual reachability to each raw row
-itself) index single rows per iteration, and the upstream core-distance
+at a time** and never materialises a full-matrix temporary: the Prim MST
+(which applies mutual reachability to each raw row itself) indexes single
+rows per iteration, and the upstream core-distance
 table streams in row panels.  The matrices handed in may therefore be plain
 in-RAM arrays *or* read-only ``np.memmap`` views from the ``memmap``
 distance backend (see :mod:`repro.core.distance_backend`) — NumPy indexing
@@ -57,61 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # ======================================================================
-# Kernel 1: OPTICS ordering + reachability
-# ======================================================================
-
-def optics_ordering(
-    distances: np.ndarray, core_distances: np.ndarray, eps: float = np.inf
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked-argmin OPTICS sweep.
-
-    Replaces the priority queue with a dense ``pending`` array over the
-    unprocessed objects: the next object is ``argmin(pending)`` (first
-    occurrence, i.e. the smallest index on ties — exactly the heap's
-    ``(reach, index)`` order), and each expansion updates all improved
-    neighbours with one fancy-indexed assignment instead of per-neighbour
-    heap pushes.  Reachability values are computed by the same
-    ``maximum(core, distance)`` operation as the reference, so the output
-    is bit-identical.
-    """
-    n_samples = distances.shape[0]
-    core = np.asarray(core_distances, dtype=np.float64)
-    # ``pending`` carries the current reachability of every unprocessed
-    # object (processed objects are pinned at +inf so argmin skips them);
-    # an object's final reachability is simply its pending value at the
-    # moment it is popped, so no separate update pass is needed.
-    pending = np.full(n_samples, np.inf)
-    reachability = np.full(n_samples, np.inf)
-    unprocessed = np.ones(n_samples, dtype=bool)
-    ordering = np.empty(n_samples, dtype=np.int64)
-    new_reach = np.empty(n_samples)
-    improved = np.empty(n_samples, dtype=bool)
-    unbounded = bool(np.isinf(eps))
-
-    for step in range(n_samples):
-        index = int(np.argmin(pending))
-        if not np.isfinite(pending[index]):
-            # Nothing reachable is left: start a new component at the
-            # smallest unprocessed index, like the reference outer loop.
-            index = int(np.argmax(unprocessed))
-        reachability[index] = pending[index]
-        unprocessed[index] = False
-        pending[index] = np.inf
-        ordering[step] = index
-        if core[index] > eps:
-            continue
-        row = distances[index]
-        np.maximum(core[index], row, out=new_reach)
-        np.less(new_reach, pending, out=improved)
-        improved &= unprocessed
-        if not unbounded:
-            improved &= row <= eps
-        pending[improved] = new_reach[improved]
-    return ordering, reachability
-
-
-# ======================================================================
-# Kernel 2: dense Prim MST + single-linkage merge records
+# Kernel 1: dense Prim MST + single-linkage merge records
 # ======================================================================
 
 def minimum_spanning_tree(distances: np.ndarray, core_distances: np.ndarray | None = None) -> np.ndarray:
@@ -283,7 +226,7 @@ def single_linkage_tree(mst_edges: np.ndarray, n_samples: int) -> np.ndarray:
 
 
 # ======================================================================
-# Kernel 3: FOSC condensed tree + optimal extraction over flat arrays
+# Kernel 2: FOSC condensed tree + optimal extraction over flat arrays
 # ======================================================================
 
 @dataclass
@@ -685,7 +628,7 @@ def fosc_extract(
 
 
 # ======================================================================
-# Kernel 4: MPCK-Means greedy ICM assignment
+# Kernel 3: MPCK-Means greedy ICM assignment
 # ======================================================================
 
 def build_neighbor_csr(

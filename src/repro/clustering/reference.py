@@ -1,12 +1,11 @@
 """Interpreter-bound reference implementations — the oracles of the kernels.
 
-The library shipped with these formulations of its four hot loops (heaps,
-hash-based union–find, per-cluster Python sets and dicts, per-point and
+The library shipped with these formulations of its three hot loops
+(hash-based union–find, per-cluster Python sets and dicts, per-point and
 per-neighbour loops).  :mod:`repro.clustering.kernels` replaced them with
 vectorised kernels that are **bit-identical** to them; the originals are
 kept here, unchanged, as the semantic ground truth:
 
-* :func:`optics_ordering_reference` — heap-based OPTICS sweep;
 * :func:`minimum_spanning_tree_reference` /
   :func:`single_linkage_tree_reference` — Prim MST with a re-applied
   in-tree mask and the merge loop over a hash-based disjoint set;
@@ -24,53 +23,14 @@ their only callers.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.clustering.fosc import FOSC, FOSCSelection
 from repro.clustering.hierarchy import CondensedCluster
 from repro.clustering.kernels import _check_edge_count
-from repro.constraints.constraint import ConstraintSet
+from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.utils.disjoint_set import DisjointSet
 from repro.utils.validation import check_positive_int
-
-
-def optics_ordering_reference(
-    distances: np.ndarray, core_distances: np.ndarray, eps: float = np.inf
-) -> tuple[np.ndarray, np.ndarray]:
-    """Heap-based OPTICS sweep (lazy-deletion priority queue, per-neighbour pushes)."""
-    n_samples = distances.shape[0]
-    core = np.asarray(core_distances, dtype=np.float64)
-    reachability = np.full(n_samples, np.inf)
-    processed = np.zeros(n_samples, dtype=bool)
-    ordering: list[int] = []
-
-    for start in range(n_samples):
-        if processed[start]:
-            continue
-        # Expand one connected component with a priority queue keyed by
-        # the current reachability distance (ties broken by index for
-        # determinism).
-        heap: list[tuple[float, int]] = [(np.inf, start)]
-        while heap:
-            current_reach, index = heapq.heappop(heap)
-            if processed[index]:
-                continue
-            processed[index] = True
-            ordering.append(index)
-            if core[index] > eps:
-                continue
-            neighbor_distances = distances[index]
-            within = np.flatnonzero(~processed & (neighbor_distances <= eps))
-            if within.size == 0:
-                continue
-            new_reach = np.maximum(core[index], neighbor_distances[within])
-            improved = new_reach < reachability[within]
-            for neighbor, reach in zip(within[improved], new_reach[improved]):
-                reachability[neighbor] = reach
-                heapq.heappush(heap, (float(reach), int(neighbor)))
-    return np.asarray(ordering, dtype=np.int64), reachability
 
 
 def minimum_spanning_tree_reference(distances: np.ndarray) -> np.ndarray:
@@ -301,6 +261,9 @@ class ReferenceFOSC(FOSC):
         use_constraints: bool,
     ) -> dict[int, float]:
         """Per-cluster quality: constraint satisfaction plus scaled stability."""
+        # Iterating a ConstraintSet builds one Constraint per pair; do it once,
+        # not once per cluster.
+        constraint_list = list(constraints)
         stabilities = {cid: tree.stability(cid) for cid in tree.selectable_clusters()}
         max_stability = max(stabilities.values(), default=0.0)
         if max_stability <= 0.0:
@@ -311,7 +274,7 @@ class ReferenceFOSC(FOSC):
             normalised_stability = stabilities[cluster_id] / max_stability
             if use_constraints:
                 satisfaction = self._constraint_satisfaction(
-                    tree.clusters[cluster_id].members, constraints
+                    tree.clusters[cluster_id].members, constraint_list
                 )
                 qualities[cluster_id] = satisfaction + self.stability_weight * normalised_stability
             else:
@@ -319,7 +282,7 @@ class ReferenceFOSC(FOSC):
         return qualities
 
     @staticmethod
-    def _constraint_satisfaction(members: set[int], constraints: ConstraintSet) -> float:
+    def _constraint_satisfaction(members: set[int], constraints: list[Constraint]) -> float:
         """Constraint-endpoint satisfaction credit of one candidate cluster.
 
         Following the semi-supervised FOSC objective, each constraint

@@ -1,8 +1,8 @@
 """Tiered distance backends: ``blockwise``, ``memmap`` and ``neighbors``.
 
 The CVCP protocol re-clusters every (parameter value × fold) cell, and every
-density-based layer of this library — OPTICS, the single-linkage/Prim
-hierarchy, FOSC, silhouette evaluation, the memoised distance cache — starts
+density-based layer of this library — the single-linkage/Prim hierarchy,
+FOSC, silhouette evaluation, the memoised distance cache — starts
 from the full ``(n, n)`` pairwise-distance matrix.  Materialising that matrix
 densely caps the reproduction at a few thousand points; this module makes the
 matrix *provider* pluggable instead:
@@ -288,7 +288,7 @@ class NeighborsBackend(DistanceBackend):
     """The sparse epsilon-bounded k-NN tier (:mod:`repro.core.neighbor_graph`).
 
     This tier never materialises the full pairwise matrix — consumers that
-    know about it (OPTICS, :class:`~repro.clustering.hierarchy.DensityHierarchy`)
+    know about it (:class:`~repro.clustering.hierarchy.DensityHierarchy`)
     branch to the sparse graph pipeline instead of calling :meth:`pairwise`;
     consumers that genuinely need all ``n²`` entries (the silhouette,
     MPCK-Means, non-Euclidean metrics) get a clear error pointing at the

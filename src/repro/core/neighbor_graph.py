@@ -5,10 +5,10 @@ for all ``n²`` pairwise entries — the memmap tier only moved the storage
 out of RAM.  This module provides the sub-quadratic substrate behind
 ``distance_backend="neighbors"``: a KD-tree epsilon-bounded k-NN graph from
 which the density pipeline derives *sparse* core distances, a sparse
-mutual-reachability graph (scipy CSR), a sparse minimum spanning tree and
-an epsilon-bounded OPTICS sweep.  Storage and work scale with ``n·k``
-instead of ``n²``, which is what makes an ``n = 100000`` FOSC fit feasible
-on a laptop (see ``repro bench scale`` and ``BENCH_scale.json``).
+mutual-reachability graph (scipy CSR) and a sparse minimum spanning tree.
+Storage and work scale with ``n·k`` instead of ``n²``, which is what makes
+an ``n = 100000`` FOSC fit feasible on a laptop (see ``repro bench scale``
+and ``BENCH_scale.json``).
 
 Approximate-by-contract
 -----------------------
@@ -23,7 +23,7 @@ bench (see ``docs/determinism.md``), has two regimes:
   (:func:`repro.clustering.distances.pairwise_distances`), so when
   ``epsilon`` also exceeds the data diameter the sparse core distances,
   mutual-reachability entries and MST edge weights equal the dense ones
-  entry-for-entry and OPTICS/FOSC results are identical.
+  entry-for-entry and FOSC results are identical.
 * **Practical regime** (``k_neighbors < n``): neighbour sets come from a
   :class:`scipy.spatial.cKDTree` (exact nearest neighbours, but distance
   values may differ from the panel formula in the last ulp) and results
@@ -41,7 +41,6 @@ matrix, e.g. MPCK-Means or the silhouette — must use an exact tier.
 
 from __future__ import annotations
 
-import heapq
 import os
 from dataclasses import dataclass
 
@@ -406,52 +405,6 @@ def sparse_mst_edges(graph: csr_matrix) -> np.ndarray:
     edges = np.column_stack([u, v, w])
     order = np.argsort(edges[:, 2], kind="stable")
     return edges[order]
-
-
-def sparse_optics_ordering(
-    graph: csr_matrix, core_distances: np.ndarray, eps: float = np.inf
-) -> tuple[np.ndarray, np.ndarray]:
-    """Epsilon-bounded OPTICS sweep over a sparse neighbour graph.
-
-    The same lazy-deletion ``(reachability, index)`` priority queue as
-    :func:`repro.clustering.reference.optics_ordering_reference`, with the
-    neighbour scan restricted to the stored graph rows (CSR column order
-    is ascending, preserving the reference's index-order pushes).  In the
-    exhaustive regime the stored rows are all other points, so ordering
-    and reachability are bit-identical to the dense kernels.
-    """
-    n = graph.shape[0]
-    indptr, indices, data = graph.indptr, graph.indices, graph.data
-    core = np.asarray(core_distances, dtype=np.float64)
-    reachability = np.full(n, np.inf)
-    processed = np.zeros(n, dtype=bool)
-    ordering: list[int] = []
-
-    for start in range(n):
-        if processed[start]:
-            continue
-        heap: list[tuple[float, int]] = [(np.inf, start)]
-        while heap:
-            _, index = heapq.heappop(heap)
-            if processed[index]:
-                continue
-            processed[index] = True
-            ordering.append(index)
-            if core[index] > eps:
-                continue
-            row = slice(indptr[index], indptr[index + 1])
-            neighbors = indices[row]
-            neighbor_distances = data[row]
-            within = ~processed[neighbors] & (neighbor_distances <= eps)
-            if not within.any():
-                continue
-            new_reach = np.maximum(core[index], neighbor_distances[within])
-            targets = neighbors[within]
-            improved = new_reach < reachability[targets]
-            for neighbor, reach in zip(targets[improved], new_reach[improved]):
-                reachability[neighbor] = reach
-                heapq.heappush(heap, (float(reach), int(neighbor)))
-    return np.asarray(ordering, dtype=np.int64), reachability
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ The paper's CVCP procedure treats the constraint set as fixed.  In
 practice constraints *arrive*: an oracle answers queries over time, and
 after every batch of answers the practitioner wants the currently best
 parameter value.  Rerunning the full grid from scratch on every batch
-wastes almost all of its work — for FOSC the expensive phase (OPTICS
-core distances, the mutual-reachability MST, the condensed tree) does
+wastes almost all of its work — for FOSC the expensive phase (core
+distances, the mutual-reachability MST, the condensed tree) does
 not depend on the constraints at all, only the FOSC extraction and the
 fold scoring do.
 

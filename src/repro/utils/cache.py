@@ -1,8 +1,8 @@
 """Process-safe memoised caches for expensive, recomputed intermediates.
 
 The CVCP grid evaluates every candidate parameter value on every fold, and
-each density-based task (FOSC-OPTICSDend, OPTICS, agglomerative linkage,
-silhouette evaluation) starts by computing the full O(n²) pairwise-distance
+each density-based task (FOSC-OPTICSDend, the density hierarchy, silhouette
+evaluation) starts by computing the full O(n²) pairwise-distance
 matrix of the *same* data matrix.  The matrix only depends on ``(X, metric)``,
 so a small memo turns |values| × n_folds recomputations into one.
 
@@ -19,7 +19,7 @@ Design notes
   warmed in the parent (see :meth:`repro.core.cvcp.CVCP.fit`) is inherited
   by the children for free.
 * **Immutability.**  Cached matrices are returned with ``writeable=False``;
-  callers that need to mutate (e.g. agglomerative linkage) already copy.
+  callers that need to mutate must copy.
 """
 
 from __future__ import annotations
@@ -291,17 +291,6 @@ def cached_core_table(
         key, "core-table", compute, lambda table: table.shape[1] >= width
     )
     return distances, table
-
-
-def cached_core_distances(
-    X: np.ndarray, min_pts: int, metric: str = "euclidean", *, distance_backend: str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(distances, core_distances)``: the memoised matrix and its MinPts core distances.
-
-    The core distances are a copy of one column of :func:`cached_core_table`.
-    """
-    distances, table = cached_core_table(X, min_pts, metric, distance_backend=distance_backend)
-    return distances, table[:, min_pts - 1].copy()
 
 
 def distance_cache_stats() -> CacheStats:

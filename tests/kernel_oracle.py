@@ -1,9 +1,9 @@
 """Route whole estimator fits through the reference kernels.
 
 Every consumer module reads its hot kernel through a module-level name
-(``optics.optics_ordering``, ``hierarchy.minimum_spanning_tree``, ...), so
+(``hierarchy.minimum_spanning_tree``, ``mpckmeans.mpck_assign``, ...), so
 swapping that name for its oracle from :mod:`repro.clustering.reference`
-reruns OPTICS, the density hierarchy, FOSC and MPCK-Means on the
+reruns the density hierarchy, FOSC and MPCK-Means on the
 interpreter-bound implementations.  Estimator-level parity tests fit once
 normally and once inside :func:`reference_kernels` and compare the results
 bit for bit.
@@ -27,7 +27,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.clustering import fosc, hierarchy, mpckmeans, optics, reference
+from repro.clustering import fosc, hierarchy, mpckmeans, reference
 from repro.utils.cache import clear_distance_cache
 
 
@@ -49,7 +49,6 @@ def materialised_minimum_spanning_tree(distances, core_distances=None):
 
 #: ``(module, kernel name, oracle)`` for every swapped call site.
 ORACLES = (
-    (optics, "optics_ordering", reference.optics_ordering_reference),
     (hierarchy, "minimum_spanning_tree", materialised_minimum_spanning_tree),
     (hierarchy, "build_single_linkage_tree", reference.single_linkage_tree_reference),
     (hierarchy, "condense_tree", reference.CondensedTree),

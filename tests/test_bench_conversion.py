@@ -5,9 +5,9 @@ Three properties, per suite:
 * the frozen pre-migration baselines in ``tests/data/bench_premigration/``
   migrate to exactly the ``BENCH_*.json`` files committed by the migration,
   with every old value carried over (``BENCH_scale.json`` has since lost
-  its ``dense/*`` cells, so the migrated file is frozen in
-  ``tests/data/bench_migrated/`` and the committed one must equal it
-  minus those cells);
+  its ``dense/*`` cells and ``BENCH_kernels.json`` its ``optics/*`` cells,
+  so those migrated files are frozen in ``tests/data/bench_migrated/`` and
+  each committed one must equal its frozen copy minus those cells);
 * the old gate (``tests/bench_oracle.py``) and :func:`repro.bench.engine.compare`
   reach the same pass/fail decision on each committed baseline replayed as
   a fresh record, and on perturbed copies: every gated value pushed just
@@ -32,8 +32,11 @@ from repro.bench.engine import compare, subset_filter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FROZEN = Path(__file__).resolve().parent / "data" / "bench_premigration"
-#: ``BENCH_scale.json`` as the migration wrote it (it has lost cells since).
+#: ``BENCH_scale.json`` and ``BENCH_kernels.json`` as the migration wrote
+#: them (both have lost cells since).
 MIGRATED = Path(__file__).resolve().parent / "data" / "bench_migrated"
+#: The suites whose committed file has lost cells since the migration.
+SHRUNK_SUITES = ("scale", "kernels")
 SUITE_NAMES = tuple(SUITES)
 
 #: Gated metrics whose absence the old gates passed (``if base and fresh:``).
@@ -52,7 +55,7 @@ def frozen(suite: str) -> dict:
 
 def committed(suite: str) -> dict:
     """The committed record as the migration wrote it."""
-    root = MIGRATED if suite == "scale" else REPO_ROOT
+    root = MIGRATED if suite in SHRUNK_SUITES else REPO_ROOT
     return json.loads((root / f"BENCH_{suite}.json").read_text(encoding="utf-8"))
 
 
@@ -190,6 +193,19 @@ class TestMigration:
         }
         current = json.loads((REPO_ROOT / "BENCH_scale.json").read_text(encoding="utf-8"))
         assert current == migrated
+
+    def test_committed_kernels_metrics_are_the_migrated_ones_without_optics_cells(self):
+        migrated = committed("kernels")["metrics"]
+        current = json.loads((REPO_ROOT / "BENCH_kernels.json").read_text(encoding="utf-8"))
+        retired = sorted(set(migrated) - set(current["metrics"]))
+        assert retired == sorted(
+            f"optics/{size}/{metric}"
+            for size in ("small", "medium", "large")
+            for metric in ("reference_s", "vectorized_s", "speedup", "parity")
+        )
+        assert current["metrics"] == {
+            name: entry for name, entry in migrated.items() if name not in retired
+        }
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_committed_file_has_the_shape_of_a_fresh_record(self, suite):

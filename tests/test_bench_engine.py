@@ -311,7 +311,7 @@ class TestBenchCli:
         ("suite", "metric"),
         [
             ("parallel", "serial/mean_s"),
-            ("kernels", "optics/large/vectorized_s"),
+            ("kernels", "fosc/large/vectorized_s"),
             ("scale", "blockwise/n1200/wall_s"),
             ("fleet", "1/wall_s"),
             ("serve", "latency/p99_ms"),

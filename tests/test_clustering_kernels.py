@@ -1,9 +1,9 @@
 """Parity tests for the vectorised clustering kernels.
 
 The contract of :mod:`repro.clustering.kernels` is *bit-identity*: for any
-input, each of the four hot kernels must produce exactly the result of its
-interpreter-bound oracle in :mod:`repro.clustering.reference` — orderings,
-reachabilities, merge records, condensed trees, selections and labels.
+input, each of the three hot kernels must produce exactly the result of its
+interpreter-bound oracle in :mod:`repro.clustering.reference` — merge
+records, condensed trees, selections and labels.
 The property-based tests below drive both with adversarial inputs:
 duplicate points (zero distances, infinite density levels), tied distances
 (integer grids), singleton clusters, and empty constraint sets.  The
@@ -27,10 +27,15 @@ from repro.clustering.hierarchy import (
     mutual_reachability,
 )
 from repro.clustering.mpckmeans import _EPS, MPCKMeans
-from repro.clustering.optics import OPTICS
-from repro.constraints import ConstraintSet, cannot_link, must_link
+from repro.constraints import (
+    ConstraintSet,
+    cannot_link,
+    constraints_from_labels,
+    must_link,
+    sample_labeled_objects,
+)
 from repro.constraints.closure import transitive_closure
-from repro.constraints.constraint import MUST_LINK
+from repro.constraints.constraint import MUST_LINK, Constraint
 
 from kernel_oracle import reference_kernels
 
@@ -93,51 +98,7 @@ def constraint_sets(draw, n_samples):
 
 
 # ----------------------------------------------------------------------
-# Kernel 1: OPTICS ordering
-# ----------------------------------------------------------------------
-
-class TestOpticsParity:
-    @given(adversarial_datasets(), st.integers(1, 5), st.sampled_from([np.inf, 2.0, 0.5, 0.0]))
-    def test_ordering_and_reachability_bit_identical(self, X, min_pts, eps_offset):
-        distances = pairwise_distances(X)
-        core = k_nearest_distances(distances, min(min_pts, X.shape[0]))
-        eps = np.inf if np.isinf(eps_offset) else float(np.median(distances) + eps_offset)
-        if eps <= 0:
-            eps = 0.75
-        ref = R.optics_ordering_reference(distances, core, eps)
-        vec = K.optics_ordering(distances, core, eps)
-        assert np.array_equal(ref[0], vec[0])
-        assert np.array_equal(ref[1], vec[1])
-
-    def test_estimator_parity_including_dbscan_extraction(self, blobs_dataset):
-        vec = OPTICS(min_pts=4, eps=2.0).fit(blobs_dataset.X)
-        with reference_kernels():
-            ref = OPTICS(min_pts=4, eps=2.0).fit(blobs_dataset.X)
-        assert np.array_equal(ref.ordering_, vec.ordering_)
-        assert np.array_equal(ref.reachability_, vec.reachability_)
-        assert np.array_equal(ref.labels_, vec.labels_)
-
-    def test_all_duplicate_points(self):
-        X = np.zeros((7, 2))
-        distances = pairwise_distances(X)
-        core = k_nearest_distances(distances, 3)
-        ref = R.optics_ordering_reference(distances, core)
-        vec = K.optics_ordering(distances, core)
-        assert np.array_equal(ref[0], vec[0])
-        assert np.array_equal(ref[1], vec[1])
-
-    def test_disconnected_components_under_finite_eps(self):
-        X = np.array([[0.0], [0.1], [0.2], [50.0], [50.1], [99.0]])
-        distances = pairwise_distances(X)
-        core = k_nearest_distances(distances, 2)
-        ref = R.optics_ordering_reference(distances, core, 1.0)
-        vec = K.optics_ordering(distances, core, 1.0)
-        assert np.array_equal(ref[0], vec[0])
-        assert np.array_equal(ref[1], vec[1])
-
-
-# ----------------------------------------------------------------------
-# Kernel 2: MST + single-linkage merge records
+# Kernel 1: MST + single-linkage merge records
 # ----------------------------------------------------------------------
 
 class TestSingleLinkageParity:
@@ -193,7 +154,7 @@ class TestSingleLinkageParity:
 
 
 # ----------------------------------------------------------------------
-# Kernel 3: FOSC condensed tree + extraction
+# Kernel 2: FOSC condensed tree + extraction
 # ----------------------------------------------------------------------
 
 def _merge_records(X, min_pts):
@@ -267,6 +228,41 @@ class TestCondensedTreeParity:
         assert ref_sel.objective == objective
         assert ref_sel.used_constraints == used
 
+    def test_reference_extract_builds_each_constraint_once(self, blobs_dataset, monkeypatch):
+        """The oracle walks the closure per cluster, but iterates the set once.
+
+        Iterating a ``ConstraintSet`` constructs a ``Constraint`` per pair;
+        doing that per candidate cluster made the kernel bench time
+        constraint construction rather than the extraction.
+        """
+        X, y = blobs_dataset.X, blobs_dataset.y
+        labeled = sample_labeled_objects(y, 0.2, random_state=3)
+        closure = transitive_closure(constraints_from_labels(labeled), strict=False)
+        merges = _merge_records(X, 5)
+        reference = R.CondensedTree(merges, X.shape[0], 5)
+        assert len(reference.selectable_clusters()) > 1 and len(closure) > 0
+
+        built = []
+        post_init = Constraint.__post_init__
+
+        def counting(self):
+            built.append(None)
+            post_init(self)
+
+        monkeypatch.setattr(Constraint, "__post_init__", counting)
+        ref_sel = R.ReferenceFOSC().extract(reference, closure)
+        monkeypatch.undo()
+        assert len(built) <= len(closure)
+
+        i_idx, j_idx, kinds = closure.as_arrays()
+        data = K.condense_tree(merges, X.shape[0], 5)
+        selected, labels, objective, _ = K.fosc_extract(
+            data, i_idx, j_idx, kinds == MUST_LINK, 1e-3
+        )
+        assert ref_sel.selected_clusters == selected
+        assert np.array_equal(ref_sel.labels, labels)
+        assert ref_sel.objective == objective
+
     def test_degenerate_single_point_hierarchy(self):
         data = K.condense_tree(np.empty((0, 4)), 1, 2)
         assert data.n_clusters == 1
@@ -306,7 +302,7 @@ class TestCondensedTreeParity:
 
 
 # ----------------------------------------------------------------------
-# Kernel 4: MPCK-Means assignment
+# Kernel 3: MPCK-Means assignment
 # ----------------------------------------------------------------------
 
 class TestMpckAssignParity:

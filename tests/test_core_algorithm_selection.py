@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clustering import AgglomerativeClustering, FOSCOpticsDend, MPCKMeans
+from repro.clustering import FOSCOpticsDend, MPCKMeans, SeededKMeans
 from repro.constraints import build_constraint_pool, sample_labeled_objects
 from repro.core import AlgorithmCandidate, CVCPAlgorithmSelector
 from repro.datasets import make_two_moons
@@ -34,13 +34,12 @@ class TestCVCPAlgorithmSelector:
 
     def test_candidate_dataclass_interface(self, blobs_dataset, side_information):
         candidates = [
-            AlgorithmCandidate("agglomerative", AgglomerativeClustering(linkage="average"),
-                               [2, 3, 4]),
+            AlgorithmCandidate("seeded-kmeans", SeededKMeans(random_state=0), [2, 3, 4]),
             AlgorithmCandidate("fosc", FOSCOpticsDend(), [3, 6]),
         ]
         selector = CVCPAlgorithmSelector(candidates, n_folds=3, random_state=1)
         selector.fit(blobs_dataset.X, labeled_objects=side_information)
-        assert set(selector.result_.per_algorithm) == {"agglomerative", "fosc"}
+        assert set(selector.result_.per_algorithm) == {"seeded-kmeans", "fosc"}
 
     def test_constraint_scenario(self, blobs_dataset):
         pool = build_constraint_pool(blobs_dataset.y, fraction_per_class=0.2, random_state=0)

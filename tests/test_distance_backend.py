@@ -23,7 +23,6 @@ from repro.clustering.distances import DEFAULT_BLOCK_ROWS, pairwise_distances
 from repro.clustering.fosc import FOSCOpticsDend
 from repro.clustering.hierarchy import DensityHierarchy, mutual_reachability
 from repro.clustering.kernels import minimum_spanning_tree
-from repro.clustering.optics import OPTICS
 from repro.core.cvcp import CVCP
 from repro.core.executor import ExecutionSpec
 from repro.core.distance_backend import (
@@ -176,19 +175,18 @@ class TestMatrixBitIdentity:
 
 
 class TestClusteringParity:
-    def test_fosc_and_optics_labels_bitwise_identical(self, spill_dir, big_blobs):
-        fosc_labels, optics_out = {}, {}
+    def test_fosc_labels_bitwise_identical(self, spill_dir, big_blobs):
+        """Two MinPts values: two columns of one shared core-distance table."""
+        fosc_labels = {}
         for name in EXACT_DISTANCE_BACKENDS:
             clear_distance_cache()
-            fosc_labels[name] = FOSCOpticsDend(min_pts=5, distance_backend=name).fit(
-                big_blobs.X
-            ).labels_
-            fitted = OPTICS(min_pts=5, distance_backend=name).fit(big_blobs.X)
-            optics_out[name] = (fitted.ordering_, fitted.reachability_, fitted.core_distances_)
+            fosc_labels[name] = [
+                FOSCOpticsDend(min_pts=min_pts, distance_backend=name).fit(big_blobs.X).labels_
+                for min_pts in (5, 9)
+            ]
         first = EXACT_DISTANCE_BACKENDS[0]
         for name in EXACT_DISTANCE_BACKENDS[1:]:
-            assert np.array_equal(fosc_labels[first], fosc_labels[name])
-            for reference, observed in zip(optics_out[first], optics_out[name]):
+            for reference, observed in zip(fosc_labels[first], fosc_labels[name]):
                 assert np.array_equal(reference, observed)
 
     def test_density_hierarchy_artifacts_bitwise_identical(self, spill_dir, big_blobs):
@@ -449,7 +447,7 @@ class TestCacheIntegration:
             clear_distance_cache()
             FOSCOpticsDend(min_pts=5, distance_backend=name).fit(big_blobs.X)
             FOSCOpticsDend(min_pts=8, distance_backend=name).fit(big_blobs.X)
-            OPTICS(min_pts=5, distance_backend=name).fit(big_blobs.X)
+            FOSCOpticsDend(min_pts=11, distance_backend=name).fit(big_blobs.X)
             stats = distance_cache_stats()
             observed[name] = (stats.hits, stats.misses, stats.size)
         # One matrix (one miss, two hits) plus the core-distance table it

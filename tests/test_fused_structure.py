@@ -37,14 +37,13 @@ from repro.clustering.hierarchy import (
     mutual_reachability,
 )
 from repro.clustering.kernels import condense_tree, minimum_spanning_tree, single_linkage_tree
-from repro.clustering.optics import OPTICS
 from repro.constraints import sample_labeled_objects
 from repro.core import CVCP
 from repro.core.distance_backend import EXACT_DISTANCE_BACKENDS
 from repro.datasets import make_blobs
 from repro.utils.cache import (
     CORE_TABLE_WIDTH,
-    cached_core_distances,
+    cached_core_table,
     cached_pairwise_distances,
     clear_distance_cache,
     distance_cache_stats,
@@ -187,7 +186,8 @@ def test_unreachable_pairs_reproduce_the_materialised_passes(matrix, min_pts, ti
     n_samples = matrix.shape[0]
     min_pts = min(min_pts, n_samples)
     clear_distance_cache()
-    stored, core = cached_core_distances(matrix, min_pts, "precomputed", distance_backend=tier)
+    stored, table = cached_core_table(matrix, min_pts, "precomputed", distance_backend=tier)
+    core = table[:, min_pts - 1]
     expected_core = oracle.k_nearest_distances(matrix, min_pts)
     np.testing.assert_array_equal(core, expected_core)
 
@@ -248,7 +248,7 @@ class TestCoreDistanceTable:
         clear_distance_cache()
         for min_pts in (3, 6, 9, 12, 15, 18, 21, 24):
             DensityHierarchy(min_pts).fit(X)
-            OPTICS(min_pts=min_pts).fit(X)
+            FOSCOpticsDend(min_pts=min_pts).fit(X)
         assert builds == [CORE_TABLE_WIDTH]
         # A larger MinPts widens the table once; narrower ones reuse it.
         for min_pts in (40, 35, 3):
@@ -273,12 +273,12 @@ class TestCoreDistanceTable:
         )
         assert builds == [40]
 
-    def test_optics_reads_the_shared_table(self):
+    def test_density_hierarchy_reads_the_shared_table(self):
         X = np.random.default_rng(4).normal(size=(60, 3))
         clear_distance_cache()
         distances = pairwise_distances(X)
         for min_pts in (24, 3, 12):
-            fitted = OPTICS(min_pts=min_pts).fit(X)
+            fitted = DensityHierarchy(min_pts).fit(X)
             np.testing.assert_array_equal(
                 fitted.core_distances_, k_nearest_distances(distances, min_pts)
             )
@@ -298,11 +298,12 @@ class TestMemoLifetime:
         assert reference() is None
         assert distance_cache_stats().size == 0
 
-    def test_core_distances_do_not_alias_the_table(self):
+    def test_fitted_core_distances_do_not_alias_the_table(self):
         X = np.random.default_rng(6).normal(size=(40, 2))
         clear_distance_cache()
-        _, core = cached_core_distances(X, 4)
-        assert core.base is None and core.flags.writeable
+        core = DensityHierarchy(4).fit(X).core_distances_
+        _, table = cached_core_table(X, 4)
+        assert not np.shares_memory(core, table) and core.flags.writeable
 
     def test_structure_build_never_materialises_mutual_reachability(self, monkeypatch):
         def forbidden(self):

@@ -4,7 +4,7 @@ The sparse substrate behind ``distance_backend="neighbors"`` carries an
 approximate-by-contract promise (see ``docs/determinism.md``): in the
 exhaustive regime (``k_neighbors >= n``, ``epsilon = inf``) every derived
 object — stored graph entries, core distances, mutual reachability, MST
-edge weights, OPTICS ordering, FOSC labels — must equal the dense tier
+edge weights, merge records, FOSC labels — must equal the dense tier
 entry-for-entry, while at practical settings the structural invariants
 must survive adversarial inputs: duplicate points, tied distances,
 singleton clusters, and an ``epsilon`` below every pairwise gap.
@@ -15,10 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.clustering import FOSCOpticsDend, OPTICS
+from repro.clustering import FOSCOpticsDend
 from repro.clustering.distances import k_nearest_distances, pairwise_distances
 from repro.clustering.hierarchy import DensityHierarchy, mutual_reachability
-from repro.clustering.reference import optics_ordering_reference
 from repro.core.neighbor_graph import (
     DEFAULT_NEIGHBOR_EPSILON,
     DEFAULT_NEIGHBOR_K,
@@ -32,7 +31,6 @@ from repro.core.neighbor_graph import (
     resolve_neighbor_epsilon,
     resolve_neighbor_k,
     sparse_mst_edges,
-    sparse_optics_ordering,
 )
 from repro.utils.cache import clear_distance_cache
 
@@ -99,10 +97,12 @@ def assert_exhaustive_matches_dense(X):
     mst_dense = minimum_spanning_tree(mreach_dense)
     np.testing.assert_array_equal(mst_sparse, mst_dense)
 
-    ordering_sparse, reach_sparse = sparse_optics_ordering(graph.graph, core_sparse)
-    ordering_dense, reach_dense = optics_ordering_reference(dense, core_dense)
-    np.testing.assert_array_equal(ordering_sparse, ordering_dense)
-    np.testing.assert_array_equal(reach_sparse, reach_dense)
+    sparse_fit, dense_fit = (
+        DensityHierarchy(min_pts, distance_backend=tier, epsilon=np.inf, k_neighbors=n).fit(X)
+        for tier in ("neighbors", "blockwise")
+    )
+    np.testing.assert_array_equal(sparse_fit.core_distances_, core_dense)
+    np.testing.assert_array_equal(sparse_fit.single_linkage_tree_, dense_fit.single_linkage_tree_)
 
 
 class TestExhaustiveParity:
@@ -177,8 +177,8 @@ class TestAdversarialInputs:
 
     @given(st.integers(2, 6), st.integers(1, 4))
     def test_tied_distances_on_a_grid_are_deterministic(self, side, k):
-        # An integer grid maximises ties; the sweep must stay a permutation
-        # and repeated builds must agree exactly.
+        # An integer grid maximises ties; repeated builds, and the spanning
+        # trees over them, must agree exactly.
         grid = np.stack(
             np.meshgrid(np.arange(side, dtype=np.float64), np.arange(side, dtype=np.float64)),
             axis=-1,
@@ -186,9 +186,16 @@ class TestAdversarialInputs:
         first = build_neighbor_graph(grid, epsilon=np.inf, k_neighbors=k)
         second = build_neighbor_graph(grid, epsilon=np.inf, k_neighbors=k)
         np.testing.assert_array_equal(first.graph.toarray(), second.graph.toarray())
-        core = first.core_distances(min(2, k + 1))
-        ordering, _ = sparse_optics_ordering(first.graph, core)
-        assert sorted(ordering.tolist()) == list(range(grid.shape[0]))
+        min_pts = min(2, k + 1)
+        trees = [
+            sparse_mst_edges(mutual_reachability_graph(build.graph, build.core_distances(min_pts)))
+            for build in (first, second)
+        ]
+        np.testing.assert_array_equal(trees[0], trees[1])
+        # Components the k-NN graph leaves apart join through +inf edges,
+        # so the tree still spans every grid point.
+        assert trees[0].shape == (grid.shape[0] - 1, 3)
+        assert set(trees[0][:, :2].astype(np.int64).ravel()) == set(range(grid.shape[0]))
 
     def test_singleton_cluster_far_from_the_rest_is_noise(self):
         rng = np.random.default_rng(7)
@@ -202,7 +209,7 @@ class TestAdversarialInputs:
         assert model.labels_[-1] == -1  # the singleton can never be core
 
     @given(random_datasets(min_samples=5, max_samples=24))
-    def test_epsilon_below_every_gap_yields_all_noise(self, X):
+    def test_epsilon_below_every_gap_leaves_nothing_reachable(self, X):
         dense = pairwise_distances(X)
         np.fill_diagonal(dense, np.inf)
         smallest_gap = float(dense.min())
@@ -215,12 +222,17 @@ class TestAdversarialInputs:
         assert graph.graph.nnz == 0
         core = graph.core_distances(2)
         assert np.isinf(core).all()
-        model = OPTICS(
-            min_pts=2, eps=epsilon, distance_backend="neighbors",
-            epsilon=epsilon, k_neighbors=8,
+        hierarchy = DensityHierarchy(
+            2, distance_backend="neighbors", epsilon=epsilon, k_neighbors=8
         ).fit(X)
-        assert (model.labels_ == -1).all()
-        assert np.isinf(model.reachability_).all()
+        assert np.isinf(hierarchy.core_distances_).all()
+        assert np.isinf(hierarchy.mst_edges_[:, 2]).all()
+        # No significant split: FOSC returns the whole data set as one
+        # cluster (its documented answer for a structureless hierarchy).
+        model = FOSCOpticsDend(
+            min_pts=2, distance_backend="neighbors", epsilon=epsilon, k_neighbors=8
+        ).fit(X)
+        assert (model.labels_ == 0).all()
 
     def test_single_point_dataset(self):
         graph = build_neighbor_graph(np.zeros((1, 2)), epsilon=np.inf, k_neighbors=4)
