@@ -103,3 +103,39 @@ class TestFOSCSemiSupervised:
         assert clone.min_pts == 12
         assert clone.stability_weight == 0.01
         assert template.min_pts == 5
+
+
+class TestFOSCOpticsDendEstimator:
+    @pytest.mark.parametrize("min_pts", [3, 5, 8])
+    def test_recovers_separated_blobs(self, blobs_dataset, min_pts):
+        model = FOSCOpticsDend(min_pts=min_pts).fit(blobs_dataset.X)
+        assert adjusted_rand_index(blobs_dataset.y, model.labels_) > 0.9
+
+    def test_labels_shape_and_cluster_count(self, blobs_dataset):
+        model = FOSCOpticsDend(min_pts=4).fit(blobs_dataset.X)
+        assert model.labels_.shape == (blobs_dataset.n_samples,)
+        assert model.n_clusters_ == 3
+        assert model.result_.n_clusters == 3
+
+    def test_fit_predict_returns_the_fitted_labels(self, blobs_dataset):
+        model = FOSCOpticsDend(min_pts=4)
+        labels = model.fit_predict(blobs_dataset.X)
+        np.testing.assert_array_equal(labels, model.labels_)
+
+    def test_not_fitted_errors(self):
+        model = FOSCOpticsDend(min_pts=3)
+        with pytest.raises(AttributeError):
+            model.n_clusters_
+        with pytest.raises(AttributeError):
+            model.result_
+
+    def test_all_duplicate_points_form_one_cluster(self):
+        model = FOSCOpticsDend(min_pts=3).fit(np.zeros((7, 2)))
+        assert (model.labels_ == 0).all()
+
+    def test_far_apart_groups_never_share_a_label(self):
+        X = np.array([[0.0], [0.1], [0.2], [50.0], [50.1], [50.2]])
+        labels = FOSCOpticsDend(min_pts=2).fit(X).labels_
+        assert len(set(labels[:3].tolist())) == 1 and labels[0] >= 0
+        assert len(set(labels[3:].tolist())) == 1 and labels[3] >= 0
+        assert labels[0] != labels[3]

@@ -168,3 +168,62 @@ class TestDensityHierarchy:
     def test_min_pts_too_large(self):
         with pytest.raises(ValueError):
             DensityHierarchy(min_pts=100).fit(np.zeros((5, 2)))
+
+    def test_min_pts_equal_to_n_samples_is_accepted(self):
+        X = np.random.default_rng(1).normal(size=(6, 2))
+        hierarchy = DensityHierarchy(min_pts=6).fit(X)
+        assert hierarchy.mst_edges_.shape == (5, 3)
+
+    def test_fitted_attributes_absent_before_fit(self):
+        hierarchy = DensityHierarchy(min_pts=4)
+        for name in ("core_distances_", "mst_edges_", "single_linkage_tree_", "condensed_tree_"):
+            assert not hasattr(hierarchy, name)
+
+    @pytest.mark.parametrize("min_pts", [2, 5, 9])
+    def test_core_distances_are_kth_nearest_distances(self, blobs_dataset, min_pts):
+        hierarchy = DensityHierarchy(min_pts).fit(blobs_dataset.X)
+        expected = k_nearest_distances(pairwise_distances(blobs_dataset.X), min_pts)
+        np.testing.assert_array_equal(hierarchy.core_distances_, expected)
+
+    def test_core_distances_monotone_in_min_pts(self, blobs_dataset):
+        small = DensityHierarchy(3).fit(blobs_dataset.X).core_distances_
+        large = DensityHierarchy(10).fit(blobs_dataset.X).core_distances_
+        assert (large >= small).all()
+
+    def test_mutual_reachability_matches_the_materialised_matrix(self, blobs_dataset):
+        hierarchy = DensityHierarchy(4).fit(blobs_dataset.X)
+        distances = pairwise_distances(blobs_dataset.X)
+        expected = mutual_reachability(distances, k_nearest_distances(distances, 4))
+        np.testing.assert_array_equal(hierarchy.mutual_reachability_, expected)
+
+    def test_mst_spans_every_point(self, blobs_dataset):
+        edges = DensityHierarchy(4).fit(blobs_dataset.X).mst_edges_
+        endpoints = set(edges[:, :2].astype(np.int64).ravel().tolist())
+        assert endpoints == set(range(blobs_dataset.n_samples))
+
+    def test_between_cluster_edges_dominate_the_tree(self, blobs_dataset):
+        """The two edges joining the three blobs dwarf every within-blob edge."""
+        weights = np.sort(DensityHierarchy(4).fit(blobs_dataset.X).mst_edges_[:, 2])
+        assert weights[-2] > 4 * np.median(weights)
+        assert weights[-3] < weights[-2] / 2
+
+    def test_last_merge_holds_every_point(self, blobs_dataset):
+        merges = DensityHierarchy(5).fit(blobs_dataset.X).single_linkage_tree_
+        assert merges[-1, 3] == blobs_dataset.n_samples
+        assert merges[-1, 2] == merges[:, 2].max()
+
+    def test_refit_is_deterministic(self, blobs_dataset):
+        first = DensityHierarchy(6).fit(blobs_dataset.X)
+        second = DensityHierarchy(6).fit(blobs_dataset.X)
+        np.testing.assert_array_equal(first.mst_edges_, second.mst_edges_)
+        np.testing.assert_array_equal(first.single_linkage_tree_, second.single_linkage_tree_)
+
+    def test_larger_min_cluster_size_never_adds_clusters(self, blobs_dataset):
+        # A split is kept only when both sides reach min_cluster_size, so the
+        # kept splits at a larger size are a subset of those at a smaller one.
+        counts = [
+            len(DensityHierarchy(4, min_cluster_size=size).fit(blobs_dataset.X).condensed_tree_.clusters)
+            for size in range(2, 12)
+        ]
+        assert counts == sorted(counts, reverse=True)
+        assert counts[-1] >= 4  # the root and the three blobs survive

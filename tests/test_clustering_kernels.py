@@ -152,6 +152,24 @@ class TestSingleLinkageParity:
             with pytest.raises(ValueError):
                 single_linkage(np.zeros((2, 3)), 6)
 
+    def test_all_duplicate_points(self):
+        # Every distance and every core distance is zero: a fully tied input.
+        distances = pairwise_distances(np.zeros((7, 2)))
+        mreach = mutual_reachability(distances, k_nearest_distances(distances, 3))
+        ref_edges = R.minimum_spanning_tree_reference(mreach)
+        np.testing.assert_array_equal(ref_edges, K.minimum_spanning_tree(mreach))
+        np.testing.assert_array_equal(
+            R.single_linkage_tree_reference(ref_edges, 7), K.single_linkage_tree(ref_edges, 7)
+        )
+
+    def test_disconnected_components_under_finite_distances(self):
+        # Three groups far apart: the two joining edges are the heaviest.
+        distances = pairwise_distances(np.array([[0.0], [0.1], [0.2], [50.0], [50.1], [99.0]]))
+        mreach = mutual_reachability(distances, k_nearest_distances(distances, 2))
+        ref_edges = R.minimum_spanning_tree_reference(mreach)
+        np.testing.assert_array_equal(ref_edges, K.minimum_spanning_tree(mreach))
+        assert sorted(ref_edges[-2:, 2].tolist()) == pytest.approx([48.9, 49.8])
+
 
 # ----------------------------------------------------------------------
 # Kernel 2: FOSC condensed tree + extraction
@@ -275,6 +293,14 @@ class TestCondensedTreeParity:
         assert labels.tolist() == [0]
         assert not used
 
+    def test_all_duplicate_points_condense_to_the_root(self):
+        merges = _merge_records(np.zeros((7, 2)), 3)
+        reference = R.CondensedTree(merges, 7, 3)
+        data = K.condense_tree(merges, 7, 3)
+        assert data.n_clusters == 1
+        assert reference.leaves() == [0]
+        assert reference.root.members == set(range(7))
+
     def test_min_cluster_size_validated(self):
         with pytest.raises(ValueError):
             K.condense_tree(np.empty((0, 4)), 1, 1)
@@ -388,6 +414,16 @@ class TestEndToEndParity:
         assert np.array_equal(ref.labels_, vec.labels_)
         assert ref.selection_.selected_clusters == vec.selection_.selected_clusters
         assert ref.selection_.objective == vec.selection_.objective
+
+    def test_density_hierarchy_fit(self, blobs_dataset):
+        vec = DensityHierarchy(4).fit(blobs_dataset.X)
+        with reference_kernels():
+            ref = DensityHierarchy(4).fit(blobs_dataset.X)
+        assert isinstance(ref.condensed_tree_, R.CondensedTree)
+        assert np.array_equal(ref.core_distances_, vec.core_distances_)
+        assert np.array_equal(ref.mst_edges_, vec.mst_edges_)
+        assert np.array_equal(ref.single_linkage_tree_, vec.single_linkage_tree_)
+        assert ref.condensed_tree_.leaves() == vec.condensed_tree_.leaves()
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_cvcp_selects_identically_across_kernels_and_backends(self, backend, blobs_dataset):
