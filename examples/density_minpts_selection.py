@@ -31,8 +31,7 @@ from repro import (
     overall_f_measure,
     sample_labeled_objects,
 )
-
-MINPTS_RANGE = [3, 6, 9, 12, 15, 18, 21, 24]
+from repro.experiments.config import MINPTS_RANGE
 
 
 def main() -> None:

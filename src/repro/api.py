@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from repro.core import admissibility
 from repro.core.cvcp import CVCP
 from repro.core.executor import ExecutionSpec
 from repro.datasets.base import Dataset
@@ -130,7 +131,7 @@ def run_pipeline(
     if artifacts_root is not None:
         spec = spec.with_overrides(artifacts_root=Path(artifacts_root))
     if execution is not None:
-        spec = spec.with_overrides(config=spec.config.with_execution(**dataclasses.asdict(execution)))
+        spec = spec.with_execution(**dataclasses.asdict(execution))
     result = _run_pipeline_spec(spec, store=store, write_reports=write_reports)
     return PipelineRunReport(
         spec=result.spec,
@@ -187,22 +188,10 @@ class SelectionRequest:
             problems.append(
                 f"select.execution: must be an ExecutionSpec, got {self.execution!r}"
             )
-        elif self.execution.metric is not None:
-            # Selection requests name registry data sets, so the metric
-            # rides on the execution spec; reject the combinations that
-            # would otherwise traceback inside the trial loop.
-            metric = self.execution.metric
-            if metric == "precomputed":
-                problems.append(
-                    'select.execution.metric: "precomputed" needs the matrix itself;'
-                    " run a pipeline with a [dataset] path instead"
-                )
-            elif metric != "euclidean" and self.algorithm == "mpck":
-                problems.append(
-                    f'select.execution.metric: algorithm = "mpck" learns per-cluster'
-                    f" Euclidean metrics and cannot run under metric = {metric!r};"
-                    ' use algorithm = "fosc"'
-                )
+        else:  # a registry data set: feature rows
+            tier, metric = self.execution.distance_backend, self.execution.metric
+            found = admissibility.problems(self.algorithm, tier, metric, matrix=False)
+            problems.extend(f"select.execution.{p.field}: {p.body}" for p in found)
         if problems:
             raise SpecError("select", problems)
 
@@ -367,18 +356,10 @@ def fit(
     if isinstance(dataset, str):
         dataset = get_dataset(dataset, random_state=seed)
     execution = execution if execution is not None else ExecutionSpec()
-    if execution.metric is None and dataset.metric != "euclidean":
-        # A cosine/precomputed data set keeps its own metric unless the
-        # caller overrides it explicitly.
-        execution = dataclasses.replace(execution, metric=dataset.metric)
-    if execution.metric not in (None, "euclidean") and algorithm == "mpck":
-        raise SpecError(
-            "fit",
-            [
-                'fit.algorithm: "mpck" learns per-cluster Euclidean metrics and cannot'
-                f" run under metric = {execution.metric!r}; use algorithm = \"fosc\""
-            ],
-        )
+    # A cosine/precomputed data set keeps its own metric unless the caller overrides it.
+    execution = dataclasses.replace(execution, metric=execution.metric or dataset.metric)
+    tier, matrix = execution.distance_backend, dataset.metric == "precomputed"
+    admissibility.require(algorithm, tier, execution.metric, matrix=matrix, prefix="fit.execution.")
     config = QUICK_CONFIG.with_overrides(seed=seed, n_folds=n_folds).with_execution(
         **dataclasses.asdict(execution)
     )

@@ -300,8 +300,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         choices=("euclidean", "cosine"),
         help=(
             "override the distance metric every data set is evaluated under "
-            '(non-Euclidean trials key their own artifacts; metric = "precomputed" '
-            "needs the matrix itself — use a [dataset] path in the config)"
+            "(non-Euclidean trials key their own artifacts; a precomputed "
+            "matrix comes from a [dataset] path in the config)"
         ),
     )
     parser.add_argument(
@@ -352,18 +352,16 @@ def _command_run(args: argparse.Namespace, *, reports_only: bool = False) -> int
         spec = spec.with_overrides(stream=stream)
     try:
         # One overlay for batch runs and fleet workers alike.
-        spec = spec.with_overrides(
-            config=spec.config.with_execution(
-                backend=args.backend,
-                n_jobs=args.n_jobs,
-                distance_backend=args.distance_backend,
-                epsilon=args.epsilon,
-                k_neighbors=args.k_neighbors,
-                metric=args.metric,
-            )
+        spec = spec.with_execution(
+            backend=args.backend,
+            n_jobs=args.n_jobs,
+            distance_backend=args.distance_backend,
+            epsilon=args.epsilon,
+            k_neighbors=args.k_neighbors,
+            metric=args.metric,
         )
     except SpecError as exc:
-        # e.g. --metric clashing with the spec's backend or data set
+        # e.g. --metric clashing with the spec's algorithm, tier or data set
         print(exc, file=sys.stderr)
         return 2
     refresh = bool(getattr(args, "force", False))

@@ -411,10 +411,6 @@ PAIRWISE_METRICS = ("euclidean", "sqeuclidean", "manhattan", "cosine", "precompu
 #: Metrics accepted by the scipy CSR fast path (sparse dots, no densify).
 SPARSE_METRICS = ("euclidean", "sqeuclidean", "cosine")
 
-#: Metrics a ``[dataset]`` config table may select (the experiment surface;
-#: ``sqeuclidean``/``manhattan`` stay kernel-internal).
-DATASET_METRICS = ("euclidean", "cosine", "precomputed")
-
 
 def diagonal_mahalanobis_distances(
     X: np.ndarray,

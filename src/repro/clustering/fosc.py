@@ -30,8 +30,9 @@ from repro.clustering.hierarchy import CondensedTreeArrays, cached_tree_structur
 from repro.clustering.kernels import fosc_extract
 from repro.constraints.closure import transitive_closure
 from repro.constraints.constraint import MUST_LINK, ConstraintSet
+from repro.core.admissibility import check_input
 from repro.utils.rng import RandomStateLike
-from repro.utils.validation import check_array_2d, check_positive_int
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -180,7 +181,7 @@ class FOSCOpticsDend(BaseClusterer):
         seed_labels: dict[int, int] | None = None,
     ) -> "FOSCOpticsDend":
         """Cluster ``X`` guided by constraints (or a partial labelling)."""
-        X = check_array_2d(X)
+        X = check_input(X, self.metric)
         min_pts = self._effective_min_pts(X)
 
         constraints = constraints if constraints is not None else ConstraintSet()
@@ -233,18 +234,18 @@ class FOSCOpticsDend(BaseClusterer):
         fork-started process workers reuse the warmed memo and re-runs —
         under *any* oracle or constraint set — reuse the persisted artifact.
         """
-        X = check_array_2d(X)
-        grids: dict[tuple, list[int]] = {}
+        grids: dict[tuple, list] = {}
         for estimator in estimators:
             settings = (
                 estimator.min_cluster_size, estimator.metric, estimator.distance_backend,
                 estimator.epsilon, estimator.k_neighbors,
             )
-            grids.setdefault(settings, []).append(estimator._effective_min_pts(X))
-        for (min_cluster_size, metric, distance_backend, epsilon, k_neighbors), values in grids.items():
+            grids.setdefault(settings, []).append(estimator)
+        for (min_cluster_size, metric, distance_backend, epsilon, k_neighbors), members in grids.items():
+            data = check_input(X, metric)
             cached_tree_structure(
-                X,
-                values,
+                data,
+                [estimator._effective_min_pts(data) for estimator in members],
                 min_cluster_size=min_cluster_size,
                 metric=metric,
                 distance_backend=distance_backend,

@@ -46,7 +46,8 @@ from repro.clustering.kernels import (
     stabilities,
 )
 from repro.utils.cache import MemoCache, array_fingerprint, cached_core_table
-from repro.utils.validation import check_array_2d, check_positive_int
+from repro.core.admissibility import check_input
+from repro.utils.validation import check_positive_int
 
 
 def mutual_reachability(distances: np.ndarray, core_distances: np.ndarray) -> np.ndarray:
@@ -276,7 +277,7 @@ class DensityHierarchy:
 
     def fit(self, X: np.ndarray) -> "DensityHierarchy":
         """Build the hierarchy for ``X``."""
-        X = check_array_2d(X)
+        X = check_input(X, self.metric)
         if self.min_pts > X.shape[0]:
             raise ValueError(
                 f"min_pts={self.min_pts} exceeds the number of samples {X.shape[0]}"
@@ -375,7 +376,7 @@ def build_tree_structures(
 
     Each structure equals the one its MinPts alone would give.
     """
-    X = check_array_2d(X)
+    X = check_input(X, metric)
     n_samples = X.shape[0]
     values = [check_positive_int(min_pts, name="min_pts") for min_pts in min_pts_values]
     if max(values) > n_samples:

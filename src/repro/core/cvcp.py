@@ -25,6 +25,7 @@ import numpy as np
 from repro.clustering.base import BaseClusterer
 from repro.constraints.constraint import ConstraintSet
 from repro.constraints.oracles import ConstraintOracle, PerfectOracle
+from repro.core.admissibility import check_input
 from repro.core.distance_backend import resolve_distance_backend
 from repro.core.executor import ExecutionSpec, derive_seed, get_executor
 from repro.core.folds import CVCPFold, make_folds
@@ -32,7 +33,7 @@ from repro.core.model_selection import CVCPResult, ParameterEvaluation
 from repro.core.scoring import score_partition
 from repro.utils.cache import array_fingerprint, cached_pairwise_distances
 from repro.utils.rng import RandomStateLike, check_random_state
-from repro.utils.validation import check_array_2d, check_positive_int
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -247,14 +248,7 @@ class CVCP:
         labels the oracle generates side information from (the oracle's
         scenario and amount were fixed at construction time).
         """
-        if self._effective_metric() == "precomputed":
-            # X *is* the distance matrix; validated directly because a
-            # legitimate precomputed matrix may contain +inf entries.
-            from repro.clustering.distances import validate_precomputed_distances
-
-            X = validate_precomputed_distances(X)
-        else:
-            X = check_array_2d(X)
+        X = check_input(X, self._effective_metric())
         rng = check_random_state(self.random_state)
 
         if ground_truth is not None:

@@ -37,6 +37,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.admissibility import DATASET_METRICS
 from repro.utils.specs import SpecError, check_enum, check_spec_mapping, unknown_key_problems
 
 #: The recognised backend names, in order of increasing isolation.
@@ -69,10 +70,8 @@ class ExecutionSpec:
     shadow exact ones.
 
     ``metric`` (``None`` = inherit the data set's own metric) overrides the
-    distance metric of every density-based fit; it conflicts with
-    ``distance_backend="neighbors"`` for anything but ``"euclidean"``
-    (the KD-tree is a metric-space index) and that conflict is reported as
-    a validation problem here rather than a late runtime error.
+    distance metric of every density-based fit; which tiers and algorithms
+    it suits is decided by :mod:`repro.core.admissibility`.
     """
 
     backend: str | None = None
@@ -114,8 +113,6 @@ class ExecutionSpec:
                     f"execution.k_neighbors: must be >= 1, got {self.k_neighbors!r}"
                 )
         if self.metric is not None:
-            from repro.clustering.distances import DATASET_METRICS
-
             check_enum(problems, "execution", "metric", self.metric, DATASET_METRICS)
         if (
             self.distance_backend is not None
@@ -126,16 +123,6 @@ class ExecutionSpec:
                 "execution.epsilon/k_neighbors: only meaningful with "
                 f"distance_backend = \"neighbors\", but distance_backend is "
                 f"{self.distance_backend!r}"
-            )
-        if (
-            self.distance_backend == "neighbors"
-            and self.metric is not None
-            and self.metric != "euclidean"
-        ):
-            problems.append(
-                "execution.metric: distance_backend = \"neighbors\" supports "
-                f"metric = \"euclidean\" only (KD-tree index), got "
-                f"{self.metric!r}; use an exact distance backend for this metric"
             )
         if problems:
             raise SpecError("execution", problems)

@@ -183,7 +183,3 @@ def parameter_range_for_k(n_classes_upper_bound: int) -> list[int]:
     """The paper's range of k values: ``2 .. M`` for an upper bound ``M``."""
     check_positive_int(n_classes_upper_bound, name="n_classes_upper_bound", minimum=2)
     return list(range(2, n_classes_upper_bound + 1))
-
-
-#: The paper's MinPts range for density-based clustering.
-MINPTS_RANGE: tuple[int, ...] = (3, 6, 9, 12, 15, 18, 21, 24)

@@ -33,10 +33,6 @@ Because results depend on ``epsilon``/``k_neighbors``, trials run under
 this tier are fingerprinted *with* those parameters in the artifact store —
 the exact tiers deliberately share cache entries; this tier never shares
 with them (see :func:`repro.experiments.runner.trial_artifact_key`).
-
-Only ``metric="euclidean"`` is supported (the KD-tree is a metric-space
-index); every other metric — and any consumer requiring the full distance
-matrix, e.g. MPCK-Means or the silhouette — must use an exact tier.
 """
 
 from __future__ import annotations
@@ -50,6 +46,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import minimum_spanning_tree as _csgraph_mst
 from scipy.spatial import cKDTree
 
+from repro.core import admissibility
 from repro.utils.cache import MemoCache, array_fingerprint
 from repro.utils.validation import check_array_2d
 
@@ -303,17 +300,11 @@ def build_neighbor_graph(
         :data:`DEFAULT_NEIGHBOR_K`.  ``k_neighbors >= n`` switches to the
         exhaustive parity-to-exact construction.
     metric:
-        Must be ``"euclidean"``; the KD-tree is a metric-space index, so
-        precomputed or non-Euclidean metrics require an exact tier.
+        Must be ``"euclidean"`` (see :mod:`repro.core.admissibility`).
     """
-    if metric != "euclidean":
-        from repro.core.distance_backend import EXACT_DISTANCE_BACKENDS
-
-        raise ValueError(
-            f"distance_backend='neighbors' supports metric='euclidean' only "
-            f"(KD-tree index), got metric={metric!r}; use an exact distance "
-            f"backend ({'/'.join(EXACT_DISTANCE_BACKENDS)}) for this metric"
-        )
+    found = admissibility.problems(None, "neighbors", metric)
+    if found:
+        raise ValueError(found[0].body)
     X = check_array_2d(X)
     X = np.ascontiguousarray(X, dtype=np.float64)
     epsilon = resolve_neighbor_epsilon(epsilon)

@@ -6,11 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.validation import check_array_2d, check_labels, is_sparse
-
-#: Metrics a :class:`Dataset` may carry (the experiment-facing subset of
-#: :data:`repro.clustering.distances.PAIRWISE_METRICS`).
-DATASET_METRICS = ("euclidean", "cosine", "precomputed")
+from repro.core.admissibility import DATASET_METRICS, check_input
+from repro.utils.validation import check_labels, is_sparse
 
 
 @dataclass
@@ -48,15 +45,7 @@ class Dataset:
                 f"{self.name}.metric must be one of {DATASET_METRICS}, "
                 f"got {self.metric!r}"
             )
-        if self.metric == "precomputed":
-            # The matrix is the distances; validated directly because a
-            # legitimate precomputed matrix may contain +inf (unreachable
-            # pairs), which check_array_2d rejects.
-            from repro.clustering.distances import validate_precomputed_distances
-
-            self.X = validate_precomputed_distances(self.X, name=f"{self.name}.X")
-        else:
-            self.X = check_array_2d(self.X, name=f"{self.name}.X")
+        self.X = check_input(self.X, self.metric, name=f"{self.name}.X")
         self.y = check_labels(self.y, self.X.shape[0], name=f"{self.name}.y")
 
     @property

@@ -16,20 +16,15 @@ import numpy as np
 
 from repro.clustering.distances import DEFAULT_BLOCK_ROWS, euclidean_distances
 from repro.utils.cache import cached_pairwise_distances
-from repro.utils.validation import check_array_2d, check_labels, unique_labels
+from repro.core.admissibility import check_input
+from repro.utils.validation import check_labels, unique_labels
 
 
 def _validated(
     X: np.ndarray, labels: Sequence[int] | np.ndarray, *, metric: str = "euclidean"
 ) -> tuple[np.ndarray, np.ndarray]:
-    if metric == "precomputed":
-        from repro.clustering.distances import validate_precomputed_distances
-
-        X = validate_precomputed_distances(X)
-    else:
-        X = check_array_2d(X)
-    labels = check_labels(labels, X.shape[0])
-    return X, labels
+    X = check_input(X, metric)
+    return X, check_labels(labels, X.shape[0])
 
 
 def silhouette_samples(

@@ -23,9 +23,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from repro.core import admissibility
 from repro.core.executor import ExecutionSpec
 from repro.datasets.base import Dataset
-from repro.utils.specs import SpecError
 
 #: MinPts values swept for FOSC-OPTICSDend (Section 4.1).
 MINPTS_RANGE: tuple[int, ...] = (3, 6, 9, 12, 15, 18, 21, 24)
@@ -101,22 +101,17 @@ class ExperimentConfig:
         The one overlay every engine override goes through (pipeline
         specs, ``REPRO_BACKEND``/``REPRO_N_JOBS``, the CLI flags, the
         facade's ``execution=`` arguments).  The result is validated by
-        :class:`~repro.core.executor.ExecutionSpec`; a precomputed metric
-        (the data set *is* its matrix) admits no other.
+        :class:`~repro.core.executor.ExecutionSpec` and by the
+        :mod:`~repro.core.admissibility` rules that need no algorithm.
         """
         given = {name: value for name, value in fields.items() if value is not None}
         if not given:
             return self
-        metric = given.get("metric")
-        if self.execution.metric == "precomputed" and metric not in (None, "precomputed"):
-            raise SpecError(
-                "execution",
-                [
-                    "execution.metric: cannot override the metric of a precomputed"
-                    f" pipeline with {metric!r}"
-                ],
-            )
-        return replace(self, execution=replace(self.execution, **given))
+        execution = replace(self.execution, **given)
+        # A precomputed config's data set is its matrix; the algorithm is not known here.
+        matrix = True if self.execution.metric == "precomputed" else None
+        admissibility.require(None, execution.distance_backend, execution.metric, matrix=matrix)
+        return replace(self, execution=execution)
 
 
 #: The paper-scale configuration (50 trials, 100 ALOI data sets, 10 folds).

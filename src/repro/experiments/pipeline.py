@@ -71,6 +71,7 @@ except ModuleNotFoundError:  # Python 3.10: stdlib tomllib arrived in 3.11
         tomllib = None  # type: ignore[assignment]
 
 from repro.constraints.oracles import ConstraintOracle, PerfectOracle, make_oracle, oracle_names
+from repro.core import admissibility
 from repro.core.executor import ExecutionSpec
 from repro.datasets.base import DATASET_METRICS, Dataset
 from repro.datasets.registry import DATASET_NAMES, get_dataset
@@ -251,6 +252,25 @@ KIND_RULES: dict[str, KindRules] = {
 }
 
 
+def _admissibility_problems(rules: KindRules, algorithm, distance_backend, metric, matrix=None) -> list[str]:
+    """The admissibility table's lines as a config file places them.
+
+    A kind whose sweep runs MPCKMeans anyway says so in its own words
+    (``rules.neighbors``, ``rules.non_euclidean``).
+    """
+    paths = {"distance_backend": "execution.distance_backend", "metric": "dataset.metric"}
+    found = {p.rule: p for p in admissibility.problems(algorithm, distance_backend, metric, matrix=matrix)}
+    swept = {p.rule for p in admissibility.problems("mpck", distance_backend, metric)}
+    own = {"tier": rules.neighbors, "euclidean": rules.non_euclidean}
+    lines = []
+    for rule in admissibility.RULES:
+        if rule in found and not (rule == "euclidean" and own[rule]):
+            lines.append(f"{paths[found[rule].field]}: {found[rule].body}")
+        if own.get(rule) and rule in swept:
+            lines.append(own[rule].format(metric=repr(metric)))
+    return lines
+
+
 class ConfigError(SpecError):
     """A pipeline spec failed validation; ``problems`` lists every issue.
 
@@ -303,6 +323,21 @@ class PipelineSpec:
     def with_overrides(self, **overrides) -> "PipelineSpec":
         """Return a copy with the given fields replaced (CLI flag overrides)."""
         return replace(self, **overrides)
+
+    def with_execution(self, **fields) -> "PipelineSpec":
+        """Overlay engine fields (``repro run`` flags, ``api.run_pipeline``'s ``execution=``).
+
+        Rejected with the same lines as the same keys written in the file.
+        """
+        given = {name: value for name, value in fields.items() if value is not None}
+        engine = {**asdict(self.config.execution), **given}
+        matrix = self.precomputed is not None
+        problems = _admissibility_problems(
+            KIND_RULES[self.kind], self.algorithm, engine["distance_backend"], engine["metric"], matrix
+        )
+        if problems:
+            raise ConfigError(str(self.source or self.name), problems)
+        return replace(self, config=self.config.with_execution(**given))
 
     def to_spec(self) -> dict:
         """The spec as a JSON/TOML-ready config mapping.
@@ -632,40 +667,7 @@ def validate_pipeline_mapping(
             if rules.parallelize:
                 problems.append(rules.parallelize)
 
-    # The sparse neighbors tier cannot materialise the full distance matrix,
-    # which MPCKMeans' metric-learning updates require — reject the
-    # combination here (a clear problem line) instead of letting the run
-    # traceback deep inside the trial loop.
-    if execution_spec.distance_backend == "neighbors":
-        if algorithm == "mpck":
-            problems.append(
-                'execution.distance_backend: "neighbors" cannot drive '
-                'algorithm = "mpck" (MPCKMeans needs the full distance matrix); '
-                "use an exact tier (blockwise, memmap)"
-            )
-        if rules.neighbors:
-            problems.append(rules.neighbors)
-
-    # Non-Euclidean metrics have the same shape of incompatibilities:
-    # MPCKMeans learns per-cluster Euclidean metrics, and the neighbors
-    # tier's KD-tree indexes Euclidean space only.  Report them as config
-    # problems here, not runtime errors inside the trial loop.
-    if metric is not None and metric != "euclidean":
-        # A kind with its own non-Euclidean line reports it instead.
-        if algorithm == "mpck" and rules.non_euclidean is None:
-            problems.append(
-                f'dataset.metric: algorithm = "mpck" learns per-cluster Euclidean'
-                f" metrics and cannot run under metric = {metric!r};"
-                ' use algorithm = "fosc"'
-            )
-        if rules.non_euclidean:
-            problems.append(rules.non_euclidean.format(metric=repr(metric)))
-        if execution_spec.distance_backend == "neighbors":
-            problems.append(
-                f'dataset.metric: distance_backend = "neighbors" supports'
-                f' metric = "euclidean" only (KD-tree index), got {metric!r};'
-                " use an exact tier (blockwise, memmap)"
-            )
+    problems.extend(_admissibility_problems(rules, algorithm, execution_spec.distance_backend, metric))
     if metric == "precomputed" and rules.precomputed:
         problems.append(rules.precomputed)
 

@@ -29,6 +29,7 @@ from repro.clustering.mpckmeans import MPCKMeans
 from repro.constraints.constraint import ConstraintSet
 from repro.constraints.generation import constraints_from_labels
 from repro.constraints.oracles import ConstraintOracle, PerfectOracle
+from repro.core import admissibility
 from repro.core.cvcp import CVCP
 from repro.core.distance_backend import approx_key_entry, resolve_distance_backend
 from repro.core.executor import get_executor
@@ -172,42 +173,20 @@ def algorithm_factory(
     """Instantiate the template estimator for an algorithm name.
 
     ``metric`` is the data set's effective distance metric (``None`` =
-    euclidean); it flows into the density-based template and is rejected
-    for combinations that cannot honour it (MPCKMeans learns Euclidean
-    metrics; the ``neighbors`` tier is a Euclidean KD-tree index).
+    euclidean); it flows into the density-based template.  Inadmissible
+    combinations raise (:mod:`repro.core.admissibility`).
     """
     seed = int(check_random_state(random_state).integers(0, 2**31 - 1))
     metric = metric or "euclidean"
     execution = config.execution
+    admissibility.require(algorithm, execution.distance_backend, metric)
     if algorithm == "fosc":
-        if metric != "euclidean" and resolve_distance_backend(execution.distance_backend) == "neighbors":
-            from repro.core.distance_backend import EXACT_DISTANCE_BACKENDS
-
-            raise ValueError(
-                f"distance_backend='neighbors' supports metric='euclidean' "
-                f"only (KD-tree index), got metric={metric!r}; use an exact "
-                f"distance backend ({'/'.join(EXACT_DISTANCE_BACKENDS)}) "
-                f"for this metric"
-            )
         return FOSCOpticsDend(
             min_pts=5, random_state=seed, metric=metric,
             distance_backend=execution.distance_backend,
             epsilon=execution.epsilon, k_neighbors=execution.k_neighbors,
         )
     if algorithm == "mpck":
-        if resolve_distance_backend(execution.distance_backend) == "neighbors":
-            raise ValueError(
-                "distance_backend='neighbors' cannot drive MPCKMeans: the "
-                "metric-learning updates need every pairwise entry, not a "
-                "sparse neighbour graph; use an exact distance backend "
-                "(blockwise, memmap) for algorithm='mpck'"
-            )
-        if metric != "euclidean":
-            raise ValueError(
-                f"algorithm='mpck' learns per-cluster Euclidean metrics and "
-                f"cannot run under metric={metric!r}; use algorithm='fosc' "
-                f"for cosine or precomputed workloads"
-            )
         return MPCKMeans(
             n_clusters=3,
             n_init=config.mpck_n_init,

@@ -6,11 +6,8 @@ import pytest
 from repro.clustering import KMeans, MPCKMeans
 from repro.constraints import constraints_from_labels, sample_labeled_objects
 from repro.core import CVCPResult, SilhouetteSelector, expected_quality
-from repro.core.model_selection import (
-    MINPTS_RANGE,
-    ParameterEvaluation,
-    parameter_range_for_k,
-)
+from repro.core.model_selection import ParameterEvaluation, parameter_range_for_k
+from repro.experiments.config import MINPTS_RANGE
 
 
 class TestParameterEvaluation:

@@ -8,9 +8,16 @@ them) both must give the same problem lines in the same order; for a
 valid input, equal specs, equal ``to_spec()`` mappings, and a mapping that
 rebuilds the spec (the round-trip law).
 
-The one intended difference: the retired ``"dense"`` distance-backend
-alias, which the oracle still resolves to ``blockwise`` and the library
-now rejects as an unknown backend.
+Two intended differences, each asserted below:
+
+* the retired ``"dense"`` distance-backend alias, which the oracle still
+  resolves to ``blockwise`` and the library now rejects as an unknown
+  backend;
+* a tier selected through ``REPRO_DISTANCE_BACKEND``: the oracle judges
+  only the tier written in the file, the library judges the resolved
+  tier (``repro.core.admissibility``), so an MPCK spec under an
+  environment-selected ``neighbors`` tier is rejected up front instead
+  of failing mid-run.
 """
 
 from __future__ import annotations
@@ -239,4 +246,30 @@ def test_dense_is_the_one_intended_difference(name):
     assert spec is None
     assert problems == [
         "execution.distance_backend: must be one of blockwise, memmap, neighbors; got 'dense'"
+    ]
+
+
+#: The Euclidean examples, where the oracle accepts an MPCK spec.
+EUCLIDEAN_BASES = sorted(
+    name for name, raw in BASES.items() if "dataset" not in raw and raw["experiment"]["kind"] != "online"
+)
+
+
+@pytest.mark.parametrize("name", EUCLIDEAN_BASES)
+def test_the_environment_tier_is_the_other_intended_difference(name, monkeypatch):
+    raw = copy.deepcopy(BASES[name])
+    kind = raw["experiment"]["kind"]
+    if KIND_RULES[kind].algorithm is None:
+        raw["experiment"]["algorithm"] = "mpck"
+    monkeypatch.delenv("REPRO_DISTANCE_BACKEND", raising=False)
+    assert_equivalent(raw)
+    monkeypatch.setenv("REPRO_DISTANCE_BACKEND", "neighbors")
+    _, old_spec, old_problems = outcome(oracle.validate_pipeline_mapping, raw)
+    _, spec, problems = outcome(validate_pipeline_mapping, raw)
+    assert old_problems == [] and old_spec.config.execution.distance_backend is None
+    assert spec is None
+    assert problems == [
+        KIND_RULES[kind].neighbors
+        or 'execution.distance_backend: "neighbors" cannot drive algorithm = "mpck"'
+        " (MPCKMeans needs the full distance matrix); use an exact tier (blockwise, memmap)"
     ]

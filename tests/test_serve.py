@@ -248,6 +248,17 @@ class TestServeHTTP:
         assert excinfo.value.status == 400
         assert any("neighbors" in p for p in excinfo.value.payload["problems"])
 
+    def test_inadmissible_selection_is_400_and_never_queued(self, server):
+        instance, client = server
+        body = select_body()
+        body["select"]["algorithm"] = "mpck"
+        body["select"]["execution"] = {"distance_backend": "neighbors"}
+        with pytest.raises(ServeError) as excinfo:
+            client.submit(body)
+        assert excinfo.value.status == 400
+        assert any("cannot drive" in p for p in excinfo.value.payload["problems"])
+        assert instance.manager.list_views() == []
+
     def test_concurrent_identical_jobs_compute_once_with_identical_bytes(
         self, server, tmp_path
     ):
