@@ -48,7 +48,6 @@ from repro.core import (
     CVCPResult,
     CVCPAlgorithmSelector,
     SilhouetteSelector,
-    select_parameter,
     constraint_f_score,
     expected_quality,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "CVCPResult",
     "CVCPAlgorithmSelector",
     "SilhouetteSelector",
-    "select_parameter",
     "constraint_f_score",
     "expected_quality",
     # evaluation

@@ -31,7 +31,7 @@ from repro.core import admissibility
 from repro.core.cvcp import CVCP
 from repro.core.executor import ExecutionSpec
 from repro.datasets.base import Dataset
-from repro.datasets.registry import DATASET_NAMES, get_dataset
+from repro.datasets.registry import DATASET_NAMES, REGISTRY_METRICS, get_dataset
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.config import QUICK_CONFIG
 from repro.experiments.pipeline import (
@@ -164,6 +164,7 @@ class SelectionRequest:
         problems = []
         check_enum(problems, "select", "algorithm", self.algorithm, ALGORITHMS)
         canonical = {name.lower(): name for name in DATASET_NAMES}
+        own_metric = None
         if not isinstance(self.dataset, str) or self.dataset.lower() not in canonical:
             problems.append(
                 f"select.dataset: unknown data set {self.dataset!r} "
@@ -171,6 +172,7 @@ class SelectionRequest:
             )
         else:
             object.__setattr__(self, "dataset", canonical[self.dataset.lower()])
+            own_metric = REGISTRY_METRICS[self.dataset]
         check_enum(problems, "select", "scenario", self.scenario, SCENARIOS)
         if (
             isinstance(self.amount, bool)
@@ -188,10 +190,14 @@ class SelectionRequest:
             problems.append(
                 f"select.execution: must be an ExecutionSpec, got {self.execution!r}"
             )
-        else:  # a registry data set: feature rows
+        else:  # a registry data set: feature rows, under its own metric unless overridden
             tier, metric = self.execution.distance_backend, self.execution.metric
-            found = admissibility.problems(self.algorithm, tier, metric, matrix=False)
-            problems.extend(f"select.execution.{p.field}: {p.body}" for p in found)
+            found = admissibility.problems(self.algorithm, tier, metric or own_metric, matrix=False)
+            for problem in found:
+                # A metric the data set chose is faulted at the data set.
+                chosen = problem.field == "metric" and metric is None
+                path = "dataset" if chosen else f"execution.{problem.field}"
+                problems.append(f"select.{path}: {problem.body}")
         if problems:
             raise SpecError("select", problems)
 

@@ -32,7 +32,6 @@ from repro.clustering.copkmeans import COPKMeans
 from repro.clustering.mpckmeans import MPCKMeans
 from repro.clustering.seeded_kmeans import SeededKMeans, ConstrainedKMeans
 from repro.clustering.hierarchy import (
-    DensityHierarchy,
     mutual_reachability,
     build_single_linkage_tree,
     CondensedTreeArrays,
@@ -51,7 +50,6 @@ __all__ = [
     "MPCKMeans",
     "SeededKMeans",
     "ConstrainedKMeans",
-    "DensityHierarchy",
     "mutual_reachability",
     "build_single_linkage_tree",
     "CondensedTreeArrays",

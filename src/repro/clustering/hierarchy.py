@@ -20,12 +20,13 @@ loop.  The module provides:
 * :class:`CondensedTreeArrays` — the hierarchy simplified with a minimum
   cluster size, exposing per-cluster membership, stability and the
   parent/child structure FOSC's dynamic program runs on;
-* :class:`DensityHierarchy` — a convenience facade tying the steps together;
-* :class:`TreeStructure` / :func:`cached_tree_structure` — the
+* :class:`TreeStructure` / :func:`build_tree_structure` — the
   constraint-independent *structure phase* of a FOSC fit (core distances,
-  MST merge records, condensed tree) as a slim memoised record that
-  constraint deltas re-extract from without refitting, optionally backed
-  by ``"structure"`` artifacts in an
+  MST edges, merge records, condensed tree) as a slim record, built for
+  one MinPts or a whole grid (:func:`build_tree_structures`);
+* :func:`cached_tree_structure` — the same, memoised per process so
+  constraint deltas re-extract without refitting, optionally backed by
+  ``"structure"`` artifacts in an
   :class:`~repro.experiments.artifacts.ArtifactStore`.
 """
 
@@ -227,83 +228,6 @@ def _spanning_trees(
     edges = minimum_spanning_tree(distances, cores)
     backend.release(distances)
     return distances, [(core, tree, None) for core, tree in zip(cores, edges)]
-
-
-class DensityHierarchy:
-    """Facade: data matrix → condensed density hierarchy.
-
-    Parameters
-    ----------
-    min_pts:
-        Core-distance smoothing parameter (the paper's MinPts).
-    min_cluster_size:
-        Minimum size for a split to create new clusters; defaults to
-        ``min_pts``, matching common HDBSCAN*/FOSC practice.
-    metric:
-        Distance metric.
-    distance_backend:
-        Storage tier for the pairwise-distance matrix —
-        ``"blockwise"`` (default, in RAM, filled in row panels),
-        ``"memmap"`` (out-of-core spill files) or ``"neighbors"`` (sparse
-        epsilon-bounded k-NN graphs, no full matrix at all); ``None``
-        consults ``REPRO_DISTANCE_BACKEND``.
-        The exact tiers build bit-identical hierarchies; the ``neighbors``
-        tier is approximate-by-contract (see
-        :mod:`repro.core.neighbor_graph`), and its fitted
-        ``mutual_reachability_`` is a :class:`scipy.sparse.csr_matrix`
-        instead of a dense array.
-    epsilon / k_neighbors:
-        Neighbour-graph radius and out-degree for the ``"neighbors"`` tier
-        (``None`` consults ``REPRO_NEIGHBOR_EPSILON``/``REPRO_NEIGHBOR_K``);
-        ignored by the exact tiers.
-    """
-
-    def __init__(
-        self,
-        min_pts: int,
-        *,
-        min_cluster_size: int | None = None,
-        metric: str = "euclidean",
-        distance_backend: str | None = None,
-        epsilon: float | None = None,
-        k_neighbors: int | None = None,
-    ) -> None:
-        self.min_pts = check_positive_int(min_pts, name="min_pts")
-        self.min_cluster_size = resolve_min_cluster_size(min_pts, min_cluster_size)
-        self.metric = metric
-        self.distance_backend = distance_backend
-        self.epsilon = epsilon
-        self.k_neighbors = k_neighbors
-
-    def fit(self, X: np.ndarray) -> "DensityHierarchy":
-        """Build the hierarchy for ``X``."""
-        X = check_input(X, self.metric)
-        if self.min_pts > X.shape[0]:
-            raise ValueError(
-                f"min_pts={self.min_pts} exceeds the number of samples {X.shape[0]}"
-            )
-        n_samples = X.shape[0]
-        self._distances, trees = _spanning_trees(
-            X, [self.min_pts], metric=self.metric, distance_backend=self.distance_backend,
-            epsilon=self.epsilon, k_neighbors=self.k_neighbors,
-        )
-        ((self.core_distances_, self.mst_edges_, self._mutual_reachability),) = trees
-        self.single_linkage_tree_ = build_single_linkage_tree(self.mst_edges_, n_samples)
-        self.condensed_tree_ = CondensedTreeArrays(
-            condense_tree(self.single_linkage_tree_, n_samples, self.min_cluster_size)
-        )
-        return self
-
-    @property
-    def mutual_reachability_(self):
-        """Fitted mutual reachability, built on first access on the exact tiers.
-
-        The sparse graph on the ``neighbors`` tier; else the dense ``(n, n)``
-        matrix, which the fit itself never materialises.
-        """
-        if self._mutual_reachability is None:
-            self._mutual_reachability = mutual_reachability(self._distances, self.core_distances_)
-        return self._mutual_reachability
 
 
 # ---------------------------------------------------------------------------

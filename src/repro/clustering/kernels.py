@@ -9,7 +9,7 @@ union–find, flat parent/lambda arrays, and CSR-style neighbour indexing:
 1. :func:`minimum_spanning_tree` / :func:`single_linkage_tree` — dense
    Prim MST over mutual reachability (computed row by row) and its
    conversion into scipy-style merge records (used by
-   :class:`~repro.clustering.hierarchy.DensityHierarchy`);
+   :func:`~repro.clustering.hierarchy.build_tree_structures`);
 2. :func:`condense_tree` + :func:`fosc_extract` — the FOSC condensed-tree
    construction, stability computation and optimal-selection dynamic
    program over flat parent/lambda arrays (used by

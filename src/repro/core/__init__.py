@@ -35,7 +35,7 @@ from repro.core.model_selection import (
     SilhouetteSelector,
     expected_quality,
 )
-from repro.core.cvcp import CVCP, select_parameter
+from repro.core.cvcp import CVCP
 from repro.core.distance_backend import (
     DISTANCE_BACKENDS,
     DistanceBackend,
@@ -47,14 +47,9 @@ from repro.core.distance_backend import (
 from repro.core.executor import (
     BACKENDS,
     ExecutionSpec,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
     derive_seed,
-    execute,
-    get_executor,
     resolve_n_jobs,
+    run_tasks,
 )
 from repro.core.algorithm_selection import (
     AlgorithmCandidate,
@@ -79,7 +74,6 @@ __all__ = [
     "SilhouetteSelector",
     "expected_quality",
     "CVCP",
-    "select_parameter",
     "DISTANCE_BACKENDS",
     "DistanceBackend",
     "clear_spill_directory",
@@ -88,12 +82,7 @@ __all__ = [
     "spill_directory",
     "BACKENDS",
     "ExecutionSpec",
-    "Executor",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
     "derive_seed",
-    "execute",
-    "get_executor",
     "resolve_n_jobs",
+    "run_tasks",
 ]

@@ -27,7 +27,7 @@ from repro.constraints.constraint import ConstraintSet
 from repro.constraints.oracles import ConstraintOracle, PerfectOracle
 from repro.core.admissibility import check_input
 from repro.core.distance_backend import resolve_distance_backend
-from repro.core.executor import ExecutionSpec, derive_seed, get_executor
+from repro.core.executor import ExecutionSpec, derive_seed, run_tasks
 from repro.core.folds import CVCPFold, make_folds
 from repro.core.model_selection import CVCPResult, ParameterEvaluation
 from repro.core.scoring import score_partition
@@ -43,7 +43,7 @@ class _GridTask:
     The estimator is already cloned with the candidate value and its derived
     child seed, so the worker only fits and scores.  Must stay picklable for
     the process backend; the data matrix itself travels once per worker via
-    the executor initializer (see :func:`_register_grid_data`), so tasks
+    the task runner's initializer (see :func:`_register_grid_data`), so tasks
     only carry its key.
     """
 
@@ -55,7 +55,7 @@ class _GridTask:
 
 
 #: Per-process registry of data matrices shared by all tasks of a grid run.
-#: Process workers receive their entry through the executor initializer
+#: Process workers receive their entry through the task runner's initializer
 #: (once per worker, not per task); in the submitting process the entry is
 #: reference-counted so concurrent grid runs over the same data (e.g.
 #: thread-parallel trials) can share it safely.
@@ -327,8 +327,8 @@ class CVCP:
 
         # Per-cell resume: cells whose score is already in the scope's cell
         # journal are served from it; only the remaining cells hit the
-        # executor, and every fresh score is appended *as its task
-        # completes* (executor ``on_result`` hook, running in this
+        # task runner, and every fresh score is appended *as its task
+        # completes* (the ``on_result`` hook, running in this
         # process), so a grid interrupted mid-flight continues from its
         # finished cells.
         journal = None
@@ -364,17 +364,16 @@ class CVCP:
                     journal.put("grid", *divmod(pending[position], n_folds), score)
 
             process = self.execution.backend == "process"
-            executor = get_executor(
-                self.execution.backend or "serial", self.execution.n_jobs,
-                initializer=_register_grid_data if process else None,
-                initargs=(data_key, X) if process else (),
-            )
             _acquire_grid_data(data_key, X)
             try:
-                computed = executor.run(
+                computed = run_tasks(
                     _evaluate_grid_cell,
                     [tasks[index] for index in pending],
+                    backend=self.execution.backend or "serial",
+                    n_jobs=self.execution.n_jobs,
                     on_result=persist_cell,
+                    initializer=_register_grid_data if process else None,
+                    initargs=(data_key, X) if process else (),
                 )
             finally:
                 _release_grid_data(data_key)
@@ -495,47 +494,3 @@ class CVCP:
         else:
             estimator.fit(X, constraints=constraints)
         return estimator
-
-
-def select_parameter(
-    estimator: BaseClusterer,
-    X: np.ndarray,
-    parameter_values: Sequence[Any],
-    *,
-    labeled_objects: dict[int, int] | None = None,
-    constraints: ConstraintSet | None = None,
-    ground_truth: np.ndarray | None = None,
-    oracle: ConstraintOracle | None = None,
-    oracle_scenario: str = "constraints",
-    oracle_amount: float = 0.2,
-    n_folds: int = 10,
-    scoring: str = "average_f",
-    random_state: RandomStateLike = None,
-    execution: ExecutionSpec | None = None,
-) -> tuple[Any, CVCPResult]:
-    """Functional one-shot interface to CVCP.
-
-    Returns ``(best value, full cross-validation result)`` without refitting;
-    convenient inside experiment loops where the refit is done separately.
-    ``execution`` selects the execution engine and distance-matrix storage
-    tier as one :class:`~repro.core.executor.ExecutionSpec` (bit-identical
-    across engines and tiers).  With an ``oracle``, pass ``ground_truth`` instead of
-    pre-sampled side information and the oracle generates ``oracle_amount``
-    of ``oracle_scenario`` supervision before the grid runs.
-    """
-    search = CVCP(
-        estimator,
-        parameter_values,
-        n_folds=n_folds,
-        scoring=scoring,
-        refit=False,
-        random_state=random_state,
-        oracle=oracle,
-        oracle_scenario=oracle_scenario,
-        oracle_amount=oracle_amount,
-        execution=execution,
-    )
-    search.fit(
-        X, labeled_objects=labeled_objects, constraints=constraints, ground_truth=ground_truth
-    )
-    return search.cv_results_.best_value, search.cv_results_

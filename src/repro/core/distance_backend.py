@@ -244,10 +244,11 @@ class MemmapBackend(DistanceBackend):
         from repro.clustering.distances import pairwise_distances
 
         n = X.shape[0]
-        # The temp name is unique per fill, not just per process: with the
-        # memo disabled (configure_distance_cache(0)) two thread-backend
-        # tasks can fill the same spill concurrently, and each must rename
-        # its own finished temp (last writer wins with identical bytes).
+        # The temp name is unique per fill, not just per process: two
+        # threads that call ``pairwise`` outside the distance memo (whose
+        # lock would serialise them) can fill the same spill concurrently,
+        # and each must rename its own finished temp (last writer wins
+        # with identical bytes).
         tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{next(_FILL_COUNTER)}")
         matrix = np.memmap(tmp, dtype=np.float64, mode="w+", shape=(n, n))
         panels_written = 0
@@ -288,7 +289,7 @@ class NeighborsBackend(DistanceBackend):
     """The sparse epsilon-bounded k-NN tier (:mod:`repro.core.neighbor_graph`).
 
     This tier never materialises the full pairwise matrix — consumers that
-    know about it (:class:`~repro.clustering.hierarchy.DensityHierarchy`)
+    know about it (:func:`~repro.clustering.hierarchy.build_tree_structures`)
     branch to the sparse graph pipeline instead of calling :meth:`pairwise`;
     consumers that genuinely need all ``n²`` entries (the silhouette,
     MPCK-Means, non-Euclidean metrics) get a clear error pointing at the

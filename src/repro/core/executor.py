@@ -5,13 +5,11 @@ The CVCP procedure evaluates an embarrassingly parallel
 that grid over data sets × algorithms × trials.  This module provides the
 substrate both layers submit their work through:
 
-* :class:`Executor` — the abstraction: ``run(fn, tasks)`` applies a callable
-  to every task and returns the results *in task order*;
-* :class:`SerialExecutor` / :class:`ThreadExecutor` /
-  :class:`ProcessExecutor` — stdlib-only backends
-  (:mod:`concurrent.futures`; no third-party dependencies);
-* :func:`get_executor` — backend factory (``"serial"``, ``"thread"``,
-  ``"process"``);
+* :func:`run_tasks` — applies a callable to every task on the
+  ``"serial"``, ``"thread"`` or ``"process"`` backend (stdlib
+  :mod:`concurrent.futures`; no third-party dependencies) and returns the
+  results *in task order*;
+* :class:`ExecutionSpec` — the engine as one validated value;
 * :func:`derive_seed` — deterministic per-task seed derivation.
 
 Determinism contract
@@ -23,17 +21,16 @@ not depend on iteration or completion order, and all three backends produce
 bit-identical output for the same master seed.
 
 Exceptions raised inside a worker task propagate to the caller of
-:meth:`Executor.run` unchanged (for the process backend: with the usual
+:func:`run_tasks` unchanged (for the process backend: with the usual
 pickling round-trip of :mod:`concurrent.futures`).
 """
 
 from __future__ import annotations
 
 import os
-from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,9 +45,8 @@ BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
 class ExecutionSpec:
     """The execution engine as one validated, picklable value.
 
-    What :class:`~repro.core.cvcp.CVCP` and
-    :func:`~repro.core.cvcp.select_parameter` take as ``execution=spec``
-    and what :class:`~repro.experiments.config.ExperimentConfig` carries
+    What :class:`~repro.core.cvcp.CVCP` takes as ``execution=spec`` and
+    what :class:`~repro.experiments.config.ExperimentConfig` carries
     as its ``execution`` field; also the validated form of the pipeline
     ``[execution]`` config table (minus the pipeline-level ``parallelize``
     key).
@@ -191,192 +187,58 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
     return int(n_jobs)
 
 
-class Executor(ABC):
-    """Applies a callable to a sequence of independent tasks."""
-
-    #: Backend name (one of :data:`BACKENDS`).
-    name: str = ""
-
-    @abstractmethod
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        on_result: Callable[[int, Any], None] | None = None,
-    ) -> list[Any]:
-        """Apply ``fn`` to every task, returning results in task order.
-
-        ``on_result(index, result)`` — when given — is invoked in the
-        *submitting* process as each task finishes (task order for the
-        serial backend, completion order for the pools), which is what
-        lets callers persist partial progress incrementally: results
-        delivered before an interruption have already been handed over.
-
-        The first exception raised by a task is re-raised here.
-        """
-
-
-def _run_inline(
+def run_tasks(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
-    on_result: Callable[[int, Any], None] | None,
+    *,
+    backend: str,
+    n_jobs: int | None = None,
+    on_result: Callable[[int, Any], None] | None = None,
+    initializer: Callable[..., None] | None = None,
+    initargs: tuple = (),
 ) -> list[Any]:
-    results: list[Any] = []
-    for index, task in enumerate(tasks):
-        results.append(fn(task))
-        if on_result is not None:
-            on_result(index, results[-1])
-    return results
+    """Apply ``fn`` to every task on ``backend``; results come back in task order.
 
+    ``backend`` is ``"serial"``, ``"thread"`` or ``"process"``; ``n_jobs``
+    sizes the pools (``None``/``0`` = all cores, negative = joblib-style).
+    ``on_result(index, result)``, when given, runs in the submitting process
+    as each task finishes, so callers can persist partial progress.
+    ``initializer(*initargs)`` runs once per worker (once inline when no pool
+    starts): ship payloads shared by all tasks there, not in every task.
 
-class SerialExecutor(Executor):
-    """In-process, single-threaded execution (the reference backend)."""
-
-    name = "serial"
-
-    def __init__(
-        self,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> None:
-        self.initializer = initializer
-        self.initargs = initargs
-
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        on_result: Callable[[int, Any], None] | None = None,
-    ) -> list[Any]:
-        """Apply ``fn`` to every task inline, in task order."""
-        if self.initializer is not None:
-            self.initializer(*self.initargs)
-        return _run_inline(fn, tasks, on_result)
-
-
-class _PoolExecutor(Executor):
-    """Shared scaffolding for the :mod:`concurrent.futures` backends."""
-
-    def __init__(
-        self,
-        n_jobs: int | None = None,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> None:
-        self.n_jobs = resolve_n_jobs(n_jobs)
-        self.initializer = initializer
-        self.initargs = initargs
-
-    def _pool(self, max_workers: int):  # pragma: no cover - trivial dispatch
-        raise NotImplementedError
-
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        on_result: Callable[[int, Any], None] | None = None,
-    ) -> list[Any]:
-        """Apply ``fn`` to every task through the pool, in task order.
-
-        Falls back to inline execution for a single worker or task, uses a
-        chunked ``pool.map`` when no ``on_result`` callback is given, and
-        per-task submission otherwise so completions stream to the caller.
-        """
+    The serial backend, and a pool with one effective worker, run inline in
+    task order.  A pool runs a chunked ``map`` without ``on_result``, and
+    submits per task with it so completions stream to the caller.  The first
+    exception raised by a task is re-raised here.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    if backend != "serial":
+        max_workers = resolve_n_jobs(n_jobs)
         tasks = list(tasks)
         if not tasks:
             return []
-        max_workers = min(self.n_jobs, len(tasks))
-        if max_workers == 1:
-            if self.initializer is not None:
-                self.initializer(*self.initargs)
-            return _run_inline(fn, tasks, on_result)
-        with self._pool(max_workers) as pool:
-            if on_result is None:
-                chunksize = max(1, len(tasks) // (max_workers * 4))
-                return list(pool.map(fn, tasks, chunksize=chunksize))
-            # Per-task submission so every completion can be handed to the
-            # caller immediately (chunked map would batch deliveries).
-            futures = {pool.submit(fn, task): index for index, task in enumerate(tasks)}
-            results: list[Any] = [None] * len(tasks)
-            for future in as_completed(futures):
-                index = futures[future]
-                results[index] = future.result()
-                on_result(index, results[index])
-            return results
-
-
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool execution: zero pickling cost, shares the process caches.
-
-    Best when the work releases the GIL (numpy-heavy tasks) or when task
-    payloads are large relative to the compute.
-    """
-
-    name = "thread"
-
-    def _pool(self, max_workers: int):
-        return ThreadPoolExecutor(
-            max_workers=max_workers,
-            initializer=self.initializer,
-            initargs=self.initargs,
-        )
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool execution: true parallelism for pure-Python hot loops.
-
-    Tasks, initargs and results must be picklable.  Shared payloads (e.g.
-    the data matrix) belong in ``initializer``/``initargs`` — shipped once
-    per worker — rather than in every task.  On fork-based platforms the
-    workers additionally inherit caches already warmed in the parent.
-    """
-
-    name = "process"
-
-    def _pool(self, max_workers: int):
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=self.initializer,
-            initargs=self.initargs,
-        )
-
-
-def get_executor(
-    backend: str = "serial",
-    n_jobs: int | None = None,
-    *,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
-) -> Executor:
-    """Instantiate the executor for a backend name.
-
-    Parameters
-    ----------
-    backend:
-        ``"serial"``, ``"thread"`` or ``"process"``.
-    n_jobs:
-        Worker count for the pool backends (``None``/``0`` = all cores,
-        negative = joblib-style); ignored by the serial backend.
-    initializer / initargs:
-        Optional per-worker setup hook (run once inline for the serial
-        backend).  Use it to ship payloads shared by all tasks once per
-        worker instead of once per task.
-    """
-    if backend == "serial":
-        return SerialExecutor(initializer=initializer, initargs=initargs)
-    if backend == "thread":
-        return ThreadExecutor(n_jobs, initializer=initializer, initargs=initargs)
-    if backend == "process":
-        return ProcessExecutor(n_jobs, initializer=initializer, initargs=initargs)
-    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-
-
-def execute(
-    fn: Callable[[Any], Any],
-    tasks: Iterable[Any],
-    *,
-    backend: str = "serial",
-    n_jobs: int | None = None,
-) -> list[Any]:
-    """One-shot convenience wrapper around :func:`get_executor`."""
-    return get_executor(backend, n_jobs).run(fn, list(tasks))
+        max_workers = min(max_workers, len(tasks))
+    if backend == "serial" or max_workers == 1:
+        if initializer is not None:
+            initializer(*initargs)
+        results: list[Any] = []
+        for index, task in enumerate(tasks):
+            results.append(fn(task))
+            if on_result is not None:
+                on_result(index, results[-1])
+        return results
+    pool_type = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
+    with pool_type(max_workers=max_workers, initializer=initializer, initargs=initargs) as pool:
+        if on_result is None:
+            chunksize = max(1, len(tasks) // (max_workers * 4))
+            return list(pool.map(fn, tasks, chunksize=chunksize))
+        # Per-task submission so every completion can be handed to the
+        # caller immediately (chunked map would batch deliveries).
+        futures = {pool.submit(fn, task): index for index, task in enumerate(tasks)}
+        results = [None] * len(tasks)
+        for future in as_completed(futures):
+            index = futures[future]
+            results[index] = future.result()
+            on_result(index, results[index])
+        return results

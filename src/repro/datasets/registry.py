@@ -40,6 +40,9 @@ _SINGLE_FACTORIES: dict[str, Callable[..., Dataset]] = {
 #: synthetic text corpus ("Text": sparse TF-IDF blobs, cosine metric).
 DATASET_NAMES = ("ALOI", "Iris", "Wine", "Ionosphere", "Ecoli", "Zyeast", "Text")
 
+#: The metric each registry data set is evaluated under unless overridden.
+REGISTRY_METRICS = {name: "cosine" if name == "Text" else "euclidean" for name in DATASET_NAMES}
+
 
 def _normalise(name: str) -> str:
     return name.strip().lower().replace("-like", "")

@@ -74,7 +74,7 @@ from repro.constraints.oracles import ConstraintOracle, PerfectOracle, make_orac
 from repro.core import admissibility
 from repro.core.executor import ExecutionSpec
 from repro.datasets.base import DATASET_METRICS, Dataset
-from repro.datasets.registry import DATASET_NAMES, get_dataset
+from repro.datasets.registry import DATASET_NAMES, REGISTRY_METRICS, get_dataset
 from repro.datasets.text import PRECOMPUTED_FORMS, load_precomputed_dataset
 from repro.experiments.ablation import (
     closure_leakage_ablation,
@@ -168,7 +168,7 @@ class KindRules:
     oracle_keys: tuple[str, ...] = ()  # when set, [oracle] holds sweep settings with only these keys
     parallelize: str | None = None  # execution.parallelize
     neighbors: str | None = None  # distance_backend = "neighbors"
-    non_euclidean: str | None = None  # a metric other than "euclidean"; {metric} is filled in
+    non_euclidean: str | None = None  # a metric other than "euclidean"; {path} and {metric} are filled in
     precomputed: str | None = None  # dataset.metric = "precomputed"
     stream: str | None = None  # a [stream] table
 
@@ -227,7 +227,7 @@ KIND_RULES: dict[str, KindRules] = {
             "distance matrix); use an exact tier (blockwise, memmap)"
         ),
         non_euclidean=(
-            'dataset.metric: kind = "robustness" sweeps every algorithm,'
+            '{path}: kind = "robustness" sweeps every algorithm,'
             " including MPCKMeans, which needs Euclidean geometry;"
             " metric = {metric} is not supported"
         ),
@@ -252,23 +252,34 @@ KIND_RULES: dict[str, KindRules] = {
 }
 
 
-def _admissibility_problems(rules: KindRules, algorithm, distance_backend, metric, matrix=None) -> list[str]:
+def _admissibility_problems(
+    rules: KindRules, algorithm, distance_backend, metric, datasets, matrix=None
+) -> list[str]:
     """The admissibility table's lines as a config file places them.
 
     A kind whose sweep runs MPCKMeans anyway says so in its own words
-    (``rules.neighbors``, ``rules.non_euclidean``).
+    (``rules.neighbors``, ``rules.non_euclidean``).  Without a metric
+    override each registry data set runs under its own metric
+    (:data:`~repro.datasets.registry.REGISTRY_METRICS`), so a non-Euclidean
+    one is judged under it, at ``experiment.datasets``.
     """
-    paths = {"distance_backend": "execution.distance_backend", "metric": "dataset.metric"}
-    found = {p.rule: p for p in admissibility.problems(algorithm, distance_backend, metric, matrix=matrix)}
-    swept = {p.rule for p in admissibility.problems("mpck", distance_backend, metric)}
+    judged = {metric: "dataset.metric"}
+    if metric is None and not matrix:
+        judged.update((REGISTRY_METRICS[name], "experiment.datasets") for name in datasets)
+        judged.pop("euclidean", None)  # the same lines as no metric at all
     own = {"tier": rules.neighbors, "euclidean": rules.non_euclidean}
     lines = []
-    for rule in admissibility.RULES:
-        if rule in found and not (rule == "euclidean" and own[rule]):
-            lines.append(f"{paths[found[rule].field]}: {found[rule].body}")
-        if own.get(rule) and rule in swept:
-            lines.append(own[rule].format(metric=repr(metric)))
-    return lines
+    for judged_metric, metric_path in judged.items():
+        paths = {"distance_backend": "execution.distance_backend", "metric": metric_path}
+        found = admissibility.problems(algorithm, distance_backend, judged_metric, matrix=matrix)
+        found = {problem.rule: problem for problem in found}
+        swept = {p.rule for p in admissibility.problems("mpck", distance_backend, judged_metric)}
+        for rule in admissibility.RULES:
+            if rule in found and not (rule == "euclidean" and own[rule]):
+                lines.append(f"{paths[found[rule].field]}: {found[rule].body}")
+            if own.get(rule) and rule in swept:
+                lines.append(own[rule].format(metric=repr(judged_metric), path=metric_path))
+    return list(dict.fromkeys(lines))
 
 
 class ConfigError(SpecError):
@@ -333,7 +344,8 @@ class PipelineSpec:
         engine = {**asdict(self.config.execution), **given}
         matrix = self.precomputed is not None
         problems = _admissibility_problems(
-            KIND_RULES[self.kind], self.algorithm, engine["distance_backend"], engine["metric"], matrix
+            KIND_RULES[self.kind], self.algorithm, engine["distance_backend"], engine["metric"],
+            self.datasets, matrix,
         )
         if problems:
             raise ConfigError(str(self.source or self.name), problems)
@@ -667,7 +679,9 @@ def validate_pipeline_mapping(
             if rules.parallelize:
                 problems.append(rules.parallelize)
 
-    problems.extend(_admissibility_problems(rules, algorithm, execution_spec.distance_backend, metric))
+    problems.extend(
+        _admissibility_problems(rules, algorithm, execution_spec.distance_backend, metric, datasets)
+    )
     if metric == "precomputed" and rules.precomputed:
         problems.append(rules.precomputed)
 

@@ -32,7 +32,7 @@ from repro.constraints.oracles import ConstraintOracle, PerfectOracle
 from repro.core import admissibility
 from repro.core.cvcp import CVCP
 from repro.core.distance_backend import approx_key_entry, resolve_distance_backend
-from repro.core.executor import get_executor
+from repro.core.executor import run_tasks
 from repro.core.model_selection import expected_quality
 from repro.datasets.base import Dataset
 from repro.evaluation.external import overall_f_measure
@@ -510,8 +510,9 @@ def run_trials(
                 store.put("trial", key, result.to_dict())
                 store.journal(key).remove()
 
-        computed = get_executor(backend, config.execution.n_jobs).run(
-            _run_trial_task, tasks, on_result=persist_trial
+        computed = run_tasks(
+            _run_trial_task, tasks, backend=backend, n_jobs=config.execution.n_jobs,
+            on_result=persist_trial,
         )
         for index, result in zip(pending, computed):
             results[index] = result

@@ -6,7 +6,6 @@ from repro.utils.cache import (
     array_fingerprint,
     cached_pairwise_distances,
     clear_distance_cache,
-    configure_distance_cache,
     distance_cache_stats,
 )
 from repro.utils.disjoint_set import DisjointSet
@@ -24,7 +23,6 @@ __all__ = [
     "array_fingerprint",
     "cached_pairwise_distances",
     "clear_distance_cache",
-    "configure_distance_cache",
     "distance_cache_stats",
     "DisjointSet",
     "check_random_state",

@@ -316,15 +316,3 @@ def clear_distance_cache() -> None:
     if neighbor_graph is not None:
         neighbor_graph.clear_neighbor_graph_cache()
     clear_structure_cache()
-
-
-def configure_distance_cache(max_items: int, max_bytes: int | None = None) -> None:
-    """Re-bound the per-process distance cache; clears the current contents.
-
-    ``max_items`` caps the number of entries (matrices and their small
-    core-distance tables), ``max_bytes`` their total size; ``max_items=0``
-    disables memoisation entirely (useful when single matrices are too large
-    to retain).
-    """
-    global _distance_cache
-    _distance_cache = MemoCache(max_items=max_items, max_bytes=max_bytes)

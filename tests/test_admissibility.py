@@ -36,6 +36,7 @@ from repro.clustering.fosc import FOSCOpticsDend
 from repro.clustering.hierarchy import build_tree_structures
 from repro.core import admissibility
 from repro.core.executor import ExecutionSpec
+from repro.datasets.registry import REGISTRY_METRICS, get_dataset
 from repro.datasets.text import load_precomputed_dataset
 from repro.experiments.config import QUICK_CONFIG
 from repro.experiments.pipeline import (
@@ -354,3 +355,93 @@ def test_the_decision_table_has_the_documented_shape():
         ("fosc", "neighbors", "euclidean"),
         ("mpck", "blockwise", "euclidean"),
     }
+
+
+# ----------------------------------------------------------------------
+# A registry data set is judged under its own metric ("Text" is cosine)
+# unless the caller overrides it, so no entry point accepts what the run
+# would then reject mid-trial.
+
+MPCK_UNDER_COSINE = (
+    'algorithm = "mpck" learns per-cluster Euclidean metrics and cannot run under'
+    " metric = 'cosine'; use algorithm = \"fosc\""
+)
+NEIGHBORS_UNDER_COSINE = (
+    'distance_backend = "neighbors" supports metric = "euclidean" only (KD-tree index),'
+    " got 'cosine'; use an exact tier (blockwise, memmap)"
+)
+
+
+def test_registry_metrics_are_each_data_sets_own():
+    for name, metric in REGISTRY_METRICS.items():
+        assert get_dataset(name, random_state=0).metric == metric, name
+
+
+@pytest.mark.parametrize(
+    "algorithm, tier, body",
+    [("mpck", None, MPCK_UNDER_COSINE), ("fosc", "neighbors", NEIGHBORS_UNDER_COSINE)],
+    ids=["mpck", "fosc-neighbors"],
+)
+def test_a_selection_request_judges_the_registry_sets_own_metric(algorithm, tier, body, tmp_path):
+    execution = ExecutionSpec(distance_backend=tier)
+    with pytest.raises(SpecError) as excinfo:
+        api.SelectionRequest(algorithm=algorithm, dataset="Text", execution=execution)
+    assert excinfo.value.problems == [f"select.dataset: {body}"]
+    manager = JobManager(tmp_path / "store", workers=1)
+    select = {"algorithm": algorithm, "dataset": "text"}
+    if tier is not None:
+        select["execution"] = {"distance_backend": tier}
+    try:
+        with pytest.raises(SpecError):
+            manager.submit({"select": select})
+        assert manager.list_views() == []
+    finally:
+        manager.shutdown()
+
+
+def test_a_metric_override_lifts_the_registry_sets_own_metric():
+    api.SelectionRequest(algorithm="mpck", dataset="Text", execution=ExecutionSpec(metric="euclidean"))
+    api.SelectionRequest(algorithm="fosc", dataset="Text")  # FOSC runs under cosine
+
+
+def text_pipeline(algorithm: str, kind: str = "trials") -> dict:
+    raw = file_mapping(algorithm, None, None, "registry")
+    raw["experiment"]["datasets"] = ["Iris", "Text"]
+    raw["experiment"]["kind"] = kind
+    if kind == "robustness":
+        del raw["experiment"]["algorithm"]
+    return raw
+
+
+@pytest.mark.parametrize(
+    "algorithm, kind, tier, expected",
+    [
+        ("mpck", "trials", None, [f"experiment.datasets: {MPCK_UNDER_COSINE}"]),
+        ("fosc", "trials", "neighbors", [f"experiment.datasets: {NEIGHBORS_UNDER_COSINE}"]),
+        (
+            "fosc", "robustness", None,
+            [
+                'experiment.datasets: kind = "robustness" sweeps every algorithm, including'
+                " MPCKMeans, which needs Euclidean geometry; metric = 'cosine' is not supported"
+            ],
+        ),
+    ],
+    ids=["mpck", "fosc-neighbors", "robustness"],
+)
+def test_a_pipeline_judges_each_registry_sets_own_metric(algorithm, kind, tier, expected, monkeypatch):
+    monkeypatch.delenv("REPRO_DISTANCE_BACKEND", raising=False)
+    raw = text_pipeline(algorithm, kind)
+    if tier is not None:
+        raw["execution"] = {"distance_backend": tier}
+    assert validate_pipeline_mapping(raw, "config")[1] == expected
+    raw["dataset"] = {"metric": "euclidean"}  # an override lifts it
+    assert validate_pipeline_mapping(raw, "config")[1] == []
+
+
+def test_the_overlay_judges_each_registry_sets_own_metric(monkeypatch):
+    monkeypatch.delenv("REPRO_DISTANCE_BACKEND", raising=False)
+    spec = pipeline_spec_from_mapping(text_pipeline("fosc"))
+    with pytest.raises(SpecError) as excinfo:
+        spec.with_execution(distance_backend="neighbors")
+    assert excinfo.value.problems == [f"experiment.datasets: {NEIGHBORS_UNDER_COSINE}"]
+    spec.with_execution(distance_backend="neighbors", metric="euclidean")  # an override lifts it

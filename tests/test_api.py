@@ -11,7 +11,6 @@ import dataclasses
 import json
 import warnings
 
-import numpy as np
 import pytest
 
 from repro import api
@@ -102,11 +101,12 @@ class TestExecutionSpecOnly:
         with pytest.raises(TypeError, match="backend"):
             CVCP(_Estimator(), [2, 3], n_folds=2, backend="thread", n_jobs=2)
 
-    def test_select_parameter_has_no_loose_engine_keywords(self):
-        from repro.core.cvcp import select_parameter
+    def test_cvcp_has_no_loose_distance_keywords(self):
+        from repro.clustering import FOSCOpticsDend
+        from repro.core.cvcp import CVCP
 
         with pytest.raises(TypeError, match="distance_backend"):
-            select_parameter(object(), np.zeros((4, 2)), [2, 3], distance_backend="blockwise")
+            CVCP(FOSCOpticsDend(), [2, 3], refit=False, distance_backend="blockwise")
 
     def test_spec_path_is_warning_free(self):
         with warnings.catch_warnings():

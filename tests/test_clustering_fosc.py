@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from repro.clustering import FOSC, FOSCOpticsDend
-from repro.clustering.hierarchy import DensityHierarchy
+from repro.clustering.hierarchy import build_tree_structure
 from repro.constraints import ConstraintSet, cannot_link, constraints_from_labels, must_link
 from repro.evaluation import adjusted_rand_index, overall_f_measure
 
 
 class TestFOSCUnsupervised:
     def test_unsupervised_extraction_recovers_blobs(self, blobs_dataset):
-        hierarchy = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
-        selection = FOSC().extract(hierarchy.condensed_tree_)
+        structure = build_tree_structure(blobs_dataset.X, 4)
+        selection = FOSC().extract(structure.condensed_tree)
         assert not selection.used_constraints
         assert adjusted_rand_index(blobs_dataset.y, selection.labels) > 0.9
 
     def test_selection_is_an_antichain(self, blobs_dataset):
-        hierarchy = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
-        tree = hierarchy.condensed_tree_
+        tree = build_tree_structure(blobs_dataset.X, 4).condensed_tree
         selection = FOSC().extract(tree)
         selected = set(selection.selected_clusters)
         for cluster_id in selected:

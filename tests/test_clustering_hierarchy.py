@@ -1,4 +1,4 @@
-"""Unit tests for the density hierarchy (mutual reachability, MST, condensed tree)."""
+"""Unit tests for the density hierarchy (mutual reachability, MST, condensed tree, structure phase)."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,13 @@ import pytest
 from repro.clustering.distances import k_nearest_distances, pairwise_distances
 from repro.clustering.hierarchy import (
     CondensedTreeArrays,
-    DensityHierarchy,
     build_single_linkage_tree,
+    build_tree_structure,
     minimum_spanning_tree,
     mutual_reachability,
 )
 from repro.clustering.kernels import condense_tree
+from repro.utils.cache import cached_pairwise_distances
 
 
 @pytest.fixture()
@@ -107,18 +108,17 @@ class TestCondensedTree:
         assert set(leaves) == set(tree.root.children)
 
     def test_every_point_belongs_to_root(self, blobs_dataset):
-        hierarchy = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
-        tree = hierarchy.condensed_tree_
+        tree = build_tree_structure(blobs_dataset.X, 4).condensed_tree
         assert tree.root.members == set(range(blobs_dataset.n_samples))
 
     def test_children_are_subsets_of_parents(self, blobs_dataset):
-        tree = DensityHierarchy(min_pts=4).fit(blobs_dataset.X).condensed_tree_
+        tree = build_tree_structure(blobs_dataset.X, 4).condensed_tree
         for cluster in tree.clusters.values():
             for child_id in cluster.children:
                 assert tree.clusters[child_id].members <= cluster.members
 
     def test_siblings_are_disjoint(self, blobs_dataset):
-        tree = DensityHierarchy(min_pts=4).fit(blobs_dataset.X).condensed_tree_
+        tree = build_tree_structure(blobs_dataset.X, 4).condensed_tree
         for cluster in tree.clusters.values():
             children = [tree.clusters[c].members for c in cluster.children]
             for i in range(len(children)):
@@ -126,7 +126,7 @@ class TestCondensedTree:
                     assert not (children[i] & children[j])
 
     def test_stability_non_negative(self, blobs_dataset):
-        tree = DensityHierarchy(min_pts=4).fit(blobs_dataset.X).condensed_tree_
+        tree = build_tree_structure(blobs_dataset.X, 4).condensed_tree
         for cluster_id in tree.selectable_clusters():
             assert tree.stability(cluster_id) >= 0.0
 
@@ -151,78 +151,72 @@ class TestCondensedTree:
         assert tree.leaves() == [0]
 
 
-class TestDensityHierarchy:
-    def test_fit_exposes_all_stages(self, blobs_dataset):
-        hierarchy = DensityHierarchy(min_pts=5).fit(blobs_dataset.X)
+class TestBuildTreeStructure:
+    def test_build_exposes_all_stages(self, blobs_dataset):
+        structure = build_tree_structure(blobs_dataset.X, 5)
         n = blobs_dataset.n_samples
-        assert hierarchy.core_distances_.shape == (n,)
-        assert hierarchy.mutual_reachability_.shape == (n, n)
-        assert hierarchy.mst_edges_.shape == (n - 1, 3)
-        assert hierarchy.single_linkage_tree_.shape == (n - 1, 4)
-        assert hierarchy.condensed_tree_.n_samples == n
+        assert structure.n_samples == n
+        assert structure.core_distances.shape == (n,)
+        assert structure.mst_edges.shape == (n - 1, 3)
+        assert structure.single_linkage_tree.shape == (n - 1, 4)
+        assert structure.condensed_tree.n_samples == n
 
-    def test_min_cluster_size_defaults_to_min_pts(self):
-        hierarchy = DensityHierarchy(min_pts=7)
-        assert hierarchy.min_cluster_size == 7
+    def test_min_cluster_size_defaults_to_min_pts(self, blobs_dataset):
+        assert build_tree_structure(blobs_dataset.X, 7).min_cluster_size == 7
 
     def test_min_pts_too_large(self):
         with pytest.raises(ValueError):
-            DensityHierarchy(min_pts=100).fit(np.zeros((5, 2)))
+            build_tree_structure(np.zeros((5, 2)), 100)
 
     def test_min_pts_equal_to_n_samples_is_accepted(self):
         X = np.random.default_rng(1).normal(size=(6, 2))
-        hierarchy = DensityHierarchy(min_pts=6).fit(X)
-        assert hierarchy.mst_edges_.shape == (5, 3)
-
-    def test_fitted_attributes_absent_before_fit(self):
-        hierarchy = DensityHierarchy(min_pts=4)
-        for name in ("core_distances_", "mst_edges_", "single_linkage_tree_", "condensed_tree_"):
-            assert not hasattr(hierarchy, name)
+        assert build_tree_structure(X, 6).mst_edges.shape == (5, 3)
 
     @pytest.mark.parametrize("min_pts", [2, 5, 9])
     def test_core_distances_are_kth_nearest_distances(self, blobs_dataset, min_pts):
-        hierarchy = DensityHierarchy(min_pts).fit(blobs_dataset.X)
+        structure = build_tree_structure(blobs_dataset.X, min_pts)
         expected = k_nearest_distances(pairwise_distances(blobs_dataset.X), min_pts)
-        np.testing.assert_array_equal(hierarchy.core_distances_, expected)
+        np.testing.assert_array_equal(structure.core_distances, expected)
 
     def test_core_distances_monotone_in_min_pts(self, blobs_dataset):
-        small = DensityHierarchy(3).fit(blobs_dataset.X).core_distances_
-        large = DensityHierarchy(10).fit(blobs_dataset.X).core_distances_
+        small = build_tree_structure(blobs_dataset.X, 3).core_distances
+        large = build_tree_structure(blobs_dataset.X, 10).core_distances
         assert (large >= small).all()
 
     def test_mutual_reachability_matches_the_materialised_matrix(self, blobs_dataset):
-        hierarchy = DensityHierarchy(4).fit(blobs_dataset.X)
+        structure = build_tree_structure(blobs_dataset.X, 4)
+        stored = cached_pairwise_distances(blobs_dataset.X)
         distances = pairwise_distances(blobs_dataset.X)
         expected = mutual_reachability(distances, k_nearest_distances(distances, 4))
-        np.testing.assert_array_equal(hierarchy.mutual_reachability_, expected)
+        np.testing.assert_array_equal(mutual_reachability(stored, structure.core_distances), expected)
 
     def test_mst_spans_every_point(self, blobs_dataset):
-        edges = DensityHierarchy(4).fit(blobs_dataset.X).mst_edges_
+        edges = build_tree_structure(blobs_dataset.X, 4).mst_edges
         endpoints = set(edges[:, :2].astype(np.int64).ravel().tolist())
         assert endpoints == set(range(blobs_dataset.n_samples))
 
     def test_between_cluster_edges_dominate_the_tree(self, blobs_dataset):
         """The two edges joining the three blobs dwarf every within-blob edge."""
-        weights = np.sort(DensityHierarchy(4).fit(blobs_dataset.X).mst_edges_[:, 2])
+        weights = np.sort(build_tree_structure(blobs_dataset.X, 4).mst_edges[:, 2])
         assert weights[-2] > 4 * np.median(weights)
         assert weights[-3] < weights[-2] / 2
 
     def test_last_merge_holds_every_point(self, blobs_dataset):
-        merges = DensityHierarchy(5).fit(blobs_dataset.X).single_linkage_tree_
+        merges = build_tree_structure(blobs_dataset.X, 5).single_linkage_tree
         assert merges[-1, 3] == blobs_dataset.n_samples
         assert merges[-1, 2] == merges[:, 2].max()
 
     def test_refit_is_deterministic(self, blobs_dataset):
-        first = DensityHierarchy(6).fit(blobs_dataset.X)
-        second = DensityHierarchy(6).fit(blobs_dataset.X)
-        np.testing.assert_array_equal(first.mst_edges_, second.mst_edges_)
-        np.testing.assert_array_equal(first.single_linkage_tree_, second.single_linkage_tree_)
+        first = build_tree_structure(blobs_dataset.X, 6)
+        second = build_tree_structure(blobs_dataset.X, 6)
+        np.testing.assert_array_equal(first.mst_edges, second.mst_edges)
+        np.testing.assert_array_equal(first.single_linkage_tree, second.single_linkage_tree)
 
     def test_larger_min_cluster_size_never_adds_clusters(self, blobs_dataset):
         # A split is kept only when both sides reach min_cluster_size, so the
         # kept splits at a larger size are a subset of those at a smaller one.
         counts = [
-            len(DensityHierarchy(4, min_cluster_size=size).fit(blobs_dataset.X).condensed_tree_.clusters)
+            len(build_tree_structure(blobs_dataset.X, 4, min_cluster_size=size).condensed_tree.clusters)
             for size in range(2, 12)
         ]
         assert counts == sorted(counts, reverse=True)

@@ -23,7 +23,7 @@ from repro.clustering.distances import k_nearest_distances, pairwise_distances
 from repro.clustering.fosc import FOSCOpticsDend
 from repro.clustering.hierarchy import (
     CondensedTreeArrays,
-    DensityHierarchy,
+    build_tree_structure,
     mutual_reachability,
 )
 from repro.clustering.mpckmeans import _EPS, MPCKMeans
@@ -306,10 +306,10 @@ class TestCondensedTreeParity:
             K.condense_tree(np.empty((0, 4)), 1, 1)
 
     def test_array_tree_compat_api_matches_reference(self, blobs_dataset):
-        vec = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
+        vec = build_tree_structure(blobs_dataset.X, 4)
         with reference_kernels():
-            ref = DensityHierarchy(min_pts=4).fit(blobs_dataset.X)
-        ref_tree, vec_tree = ref.condensed_tree_, vec.condensed_tree_
+            ref = build_tree_structure(blobs_dataset.X, 4)
+        ref_tree, vec_tree = ref.condensed_tree, vec.condensed_tree
         assert isinstance(ref_tree, R.CondensedTree)
         assert isinstance(vec_tree, CondensedTreeArrays)
         assert sorted(vec_tree.leaves()) == sorted(ref_tree.leaves())
@@ -415,15 +415,15 @@ class TestEndToEndParity:
         assert ref.selection_.selected_clusters == vec.selection_.selected_clusters
         assert ref.selection_.objective == vec.selection_.objective
 
-    def test_density_hierarchy_fit(self, blobs_dataset):
-        vec = DensityHierarchy(4).fit(blobs_dataset.X)
+    def test_structure_phase_build(self, blobs_dataset):
+        vec = build_tree_structure(blobs_dataset.X, 4)
         with reference_kernels():
-            ref = DensityHierarchy(4).fit(blobs_dataset.X)
-        assert isinstance(ref.condensed_tree_, R.CondensedTree)
-        assert np.array_equal(ref.core_distances_, vec.core_distances_)
-        assert np.array_equal(ref.mst_edges_, vec.mst_edges_)
-        assert np.array_equal(ref.single_linkage_tree_, vec.single_linkage_tree_)
-        assert ref.condensed_tree_.leaves() == vec.condensed_tree_.leaves()
+            ref = build_tree_structure(blobs_dataset.X, 4)
+        assert isinstance(ref.condensed_tree, R.CondensedTree)
+        assert np.array_equal(ref.core_distances, vec.core_distances)
+        assert np.array_equal(ref.mst_edges, vec.mst_edges)
+        assert np.array_equal(ref.single_linkage_tree, vec.single_linkage_tree)
+        assert ref.condensed_tree.leaves() == vec.condensed_tree.leaves()
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_cvcp_selects_identically_across_kernels_and_backends(self, backend, blobs_dataset):

@@ -294,23 +294,23 @@ class TestCVCPIntegration:
         with pytest.raises(ValueError, match="not both"):
             search.fit(iris.X, ground_truth=iris.y, labeled_objects={0: 0, 60: 1})
 
-    def test_select_parameter_with_oracle(self, iris):
+    def test_refit_free_selection_with_oracle(self, iris):
         from repro.clustering import MPCKMeans
-        from repro.core.cvcp import select_parameter
+        from repro.core.cvcp import CVCP
 
-        best, result = select_parameter(
+        search = CVCP(
             MPCKMeans(n_init=1, max_iter=5, random_state=0),
-            iris.X,
             [2, 3, 4],
-            ground_truth=iris.y,
+            n_folds=3,
+            refit=False,
+            random_state=7,
             oracle=PerfectOracle(),
             oracle_scenario="constraints",
             oracle_amount=0.3,
-            n_folds=3,
-            random_state=7,
-        )
-        assert best in (2, 3, 4)
-        assert result.scenario == "constraints"
+        ).fit(iris.X, ground_truth=iris.y)
+        assert search.best_params_["n_clusters"] in (2, 3, 4)
+        assert search.cv_results_.scenario == "constraints"
+        assert not hasattr(search, "best_estimator_")
 
     def test_abstract_base_cannot_instantiate(self):
         with pytest.raises(TypeError):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.clustering import FOSCOpticsDend, KMeans, MPCKMeans
 from repro.constraints import build_constraint_pool, constraints_from_labels, sample_labeled_objects
-from repro.core import CVCP, select_parameter
+from repro.core import CVCP
 from repro.evaluation import overall_f_measure
 
 
@@ -135,15 +135,12 @@ class TestCVCPValidation:
         assert np.allclose(scores_a, scores_b)
 
 
-class TestSelectParameterFunction:
+class TestRefitFreeSelection:
     def test_returns_value_and_results(self, blobs_dataset, side_information):
-        value, results = select_parameter(
-            MPCKMeans(random_state=0, n_init=1, max_iter=10),
-            blobs_dataset.X,
-            [2, 3, 4],
-            labeled_objects=side_information,
-            n_folds=3,
-            random_state=0,
-        )
+        search = CVCP(
+            MPCKMeans(random_state=0, n_init=1, max_iter=10), [2, 3, 4],
+            n_folds=3, refit=False, random_state=0,
+        ).fit(blobs_dataset.X, labeled_objects=side_information)
+        value = search.best_params_["n_clusters"]
         assert value in [2, 3, 4]
-        assert results.best_value == value
+        assert search.cv_results_.best_value == value

@@ -1,21 +1,20 @@
 """Tests for the parallel execution engine and its CVCP integration."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from repro.clustering import FOSCOpticsDend, MPCKMeans
 from repro.constraints import build_constraint_pool, sample_labeled_objects
-from repro.core import CVCP, select_parameter
+from repro.core import CVCP
 from repro.core.executor import (
     BACKENDS,
     ExecutionSpec,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
     derive_seed,
-    execute,
-    get_executor,
     resolve_n_jobs,
+    run_tasks,
 )
 from repro.experiments import QUICK_CONFIG
 from repro.experiments.runner import run_trials
@@ -29,19 +28,25 @@ def _explode(value):
     raise RuntimeError(f"task {value} failed")
 
 
+def _where(_):
+    return os.getpid(), threading.current_thread().name
+
+
 class TestExecutorBasics:
-    def test_factory_dispatch(self):
-        assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread", 2), ThreadExecutor)
-        assert isinstance(get_executor("process", 2), ProcessExecutor)
+    def test_backend_dispatch(self):
+        here = (os.getpid(), threading.current_thread().name)
+        serial, thread, process = (
+            set(run_tasks(_where, range(4), backend=backend, n_jobs=2)) for backend in BACKENDS
+        )
+        assert serial == {here}
+        assert {pid for pid, _ in thread} == {here[0]} and here not in thread
+        assert here[0] not in {pid for pid, _ in process}
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            get_executor("dask")
+            run_tasks(_square, [1], backend="dask")
 
     def test_resolve_n_jobs(self):
-        import os
-
         cores = os.cpu_count() or 1
         assert resolve_n_jobs(None) == cores
         assert resolve_n_jobs(0) == cores
@@ -52,28 +57,31 @@ class TestExecutorBasics:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_results_preserve_task_order(self, backend):
         tasks = list(range(20))
-        results = execute(_square, tasks, backend=backend, n_jobs=2)
+        results = run_tasks(_square, tasks, backend=backend, n_jobs=2)
         assert results == [task * task for task in tasks]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_task_list(self, backend):
-        assert get_executor(backend, 2).run(_square, []) == []
+        assert run_tasks(_square, [], backend=backend, n_jobs=2) == []
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_worker_exception_propagates(self, backend):
         with pytest.raises(RuntimeError, match="failed"):
-            execute(_explode, [1, 2, 3], backend=backend, n_jobs=2)
+            run_tasks(_explode, [1, 2, 3], backend=backend, n_jobs=2)
 
     def test_single_worker_short_circuits_to_inline(self):
         # n_jobs=1 must not pay pool overhead but still honour the contract.
-        assert ThreadExecutor(1).run(_square, [1, 2, 3]) == [1, 4, 9]
+        here = threading.current_thread().name
+        assert run_tasks(_square, [1, 2, 3], backend="thread", n_jobs=1) == [1, 4, 9]
+        assert {name for _, name in run_tasks(_where, [1, 2], backend="thread", n_jobs=1)} == {here}
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_on_result_delivers_every_completion(self, backend):
         received = {}
         tasks = list(range(6))
-        results = get_executor(backend, 2).run(
-            _square, tasks, on_result=lambda index, result: received.__setitem__(index, result)
+        results = run_tasks(
+            _square, tasks, backend=backend, n_jobs=2,
+            on_result=lambda index, result: received.__setitem__(index, result),
         )
         assert results == [task * task for task in tasks]
         assert received == {task: task * task for task in tasks}
@@ -84,9 +92,10 @@ class TestExecutorBasics:
         # per-cell artifact persistence relies on.
         received = {}
         with pytest.raises(RuntimeError, match="failed"):
-            SerialExecutor().run(
+            run_tasks(
                 lambda task: _explode(task) if task == 2 else _square(task),
                 [0, 1, 2, 3],
+                backend="serial",
                 on_result=lambda index, result: received.__setitem__(index, result),
             )
         assert received == {0: 0, 1: 1}
@@ -182,19 +191,17 @@ class TestCVCPBackendParity:
         with pytest.raises(ValueError, match="execution.backend"):
             CVCP(MPCKMeans(), parameter_values=[2, 3], execution=ExecutionSpec(backend="mpi"))
 
-    def test_select_parameter_passes_engine_through(self, blobs_dataset):
+    def test_refit_free_selection_passes_engine_through(self, blobs_dataset):
         side = sample_labeled_objects(blobs_dataset.y, 0.20, random_state=3)
-        serial_value, serial_results = select_parameter(
-            FOSCOpticsDend(), blobs_dataset.X, [3, 5, 8],
-            labeled_objects=side, n_folds=3, random_state=5,
+        serial, thread = (
+            CVCP(
+                FOSCOpticsDend(), [3, 5, 8], n_folds=3, refit=False, random_state=5,
+                execution=execution,
+            ).fit(blobs_dataset.X, labeled_objects=side)
+            for execution in (None, ExecutionSpec(backend="thread", n_jobs=2))
         )
-        thread_value, thread_results = select_parameter(
-            FOSCOpticsDend(), blobs_dataset.X, [3, 5, 8],
-            labeled_objects=side, n_folds=3, random_state=5,
-            execution=ExecutionSpec(backend="thread", n_jobs=2),
-        )
-        assert serial_value == thread_value
-        assert np.array_equal(serial_results.mean_scores, thread_results.mean_scores)
+        assert serial.best_params_ == thread.best_params_
+        assert np.array_equal(serial.cv_results_.mean_scores, thread.cv_results_.mean_scores)
 
 
 class TestExperimentLayerIntegration:

@@ -21,7 +21,8 @@ import pytest
 
 from repro.clustering.distances import DEFAULT_BLOCK_ROWS, pairwise_distances
 from repro.clustering.fosc import FOSCOpticsDend
-from repro.clustering.hierarchy import DensityHierarchy, mutual_reachability
+import repro.clustering.hierarchy as hierarchy_module
+from repro.clustering.hierarchy import build_tree_structure, mutual_reachability
 from repro.clustering.kernels import minimum_spanning_tree
 from repro.core.cvcp import CVCP
 from repro.core.executor import ExecutionSpec
@@ -189,16 +190,17 @@ class TestClusteringParity:
             for reference, observed in zip(fosc_labels[first], fosc_labels[name]):
                 assert np.array_equal(reference, observed)
 
-    def test_density_hierarchy_artifacts_bitwise_identical(self, spill_dir, big_blobs):
+    def test_structure_phase_artifacts_bitwise_identical(self, spill_dir, big_blobs):
         reference = None
         for name in EXACT_DISTANCE_BACKENDS:
             clear_distance_cache()
-            fitted = DensityHierarchy(5, distance_backend=name).fit(big_blobs.X)
+            fitted = build_tree_structure(big_blobs.X, 5, distance_backend=name)
+            stored = cached_pairwise_distances(big_blobs.X, distance_backend=name)
             observed = (
-                fitted.core_distances_,
-                np.asarray(fitted.mutual_reachability_),
-                fitted.mst_edges_,
-                fitted.single_linkage_tree_,
+                fitted.core_distances,
+                np.asarray(mutual_reachability(stored, fitted.core_distances)),
+                fitted.mst_edges,
+                fitted.single_linkage_tree,
             )
             if reference is None:
                 reference = observed
@@ -306,11 +308,14 @@ class TestMemmapSpillLifecycle:
         assert calls["count"] == 1
         assert list(spill_dir.iterdir()) == []  # no finished file, no stale temp
 
-    def test_structure_phase_spills_only_the_pairwise_matrix(self, spill_dir, big_blobs):
-        fitted = DensityHierarchy(5, distance_backend="memmap").fit(big_blobs.X)
+    def test_structure_phase_spills_only_the_pairwise_matrix(self, spill_dir, big_blobs, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the structure phase materialised mutual reachability")
+
+        monkeypatch.setattr(hierarchy_module, "mutual_reachability", forbidden)
+        build_tree_structure(big_blobs.X, 5, distance_backend="memmap")
         # No mutual-reachability spill, not even an unlinked one: the fit
         # never allocates an (n, n) matrix besides the pairwise spill.
-        assert fitted._mutual_reachability is None
         spill = get_distance_backend("memmap").spill_path(big_blobs.X, "euclidean")
         assert list(spill_dir.iterdir()) == [spill]
 
@@ -375,20 +380,13 @@ class TestMemmapSpillLifecycle:
         assert np.array_equal(np.asarray(matrix), pairwise_distances(big_blobs.X))
 
     def test_concurrent_fills_without_memo_do_not_collide(self, spill_dir, big_blobs):
-        """With the memo disabled, racing thread fills each rename their own temp."""
+        """Racing thread fills outside the memo each rename their own temp."""
         import concurrent.futures
 
-        from repro.utils.cache import configure_distance_cache
-
-        configure_distance_cache(0)  # every request computes — no memo lock
-        try:
-            backend = get_distance_backend("memmap")
-            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-                first, second = pool.map(
-                    lambda _: backend.pairwise(big_blobs.X), range(2)
-                )
-        finally:
-            configure_distance_cache(8)
+        # The backend itself holds no memo lock: every request computes.
+        backend = get_distance_backend("memmap")
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            first, second = pool.map(lambda _: backend.pairwise(big_blobs.X), range(2))
         assert np.array_equal(np.asarray(first), np.asarray(second))
         finished = [p for p in spill_dir.iterdir() if p.suffix == ".dmm"]
         assert len(finished) == 1

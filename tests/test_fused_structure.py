@@ -1,7 +1,7 @@
 """The fused structure phase against the materialised one it replaced.
 
-``DensityHierarchy.fit`` no longer builds an ``(n, n)`` mutual-reachability
-matrix: the core distances of every MinPts are columns of one memoised
+The structure phase (``build_tree_structure``) never builds an ``(n, n)``
+mutual-reachability matrix: the core distances of every MinPts are columns of one memoised
 core-distance table per distance matrix, and Prim applies
 ``max(D[c], core[c], core)`` row by row.  ``tests/tier_oracle.py`` keeps the
 whole-matrix path (one full-matrix partition per MinPts, the materialised
@@ -31,11 +31,8 @@ from repro.clustering.distances import (
     pairwise_distances,
 )
 from repro.clustering.fosc import FOSCOpticsDend
-from repro.clustering.hierarchy import (
-    DensityHierarchy,
-    build_tree_structure,
-    mutual_reachability,
-)
+import repro.clustering.hierarchy as hierarchy_module
+from repro.clustering.hierarchy import build_tree_structure, mutual_reachability
 from repro.clustering.kernels import condense_tree, minimum_spanning_tree, single_linkage_tree
 from repro.constraints import sample_labeled_objects
 from repro.core import CVCP
@@ -112,10 +109,10 @@ def assert_condensed_equal(left, right) -> None:
 
 
 def assert_matches_oracle(fitted, reference) -> None:
-    np.testing.assert_array_equal(fitted.core_distances_, reference.core_distances_)
-    np.testing.assert_array_equal(fitted.mst_edges_, reference.mst_edges_)
-    np.testing.assert_array_equal(fitted.single_linkage_tree_, reference.single_linkage_tree_)
-    assert_condensed_equal(fitted.condensed_tree_.arrays, reference.condensed_tree_.arrays)
+    np.testing.assert_array_equal(fitted.core_distances, reference.core_distances_)
+    np.testing.assert_array_equal(fitted.mst_edges, reference.mst_edges_)
+    np.testing.assert_array_equal(fitted.single_linkage_tree, reference.single_linkage_tree_)
+    assert_condensed_equal(fitted.condensed_tree.arrays, reference.condensed_tree_.arrays)
 
 
 @pytest.mark.parametrize("tier", EXACT_DISTANCE_BACKENDS)
@@ -127,12 +124,13 @@ class TestFusedFit:
         min_pts = min(min_pts, X.shape[0])
         data = fit_input(X, metric)
         clear_distance_cache()
-        fitted = DensityHierarchy(min_pts, metric=metric, distance_backend=tier).fit(data)
+        fitted = build_tree_structure(data, min_pts, metric=metric, distance_backend=tier)
         reference = oracle.DenseHierarchy(min_pts, metric=metric).fit(data)
         assert_matches_oracle(fitted, reference)
-        # The lazy attribute is the oracle's materialised matrix.
+        # Mutual reachability over the tier's matrix is the oracle's materialised one.
+        stored = cached_pairwise_distances(data, metric, distance_backend=tier)
         np.testing.assert_array_equal(
-            fitted.mutual_reachability_, reference.mutual_reachability_
+            mutual_reachability(stored, fitted.core_distances), reference.mutual_reachability_
         )
 
     @parity
@@ -141,7 +139,7 @@ class TestFusedFit:
         n_samples = X.shape[0]
         data = fit_input(X, metric)
         clear_distance_cache()
-        fitted = DensityHierarchy(n_samples, metric=metric, distance_backend=tier).fit(data)
+        fitted = build_tree_structure(data, n_samples, metric=metric, distance_backend=tier)
         reference = oracle.DenseHierarchy(n_samples, metric=metric).fit(data)
         assert_matches_oracle(fitted, reference)
 
@@ -173,7 +171,7 @@ class TestMinPtsSequences:
         X, sequence = case
         clear_distance_cache()
         for min_pts in sequence:
-            fitted = DensityHierarchy(min_pts, distance_backend=tier).fit(X)
+            fitted = build_tree_structure(X, min_pts, distance_backend=tier)
             assert_matches_oracle(fitted, oracle.DenseHierarchy(min_pts).fit(X))
 
 
@@ -247,12 +245,12 @@ class TestCoreDistanceTable:
         X = np.random.default_rng(3).normal(size=(100, 2))
         clear_distance_cache()
         for min_pts in (3, 6, 9, 12, 15, 18, 21, 24):
-            DensityHierarchy(min_pts).fit(X)
+            build_tree_structure(X, min_pts)
             FOSCOpticsDend(min_pts=min_pts).fit(X)
         assert builds == [CORE_TABLE_WIDTH]
         # A larger MinPts widens the table once; narrower ones reuse it.
         for min_pts in (40, 35, 3):
-            DensityHierarchy(min_pts).fit(X)
+            build_tree_structure(X, min_pts)
         assert builds == [CORE_TABLE_WIDTH, 40]
 
     def test_one_partition_for_a_grid_past_the_table_width(self, monkeypatch):
@@ -273,14 +271,14 @@ class TestCoreDistanceTable:
         )
         assert builds == [40]
 
-    def test_density_hierarchy_reads_the_shared_table(self):
+    def test_the_structure_phase_reads_the_shared_table(self):
         X = np.random.default_rng(4).normal(size=(60, 3))
         clear_distance_cache()
         distances = pairwise_distances(X)
         for min_pts in (24, 3, 12):
-            fitted = DensityHierarchy(min_pts).fit(X)
+            fitted = build_tree_structure(X, min_pts)
             np.testing.assert_array_equal(
-                fitted.core_distances_, k_nearest_distances(distances, min_pts)
+                fitted.core_distances, k_nearest_distances(distances, min_pts)
             )
 
 
@@ -301,15 +299,15 @@ class TestMemoLifetime:
     def test_fitted_core_distances_do_not_alias_the_table(self):
         X = np.random.default_rng(6).normal(size=(40, 2))
         clear_distance_cache()
-        core = DensityHierarchy(4).fit(X).core_distances_
+        core = build_tree_structure(X, 4).core_distances
         _, table = cached_core_table(X, 4)
         assert not np.shares_memory(core, table) and core.flags.writeable
 
     def test_structure_build_never_materialises_mutual_reachability(self, monkeypatch):
-        def forbidden(self):
-            raise AssertionError("the structure phase read mutual_reachability_")
+        def forbidden(*args):
+            raise AssertionError("the structure phase materialised mutual reachability")
 
-        monkeypatch.setattr(DensityHierarchy, "mutual_reachability_", property(forbidden))
+        monkeypatch.setattr(hierarchy_module, "mutual_reachability", forbidden)
         X = np.random.default_rng(7).normal(size=(50, 2))
         clear_distance_cache()
         for tier in EXACT_DISTANCE_BACKENDS:

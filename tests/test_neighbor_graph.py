@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.clustering import FOSCOpticsDend
 from repro.clustering.distances import k_nearest_distances, pairwise_distances
-from repro.clustering.hierarchy import DensityHierarchy, mutual_reachability
+from repro.clustering.hierarchy import build_tree_structure, mutual_reachability
 from repro.core.neighbor_graph import (
     DEFAULT_NEIGHBOR_EPSILON,
     DEFAULT_NEIGHBOR_K,
@@ -98,11 +98,11 @@ def assert_exhaustive_matches_dense(X):
     np.testing.assert_array_equal(mst_sparse, mst_dense)
 
     sparse_fit, dense_fit = (
-        DensityHierarchy(min_pts, distance_backend=tier, epsilon=np.inf, k_neighbors=n).fit(X)
+        build_tree_structure(X, min_pts, distance_backend=tier, epsilon=np.inf, k_neighbors=n)
         for tier in ("neighbors", "blockwise")
     )
-    np.testing.assert_array_equal(sparse_fit.core_distances_, core_dense)
-    np.testing.assert_array_equal(sparse_fit.single_linkage_tree_, dense_fit.single_linkage_tree_)
+    np.testing.assert_array_equal(sparse_fit.core_distances, core_dense)
+    np.testing.assert_array_equal(sparse_fit.single_linkage_tree, dense_fit.single_linkage_tree)
 
 
 class TestExhaustiveParity:
@@ -222,11 +222,11 @@ class TestAdversarialInputs:
         assert graph.graph.nnz == 0
         core = graph.core_distances(2)
         assert np.isinf(core).all()
-        hierarchy = DensityHierarchy(
-            2, distance_backend="neighbors", epsilon=epsilon, k_neighbors=8
-        ).fit(X)
-        assert np.isinf(hierarchy.core_distances_).all()
-        assert np.isinf(hierarchy.mst_edges_[:, 2]).all()
+        structure = build_tree_structure(
+            X, 2, distance_backend="neighbors", epsilon=epsilon, k_neighbors=8
+        )
+        assert np.isinf(structure.core_distances).all()
+        assert np.isinf(structure.mst_edges[:, 2]).all()
         # No significant split: FOSC returns the whole data set as one
         # cluster (its documented answer for a structureless hierarchy).
         model = FOSCOpticsDend(

@@ -8,7 +8,7 @@ them) both must give the same problem lines in the same order; for a
 valid input, equal specs, equal ``to_spec()`` mappings, and a mapping that
 rebuilds the spec (the round-trip law).
 
-Two intended differences, each asserted below:
+Three intended differences, each asserted below:
 
 * the retired ``"dense"`` distance-backend alias, which the oracle still
   resolves to ``blockwise`` and the library now rejects as an unknown
@@ -17,7 +17,12 @@ Two intended differences, each asserted below:
   only the tier written in the file, the library judges the resolved
   tier (``repro.core.admissibility``), so an MPCK spec under an
   environment-selected ``neighbors`` tier is rejected up front instead
-  of failing mid-run.
+  of failing mid-run;
+* a registry data set's own metric: without a ``[dataset] metric`` the
+  oracle judges ``"Text"`` as Euclidean, the library judges it under its
+  own cosine metric (``REGISTRY_METRICS``) and adds those lines at
+  ``experiment.datasets``, so an MPCK, ``neighbors`` or robustness spec
+  over it is rejected up front instead of failing mid-run.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pipeline_config_oracle as oracle
+from repro.datasets.base import DATASET_METRICS
 from repro.experiments.pipeline import (
     KIND_RULES,
     PIPELINE_KINDS,
@@ -104,6 +110,28 @@ def outcome(function, raw: dict):
     return "ok", spec, problems
 
 
+def own_metric_lines(raw: dict, old_problems: list[str]) -> list[str]:
+    """The lines the library adds for "Text"'s own metric (the third intended difference).
+
+    They are the oracle's ``dataset.metric`` lines for the same config
+    with ``metric = "cosine"`` written out, placed at ``experiment.datasets``.
+    """
+    experiment, table = raw.get("experiment"), raw.get("dataset", {})
+    names = experiment.get("datasets") if isinstance(experiment, dict) else None
+    if not isinstance(names, list) or "Text" not in names:
+        return []
+    if isinstance(table, dict) and table.get("metric") in DATASET_METRICS:
+        return []
+    explicit = copy.deepcopy(raw)
+    explicit["dataset"] = {**(table if isinstance(table, dict) else {}), "metric": "cosine"}
+    _, _, problems = outcome(oracle.validate_pipeline_mapping, explicit)
+    return [
+        "experiment.datasets:" + line.removeprefix("dataset.metric:")
+        for line in problems
+        if line.startswith("dataset.metric:") and line not in old_problems
+    ]
+
+
 def assert_equivalent(raw: dict) -> None:
     new, old = outcome(validate_pipeline_mapping, raw), outcome(oracle.validate_pipeline_mapping, raw)
     if new[0] == "error" or old[0] == "error":
@@ -111,6 +139,12 @@ def assert_equivalent(raw: dict) -> None:
         return
     _, spec, problems = new
     _, old_spec, old_problems = old
+    added = own_metric_lines(raw, old_problems)
+    if added:
+        assert [line for line in problems if line not in added] == old_problems
+        assert [line for line in problems if line in added] == added
+        assert spec is None
+        return
     assert problems == old_problems
     assert spec == old_spec
     if spec is not None:
@@ -273,3 +307,33 @@ def test_the_environment_tier_is_the_other_intended_difference(name, monkeypatch
         or 'execution.distance_backend: "neighbors" cannot drive algorithm = "mpck"'
         " (MPCKMeans needs the full distance matrix); use an exact tier (blockwise, memmap)"
     ]
+
+
+@pytest.mark.parametrize(
+    "change, oracle_accepts",
+    [
+        ({"experiment": {"algorithm": "mpck"}}, True),
+        ({"experiment": {"kind": "robustness"}}, True),
+        ({"execution": {"distance_backend": "neighbors"}}, True),
+        ({"experiment": {"algorithm": "mpck"}, "execution": {"distance_backend": "neighbors"}}, False),
+    ],
+    ids=["mpck", "robustness", "neighbors", "mpck-neighbors"],
+)
+def test_a_registry_sets_own_metric_is_the_third_intended_difference(change, oracle_accepts, monkeypatch):
+    monkeypatch.delenv("REPRO_DISTANCE_BACKEND", raising=False)
+    raw = copy.deepcopy(BASES["text_cosine.toml"])
+    for table, settings_ in change.items():
+        raw.setdefault(table, {}).update(settings_)
+    if raw["experiment"]["kind"] == "robustness":
+        del raw["experiment"]["algorithm"]
+    # With the metric written out both validators judge it alike.
+    assert own_metric_lines(raw, []) == []
+    assert_equivalent(raw)
+    del raw["dataset"]
+    _, old_spec, old_problems = outcome(oracle.validate_pipeline_mapping, raw)
+    _, spec, problems = outcome(validate_pipeline_mapping, raw)
+    assert (old_spec is not None) == oracle_accepts
+    assert spec is None
+    added = [line for line in problems if line.startswith("experiment.datasets:")]
+    assert added and added == own_metric_lines(raw, old_problems)
+    assert_equivalent(raw)

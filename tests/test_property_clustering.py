@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.clustering import FOSCOpticsDend, KMeans, MPCKMeans
-from repro.clustering.hierarchy import DensityHierarchy
+from repro.clustering.hierarchy import build_tree_structure
 from repro.constraints import constraints_from_labels
 
 settings.register_profile("repro-clustering", max_examples=15, deadline=None)
@@ -72,7 +72,7 @@ class TestHierarchyInvariants:
     @given(small_datasets(), st.integers(2, 5))
     def test_condensed_tree_is_laminar(self, X, min_pts):
         min_pts = min(min_pts, X.shape[0] - 1) or 2
-        tree = DensityHierarchy(min_pts=max(2, min_pts)).fit(X).condensed_tree_
+        tree = build_tree_structure(X, max(2, min_pts)).condensed_tree
         clusters = tree.clusters
         # Children nest inside parents and siblings are disjoint.
         for cluster in clusters.values():
@@ -87,6 +87,6 @@ class TestHierarchyInvariants:
 
     @given(small_datasets(), st.integers(2, 5))
     def test_stabilities_are_non_negative(self, X, min_pts):
-        tree = DensityHierarchy(min_pts=max(2, min(min_pts, X.shape[0] - 1))).fit(X).condensed_tree_
+        tree = build_tree_structure(X, max(2, min(min_pts, X.shape[0] - 1))).condensed_tree
         for cluster_id in tree.selectable_clusters():
             assert tree.stability(cluster_id) >= -1e-9

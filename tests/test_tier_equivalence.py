@@ -22,10 +22,10 @@ from repro.clustering.distances import (
     k_nearest_distances,
     pairwise_distances,
 )
-from repro.clustering.hierarchy import DensityHierarchy, mutual_reachability
+from repro.clustering.hierarchy import build_tree_structure, mutual_reachability
 from repro.clustering.kernels import condense_tree, minimum_spanning_tree, single_linkage_tree
 from repro.core.distance_backend import get_distance_backend
-from repro.utils.cache import clear_distance_cache
+from repro.utils.cache import cached_pairwise_distances, clear_distance_cache
 
 import tier_oracle as oracle
 
@@ -86,14 +86,17 @@ def precomputed_with_inf(draw):
     return matrix
 
 
-def assert_structures_equal(fitted, reference) -> None:
-    np.testing.assert_array_equal(fitted.core_distances_, reference.core_distances_)
+def assert_structures_equal(X, min_pts, reference, *, tier, metric="euclidean") -> None:
+    """The tier's structure phase and mutual reachability against the dense path."""
+    fitted = build_tree_structure(X, min_pts, metric=metric, distance_backend=tier)
+    stored = cached_pairwise_distances(X, metric, distance_backend=tier)
+    np.testing.assert_array_equal(fitted.core_distances, reference.core_distances_)
     np.testing.assert_array_equal(
-        np.asarray(fitted.mutual_reachability_), reference.mutual_reachability_
+        np.asarray(mutual_reachability(stored, fitted.core_distances)), reference.mutual_reachability_
     )
-    np.testing.assert_array_equal(fitted.mst_edges_, reference.mst_edges_)
-    np.testing.assert_array_equal(fitted.single_linkage_tree_, reference.single_linkage_tree_)
-    assert_condensed_equal(fitted.condensed_tree_.arrays, reference.condensed_tree_.arrays)
+    np.testing.assert_array_equal(fitted.mst_edges, reference.mst_edges_)
+    np.testing.assert_array_equal(fitted.single_linkage_tree, reference.single_linkage_tree_)
+    assert_condensed_equal(fitted.condensed_tree.arrays, reference.condensed_tree_.arrays)
 
 
 def assert_condensed_equal(left, right) -> None:
@@ -111,17 +114,15 @@ class TestStructurePhase:
     def test_every_exact_tier_reproduces_the_dense_path(self, tier, X, min_pts):
         min_pts = min(min_pts, X.shape[0])
         clear_distance_cache()
-        fitted = DensityHierarchy(min_pts, distance_backend=tier).fit(X)
-        assert_structures_equal(fitted, oracle.DenseHierarchy(min_pts).fit(X))
+        assert_structures_equal(X, min_pts, oracle.DenseHierarchy(min_pts).fit(X), tier=tier)
 
     @given(data_matrices(), st.integers(1, 6))
     def test_precomputed_matrices_reproduce_the_dense_path(self, tier, X, min_pts):
         min_pts = min(min_pts, X.shape[0])
         matrix = precomputed(X)
         clear_distance_cache()
-        fitted = DensityHierarchy(min_pts, metric="precomputed", distance_backend=tier).fit(matrix)
         reference = oracle.DenseHierarchy(min_pts, metric="precomputed").fit(matrix)
-        assert_structures_equal(fitted, reference)
+        assert_structures_equal(matrix, min_pts, reference, tier=tier, metric="precomputed")
 
     @given(precomputed_with_inf(), st.integers(1, 6), st.sampled_from([1, 7, 97, None]))
     def test_unreachable_pairs_reproduce_the_dense_passes(self, tier, matrix, min_pts, block):
