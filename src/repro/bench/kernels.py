@@ -121,8 +121,8 @@ def make_cases(n_samples: int) -> dict[str, KernelBenchCase]:
 
     def fosc_vectorized() -> tuple:
         data = kernel_module.condense_tree(merges, n_samples, _MIN_PTS)
-        selected, labels, objective, _ = kernel_module.fosc_extract(
-            data, i_idx, j_idx, is_must, 1e-3
+        [(selected, labels, objective, _)] = kernel_module.fosc_extract_folds(
+            data, [(i_idx, j_idx, is_must)], 1e-3
         )
         return selected, labels, objective
 

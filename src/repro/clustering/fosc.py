@@ -21,13 +21,14 @@ best values (don't select the node).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.clustering.base import BaseClusterer
-from repro.clustering.hierarchy import CondensedTreeArrays, cached_tree_structure
-from repro.clustering.kernels import fosc_extract
+from repro.clustering.hierarchy import CondensedTreeArrays, TreeStructure, cached_tree_structure
+from repro.clustering.kernels import fosc_extract_folds
 from repro.constraints.closure import transitive_closure
 from repro.constraints.constraint import MUST_LINK, ConstraintSet
 from repro.core.admissibility import check_input
@@ -78,25 +79,36 @@ class FOSC:
 
     # ------------------------------------------------------------------
     def extract(
-        self, tree: CondensedTreeArrays, constraints: ConstraintSet | None = None
-    ) -> FOSCSelection:
+        self,
+        tree: CondensedTreeArrays,
+        constraints: ConstraintSet | Sequence[ConstraintSet] | None = None,
+    ) -> FOSCSelection | list[FOSCSelection]:
         """Select the optimal antichain of clusters from ``tree``.
 
         Parameters
         ----------
         tree:
             The condensed hierarchy, processed with the FOSC kernel
-            :func:`~repro.clustering.kernels.fosc_extract`.
+            :func:`~repro.clustering.kernels.fosc_extract_folds`.
         constraints:
             Should-link / should-not-link side information; with an empty
-            set the unsupervised stability objective is used.
+            set the unsupervised stability objective is used.  A list of
+            sets (the training folds of one CVCP grid value) is extracted
+            in one kernel call, which does the tree-level work once, and
+            gives a list of selections, each equal to extracting its set
+            alone.
         """
-        constraints = constraints if constraints is not None else ConstraintSet()
-        i_idx, j_idx, kinds = constraints.as_arrays()
-        selected, labels, objective, used = fosc_extract(
-            tree.arrays, i_idx, j_idx, kinds == MUST_LINK, self.stability_weight
-        )
-        return FOSCSelection(selected, labels, objective, used)
+        batch = isinstance(constraints, (list, tuple))
+        sets = constraints if batch else [constraints if constraints is not None else ConstraintSet()]
+        folds = []
+        for constraint_set in sets:
+            i_idx, j_idx, kinds = constraint_set.as_arrays()
+            folds.append((i_idx, j_idx, kinds == MUST_LINK))
+        selections = [
+            FOSCSelection(*result)
+            for result in fosc_extract_folds(tree.arrays, folds, self.stability_weight)
+        ]
+        return selections if batch else selections[0]
 
 
 class FOSCOpticsDend(BaseClusterer):
@@ -182,19 +194,43 @@ class FOSCOpticsDend(BaseClusterer):
     ) -> "FOSCOpticsDend":
         """Cluster ``X`` guided by constraints (or a partial labelling)."""
         X = check_input(X, self.metric)
+        self.structure_, (self.selection_,) = self._extract(X, [(constraints, seed_labels)])
+        self.labels_ = self.selection_.labels
+        return self
+
+    def fit_folds(
+        self,
+        X: np.ndarray,
+        side_information: Sequence[tuple[ConstraintSet | None, dict[int, int] | None]],
+    ) -> list[np.ndarray]:
+        """Labels of one fit per ``(constraints, seed_labels)`` pair.
+
+        Each entry equals ``clone().fit(X, constraints, seed_labels).labels_``,
+        but the input check and the structure lookup run once and every pair
+        is extracted in one :meth:`FOSC.extract` call.  This is how the CVCP
+        driver scores all pending folds of one MinPts.  The estimator's own
+        fitted attributes are left as they were.
+        """
+        X = check_input(X, self.metric)
+        _, selections = self._extract(X, side_information)
+        return [selection.labels for selection in selections]
+
+    def _extract(self, X: np.ndarray, side_information) -> tuple[TreeStructure, list[FOSCSelection]]:
+        """The structure of ``X`` and one FOSC selection per ``(constraints, seed_labels)`` pair."""
         min_pts = self._effective_min_pts(X)
+        closed = []
+        for constraints, seed_labels in side_information:
+            constraints = constraints if constraints is not None else ConstraintSet()
+            if seed_labels:
+                from repro.constraints.generation import constraints_from_labels
 
-        constraints = constraints if constraints is not None else ConstraintSet()
-        if seed_labels:
-            from repro.constraints.generation import constraints_from_labels
-
-            constraints = constraints.merged_with(constraints_from_labels(seed_labels))
-        constraints = transitive_closure(constraints, strict=False)
+                constraints = constraints.merged_with(constraints_from_labels(seed_labels))
+            closed.append(transitive_closure(constraints, strict=False))
 
         # The structure phase (distances → core distances → MST → condensed
         # tree) is constraint-independent, so it is served from the
         # per-process memo; only the FOSC extraction below depends on the
-        # constraint set.  Worker processes never touch the artifact store —
+        # constraint sets.  Worker processes never touch the artifact store —
         # store-backed warming happens in the submitting process (see
         # :meth:`warm_structures` and the CVCP driver).
         structure = cached_tree_structure(
@@ -207,12 +243,7 @@ class FOSCOpticsDend(BaseClusterer):
             k_neighbors=self.k_neighbors,
         )
         fosc = FOSC(stability_weight=self.stability_weight)
-        selection = fosc.extract(structure.condensed_tree, constraints)
-
-        self.structure_ = structure
-        self.selection_ = selection
-        self.labels_ = selection.labels
-        return self
+        return structure, fosc.extract(structure.condensed_tree, closed)
 
     # ------------------------------------------------------------------
     def _effective_min_pts(self, X: np.ndarray) -> int:

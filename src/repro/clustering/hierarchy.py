@@ -447,10 +447,27 @@ def structure_store_key(
     entry (see :func:`repro.core.distance_backend.approx_key_entry`) and
     can never shadow (or be shadowed by) an exact-tier structure.
     """
+    return _structure_key(
+        array_fingerprint(X), min_pts, min_cluster_size=min_cluster_size, metric=metric,
+        distance_backend=distance_backend, epsilon=epsilon, k_neighbors=k_neighbors,
+    )
+
+
+def _structure_key(
+    fingerprint: str,
+    min_pts: int,
+    *,
+    min_cluster_size: int | None,
+    metric: str,
+    distance_backend: str | None,
+    epsilon: float | None,
+    k_neighbors: int | None,
+) -> dict:
+    """:func:`structure_store_key` from the data's precomputed fingerprint."""
     from repro.core.distance_backend import approx_key_entry
 
     key = {
-        "x": array_fingerprint(X),
+        "x": fingerprint,
         "metric": str(metric),
         "min_pts": int(min_pts),
         "min_cluster_size": int(resolve_min_cluster_size(min_pts, min_cluster_size)),
@@ -498,11 +515,13 @@ def cached_tree_structure(
     )
     grid = not isinstance(min_pts, (int, np.integer))
     # The store key pins everything a structure depends on (the exact tiers
-    # share it), so its canonical text is the memo key as well.
+    # share it), so its canonical text is the memo key as well.  The data
+    # are fingerprinted once per call, not once per value.
+    fingerprint = array_fingerprint(X)
     store_keys: dict[str, tuple[int, dict]] = {}
     memo_keys = []
     for value in min_pts if grid else [min_pts]:
-        key = structure_store_key(X, value, **settings)
+        key = _structure_key(fingerprint, value, **settings)
         memo_keys.append(json.dumps(key, sort_keys=True))
         store_keys.setdefault(memo_keys[-1], (value, key))
 

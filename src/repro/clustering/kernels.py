@@ -10,10 +10,11 @@ union–find, flat parent/lambda arrays, and CSR-style neighbour indexing:
    Prim MST over mutual reachability (computed row by row) and its
    conversion into scipy-style merge records (used by
    :func:`~repro.clustering.hierarchy.build_tree_structures`);
-2. :func:`condense_tree` + :func:`fosc_extract` — the FOSC condensed-tree
-   construction, stability computation and optimal-selection dynamic
-   program over flat parent/lambda arrays (used by
-   :class:`~repro.clustering.fosc.FOSCOpticsDend`);
+2. :func:`condense_tree` + :func:`fosc_extract_folds` — the FOSC
+   condensed-tree construction, stability computation and optimal-selection
+   dynamic program over flat parent/lambda arrays, for every constraint set
+   of one tree at once (used by :class:`~repro.clustering.fosc.FOSCOpticsDend`
+   and the CVCP grid, one call per MinPts and fold set);
 3. :func:`mpck_assign` — the MPCK-Means greedy ICM assignment step with
    constraint-violation terms computed through CSR neighbour index arrays
    (used by :class:`~repro.clustering.mpckmeans.MPCKMeans`).
@@ -49,7 +50,7 @@ in-RAM wall with bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -234,7 +235,7 @@ class CondensedArrayData:
     """Flat-array representation of a condensed density hierarchy.
 
     Produced by :func:`condense_tree`; consumed by :func:`stabilities`,
-    :func:`labels_for_selection` and :func:`fosc_extract`.  Cluster ``0``
+    :func:`labels_for_selection` and :func:`fosc_extract_folds`.  Cluster ``0``
     is the root; children always have larger identifiers than their
     parents (so reversed id order is a valid bottom-up traversal, as in
     the reference :class:`~repro.clustering.reference.CondensedTree`).
@@ -268,6 +269,9 @@ class CondensedArrayData:
     enter / exit:
         DFS pre-order interval per cluster: cluster ``d`` is a
         descendant-or-self of ``c`` iff ``enter[c] <= enter[d] <= exit[c]``.
+    selection:
+        The tree's :class:`SelectionTables`, filled in by the first
+        extraction (:func:`selection_tables`); never serialised.
     """
 
     n_samples: int
@@ -283,6 +287,7 @@ class CondensedArrayData:
     event_lambda: np.ndarray
     enter: np.ndarray
     exit: np.ndarray
+    selection: SelectionTables | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_clusters(self) -> int:
@@ -525,106 +530,255 @@ def labels_for_selection(data: CondensedArrayData, selected: list[int]) -> np.nd
     sorted order of the selected cluster ids, and later clusters overwrite
     earlier ones (irrelevant for the antichains FOSC produces).
     """
-    labels = np.full(data.n_samples, -1, dtype=np.int64)
-    point_enter = data.enter[data.point_cluster]
+    # Label the pre-order positions (a cluster's subtree is one interval),
+    # then read each point's label at its fall-out cluster's position.
+    by_position = np.full(data.n_clusters, -1, dtype=np.int64)
     for flat_label, cluster_id in enumerate(sorted(selected)):
-        members = (point_enter >= data.enter[cluster_id]) & (point_enter <= data.exit[cluster_id])
-        labels[members] = flat_label
-    return labels
+        by_position[data.enter[cluster_id] : data.exit[cluster_id] + 1] = flat_label
+    return by_position[data.enter[data.point_cluster]]
 
 
-def fosc_extract(
-    data: CondensedArrayData,
-    constraint_i: np.ndarray,
-    constraint_j: np.ndarray,
-    constraint_is_must: np.ndarray,
-    stability_weight: float,
-) -> tuple[list[int], np.ndarray, float, bool]:
-    """FOSC optimal-selection dynamic program over flat condensed arrays.
+@dataclass(frozen=True)
+class SelectionTables:
+    """The constraint-independent inputs of FOSC's selection, once per tree.
 
-    Parameters
+    Built by :func:`selection_tables` and kept on the
+    :class:`CondensedArrayData` they describe, so every constraint set
+    extracted from one tree (every fold of a CVCP grid value, the refit, the
+    external fits) shares them.
+
+    Attributes
     ----------
-    data:
-        Condensed hierarchy from :func:`condense_tree`.
-    constraint_i, constraint_j:
-        Constraint endpoint index arrays (may be empty).
-    constraint_is_must:
-        Boolean array marking must-link constraints.
-    stability_weight:
-        Weight of the normalised unsupervised stability term.
-
-    Returns
-    -------
-    tuple
-        ``(selected_clusters, labels, objective, used_constraints)`` —
-        bit-identical to running the reference
-        :class:`~repro.clustering.reference.ReferenceFOSC` dynamic program
-        on the equivalent :class:`~repro.clustering.reference.CondensedTree`.
+    normalised:
+        ``(k - 1,)`` stability of every non-root cluster divided by the
+        largest one (by ``1`` when none is positive).
+    preorder:
+        ``(k,)`` cluster ids in DFS pre-order (``preorder[enter[c]] == c``).
+    lca:
+        ``(k, k)`` lowest common ancestor table: the deepest cluster holding
+        both ``a`` and ``b`` is ``lca[a, b]``.  ``O(k²)`` entries of the
+        smallest unsigned type that holds ``k - 1``.
+    order:
+        ``(k - 1,)`` the non-root clusters by depth, deepest first.
+    bounds:
+        Start of each depth in ``order``, plus its end: depth ``d``'s
+        clusters are ``order[bounds[i]:bounds[i + 1]]``.
+    left / right:
+        ``(k - 1,)`` the two children of ``order``'s clusters (a condensed
+        cluster has none or two, see :func:`condense_tree`); a leaf points
+        at column ``k``, which the dynamic program holds at ``-inf``.
     """
-    n_constraints = int(constraint_i.shape[0])
-    use_constraints = n_constraints > 0
+
+    normalised: np.ndarray
+    preorder: np.ndarray
+    lca: np.ndarray
+    order: np.ndarray
+    bounds: tuple[int, ...]
+    left: np.ndarray
+    right: np.ndarray
+
+
+def selection_tables(data: CondensedArrayData) -> SelectionTables:
+    """The :class:`SelectionTables` of ``data``, built on first use and then kept on it."""
+    tables = data.selection
+    if tables is None:
+        tables = data.selection = _build_selection_tables(data)
+    return tables
+
+
+def _build_selection_tables(data: CondensedArrayData) -> SelectionTables:
+    """Compute the :class:`SelectionTables` of ``data`` (O(k²) time and space)."""
     n_clusters = data.n_clusters
-
-    if n_clusters <= 1:
-        # Degenerate hierarchy: everything is one cluster, like the reference.
-        return [0], np.zeros(data.n_samples, dtype=np.int64), 0.0, use_constraints
-
     stability_all = stabilities(data)[1:]
     max_stability = float(stability_all.max()) if stability_all.size else 0.0
     if max_stability <= 0.0:
         max_stability = 1.0
     normalised = stability_all / max_stability
 
-    if use_constraints:
-        # Endpoint membership per (constraint, cluster) via DFS intervals.
-        enter_i = data.enter[data.point_cluster[constraint_i]][:, None]
-        enter_j = data.enter[data.point_cluster[constraint_j]][:, None]
-        lo = data.enter[None, 1:]
-        hi = data.exit[None, 1:]
-        in_i = (enter_i >= lo) & (enter_i <= hi)
-        in_j = (enter_j >= lo) & (enter_j <= hi)
-        must = constraint_is_must[:, None]
+    parent = data.parent.tolist()
+    depth = [0] * n_clusters
+    for cluster_id in range(1, n_clusters):
+        depth[cluster_id] = depth[parent[cluster_id]] + 1
+    by_depth: list[list[int]] = [[] for _ in range(max(depth) + 1)]
+    for cluster_id, level in enumerate(depth):
+        by_depth[level].append(cluster_id)
+
+    # Top-down, a cluster's row is its parent's with its own subtree (a
+    # pre-order interval) overwritten by itself: O(k²) in all.
+    lca = np.zeros((n_clusters, n_clusters), dtype=np.min_scalar_type(n_clusters - 1))
+    positions = np.arange(n_clusters)
+    for members in by_depth[1:]:
+        nodes = np.asarray(members, dtype=np.int64)
+        rows = lca[data.parent[nodes]]
+        inside = (positions >= data.enter[nodes, None]) & (positions <= data.exit[nodes, None])
+        lca[nodes] = np.where(inside, nodes[:, None], rows)
+    # Columns by cluster id instead of pre-order position.
+    lca = np.ascontiguousarray(lca[:, data.enter])
+
+    order = [node for members in reversed(by_depth[1:]) for node in members]
+    bounds = [0]
+    for members in reversed(by_depth[1:]):
+        bounds.append(bounds[-1] + len(members))
+    left, right = (
+        np.asarray(
+            [data.children[node][side] if data.children[node] else n_clusters for node in order],
+            dtype=np.int64,
+        )
+        for side in (0, 1)
+    )
+    return SelectionTables(
+        normalised=normalised,
+        preorder=np.argsort(data.enter, kind="stable"),
+        lca=lca,
+        order=np.asarray(order, dtype=np.int64),
+        bounds=tuple(bounds),
+        left=left,
+        right=right,
+    )
+
+
+def fosc_extract_folds(
+    data: CondensedArrayData,
+    folds: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    stability_weight: float,
+) -> list[tuple[list[int], np.ndarray, float, bool]]:
+    """FOSC optimal-selection dynamic program for several constraint sets of one tree.
+
+    Parameters
+    ----------
+    data:
+        Condensed hierarchy from :func:`condense_tree`.
+    folds:
+        One ``(constraint_i, constraint_j, constraint_is_must)`` triple per
+        constraint set (endpoint index arrays, may be empty, and a boolean
+        must-link mask) — typically the training folds of one CVCP grid
+        value, or a single set.
+    stability_weight:
+        Weight of the normalised unsupervised stability term.
+
+    Returns
+    -------
+    list
+        One ``(selected_clusters, labels, objective, used_constraints)``
+        per set — each bit-identical to running the reference
+        :class:`~repro.clustering.reference.ReferenceFOSC` dynamic program
+        on the equivalent :class:`~repro.clustering.reference.CondensedTree`
+        with that set alone.
+
+    The tree-level work (stabilities, their normalisation, an LCA table)
+    is done once per tree (:func:`selection_tables`).  A cluster holds both
+    endpoints of a constraint iff it is an ancestor-or-self of their lowest
+    common ancestor, and one endpoint iff it is an ancestor-or-self of that
+    endpoint's fall-out cluster, so every set's credits are integer counts:
+    one ``bincount`` over all sets' constraints stacked together, summed
+    over subtrees through DFS pre-order prefix sums.  Temporaries stay
+    ``O(total constraints)`` and ``O(sets · k)``.  The bottom-up dynamic
+    program then runs once, level by level, over ``(sets,)`` columns; each
+    cluster's children are summed in their own order, as the one-set loop
+    does.
+    """
+    n_sets = len(folds)
+    n_clusters = data.n_clusters
+    sizes = np.array([len(fold[0]) for fold in folds], dtype=np.int64)
+    used = (sizes > 0).tolist()
+
+    if n_clusters <= 1:
+        # Degenerate hierarchy: everything is one cluster, like the reference.
+        return [([0], np.zeros(data.n_samples, dtype=np.int64), 0.0, flag) for flag in used]
+
+    tables = selection_tables(data)
+    quality = np.empty((n_sets, n_clusters - 1))
+    quality[:] = tables.normalised
+    if any(used):
+        # One bincount keyed ``kind * span + set * k + cluster`` counts, per
+        # set and cluster, must-link LCAs (kind 0), cannot-link endpoints
+        # (kind 1) and cannot-link LCAs (kind 2).  The keys are written set
+        # by set into one buffer, so no temporary outgrows one set.
+        span = n_sets * n_clusters
+        lca = tables.lca.ravel()
+        cannot = [~np.asarray(fold[2], dtype=bool) for fold in folds]
+        n_cannot = [int(np.count_nonzero(mask)) for mask in cannot]
+        keys = np.empty(int(sizes.sum()) + 2 * sum(n_cannot), dtype=np.int64)
+        at = 0
+        for index, (i_idx, j_idx, _) in enumerate(folds):
+            size, mask, width = int(sizes[index]), cannot[index], n_cannot[index]
+            if not size:
+                continue
+            first = data.point_cluster[i_idx]
+            second = data.point_cluster[j_idx]
+            common = keys[at : at + size]
+            np.multiply(first, n_clusters, out=common)
+            common += second
+            common[:] = lca.take(common)
+            common += index * n_clusters
+            common[mask] += 2 * span
+            at += size
+            for endpoint in (first, second):
+                ends = keys[at : at + width]
+                ends[:] = endpoint[mask]
+                ends += span + index * n_clusters
+                at += width
+        counts = np.bincount(keys, minlength=3 * span).reshape(3, n_sets, n_clusters)
+        # Subtree totals from DFS pre-order prefix sums.
+        prefix = np.zeros((3, n_sets, n_clusters + 1), dtype=np.int64)
+        np.cumsum(counts[:, :, tables.preorder], axis=2, out=prefix[:, :, 1:])
+        totals = prefix[:, :, data.exit[1:] + 1] - prefix[:, :, data.enter[1:]]
+        must_credit = totals[0]
+        cannot_credit = totals[1] - 2 * totals[2]
         # Credits are exact multiples of 0.5, so the summation order of the
         # reference loop cannot change the totals.
-        must_credit = (must & in_i & in_j).sum(axis=0)
-        cannot_credit = (~must & (in_i ^ in_j)).sum(axis=0)
-        satisfaction = (must_credit * 1.0 + cannot_credit * 0.5) / n_constraints
-        quality = satisfaction + stability_weight * normalised
-    else:
-        quality = normalised
+        satisfaction = (must_credit * 1.0 + cannot_credit * 0.5) / np.maximum(sizes, 1)[:, None]
+        rows = np.flatnonzero(sizes > 0)
+        quality[rows] = satisfaction[rows] + stability_weight * tables.normalised
 
-    # Bottom-up dynamic program (children have larger ids than parents).
-    best_value = np.empty(n_clusters)
-    keep_node = np.zeros(n_clusters, dtype=bool)
-    for cluster_id in range(n_clusters - 1, 0, -1):
-        own = quality[cluster_id - 1]
-        cluster_children = data.children[cluster_id]
-        children_value = sum(best_value[child] for child in cluster_children)
-        if cluster_children and children_value > own:
-            best_value[cluster_id] = children_value
-        else:
-            best_value[cluster_id] = own
-            keep_node[cluster_id] = True
+    # Bottom-up dynamic program, one depth at a time (children sit one level
+    # below their parent).  Column ``c - 1`` of ``quality`` is cluster ``c``;
+    # column ``k`` of ``best_value`` is the leaves' missing child, whose
+    # ``-inf`` makes every leaf keep its own quality.
+    best_value = np.empty((n_sets, n_clusters + 1))
+    best_value[:, n_clusters] = -np.inf
+    keep_node = np.empty((n_sets, n_clusters), dtype=bool)
+    levels = list(zip(tables.bounds[:-1], tables.bounds[1:]))
+    for start, stop in levels:
+        nodes = tables.order[start:stop]
+        own = quality[:, nodes - 1]
+        # The one-set loop's ``sum`` starts from 0 and adds the children in
+        # order.
+        children_value = (
+            0.0 + best_value[:, tables.left[start:stop]]
+        ) + best_value[:, tables.right[start:stop]]
+        take = children_value > own
+        best_value[:, nodes] = np.where(take, children_value, own)
+        keep_node[:, nodes] = ~take
 
-    selected: list[int] = []
-    stack = list(data.children[0])
-    total = sum(best_value[child] for child in data.children[0])
-    while stack:
-        cluster_id = stack.pop()
-        if keep_node[cluster_id]:
-            selected.append(cluster_id)
-        else:
-            stack.extend(data.children[cluster_id])
-    selected = sorted(selected)
+    # A kept cluster is selected unless a kept proper ancestor (below the
+    # root) already covers it.
+    covered = np.zeros((n_sets, n_clusters), dtype=bool)
+    for start, stop in reversed(levels[:-1]):
+        nodes = tables.order[start:stop]
+        ancestors = data.parent[nodes]
+        covered[:, nodes] = covered[:, ancestors] | keep_node[:, ancestors]
+    chosen = keep_node & ~covered
+    chosen[:, 0] = False
 
-    if not selected:
-        # Degenerate hierarchy (no significant split): one cluster, noise
-        # for points outside the root — the root always contains every
-        # point, so this is the all-zeros labelling of the reference.
-        return [0], np.zeros(data.n_samples, dtype=np.int64), float(total), use_constraints
+    total = np.zeros(n_sets)
+    for child in data.children[0]:
+        total = total + best_value[:, child]
 
-    labels = labels_for_selection(data, selected)
-    return selected, labels, float(total), use_constraints
+    results = []
+    for index in range(n_sets):
+        selected = np.flatnonzero(chosen[index]).tolist()
+        if not selected:
+            # Degenerate hierarchy (no significant split): one cluster, noise
+            # for points outside the root — the root always contains every
+            # point, so this is the all-zeros labelling of the reference.
+            results.append(
+                ([0], np.zeros(data.n_samples, dtype=np.int64), float(total[index]), used[index])
+            )
+            continue
+        labels = labels_for_selection(data, selected)
+        results.append((selected, labels, float(total[index]), used[index]))
+    return results
 
 
 # ======================================================================

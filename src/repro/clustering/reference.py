@@ -230,9 +230,14 @@ class ReferenceFOSC(FOSC):
     """FOSC's dict-based dynamic program over a reference :class:`CondensedTree`."""
 
     def extract(
-        self, tree: CondensedTree, constraints: ConstraintSet | None = None
-    ) -> FOSCSelection:
-        """Select the optimal antichain of clusters from ``tree``."""
+        self, tree: CondensedTree, constraints: ConstraintSet | list | None = None
+    ) -> FOSCSelection | list[FOSCSelection]:
+        """Select the optimal antichain of clusters from ``tree``.
+
+        A list of sets gives one selection per set, each extracted alone.
+        """
+        if isinstance(constraints, (list, tuple)):
+            return [self.extract(tree, constraint_set) for constraint_set in constraints]
         constraints = constraints if constraints is not None else ConstraintSet()
         use_constraints = len(constraints) > 0
 

@@ -4,10 +4,14 @@
 
 1. build constraint-aware folds from the provided side information
    (Scenario I for labelled objects, Scenario II for pairwise constraints);
-2. for every candidate parameter value and every fold, clone the estimator,
-   fit it on the full data with the *training-fold* information only, and
-   score the resulting partition on the *test-fold* constraints with the
-   average per-class F-measure;
+2. for every candidate parameter value and every fold, fit the estimator on
+   the full data with the *training-fold* information only, and score the
+   resulting partition on the *test-fold* constraints with the average
+   per-class F-measure.  The unit of grid work is a value's fold set for
+   estimators with a cached structure phase (FOSC-OPTICSDend: one structure
+   lookup and one extraction call score every pending fold of a MinPts),
+   and a single (value × fold) cell with its own seeded clone otherwise
+   (MPCK-Means);
 3. select the parameter value with the highest mean score;
 4. refit the estimator with the selected value using *all* available side
    information — the final model returned to the user.
@@ -30,7 +34,7 @@ from repro.core.distance_backend import resolve_distance_backend
 from repro.core.executor import ExecutionSpec, derive_seed, run_tasks
 from repro.core.folds import CVCPFold, make_folds
 from repro.core.model_selection import CVCPResult, ParameterEvaluation
-from repro.core.scoring import score_partition
+from repro.core.scoring import SCORERS, score_partition
 from repro.utils.cache import array_fingerprint, cached_pairwise_distances
 from repro.utils.rng import RandomStateLike, check_random_state
 from repro.utils.validation import check_positive_int
@@ -38,19 +42,24 @@ from repro.utils.validation import check_positive_int
 
 @dataclass
 class _GridTask:
-    """One independent (parameter value × fold) cell of the CVCP grid.
+    """One independent unit of the CVCP grid: a parameter value and some of its folds.
 
-    The estimator is already cloned with the candidate value and its derived
-    child seed, so the worker only fits and scores.  Must stay picklable for
-    the process backend; the data matrix itself travels once per worker via
-    the task runner's initializer (see :func:`_register_grid_data`), so tasks
-    only carry its key.
+    For estimators that declare ``structure_caching`` (FOSC-OPTICSDend) a
+    task holds every pending fold of one value: the worker checks the
+    input, looks up the value's structure and extracts all the folds'
+    training sets in one call (:meth:`~repro.clustering.fosc.FOSCOpticsDend.fit_folds`).
+    Such estimators are deterministic, so one clone serves the value.  Any
+    other estimator (MPCK-Means) gets one task per (value × fold) cell
+    with its own derived child seed.  The task returns each fold's labels;
+    the submitting process scores and journals them fold by fold.  Must
+    stay picklable for the process backend; the data matrix itself travels
+    once per worker via the task runner's initializer (see
+    :func:`_register_grid_data`), so tasks only carry its key.
     """
 
     estimator: BaseClusterer
     data_key: str
-    fold: CVCPFold
-    scoring: str
+    folds: list[CVCPFold]
     use_labels_directly: bool
 
 
@@ -85,18 +94,28 @@ def _release_grid_data(key: str) -> None:
             _GRID_DATA_REFS[key] = remaining
 
 
-def _evaluate_grid_cell(task: _GridTask) -> float:
-    """Fit on the training-fold information, score on the test-fold constraints."""
-    if not task.fold.has_test_information():
-        return 0.0
+def _fit_grid_task(task: _GridTask) -> list[np.ndarray | None]:
+    """Labels of a fit on each fold's training information.
+
+    A fold without test constraints cannot be scored, so it is not fitted
+    and gets ``None``.
+    """
+    scored = [fold for fold in task.folds if fold.has_test_information()]
+    if not scored:
+        return [None] * len(task.folds)
     X = _GRID_DATA[task.data_key]
-    if task.use_labels_directly and task.fold.training_labels:
-        task.estimator.fit(X, seed_labels=task.fold.training_labels)
+    side_information = [
+        (None, fold.training_labels) if task.use_labels_directly and fold.training_labels
+        else (fold.training_constraints, None)
+        for fold in scored
+    ]
+    if getattr(task.estimator, "structure_caching", False):
+        fold_labels = iter(task.estimator.fit_folds(X, side_information))
     else:
-        task.estimator.fit(X, constraints=task.fold.training_constraints)
-    return score_partition(
-        task.estimator.labels_, task.fold.test_constraints, scoring=task.scoring
-    )
+        [(constraints, seed_labels)] = side_information
+        task.estimator.fit(X, constraints, seed_labels)
+        fold_labels = iter([task.estimator.labels_])
+    return [next(fold_labels) if fold.has_test_information() else None for fold in task.folds]
 
 
 class CVCP:
@@ -155,9 +174,10 @@ class CVCP:
         uniquely pins this grid's inputs (the experiment drivers pass the
         trial's artifact key); the scope's cell journal is read once
         before computing and each fresh ``(value_index, fold)`` score is
-        appended to it, so an interrupted grid resumes from its completed
-        cells.  Journal reads and appends stay in the submitting process —
-        worker tasks never touch the store.
+        appended to it as soon as it is scored (in the submitting process,
+        as its task completes), so an interrupted grid resumes from its
+        scored cells.  Journal reads and appends stay in the submitting
+        process — worker tasks never touch the store.
 
     Attributes
     ----------
@@ -172,6 +192,12 @@ class CVCP:
         The refitted estimator (only with ``refit=True``).
     labels_:
         Labels of the refitted estimator (only with ``refit=True``).
+    cell_journal_:
+        The :class:`~repro.experiments.artifacts.CellJournal` of
+        ``artifact_scope`` the grid read and appended to (``None`` without
+        a store and scope).  Later cells of the same scope (the experiment
+        runner's external fits) go through this object, so a ``refresh``
+        store discards the old journal once, not again after the grid.
 
     Examples
     --------
@@ -217,6 +243,10 @@ class CVCP:
                 "parameter_name must be given when the estimator does not declare a tuned_parameter"
             )
         self.n_folds = check_positive_int(n_folds, name="n_folds", minimum=2)
+        if scoring not in SCORERS:
+            raise ValueError(
+                f"unknown scoring {scoring!r}; available scorers: {sorted(SCORERS)}"
+            )
         self.scoring = scoring
         self.use_labels_directly = use_labels_directly
         self.refit = refit
@@ -307,42 +337,28 @@ class CVCP:
                 )
 
         data_key = array_fingerprint(X)
-        tasks = [
-            _GridTask(
-                estimator=self._make_estimator(
-                    value, derive_seed(master_seed, value_index, fold_index)
-                ),
-                data_key=data_key,
-                fold=fold,
-                scoring=self.scoring,
-                use_labels_directly=self.use_labels_directly,
-            )
-            for value_index, value in enumerate(self.parameter_values)
-            for fold_index, fold in enumerate(folds)
-        ]
-        # The serial/thread backends read the matrix straight from this
-        # process's registry; only process workers need it shipped (once per
-        # worker, via the initializer) rather than pickled into every task.
         n_folds = len(folds)
 
         # Per-cell resume: cells whose score is already in the scope's cell
         # journal are served from it; only the remaining cells hit the
-        # task runner, and every fresh score is appended *as its task
-        # completes* (the ``on_result`` hook, running in this
-        # process), so a grid interrupted mid-flight continues from its
-        # finished cells.
+        # task runner.  Each task's folds are scored in this process as the
+        # task completes (the ``on_result`` hook), and every score is
+        # appended as soon as it exists, so a grid interrupted mid-flight
+        # continues from its scored cells.
         journal = None
         if self.artifact_store is not None and self.artifact_scope is not None:
             journal = self.artifact_store.journal(self.artifact_scope)
-        scores: list[float | None] = [None] * len(tasks)
-        pending: list[int] = []
-        for index in range(len(tasks)):
-            if journal is not None:
-                cached = journal.get("grid", *divmod(index, n_folds))
-                if cached is not None:
-                    scores[index] = float(cached)
-                    continue
-            pending.append(index)
+        self.cell_journal_ = journal
+        scores: list[list[float | None]] = [[None] * n_folds for _ in self.parameter_values]
+        pending: dict[int, list[int]] = {}
+        for value_index in range(len(self.parameter_values)):
+            for fold_index in range(n_folds):
+                if journal is not None:
+                    cached = journal.get("grid", value_index, fold_index)
+                    if cached is not None:
+                        scores[value_index][fold_index] = float(cached)
+                        continue
+                pending.setdefault(value_index, []).append(fold_index)
 
         if pending:
             # Warm the constraint-independent structure phase of every value
@@ -350,42 +366,74 @@ class CVCP:
             # persisted "structure" artifacts (shared across oracles, folds
             # and constraint amounts) are decoded and the rest built into
             # the per-process memo here in the submitting process, so
-            # serial/thread cells and fork-started process workers
+            # serial/thread tasks and fork-started process workers
             # re-extract instead of refitting.  Fully cache-served grids
             # skip the warm-up entirely.
-            self._warm_structures(
-                X, sorted({divmod(index, n_folds)[0] for index in pending})
-            )
-            # Without a store the callback is omitted entirely, keeping the
-            # pool backends on their chunked fast path.
-            persist_cell = None
-            if journal is not None:
-                def persist_cell(position: int, score: float) -> None:
-                    journal.put("grid", *divmod(pending[position], n_folds), score)
+            self._warm_structures(X, sorted(pending))
+            # A structure-caching estimator scores all pending folds of a
+            # value in one task; any other fits one cell per task.
+            if getattr(self.estimator, "structure_caching", False):
+                cells = list(pending.items())
+            else:
+                cells = [
+                    (value_index, [fold_index])
+                    for value_index, fold_indices in pending.items()
+                    for fold_index in fold_indices
+                ]
+            tasks = [
+                _GridTask(
+                    estimator=self._make_estimator(
+                        self.parameter_values[value_index],
+                        derive_seed(master_seed, value_index, fold_indices[0]),
+                    ),
+                    data_key=data_key,
+                    folds=[folds[fold_index] for fold_index in fold_indices],
+                    use_labels_directly=self.use_labels_directly,
+                )
+                for value_index, fold_indices in cells
+            ]
 
+            def score_task(position: int, fold_labels: list[np.ndarray | None]) -> None:
+                """Score a finished task's folds here, journalling each score as it lands."""
+                value_index, fold_indices = cells[position]
+                for fold_index, labels in zip(fold_indices, fold_labels):
+                    score = 0.0
+                    if labels is not None:
+                        score = score_partition(
+                            labels, folds[fold_index].test_constraints, scoring=self.scoring
+                        )
+                    scores[value_index][fold_index] = score
+                    if journal is not None:
+                        journal.put("grid", value_index, fold_index, score)
+
+            # The serial/thread backends read the matrix straight from this
+            # process's registry; only process workers need it shipped (once
+            # per worker, via the initializer) rather than pickled into
+            # every task.  Without a store the callback is omitted, keeping
+            # the pool backends on their chunked fast path, and the tasks
+            # are scored once all have finished.
             process = self.execution.backend == "process"
             _acquire_grid_data(data_key, X)
             try:
                 computed = run_tasks(
-                    _evaluate_grid_cell,
-                    [tasks[index] for index in pending],
+                    _fit_grid_task,
+                    tasks,
                     backend=self.execution.backend or "serial",
                     n_jobs=self.execution.n_jobs,
-                    on_result=persist_cell,
+                    on_result=score_task if journal is not None else None,
                     initializer=_register_grid_data if process else None,
                     initargs=(data_key, X) if process else (),
                 )
             finally:
                 _release_grid_data(data_key)
-            for index, score in zip(pending, computed):
-                scores[index] = score
+            if journal is None:
+                for position, fold_labels in enumerate(computed):
+                    score_task(position, fold_labels)
 
         evaluations = [
             ParameterEvaluation(
                 value=value,
-                fold_scores=list(
-                    scores[value_index * n_folds : (value_index + 1) * n_folds]
-                ),
+                fold_scores=scores[value_index],
             )
             for value_index, value in enumerate(self.parameter_values)
         ]

@@ -330,7 +330,9 @@ def run_trial(
     exclude = side.involved_objects
     external_scores: list[float] = []
     silhouettes: list[float] = []
-    journal = cell_store.journal(key) if cell_store is not None else None
+    # The grid's own journal object: a second one would, on a refresh store,
+    # discard the grid cells just appended on its first read.
+    journal = search.cell_journal_
     models = []
     for value in values:
         model = estimator.clone(**{estimator.tuned_parameter: value})

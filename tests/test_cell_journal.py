@@ -218,6 +218,26 @@ class TestScopes:
         assert store.count("cell") == 0
         assert store.count() == 1 + store.count("structure")  # the trial and its structures
 
+    def test_refresh_trial_interrupted_in_its_external_fits_keeps_its_grid(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        root = tmp_path / "store"
+        restore = interrupt_at(monkeypatch, runner_module, "silhouette_score", 1)
+        with pytest.raises(KeyboardInterrupt):
+            run_trial(
+                dataset, "fosc", "labels", 0.1, config=TINY, random_state=7,
+                store=ArtifactStore(root, refresh=True),
+            )
+        restore()
+        store = ArtifactStore(root)
+        # The 3 values × 3 folds the grid journalled survive the external
+        # fits: the trial shares the grid's journal object, so the refresh
+        # discards the old journal once, before the grid.
+        assert store.count("cell") == 9
+        resumed = run_trial(dataset, "fosc", "labels", 0.1, config=TINY, random_state=7, store=store)
+        assert counts(store) == (9, 3, 3)
+        assert resumed == run_trial(dataset, "fosc", "labels", 0.1, config=TINY, random_state=7)
+
     def test_refresh_discards_the_old_journal(self, tmp_path):
         root = tmp_path / "store"
         ArtifactStore(root).journal({"scope": 1}).put("grid", 0, 0, 0.5)

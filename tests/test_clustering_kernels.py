@@ -220,8 +220,8 @@ class TestCondensedTreeParity:
         data = K.condense_tree(merges, X.shape[0], min_cluster_size)
         ref_sel = R.ReferenceFOSC().extract(reference, constraints)
         i_idx, j_idx, kinds = constraints.as_arrays()
-        selected, labels, objective, used = K.fosc_extract(
-            data, i_idx, j_idx, kinds == MUST_LINK, 1e-3
+        [(selected, labels, objective, used)] = K.fosc_extract_folds(
+            data, [(i_idx, j_idx, kinds == MUST_LINK)], 1e-3
         )
         assert ref_sel.selected_clusters == selected
         assert np.array_equal(ref_sel.labels, labels)
@@ -238,8 +238,8 @@ class TestCondensedTreeParity:
         data = K.condense_tree(merges, X.shape[0], 3)
         ref_sel = R.ReferenceFOSC().extract(reference, closure)
         i_idx, j_idx, kinds = closure.as_arrays()
-        selected, labels, objective, used = K.fosc_extract(
-            data, i_idx, j_idx, kinds == MUST_LINK, 1e-3
+        [(selected, labels, objective, used)] = K.fosc_extract_folds(
+            data, [(i_idx, j_idx, kinds == MUST_LINK)], 1e-3
         )
         assert ref_sel.selected_clusters == selected
         assert np.array_equal(ref_sel.labels, labels)
@@ -274,8 +274,8 @@ class TestCondensedTreeParity:
 
         i_idx, j_idx, kinds = closure.as_arrays()
         data = K.condense_tree(merges, X.shape[0], 5)
-        selected, labels, objective, _ = K.fosc_extract(
-            data, i_idx, j_idx, kinds == MUST_LINK, 1e-3
+        [(selected, labels, objective, _)] = K.fosc_extract_folds(
+            data, [(i_idx, j_idx, kinds == MUST_LINK)], 1e-3
         )
         assert ref_sel.selected_clusters == selected
         assert np.array_equal(ref_sel.labels, labels)
@@ -285,10 +285,8 @@ class TestCondensedTreeParity:
         data = K.condense_tree(np.empty((0, 4)), 1, 2)
         assert data.n_clusters == 1
         assert data.sizes[0] == 1
-        selected, labels, objective, used = K.fosc_extract(
-            data, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
-            np.empty(0, dtype=bool), 1e-3,
-        )
+        empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, dtype=bool))
+        [(selected, labels, objective, used)] = K.fosc_extract_folds(data, [empty], 1e-3)
         assert selected == [0]
         assert labels.tolist() == [0]
         assert not used

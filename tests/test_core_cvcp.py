@@ -122,6 +122,12 @@ class TestCVCPValidation:
         with pytest.raises(ValueError):
             CVCP(MPCKMeans(), parameter_values=[2], n_folds=1)
 
+    def test_unknown_scoring_rejected_at_construction(self):
+        # Before any fold is built: a journal-served grid, or one whose
+        # folds have no test constraints, never scores a cell.
+        with pytest.raises(ValueError, match=r"^unknown scoring 'bogus'; available scorers: \['accuracy'"):
+            CVCP(FOSCOpticsDend(), parameter_values=[3, 5], scoring="bogus")
+
     def test_reproducible_given_seed(self, blobs_dataset, side_information):
         def run():
             search = CVCP(MPCKMeans(random_state=0, n_init=1, max_iter=10),
