@@ -21,9 +21,22 @@ then centroid updates, then diagonal metric updates.  Initialisation uses
 the must-link neighbourhoods (transitive-closure components) as seed
 centroids, topped up with k-means++ when there are fewer neighbourhoods
 than clusters.
+
+Each quantity of the loop is computed once, in one place: per fit
+(``_FitData``) the data span, the closure's pairs with their squared
+differences, the neighbour views and the seeds; per ``(centers, weights)``
+(``_ModelState``) the point–centre distances, ``log_det`` and ``max_sq``,
+which the objective builds and the next assignment reads (``1 + k`` distance
+evaluations for a restart of ``k`` iterations); per labelling
+(``_Violations``) one gather of the violated pairs for both the metric update
+and the objective.  Penalties accumulate in the order of per-pair loops
+(``np.add.at`` in pair order, a sequential total, row sums of C-contiguous
+blocks), so the results are those of such loops, bit for bit.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +50,75 @@ from repro.utils.rng import RandomStateLike, check_random_state
 from repro.utils.validation import check_array_2d, check_positive_int
 
 _EPS = 1e-12
+
+
+class _Violations(NamedTuple):
+    """The closure pairs one labelling violates, in closure order."""
+
+    must_labels: np.ndarray  # (m, 2) labels of each violated must-link's ends
+    must_diff_sq: np.ndarray  # (m, d) its rows (X[i] - X[j]) ** 2
+    cannot_labels: np.ndarray  # (c,) the one label of each violated cannot-link
+    cannot_diff_sq: np.ndarray  # (c, d)
+
+
+class _FitData(NamedTuple):
+    """What one fit computes once and every restart and iteration reads."""
+
+    spans: np.ndarray  # (d,) X.max(0) - X.min(0)
+    span_sq: np.ndarray
+    must_pairs: np.ndarray  # (p, 2) closure must-links
+    must_diff_sq: np.ndarray  # (p, d) rows (X[i] - X[j]) ** 2
+    cannot_pairs: np.ndarray
+    cannot_diff_sq: np.ndarray
+    # CSR neighbour views over the closure, read by every assignment sweep.
+    must_csr: tuple[np.ndarray, np.ndarray]
+    cannot_csr: tuple[np.ndarray, np.ndarray]
+    seeds: list[np.ndarray]  # means of the largest must-link neighbourhoods
+
+    @classmethod
+    def of(cls, X: np.ndarray, closure: ConstraintSet, n_clusters: int) -> "_FitData":
+        must_pairs = closure.must_link_array()
+        cannot_pairs = closure.cannot_link_array()
+        # Seed centroids from must-link neighbourhoods; each restart tops
+        # them up with k-means++.
+        ds = DisjointSet()
+        for i, j in must_pairs.tolist():
+            ds.union(i, j)
+        neighbourhoods = sorted(ds.groups(), key=len, reverse=True)
+        spans = X.max(axis=0) - X.min(axis=0)
+        return cls(
+            spans,
+            spans**2,
+            must_pairs,
+            (X[must_pairs[:, 0]] - X[must_pairs[:, 1]]) ** 2,
+            cannot_pairs,
+            (X[cannot_pairs[:, 0]] - X[cannot_pairs[:, 1]]) ** 2,
+            build_neighbor_csr(must_pairs, X.shape[0]),
+            build_neighbor_csr(cannot_pairs, X.shape[0]),
+            [X[list(group)].mean(axis=0) for group in neighbourhoods[:n_clusters]],
+        )
+
+    def violations(self, labels: np.ndarray) -> _Violations:
+        must_labels = labels[self.must_pairs]
+        split = must_labels[:, 0] != must_labels[:, 1]
+        cannot_labels = labels[self.cannot_pairs]
+        joined = cannot_labels[:, 0] == cannot_labels[:, 1]
+        return _Violations(
+            must_labels[split],
+            self.must_diff_sq[split],
+            cannot_labels[joined, 0],
+            self.cannot_diff_sq[joined],
+        )
+
+
+class _ModelState(NamedTuple):
+    """One ``(centers, weights)`` pair and what assignment and objective read of it."""
+
+    centers: np.ndarray  # (k, d)
+    weights: np.ndarray  # (k, d)
+    distances: np.ndarray  # (n, k) squared metric distances
+    log_det: np.ndarray  # (k,)
+    max_sq: np.ndarray  # (k,) cannot-link penalty scale
 
 
 class MPCKMeans(BaseClusterer):
@@ -127,13 +209,11 @@ class MPCKMeans(BaseClusterer):
             from repro.constraints.generation import constraints_from_labels
 
             constraints = constraints.merged_with(constraints_from_labels(seed_labels))
-        closure = transitive_closure(constraints, strict=False)
-        must_pairs = closure.must_link_array()
-        cannot_pairs = closure.cannot_link_array()
+        fit = _FitData.of(X, transitive_closure(constraints, strict=False), n_clusters)
 
         best: tuple[float, np.ndarray, np.ndarray, np.ndarray, int] | None = None
         for _ in range(self.n_init):
-            outcome = self._single_run(X, n_clusters, must_pairs, cannot_pairs, closure, rng)
+            outcome = self._single_run(X, n_clusters, fit, rng)
             if best is None or outcome[0] < best[0]:
                 best = outcome
 
@@ -150,35 +230,34 @@ class MPCKMeans(BaseClusterer):
     # Internal machinery
     # ------------------------------------------------------------------
     def _single_run(
-        self,
-        X: np.ndarray,
-        n_clusters: int,
-        must_pairs: np.ndarray,
-        cannot_pairs: np.ndarray,
-        closure: ConstraintSet,
-        rng: np.random.Generator,
+        self, X: np.ndarray, n_clusters: int, fit: _FitData, rng: np.random.Generator
     ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, int]:
-        n_samples, n_features = X.shape
-        centers = self._initial_centers(X, n_clusters, closure, rng)
-        weights = np.ones((n_clusters, n_features), dtype=np.float64)
-        labels = self._nearest_center_labels(X, centers, weights)
-
-        # CSR neighbour views over the closure, shared by every assignment
-        # sweep.
-        must_csr = build_neighbor_csr(must_pairs, n_samples)
-        cannot_csr = build_neighbor_csr(cannot_pairs, n_samples)
+        seeds = list(fit.seeds)
+        if len(seeds) < n_clusters:
+            extra = kmeans_plus_plus_init(X, n_clusters, rng)
+            seeds.extend(extra[len(seeds):n_clusters])
+        centers = np.vstack(seeds)[:n_clusters].astype(np.float64)
+        state = self._state(X, centers, np.ones_like(centers), fit.spans)
+        labels = np.argmin(state.distances, axis=1).astype(np.int64)
 
         previous_objective = np.inf
         objective = None
         iteration = 0
         for iteration in range(1, self.max_iter + 1):
-            labels = self._assign(X, centers, weights, labels, must_csr, cannot_csr, rng)
-            centers = self._update_centers(X, labels, centers, n_clusters)
+            # Greedy ICM sweep in random order: one of the hot kernels
+            # (repro.clustering.kernels.mpck_assign), fed the state that the
+            # previous objective (or the initial labels) already computed.
+            labels = mpck_assign(
+                X, state.weights, labels, state.distances, state.log_det, state.max_sq,
+                *fit.must_csr, *fit.cannot_csr, rng.permutation(X.shape[0]), self.constraint_weight,
+            )
+            violations = fit.violations(labels)
+            centers = self._update_centers(X, labels, state.centers)
+            weights = state.weights
             if self.learn_metrics:
-                weights = self._update_metrics(
-                    X, labels, centers, n_clusters, must_pairs, cannot_pairs
-                )
-            objective = self._objective(X, labels, centers, weights, must_pairs, cannot_pairs)
+                weights = self._update_metrics(X, labels, centers, violations, fit.span_sq)
+            state = self._state(X, centers, weights, fit.spans)
+            objective = self._objective(labels, state, violations)
             if previous_objective - objective <= self.tol * max(abs(previous_objective), 1.0):
                 break
             previous_objective = objective
@@ -186,26 +265,8 @@ class MPCKMeans(BaseClusterer):
         # The loop's last objective already scored the final partition; only
         # max_iter=0 leaves the initial one unscored.
         if objective is None:
-            objective = self._objective(X, labels, centers, weights, must_pairs, cannot_pairs)
-        return objective, labels.astype(np.int64), centers, weights, iteration
-
-    def _initial_centers(
-        self,
-        X: np.ndarray,
-        n_clusters: int,
-        closure: ConstraintSet,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Seed centroids from must-link neighbourhoods, topped up with k-means++."""
-        ds = DisjointSet()
-        for i, j in closure.must_link_array().tolist():
-            ds.union(i, j)
-        neighbourhoods = sorted(ds.groups(), key=len, reverse=True)
-        seeds = [X[list(group)].mean(axis=0) for group in neighbourhoods[:n_clusters]]
-        if len(seeds) < n_clusters:
-            extra = kmeans_plus_plus_init(X, n_clusters, rng)
-            seeds.extend(extra[len(seeds):n_clusters])
-        return np.vstack(seeds)[:n_clusters].astype(np.float64)
+            objective = self._objective(labels, state, fit.violations(labels))
+        return objective, labels.astype(np.int64), state.centers, state.weights, iteration
 
     @staticmethod
     def _point_center_distances(
@@ -220,89 +281,37 @@ class MPCKMeans(BaseClusterer):
         np.maximum(distances, 0.0, out=distances)
         return distances
 
-    def _nearest_center_labels(
-        self, X: np.ndarray, centers: np.ndarray, weights: np.ndarray
-    ) -> np.ndarray:
-        return np.argmin(self._point_center_distances(X, centers, weights), axis=1).astype(np.int64)
+    def _state(
+        self, X: np.ndarray, centers: np.ndarray, weights: np.ndarray, spans: np.ndarray
+    ) -> _ModelState:
+        """Everything the assignment and the objective read of one ``(centers, weights)``.
 
-    def _pair_penalties(
-        self, X: np.ndarray, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cluster maximum penalty scale used for cannot-link violations.
-
-        ``f_CL(i, j) = max_distance_h - d_h(i, j)``: violating a cannot-link
-        between nearby points costs more than between distant ones.  The
-        per-cluster maximum distance is estimated from the data diameter
-        under each metric.
+        ``max_sq`` is the per-cluster cannot-link penalty scale:
+        ``f_CL(i, j) = max_sq_h - d_h(i, j)``, so violating a cannot-link
+        between nearby points costs more than between distant ones.  It is
+        the squared data diameter under each metric.
         """
-        n_clusters = weights.shape[0]
-        spans = X.max(axis=0) - X.min(axis=0)
-        max_sq = np.array(
-            [float(np.dot(spans * weights[h], spans)) for h in range(n_clusters)],
-            dtype=np.float64,
-        )
-        return max_sq, spans
-
-    def _assign(
-        self,
-        X: np.ndarray,
-        centers: np.ndarray,
-        weights: np.ndarray,
-        labels: np.ndarray,
-        must_csr: tuple[np.ndarray, np.ndarray],
-        cannot_csr: tuple[np.ndarray, np.ndarray],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Greedy ICM assignment of points in random order.
-
-        The sweep itself is one of the four hot kernels
-        (:func:`~repro.clustering.kernels.mpck_assign`); the shared
-        per-sweep quantities (point–centre distances, metric
-        log-determinants, cannot-link penalty scales) are computed here.
-        """
-        n_samples = X.shape[0]
-        n_clusters = centers.shape[0]
-
-        log_det = np.array(
-            [float(np.sum(np.log(np.maximum(weights[h], _EPS)))) for h in range(n_clusters)]
-        )
-        distances = self._point_center_distances(X, centers, weights)
-        max_sq, _ = self._pair_penalties(X, weights)
-        order = rng.permutation(n_samples)
-        return mpck_assign(
-            X,
+        return _ModelState(
+            centers,
             weights,
-            labels,
-            distances,
-            log_det,
-            max_sq,
-            must_csr[0],
-            must_csr[1],
-            cannot_csr[0],
-            cannot_csr[1],
-            order,
-            self.constraint_weight,
+            self._point_center_distances(X, centers, weights),
+            # Row sums of a C-contiguous block reduce each row like a 1-D sum.
+            np.log(np.maximum(weights, _EPS)).sum(axis=1),
+            np.array([float(np.dot(spans * row, spans)) for row in weights], dtype=np.float64),
         )
 
     @staticmethod
-    def _update_centers(
-        X: np.ndarray, labels: np.ndarray, centers: np.ndarray, n_clusters: int
-    ) -> np.ndarray:
+    def _update_centers(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
         new_centers = centers.copy()
-        for h in range(n_clusters):
+        for h in range(centers.shape[0]):
             members = labels == h
             if np.any(members):
                 new_centers[h] = X[members].mean(axis=0)
         return new_centers
 
     def _update_metrics(
-        self,
-        X: np.ndarray,
-        labels: np.ndarray,
-        centers: np.ndarray,
-        n_clusters: int,
-        must_pairs: np.ndarray,
-        cannot_pairs: np.ndarray,
+        self, X: np.ndarray, labels: np.ndarray, centers: np.ndarray, violations: _Violations,
+        span_sq: np.ndarray,
     ) -> np.ndarray:
         """Closed-form update of the per-cluster diagonal metrics.
 
@@ -311,72 +320,46 @@ class MPCKMeans(BaseClusterer):
         (within-cluster scatter plus the contributions of violated
         constraints involving the cluster), following Bilenko et al. (2004).
         """
-        n_features = X.shape[1]
         w = self.constraint_weight
-        spans = X.max(axis=0) - X.min(axis=0)
-        span_sq = spans**2
+        counts = np.bincount(labels, minlength=centers.shape[0]).astype(np.float64)
+        scatter = np.zeros(centers.shape, dtype=np.float64)
+        for h in np.flatnonzero(counts):
+            diff = X[labels == h] - centers[h]
+            scatter[h] = np.einsum("ij,ij->j", diff, diff)
 
-        scatter = np.zeros((n_clusters, n_features), dtype=np.float64)
-        counts = np.zeros(n_clusters, dtype=np.float64)
-        for h in range(n_clusters):
-            members = labels == h
-            counts[h] = float(np.count_nonzero(members))
-            if counts[h] > 0:
-                diff = X[members] - centers[h]
-                scatter[h] = np.einsum("ij,ij->j", diff, diff)
+        # np.add.at applies its updates in index order: pair by pair, the
+        # i end's cluster before the j end's, must-links before cannot-links.
+        np.add.at(scatter, violations.must_labels, (0.5 * w * violations.must_diff_sq)[:, None, :])
+        np.add.at(
+            scatter, violations.cannot_labels, w * np.maximum(span_sq - violations.cannot_diff_sq, 0.0)
+        )
 
-        for i, j in must_pairs:
-            if labels[i] != labels[j]:
-                diff_sq = (X[i] - X[j]) ** 2
-                scatter[labels[i]] += 0.5 * w * diff_sq
-                scatter[labels[j]] += 0.5 * w * diff_sq
-        for i, j in cannot_pairs:
-            if labels[i] == labels[j]:
-                diff_sq = (X[i] - X[j]) ** 2
-                scatter[labels[i]] += w * np.maximum(span_sq - diff_sq, 0.0)
-
-        weights = np.ones((n_clusters, n_features), dtype=np.float64)
-        for h in range(n_clusters):
-            if counts[h] == 0:
-                continue
-            denominator = np.maximum(scatter[h], _EPS)
-            weights[h] = counts[h] / denominator
-            # Guard against degenerate dimensions blowing the metric up.
-            weights[h] = np.clip(weights[h], 1e-6, 1e6)
+        # An empty cluster keeps the unit metric; the clip guards against
+        # degenerate dimensions blowing the metric up.
+        weights = np.ones(centers.shape, dtype=np.float64)
+        filled = counts > 0
+        weights[filled] = np.clip(counts[filled, None] / np.maximum(scatter[filled], _EPS), 1e-6, 1e6)
         return weights
 
-    def _objective(
-        self,
-        X: np.ndarray,
-        labels: np.ndarray,
-        centers: np.ndarray,
-        weights: np.ndarray,
-        must_pairs: np.ndarray,
-        cannot_pairs: np.ndarray,
-    ) -> float:
-        n_clusters = centers.shape[0]
+    def _objective(self, labels: np.ndarray, state: _ModelState, violations: _Violations) -> float:
         w = self.constraint_weight
-        log_det = np.array(
-            [float(np.sum(np.log(np.maximum(weights[h], _EPS)))) for h in range(n_clusters)]
-        )
-        distances = self._point_center_distances(X, centers, weights)
-        total = float(distances[np.arange(X.shape[0]), labels].sum())
-        total -= float(log_det[labels].sum())
+        weights = state.weights
+        total = float(state.distances[np.arange(labels.shape[0]), labels].sum())
+        total -= float(state.log_det[labels].sum())
 
-        max_sq, _ = self._pair_penalties(X, weights)
         # Same squared-difference formulation as the assignment kernels
         # (repro.clustering.kernels.mpck_assign), so objective and
         # assignment agree bit-for-bit on every penalty term.
-        for i, j in must_pairs:
-            if labels[i] != labels[j]:
-                diff_sq = (X[i] - X[j]) ** 2
-                total += w * 0.5 * (
-                    float(np.sum(diff_sq * weights[labels[i]]))
-                    + float(np.sum(diff_sq * weights[labels[j]]))
-                )
-        for i, j in cannot_pairs:
-            if labels[i] == labels[j]:
-                diff_sq = (X[i] - X[j]) ** 2
-                pair_distance = float(np.sum(diff_sq * weights[labels[i]]))
-                total += w * max(max_sq[labels[i]] - pair_distance, 0.0)
+        must_diff_sq = violations.must_diff_sq
+        must_ends = violations.must_labels
+        must_terms = w * 0.5 * (
+            (must_diff_sq * weights[must_ends[:, 0]]).sum(axis=1)
+            + (must_diff_sq * weights[must_ends[:, 1]]).sum(axis=1)
+        )
+        cannot_labels = violations.cannot_labels
+        pair_distance = (violations.cannot_diff_sq * weights[cannot_labels]).sum(axis=1)
+        cannot_terms = w * np.maximum(state.max_sq[cannot_labels] - pair_distance, 0.0)
+        # Added one by one in pair order, as the penalties accrue.
+        for term in must_terms.tolist() + cannot_terms.tolist():
+            total += term
         return total

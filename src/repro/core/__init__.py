@@ -35,7 +35,7 @@ from repro.core.model_selection import (
     SilhouetteSelector,
     expected_quality,
 )
-from repro.core.cvcp import CVCP
+from repro.core.cvcp import CVCP, NoTestConstraintsWarning
 from repro.core.distance_backend import (
     DISTANCE_BACKENDS,
     DistanceBackend,
@@ -74,6 +74,7 @@ __all__ = [
     "SilhouetteSelector",
     "expected_quality",
     "CVCP",
+    "NoTestConstraintsWarning",
     "DISTANCE_BACKENDS",
     "DistanceBackend",
     "clear_spill_directory",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
+import warnings
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -38,6 +39,10 @@ from repro.core.scoring import SCORERS, score_partition
 from repro.utils.cache import array_fingerprint, cached_pairwise_distances
 from repro.utils.rng import RandomStateLike, check_random_state
 from repro.utils.validation import check_positive_int
+
+
+class NoTestConstraintsWarning(UserWarning):
+    """No fold has test constraints: every candidate scores 0.0 and the first one is selected."""
 
 
 @dataclass
@@ -445,6 +450,13 @@ class CVCP:
         )
         self.best_params_ = {self.parameter_name: self.cv_results_.best_value}
         self.best_score_ = self.cv_results_.best_score
+        if not any(fold.has_test_information() for fold in folds):
+            warnings.warn(
+                f"no CVCP fold has test constraints, so every candidate scores 0.0 and "
+                f"the first, {self.best_params_}, is selected without a score",
+                NoTestConstraintsWarning,
+                stacklevel=2,
+            )
 
         if self.refit:
             best_index = self.parameter_values.index(self.cv_results_.best_value)

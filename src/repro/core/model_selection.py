@@ -83,7 +83,7 @@ class CVCPResult:
 
     @property
     def best_index(self) -> int:
-        """Index of the winning value (ties broken towards the smaller value)."""
+        """Index of the winning value (ties go to the first in sweep order, as ``np.argmax``)."""
         if not self.evaluations:
             raise ValueError("no parameter values were evaluated")
         scores = self.mean_scores

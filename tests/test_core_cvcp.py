@@ -1,11 +1,14 @@
 """Unit and behavioural tests for the CVCP driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.clustering import FOSCOpticsDend, KMeans, MPCKMeans
 from repro.constraints import build_constraint_pool, constraints_from_labels, sample_labeled_objects
-from repro.core import CVCP
+from repro.core import CVCP, NoTestConstraintsWarning
+from repro.datasets import make_blobs
 from repro.evaluation import overall_f_measure
 
 
@@ -127,6 +130,25 @@ class TestCVCPValidation:
         # folds have no test constraints, never scores a cell.
         with pytest.raises(ValueError, match=r"^unknown scoring 'bogus'; available scorers: \['accuracy'"):
             CVCP(FOSCOpticsDend(), parameter_values=[3, 5], scoring="bogus")
+
+    def test_unscored_grid_warns_and_selects_the_first_value(self):
+        # Two labels in two folds: each fold tests one object, so no fold
+        # has a test constraint and every candidate scores 0.0.
+        X = make_blobs([30, 30, 30], 2, center_spread=6.0, cluster_std=1.0, random_state=4).X
+        search = CVCP(FOSCOpticsDend(), [9, 3, 5], n_folds=2, random_state=0)
+        with pytest.warns(NoTestConstraintsWarning, match=r"\{'min_pts': 9\}"):
+            search.fit(X, labeled_objects={0: 0, 40: 1})
+        assert search.best_params_ == {"min_pts": 9}
+        assert search.best_score_ == 0.0
+        assert [e.fold_scores for e in search.cv_results_.evaluations] == [[0.0, 0.0]] * 3
+        assert issubclass(NoTestConstraintsWarning, UserWarning)
+
+    def test_scored_grid_does_not_warn(self, blobs_dataset, side_information):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NoTestConstraintsWarning)
+            CVCP(FOSCOpticsDend(), [3, 5], n_folds=3, random_state=0).fit(
+                blobs_dataset.X, labeled_objects=side_information
+            )
 
     def test_reproducible_given_seed(self, blobs_dataset, side_information):
         def run():
