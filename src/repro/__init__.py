@@ -26,8 +26,6 @@ from repro.constraints import (
     ConstraintSet,
     MUST_LINK,
     CANNOT_LINK,
-    must_link,
-    cannot_link,
     transitive_closure,
     constraints_from_labels,
     sample_labeled_objects,
@@ -47,14 +45,12 @@ from repro.core import (
     CVCP,
     CVCPResult,
     CVCPAlgorithmSelector,
-    SilhouetteSelector,
     constraint_f_score,
     expected_quality,
 )
 from repro.evaluation import (
     overall_f_measure,
     adjusted_rand_index,
-    normalized_mutual_information,
     silhouette_score,
     paired_t_test,
 )
@@ -80,8 +76,6 @@ __all__ = [
     "ConstraintSet",
     "MUST_LINK",
     "CANNOT_LINK",
-    "must_link",
-    "cannot_link",
     "transitive_closure",
     "constraints_from_labels",
     "sample_labeled_objects",
@@ -99,13 +93,11 @@ __all__ = [
     "CVCP",
     "CVCPResult",
     "CVCPAlgorithmSelector",
-    "SilhouetteSelector",
     "constraint_f_score",
     "expected_quality",
     # evaluation
     "overall_f_measure",
     "adjusted_rand_index",
-    "normalized_mutual_information",
     "silhouette_score",
     "paired_t_test",
     # datasets

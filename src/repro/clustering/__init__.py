@@ -25,7 +25,6 @@ from repro.clustering.base import BaseClusterer, ClusteringResult
 from repro.clustering.distances import (
     pairwise_distances,
     euclidean_distances,
-    diagonal_mahalanobis_distances,
 )
 from repro.clustering.kmeans import KMeans, kmeans_plus_plus_init
 from repro.clustering.copkmeans import COPKMeans
@@ -43,7 +42,6 @@ __all__ = [
     "ClusteringResult",
     "pairwise_distances",
     "euclidean_distances",
-    "diagonal_mahalanobis_distances",
     "KMeans",
     "kmeans_plus_plus_init",
     "COPKMeans",

@@ -157,21 +157,3 @@ class BaseClusterer:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         params = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({params})"
-
-
-def relabel_compact(labels: np.ndarray) -> np.ndarray:
-    """Re-map cluster labels to the compact range ``0..n_clusters-1``.
-
-    Noise (``-1``) is preserved.  The mapping is order-of-first-appearance,
-    which keeps results deterministic.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    compact = np.full_like(labels, -1)
-    mapping: dict[int, int] = {}
-    for position, label in enumerate(labels):
-        if label < 0:
-            continue
-        if label not in mapping:
-            mapping[int(label)] = len(mapping)
-        compact[position] = mapping[int(label)]
-    return compact

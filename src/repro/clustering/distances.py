@@ -412,58 +412,6 @@ PAIRWISE_METRICS = ("euclidean", "sqeuclidean", "manhattan", "cosine", "precompu
 SPARSE_METRICS = ("euclidean", "sqeuclidean", "cosine")
 
 
-def diagonal_mahalanobis_distances(
-    X: np.ndarray,
-    centers: np.ndarray,
-    weights: np.ndarray,
-    *,
-    squared: bool = True,
-) -> np.ndarray:
-    """Distances of every point to every center under per-center diagonal metrics.
-
-    MPCK-Means learns one diagonal metric ``A_h = diag(weights[h])`` per
-    cluster ``h``; the (squared) distance of point ``x`` to center ``m_h``
-    is ``(x - m_h)^T A_h (x - m_h)``.
-
-    Parameters
-    ----------
-    X:
-        ``(n, d)`` data matrix.
-    centers:
-        ``(k, d)`` cluster centers.
-    weights:
-        ``(k, d)`` positive diagonal metric weights, one row per cluster.
-    squared:
-        Return squared distances (default, as used in the MPCK objective).
-
-    Returns
-    -------
-    ndarray
-        ``(n, k)`` distance matrix.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if centers.shape != weights.shape:
-        raise ValueError(
-            f"centers and weights must have the same shape, got {centers.shape} and {weights.shape}"
-        )
-    # Batched over all centers at once: one (n, k, d) broadcast difference
-    # contracted in a single einsum instead of a Python loop over clusters.
-    diff = X[:, None, :] - centers[None, :, :]
-    distances = np.einsum("nkd,kd,nkd->nk", diff, weights, diff)
-    np.maximum(distances, 0.0, out=distances)
-    if squared:
-        return distances
-    return np.sqrt(distances, out=distances)
-
-
-def weighted_squared_distance(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
-    """Squared distance between two vectors under a diagonal metric."""
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.dot(diff * np.asarray(weights, dtype=np.float64), diff))
-
-
 def core_distance_table(
     distance_matrix: np.ndarray, width: int, *, block_rows: int = DEFAULT_BLOCK_ROWS
 ) -> np.ndarray:

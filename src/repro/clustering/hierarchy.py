@@ -201,10 +201,10 @@ def _spanning_trees(
     distances, mutual reachability and a sparse MST per value from the
     epsilon-bounded k-NN graph, so storage and work scale with n·k, never n².
     """
-    from repro.core.distance_backend import get_distance_backend
+    from repro.core.distance_backend import release_pages, resolve_distance_backend
 
-    backend = get_distance_backend(distance_backend)
-    if backend.name == "neighbors":
+    backend = resolve_distance_backend(distance_backend)
+    if backend == "neighbors":
         from repro.core.neighbor_graph import (
             cached_neighbor_graph,
             mutual_reachability_graph,
@@ -222,11 +222,11 @@ def _spanning_trees(
     # same O(n²) matrix and its core-distance table.  Then the matrix's page
     # residency is dropped (memmap tier).
     distances, table = cached_core_table(
-        X, max(min_pts_values), metric, distance_backend=backend.name
+        X, max(min_pts_values), metric, distance_backend=backend
     )
     cores = np.ascontiguousarray(table[:, [min_pts - 1 for min_pts in min_pts_values]].T)
     edges = minimum_spanning_tree(distances, cores)
-    backend.release(distances)
+    release_pages(distances)
     return distances, [(core, tree, None) for core, tree in zip(cores, edges)]
 
 

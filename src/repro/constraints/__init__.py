@@ -7,8 +7,6 @@ framework (Pourrajabi et al., EDBT 2014):
   and the :class:`ConstraintSet` container.
 * :mod:`repro.constraints.closure` — transitive closure of a constraint set
   and consistency checking (Figure 2 of the paper).
-* :mod:`repro.constraints.graph` — graph views over constraint sets
-  (components, adjacency, induced subsets).
 * :mod:`repro.constraints.generation` — sampling labelled objects,
   deriving constraints from labels, building and sampling constraint pools
   (Section 4.1 of the paper).
@@ -32,7 +30,6 @@ from repro.constraints.closure import (
     is_consistent,
     must_link_components,
 )
-from repro.constraints.graph import ConstraintGraph
 from repro.constraints.generation import (
     constraints_from_labels,
     sample_labeled_objects,
@@ -63,7 +60,6 @@ __all__ = [
     "is_consistent",
     "must_link_components",
     "InconsistentConstraintsError",
-    "ConstraintGraph",
     "constraints_from_labels",
     "sample_labeled_objects",
     "build_constraint_pool",

@@ -31,12 +31,9 @@ component; then cannot-links, one block per lifted component pair.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.constraints.constraint import CANNOT_LINK, MUST_LINK, ConstraintSet
-from repro.constraints.generation import constraints_from_labels
 
 
 class InconsistentConstraintsError(ValueError):
@@ -244,54 +241,3 @@ def _close(constraints: ConstraintSet) -> tuple[ConstraintSet, tuple[int, int] |
         closed=True,
     )
     return closure, contradiction
-
-
-def closure_size(constraints: ConstraintSet) -> tuple[int, int]:
-    """Return ``(n_must_link, n_cannot_link)`` of the closure without materialising it.
-
-    Useful for tests and for reporting how much information the explicit
-    constraints actually carry.
-    """
-    objects, roots = _must_link_roots(constraints)
-    component, _, sizes, _ = _ordered_components(objects, roots)
-    low, high, contradiction = _lifted_cannot_links(constraints, objects, roots)
-    if contradiction is not None:
-        raise InconsistentConstraintsError(f"cannot-link{contradiction} contradicts the must-link closure")
-    n_must = int((sizes * (sizes - 1) // 2).sum())
-    size_low = sizes[component[np.searchsorted(objects, low)]]
-    size_high = sizes[component[np.searchsorted(objects, high)]]
-    return n_must, int((size_low * size_high).sum())
-
-
-def derived_constraints(constraints: ConstraintSet) -> ConstraintSet:
-    """Constraints present in the closure but not given explicitly."""
-    closure = transitive_closure(constraints)
-    i, j, kind = (np.concatenate(pair) for pair in zip(closure.as_arrays(), constraints.as_arrays()))
-    keys = 2 * _pair_keys(i, j) + kind
-    new = np.flatnonzero(~np.isin(keys[: len(closure)], keys[len(closure) :]))
-    return ConstraintSet._of(i[new], j[new], kind[new])
-
-
-def closure_of_labels(labels: dict[int, object]) -> ConstraintSet:
-    """Closure induced by a partial labelling ``{object_index: class_label}``.
-
-    Two labelled objects with equal labels yield a must-link, with different
-    labels a cannot-link.  The result is already transitively closed and is
-    marked so; it keeps the lexicographic order of
-    :func:`~repro.constraints.generation.constraints_from_labels`.
-    """
-    closure = constraints_from_labels(labels)
-    closure._closed = True
-    return closure
-
-
-def restrict_and_close(
-    constraints: ConstraintSet, objects: Iterable[int], *, strict: bool = True
-) -> ConstraintSet:
-    """Restrict ``constraints`` to ``objects`` and re-close the result.
-
-    This is the primitive used by the Scenario II fold construction
-    (Section 3.1.2): constraints crossing the object split are removed and
-    the transitive closure is recomputed independently on each side.
-    """
-    return transitive_closure(constraints.restricted_to(objects), strict=strict)

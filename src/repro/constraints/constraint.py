@@ -158,9 +158,8 @@ class ConstraintSet:
     def is_closed(self) -> bool:
         """Whether this set is a known transitive closure.
 
-        Set on the results of :func:`repro.constraints.closure.transitive_closure`
-        and :func:`~repro.constraints.closure.closure_of_labels`, and cleared
-        by any mutation.  Re-closing a marked set returns an O(1) copy in the
+        Set on the results of :func:`repro.constraints.closure.transitive_closure`,
+        and cleared by any mutation.  Re-closing a marked set returns an O(1) copy in the
         set's own order.  Sets derived from labels are closed as sets but
         not marked: closing them emits the closure order (see
         :func:`~repro.constraints.generation.constraints_from_labels`), and

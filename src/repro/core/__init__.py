@@ -13,8 +13,8 @@ semi-supervised clustering.  The workflow (Section 3) is
    all available information (:class:`repro.core.cvcp.CVCP`).
 
 :mod:`repro.core.model_selection` holds the result containers and the
-baseline selectors (Silhouette-based selection and the "expected
-performance" reference used in the paper's comparison).
+"expected performance" reference used in the paper's comparison; the
+Silhouette baseline is computed per trial in :mod:`repro.experiments.runner`.
 """
 
 from repro.core.folds import (
@@ -32,15 +32,12 @@ from repro.core.scoring import (
 from repro.core.model_selection import (
     ParameterEvaluation,
     CVCPResult,
-    SilhouetteSelector,
     expected_quality,
 )
 from repro.core.cvcp import CVCP, NoTestConstraintsWarning
 from repro.core.distance_backend import (
     DISTANCE_BACKENDS,
-    DistanceBackend,
     clear_spill_directory,
-    get_distance_backend,
     resolve_distance_backend,
     spill_directory,
 )
@@ -71,14 +68,11 @@ __all__ = [
     "SCORERS",
     "ParameterEvaluation",
     "CVCPResult",
-    "SilhouetteSelector",
     "expected_quality",
     "CVCP",
     "NoTestConstraintsWarning",
     "DISTANCE_BACKENDS",
-    "DistanceBackend",
     "clear_spill_directory",
-    "get_distance_backend",
     "resolve_distance_backend",
     "spill_directory",
     "BACKENDS",

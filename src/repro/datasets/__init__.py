@@ -8,8 +8,8 @@ structures and qualitative geometry (see DESIGN.md for the substitution
 rationale), plus loaders that pick up the real CSV files when available.
 
 * :mod:`repro.datasets.base` — the :class:`Dataset` container.
-* :mod:`repro.datasets.synthetic` — generic generators (blobs, moons,
-  anisotropic and nested shapes).
+* :mod:`repro.datasets.synthetic` — generic generators (blobs, moons) and
+  the random embedding of a data set in more dimensions.
 * :mod:`repro.datasets.uci_like` — Iris/Wine/Ionosphere/Ecoli/Zyeast
   analogues.
 * :mod:`repro.datasets.aloi` — the ALOI-k5-like collection.
@@ -24,8 +24,6 @@ from repro.datasets.base import Dataset
 from repro.datasets.synthetic import (
     make_blobs,
     make_two_moons,
-    make_anisotropic_blobs,
-    make_nested_circles,
 )
 from repro.datasets.uci_like import (
     make_iris_like,
@@ -43,8 +41,6 @@ __all__ = [
     "Dataset",
     "make_blobs",
     "make_two_moons",
-    "make_anisotropic_blobs",
-    "make_nested_circles",
     "make_iris_like",
     "make_wine_like",
     "make_ionosphere_like",

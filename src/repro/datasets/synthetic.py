@@ -3,8 +3,8 @@
 These are the building blocks of the data-set analogues in
 :mod:`repro.datasets.uci_like` and :mod:`repro.datasets.aloi`, and are also
 useful on their own in the examples and tests (Gaussian blobs for k-means
-friendly structure, moons/circles for density-based structure that a
-partitional algorithm cannot capture).
+friendly structure, moons for density-based structure that a partitional
+algorithm cannot capture).
 """
 
 from __future__ import annotations
@@ -64,42 +64,6 @@ def make_blobs(
     )
 
 
-def make_anisotropic_blobs(
-    n_samples_per_class: Sequence[int],
-    n_features: int,
-    *,
-    center_spread: float = 8.0,
-    anisotropy: float = 4.0,
-    random_state: RandomStateLike = None,
-    name: str = "anisotropic-blobs",
-) -> Dataset:
-    """Gaussian blobs stretched by a random linear map per class.
-
-    Elongated clusters break the spherical assumption of plain k-means while
-    remaining connected for density-based methods, which is exactly the
-    regime where the paper observes MPCKMeans under-performing.
-    """
-    rng = check_random_state(random_state)
-    base = make_blobs(
-        n_samples_per_class,
-        n_features,
-        center_spread=center_spread,
-        cluster_std=1.0,
-        random_state=rng,
-        name=name,
-    )
-    X = base.X.copy()
-    for cls in np.unique(base.y):
-        members = base.y == cls
-        transform = np.eye(n_features) + rng.normal(scale=anisotropy / n_features,
-                                                    size=(n_features, n_features))
-        scales = rng.uniform(0.5, anisotropy, size=n_features)
-        center = X[members].mean(axis=0)
-        X[members] = (X[members] - center) * scales @ transform + center
-    return Dataset(name=name, X=X, y=base.y,
-                   description=f"anisotropic blobs ({len(n_samples_per_class)} classes)")
-
-
 def make_two_moons(
     n_samples: int = 200,
     *,
@@ -121,30 +85,6 @@ def make_two_moons(
     X = np.vstack([upper, lower]) + rng.normal(scale=noise, size=(n_samples, 2))
     y = np.concatenate([np.zeros(n_upper, dtype=np.int64), np.ones(n_lower, dtype=np.int64)])
     return Dataset(name=name, X=X, y=y, description="two interleaved half-moons in 2-d")
-
-
-def make_nested_circles(
-    n_samples: int = 200,
-    *,
-    noise: float = 0.05,
-    radius_ratio: float = 0.45,
-    random_state: RandomStateLike = None,
-    name: str = "nested-circles",
-) -> Dataset:
-    """Two concentric rings — impossible for k-means, easy for density methods."""
-    check_positive_int(n_samples, name="n_samples")
-    rng = check_random_state(random_state)
-    n_outer = n_samples // 2
-    n_inner = n_samples - n_outer
-
-    theta_outer = rng.uniform(0.0, 2 * np.pi, size=n_outer)
-    theta_inner = rng.uniform(0.0, 2 * np.pi, size=n_inner)
-    outer = np.column_stack([np.cos(theta_outer), np.sin(theta_outer)])
-    inner = radius_ratio * np.column_stack([np.cos(theta_inner), np.sin(theta_inner)])
-
-    X = np.vstack([outer, inner]) + rng.normal(scale=noise, size=(n_samples, 2))
-    y = np.concatenate([np.zeros(n_outer, dtype=np.int64), np.ones(n_inner, dtype=np.int64)])
-    return Dataset(name=name, X=X, y=y, description="two concentric noisy circles in 2-d")
 
 
 def embed_in_higher_dimension(

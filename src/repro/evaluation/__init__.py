@@ -4,11 +4,9 @@
   confusion counts (the bridge between clustering and classification
   evaluation used by CVCP).
 * :mod:`repro.evaluation.external` — external measures against a ground
-  truth: the paper's Overall F-Measure, pairwise F, Adjusted Rand Index and
-  Normalised Mutual Information.
+  truth: the paper's Overall F-Measure and the Adjusted Rand Index.
 * :mod:`repro.evaluation.internal` — internal measures: Silhouette
-  coefficient (the baseline of Section 4.3), simplified silhouette and
-  Davies–Bouldin.
+  coefficient (the baseline of Section 4.3).
 * :mod:`repro.evaluation.significance` — the paired t-test used to mark
   significant differences in the result tables.
 """
@@ -20,16 +18,12 @@ from repro.evaluation.confusion import (
 )
 from repro.evaluation.external import (
     overall_f_measure,
-    pairwise_f_measure,
     adjusted_rand_index,
-    normalized_mutual_information,
     evaluation_mask,
 )
 from repro.evaluation.internal import (
     silhouette_score,
     silhouette_samples,
-    simplified_silhouette,
-    davies_bouldin_index,
 )
 from repro.evaluation.significance import PairedTTestResult, paired_t_test
 
@@ -38,14 +32,10 @@ __all__ = [
     "constraint_confusion",
     "pair_confusion_matrix",
     "overall_f_measure",
-    "pairwise_f_measure",
     "adjusted_rand_index",
-    "normalized_mutual_information",
     "evaluation_mask",
     "silhouette_score",
     "silhouette_samples",
-    "simplified_silhouette",
-    "davies_bouldin_index",
     "PairedTTestResult",
     "paired_t_test",
 ]

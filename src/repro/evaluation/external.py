@@ -3,8 +3,7 @@
 The paper's headline external measure is the **Overall F-Measure**
 (set-matching F): for every ground-truth class the best-matching cluster's
 F-measure is taken and the results are averaged weighted by class size.
-Pairwise (pair-counting) F, Adjusted Rand Index and Normalised Mutual
-Information are provided as companion measures.
+The Adjusted Rand Index is provided as a companion measure.
 
 All measures accept an ``exclude`` index set so the evaluation can ignore
 the objects whose labels/constraints were given to the semi-supervised
@@ -101,22 +100,6 @@ def overall_f_measure(
     return float(min(1.0, np.sum(class_sizes / n * best_f_per_class)))
 
 
-def pairwise_f_measure(
-    labels_true: Sequence[int] | np.ndarray,
-    labels_pred: Sequence[int] | np.ndarray,
-    *,
-    exclude: Iterable[int] | None = None,
-) -> float:
-    """Pair-counting F-measure (harmonic mean of pair precision and recall)."""
-    true, pred = _filtered(labels_true, labels_pred, exclude)
-    n11, n10, n01, _ = pair_confusion_matrix(true, pred)
-    precision = n11 / (n11 + n01) if (n11 + n01) else 0.0
-    recall = n11 / (n11 + n10) if (n11 + n10) else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return float(2.0 * precision * recall / (precision + recall))
-
-
 def adjusted_rand_index(
     labels_true: Sequence[int] | np.ndarray,
     labels_pred: Sequence[int] | np.ndarray,
@@ -134,40 +117,3 @@ def adjusted_rand_index(
     if maximum == expected:
         return 1.0
     return float((n11 - expected) / (maximum - expected))
-
-
-def normalized_mutual_information(
-    labels_true: Sequence[int] | np.ndarray,
-    labels_pred: Sequence[int] | np.ndarray,
-    *,
-    exclude: Iterable[int] | None = None,
-) -> float:
-    """Normalised mutual information with arithmetic-mean normalisation."""
-    true, pred = _filtered(labels_true, labels_pred, exclude)
-    n = true.shape[0]
-
-    pred = pred.copy()
-    noise = pred < 0
-    if np.any(noise):
-        next_label = pred.max() + 1 if pred.size else 0
-        pred[noise] = np.arange(next_label, next_label + np.count_nonzero(noise))
-
-    true_classes, true_idx = np.unique(true, return_inverse=True)
-    pred_classes, pred_idx = np.unique(pred, return_inverse=True)
-    contingency = np.zeros((true_classes.size, pred_classes.size), dtype=np.float64)
-    np.add.at(contingency, (true_idx, pred_idx), 1.0)
-
-    joint = contingency / n
-    p_true = joint.sum(axis=1)
-    p_pred = joint.sum(axis=0)
-
-    nonzero = joint > 0
-    mutual_information = float(
-        np.sum(joint[nonzero] * np.log(joint[nonzero] / np.outer(p_true, p_pred)[nonzero]))
-    )
-    entropy_true = float(-np.sum(p_true[p_true > 0] * np.log(p_true[p_true > 0])))
-    entropy_pred = float(-np.sum(p_pred[p_pred > 0] * np.log(p_pred[p_pred > 0])))
-    normaliser = 0.5 * (entropy_true + entropy_pred)
-    if normaliser == 0.0:
-        return 1.0
-    return float(max(0.0, min(1.0, mutual_information / normaliser)))

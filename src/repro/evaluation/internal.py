@@ -3,9 +3,7 @@
 The Silhouette coefficient (Kaufman & Rousseeuw, 1990) is the baseline
 model-selection criterion the paper compares CVCP against for MPCKMeans
 (Section 4.3): among the candidate values of ``k`` the one whose partition
-maximises the mean silhouette width is selected.  The simplified silhouette
-and the Davies–Bouldin index are included as additional internal criteria
-for ablation studies.
+maximises the mean silhouette width is selected.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.clustering.distances import DEFAULT_BLOCK_ROWS, euclidean_distances
+from repro.clustering.distances import DEFAULT_BLOCK_ROWS
 from repro.utils.cache import cached_pairwise_distances
 from repro.core.admissibility import check_input
 from repro.utils.validation import check_labels, unique_labels
@@ -132,57 +130,3 @@ def silhouette_score(
     if not np.any(mask):
         return 0.0
     return float(scores[mask].mean())
-
-
-def simplified_silhouette(X: np.ndarray, labels: Sequence[int] | np.ndarray) -> float:
-    """Simplified silhouette: distances to centroids instead of to all members.
-
-    Much cheaper than the full silhouette and nearly as effective for
-    model selection on globular clusters (Vendramin et al., 2010).
-    """
-    X, labels = _validated(X, labels)
-    clusters = unique_labels(labels)
-    if clusters.size < 2:
-        return 0.0
-
-    centroids = np.vstack([X[labels == c].mean(axis=0) for c in clusters])
-    distances = euclidean_distances(X, centroids)
-    cluster_position = {int(c): position for position, c in enumerate(clusters)}
-
-    scores = []
-    for index in range(X.shape[0]):
-        own = int(labels[index])
-        if own < 0:
-            continue
-        own_position = cluster_position[own]
-        a = distances[index, own_position]
-        others = np.delete(distances[index], own_position)
-        b = float(others.min()) if others.size else 0.0
-        denominator = max(a, b)
-        scores.append((b - a) / denominator if denominator > 0 else 0.0)
-    return float(np.mean(scores)) if scores else 0.0
-
-
-def davies_bouldin_index(X: np.ndarray, labels: Sequence[int] | np.ndarray) -> float:
-    """Davies–Bouldin index (lower is better; 0 is the ideal value)."""
-    X, labels = _validated(X, labels)
-    clusters = unique_labels(labels)
-    if clusters.size < 2:
-        return 0.0
-
-    centroids = np.vstack([X[labels == c].mean(axis=0) for c in clusters])
-    scatters = np.array([
-        float(np.mean(np.linalg.norm(X[labels == c] - centroids[position], axis=1)))
-        for position, c in enumerate(clusters)
-    ])
-    centroid_distances = euclidean_distances(centroids, centroids)
-
-    ratios = np.zeros(clusters.size)
-    for i in range(clusters.size):
-        candidates = [
-            (scatters[i] + scatters[j]) / centroid_distances[i, j]
-            for j in range(clusters.size)
-            if j != i and centroid_distances[i, j] > 0
-        ]
-        ratios[i] = max(candidates) if candidates else 0.0
-    return float(ratios.mean())

@@ -83,23 +83,3 @@ def paired_t_test(first: Sequence[float], second: Sequence[float]) -> PairedTTes
     statistic = mean_difference / (std / np.sqrt(n))
     p_value = float(2.0 * stats.t.sf(abs(statistic), df=n - 1))
     return PairedTTestResult(float(statistic), p_value, mean_difference, n)
-
-
-def best_is_significant(
-    best: Sequence[float],
-    others: Sequence[Sequence[float]],
-    *,
-    alpha: float = DEFAULT_ALPHA,
-) -> bool:
-    """Whether ``best`` beats *every* alternative significantly.
-
-    Mirrors the bolding rule of the paper's tables: the winner is marked
-    only if the paired difference against each other method is significant
-    at level ``alpha`` (and in the winner's favour).
-    """
-    best = np.asarray(best, dtype=np.float64)
-    for other in others:
-        result = paired_t_test(best, other)
-        if not result.significant(alpha) or result.mean_difference <= 0:
-            return False
-    return True

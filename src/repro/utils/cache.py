@@ -250,15 +250,15 @@ def cached_pairwise_distances(
 
 def _cached_matrix(X: np.ndarray, metric: str, distance_backend: str | None) -> tuple[np.ndarray, tuple]:
     """The memoised distance matrix of ``X`` and its memo key."""
-    from repro.core.distance_backend import get_distance_backend
+    from repro.core.distance_backend import resolve_distance_backend, tier_pairwise_distances
 
-    backend = get_distance_backend(distance_backend)
+    backend = resolve_distance_backend(distance_backend)
     if not is_sparse(X):
         X = np.asarray(X)
-    key = (array_fingerprint(X), metric, backend.name)
+    key = (array_fingerprint(X), metric, backend)
 
     def compute() -> np.ndarray:
-        matrix = backend.pairwise(X, metric=metric)
+        matrix = tier_pairwise_distances(X, metric, backend)
         matrix.setflags(write=False)
         return matrix
 

@@ -44,12 +44,3 @@ def spawn_seeds(rng: np.random.Generator, n: int) -> list[int]:
     """
     seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
     return [int(seed) for seed in seeds]
-
-
-def spawn_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``rng``.
-
-    Used by experiment drivers to give every trial its own stream while
-    keeping the whole experiment reproducible from a single seed.
-    """
-    return [np.random.default_rng(seed) for seed in spawn_seeds(rng, n)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.clustering import KMeans, MPCKMeans
-from repro.clustering.base import BaseClusterer, ClusteringResult, relabel_compact
+from repro.clustering.base import BaseClusterer, ClusteringResult
 
 
 class TestClusteringResult:
@@ -31,20 +31,6 @@ class TestClusteringResult:
             _ = KMeans(n_clusters=2).result_
         with pytest.raises(AttributeError):
             _ = KMeans(n_clusters=2).n_clusters_
-
-
-class TestRelabelCompact:
-    def test_compacts_arbitrary_labels(self):
-        labels = np.array([5, 5, 9, 2, 9, -1])
-        compact = relabel_compact(labels)
-        assert compact.tolist() == [0, 0, 1, 2, 1, -1]
-
-    def test_already_compact_is_stable(self):
-        labels = np.array([0, 1, 1, 2])
-        assert relabel_compact(labels).tolist() == [0, 1, 1, 2]
-
-    def test_all_noise(self):
-        assert relabel_compact(np.array([-1, -1])).tolist() == [-1, -1]
 
 
 class TestBaseClustererProtocol:

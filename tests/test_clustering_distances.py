@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.clustering.distances import (
-    diagonal_mahalanobis_distances,
     euclidean_distances,
     k_nearest_distances,
     pairwise_distances,
-    weighted_squared_distance,
 )
 
 
@@ -62,57 +60,6 @@ class TestPairwiseDistances:
     def test_unknown_metric(self, points):
         with pytest.raises(ValueError):
             pairwise_distances(points, metric="chebyshev")
-
-
-class TestDiagonalMahalanobis:
-    def test_identity_weights_match_euclidean(self, points):
-        centers = points[:2]
-        weights = np.ones_like(centers)
-        result = diagonal_mahalanobis_distances(points, centers, weights)
-        expected = euclidean_distances(points, centers, squared=True)
-        assert np.allclose(result, expected)
-
-    def test_weighting_scales_dimensions(self):
-        X = np.array([[1.0, 1.0]])
-        centers = np.array([[0.0, 0.0]])
-        weights = np.array([[4.0, 1.0]])
-        assert diagonal_mahalanobis_distances(X, centers, weights)[0, 0] == pytest.approx(5.0)
-
-    def test_shape_mismatch(self, points):
-        with pytest.raises(ValueError):
-            diagonal_mahalanobis_distances(points, points[:2], np.ones((3, 2)))
-
-    def test_weighted_squared_distance(self):
-        assert weighted_squared_distance([0, 0], [1, 2], [1, 1]) == pytest.approx(5.0)
-        assert weighted_squared_distance([0, 0], [1, 2], [2, 0.5]) == pytest.approx(4.0)
-
-    def test_batched_matches_per_cluster_loop(self):
-        """Regression: the batched einsum equals the old O(n·k) Python loop."""
-        rng = np.random.default_rng(42)
-        X = rng.normal(size=(60, 5))
-        centers = rng.normal(size=(4, 5))
-        weights = rng.lognormal(0.0, 0.4, size=(4, 5))
-
-        loop = np.empty((X.shape[0], centers.shape[0]))
-        for h in range(centers.shape[0]):
-            diff = X - centers[h]
-            loop[:, h] = np.einsum("ij,j,ij->i", diff, weights[h], diff)
-
-        batched = diagonal_mahalanobis_distances(X, centers, weights)
-        assert np.allclose(batched, loop, rtol=1e-12, atol=1e-12)
-        root = diagonal_mahalanobis_distances(X, centers, weights, squared=False)
-        assert np.allclose(root, np.sqrt(loop), rtol=1e-12, atol=1e-12)
-
-    def test_batched_faster_shapes_and_degenerate_inputs(self):
-        """One cluster, one point and one dimension all keep their shapes."""
-        assert diagonal_mahalanobis_distances(
-            np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))
-        ).shape == (1, 1)
-        out = diagonal_mahalanobis_distances(
-            np.arange(6.0).reshape(6, 1), np.zeros((1, 1)), np.ones((1, 1))
-        )
-        assert out.shape == (6, 1)
-        assert out[3, 0] == pytest.approx(9.0)
 
 
 class TestKNearestDistances:

@@ -5,17 +5,12 @@ import pytest
 from repro.constraints import (
     ConstraintSet,
     InconsistentConstraintsError,
+    constraints_from_labels,
     cannot_link,
     must_link,
     transitive_closure,
     is_consistent,
     must_link_components,
-)
-from repro.constraints.closure import (
-    closure_of_labels,
-    closure_size,
-    derived_constraints,
-    restrict_and_close,
 )
 
 
@@ -94,29 +89,17 @@ class TestComponents:
         assert must_link_components(constraints) == [[4], [7]]
 
 
-class TestClosureHelpers:
-    def test_closure_size_matches_materialised_closure(self, simple_constraints):
-        n_must, n_cannot = closure_size(simple_constraints)
-        closure = transitive_closure(simple_constraints)
-        assert n_must == closure.n_must_link
-        assert n_cannot == closure.n_cannot_link
-
-    def test_derived_constraints_excludes_explicit(self, simple_constraints):
-        derived = derived_constraints(simple_constraints)
-        assert cannot_link(0, 2) in derived
-        assert must_link(0, 1) not in derived
-        assert len(derived) == 3
-
-    def test_closure_of_labels(self):
-        closure = closure_of_labels({0: "a", 1: "a", 2: "b"})
+class TestClosureCompositions:
+    def test_closure_of_label_constraints(self):
+        closure = transitive_closure(constraints_from_labels({0: "a", 1: "a", 2: "b"}))
         assert must_link(0, 1) in closure
         assert cannot_link(0, 2) in closure
         assert cannot_link(1, 2) in closure
         assert len(closure) == 3
 
-    def test_restrict_and_close(self, simple_constraints):
+    def test_restricting_then_closing_rederives(self, simple_constraints):
         # Restricting to {0, 1, 2} keeps ML(0,1), CL(1,2) and re-derives CL(0,2).
-        restricted = restrict_and_close(simple_constraints, [0, 1, 2])
+        restricted = transitive_closure(simple_constraints.restricted_to([0, 1, 2]))
         assert must_link(0, 1) in restricted
         assert cannot_link(1, 2) in restricted
         assert cannot_link(0, 2) in restricted

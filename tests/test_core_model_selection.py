@@ -1,12 +1,10 @@
-"""Unit tests for result containers and baseline selectors."""
+"""Unit tests for the result containers and the expected-quality reference."""
 
 import numpy as np
 import pytest
 
-from repro.clustering import KMeans, MPCKMeans
-from repro.constraints import constraints_from_labels, sample_labeled_objects
-from repro.core import CVCPResult, SilhouetteSelector, expected_quality
-from repro.core.model_selection import ParameterEvaluation, parameter_range_for_k
+from repro.core import CVCPResult, expected_quality
+from repro.core.model_selection import ParameterEvaluation
 from repro.experiments.config import MINPTS_RANGE
 
 
@@ -61,35 +59,6 @@ class TestCVCPResult:
             _ = result.best_value
 
 
-class TestSilhouetteSelector:
-    def test_selects_true_k_on_blobs(self, blobs_dataset):
-        selector = SilhouetteSelector(KMeans(random_state=0), [2, 3, 4, 5])
-        selector.fit(blobs_dataset.X)
-        assert selector.best_value_ == 3
-        assert selector.labels_.shape == (blobs_dataset.n_samples,)
-        assert len(selector.scores_) == 4
-
-    def test_uses_side_information_through_estimator(self, blobs_dataset):
-        labeled = sample_labeled_objects(blobs_dataset.y, 0.2, random_state=0)
-        constraints = constraints_from_labels(labeled)
-        selector = SilhouetteSelector(
-            MPCKMeans(random_state=0, n_init=1, max_iter=10), [2, 3, 4]
-        )
-        selector.fit(blobs_dataset.X, constraints=constraints)
-        assert selector.best_value_ in [2, 3, 4]
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(ValueError):
-            SilhouetteSelector(KMeans(), [])
-
-    def test_missing_parameter_name_rejected(self):
-        class Nameless(KMeans):
-            tuned_parameter = ""
-
-        with pytest.raises(ValueError):
-            SilhouetteSelector(Nameless(), [2, 3])
-
-
 class TestExpectedQuality:
     def test_is_the_mean(self):
         assert expected_quality([0.2, 0.4, 0.9]) == pytest.approx(0.5)
@@ -102,8 +71,3 @@ class TestExpectedQuality:
 class TestParameterRanges:
     def test_paper_minpts_range(self):
         assert MINPTS_RANGE == (3, 6, 9, 12, 15, 18, 21, 24)
-
-    def test_k_range(self):
-        assert parameter_range_for_k(5) == [2, 3, 4, 5]
-        with pytest.raises(ValueError):
-            parameter_range_for_k(1)

@@ -10,12 +10,10 @@ from repro.datasets import (
     load_csv_dataset,
     make_aloi_collection,
     make_aloi_k5_like,
-    make_anisotropic_blobs,
     make_blobs,
     make_ecoli_like,
     make_ionosphere_like,
     make_iris_like,
-    make_nested_circles,
     make_two_moons,
     make_wine_like,
     make_zyeast_like,
@@ -76,16 +74,6 @@ class TestSyntheticGenerators:
         assert data.n_samples == 101
         assert data.n_features == 2
         assert data.n_classes == 2
-
-    def test_nested_circles_radii(self):
-        data = make_nested_circles(200, noise=0.0, radius_ratio=0.4, random_state=0)
-        outer = np.linalg.norm(data.X[data.y == 0], axis=1)
-        inner = np.linalg.norm(data.X[data.y == 1], axis=1)
-        assert inner.max() < outer.min()
-
-    def test_anisotropic_blobs(self):
-        data = make_anisotropic_blobs([15, 15], 4, random_state=0)
-        assert data.n_samples == 30 and data.n_features == 4
 
     def test_embed_in_higher_dimension(self):
         base = make_two_moons(50, random_state=0)

@@ -22,6 +22,7 @@ import pytest
 from repro.clustering.distances import DEFAULT_BLOCK_ROWS, pairwise_distances
 from repro.clustering.fosc import FOSCOpticsDend
 import repro.clustering.hierarchy as hierarchy_module
+import repro.core.distance_backend as distance_backend_module
 from repro.clustering.hierarchy import build_tree_structure, mutual_reachability
 from repro.clustering.kernels import minimum_spanning_tree
 from repro.core.cvcp import CVCP
@@ -32,12 +33,11 @@ from repro.core.distance_backend import (
     DISTANCE_BACKENDS,
     EXACT_DISTANCE_BACKENDS,
     SPILL_DIR_ENV_VAR,
-    BlockwiseBackend,
-    MemmapBackend,
     clear_spill_directory,
-    get_distance_backend,
     resolve_distance_backend,
     spill_directory,
+    spill_path,
+    tier_pairwise_distances,
 )
 from repro.datasets.synthetic import make_blobs
 from repro.utils.cache import (
@@ -89,11 +89,6 @@ class TestResolution:
         with pytest.raises(ValueError, match=DISTANCE_BACKEND_ENV_VAR):
             resolve_distance_backend(None)
 
-    def test_get_backend_returns_shared_instances(self):
-        assert get_distance_backend("blockwise") is get_distance_backend("blockwise")
-        assert isinstance(get_distance_backend("blockwise"), BlockwiseBackend)
-        assert isinstance(get_distance_backend("memmap"), MemmapBackend)
-
     def test_retired_dense_name_is_an_unknown_backend_everywhere(self, monkeypatch, tmp_path, capsys):
         """``"dense"`` gets the unknown-backend message at all five entry points."""
         from repro.cli.main import main
@@ -135,7 +130,10 @@ class TestResolution:
         }
         for label, entry_point in entry_points.items():
             assert message(entry_point, "dense") == message(entry_point, "gpu"), label
-        assert message(get_distance_backend, "dense") == (
+        def tier_matrix(name):
+            return tier_pairwise_distances(np.zeros((2, 1)), "euclidean", name)
+
+        assert message(tier_matrix, "dense") == (
             f"distance_backend must be one of {DISTANCE_BACKENDS}, got <name>"
         )
         with pytest.raises(SpecError) as excinfo:
@@ -150,7 +148,7 @@ class TestMatrixBitIdentity:
     @pytest.mark.parametrize("metric", ["euclidean", "sqeuclidean", "manhattan", "cosine"])
     def test_all_tiers_bitwise_identical_across_panels(self, spill_dir, big_blobs, metric):
         matrices = {
-            name: np.asarray(get_distance_backend(name).pairwise(big_blobs.X, metric=metric))
+            name: np.asarray(tier_pairwise_distances(big_blobs.X, metric, name))
             for name in EXACT_DISTANCE_BACKENDS
         }
         assert np.array_equal(matrices["blockwise"], matrices["memmap"])
@@ -265,8 +263,7 @@ class TestClusteringParity:
 
 class TestMemmapSpillLifecycle:
     def test_spill_file_created_read_only_and_reused(self, spill_dir, big_blobs, monkeypatch):
-        backend = get_distance_backend("memmap")
-        matrix = backend.pairwise(big_blobs.X)
+        matrix = tier_pairwise_distances(big_blobs.X, "euclidean", "memmap")
         assert isinstance(matrix, np.memmap)
         assert not matrix.flags.writeable
         finished = [p for p in spill_dir.iterdir() if p.suffix == ".dmm"]
@@ -275,14 +272,14 @@ class TestMemmapSpillLifecycle:
         stat_before = finished[0].stat()
 
         fills = {"count": 0}
-        original = MemmapBackend._fill_spill
+        original = distance_backend_module._fill_spill
 
-        def counting(self, path, X, metric):
+        def counting(path, X, metric):
             fills["count"] += 1
-            return original(self, path, X, metric)
+            return original(path, X, metric)
 
-        monkeypatch.setattr(MemmapBackend, "_fill_spill", counting)
-        again = backend.pairwise(big_blobs.X)
+        monkeypatch.setattr(distance_backend_module, "_fill_spill", counting)
+        again = tier_pairwise_distances(big_blobs.X, "euclidean", "memmap")
         assert fills["count"] == 0  # the finished spill was mapped, not recomputed
         assert np.array_equal(np.asarray(matrix), np.asarray(again))
         stat_after = finished[0].stat()
@@ -304,7 +301,7 @@ class TestMemmapSpillLifecycle:
 
         monkeypatch.setattr(distances_module, "pairwise_distances", failing)
         with pytest.raises(RuntimeError, match="disk exploded"):
-            get_distance_backend("memmap").pairwise(big_blobs.X)
+            tier_pairwise_distances(big_blobs.X, "euclidean", "memmap")
         assert calls["count"] == 1
         assert list(spill_dir.iterdir()) == []  # no finished file, no stale temp
 
@@ -316,11 +313,11 @@ class TestMemmapSpillLifecycle:
         build_tree_structure(big_blobs.X, 5, distance_backend="memmap")
         # No mutual-reachability spill, not even an unlinked one: the fit
         # never allocates an (n, n) matrix besides the pairwise spill.
-        spill = get_distance_backend("memmap").spill_path(big_blobs.X, "euclidean")
+        spill = spill_path(big_blobs.X, "euclidean")
         assert list(spill_dir.iterdir()) == [spill]
 
     def test_clear_spill_directory_removes_finished_and_stale_files(self, spill_dir, big_blobs):
-        get_distance_backend("memmap").pairwise(big_blobs.X)
+        tier_pairwise_distances(big_blobs.X, "euclidean", "memmap")
         stale = spill_directory() / f"deadbeef-600.dmm.tmp-{os.getpid()}"
         stale.write_bytes(b"partial")
         assert clear_spill_directory() == 2
@@ -338,10 +335,7 @@ class TestMemmapSpillLifecycle:
                 from repro.core import distance_backend as db
 
                 X = scale_dataset(int(sys.argv[1])).X
-                backend = db.get_distance_backend("memmap")
-                original = db.MemmapBackend._fill_spill
-
-                def slow(self, path, X, metric):
+                def slow(path, X, metric):
                     def stall(start, stop):
                         print("PANEL-WRITTEN", flush=True)
                         time.sleep(60)
@@ -352,8 +346,8 @@ class TestMemmapSpillLifecycle:
                                        shape=(X.shape[0], X.shape[0]))
                     pairwise_distances(X, metric=metric, out=matrix, panel_done=stall)
 
-                db.MemmapBackend._fill_spill = slow
-                backend.pairwise(X)
+                db._fill_spill = slow
+                db.tier_pairwise_distances(X, "euclidean", "memmap")
                 """
             ),
             encoding="utf-8",
@@ -374,7 +368,7 @@ class TestMemmapSpillLifecycle:
 
         # The same spill directory resumes: the fresh run ignores the stale
         # temp, completes atomically, and later runs reuse its finished file.
-        matrix = get_distance_backend("memmap").pairwise(big_blobs.X)
+        matrix = tier_pairwise_distances(big_blobs.X, "euclidean", "memmap")
         finished = [p for p in spill_dir.iterdir() if p.suffix == ".dmm"]
         assert len(finished) == 1
         assert np.array_equal(np.asarray(matrix), pairwise_distances(big_blobs.X))
@@ -383,10 +377,11 @@ class TestMemmapSpillLifecycle:
         """Racing thread fills outside the memo each rename their own temp."""
         import concurrent.futures
 
-        # The backend itself holds no memo lock: every request computes.
-        backend = get_distance_backend("memmap")
+        # The tier function itself holds no memo lock: every request computes.
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            first, second = pool.map(lambda _: backend.pairwise(big_blobs.X), range(2))
+            first, second = pool.map(
+                lambda _: tier_pairwise_distances(big_blobs.X, "euclidean", "memmap"), range(2)
+            )
         assert np.array_equal(np.asarray(first), np.asarray(second))
         finished = [p for p in spill_dir.iterdir() if p.suffix == ".dmm"]
         assert len(finished) == 1

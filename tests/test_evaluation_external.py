@@ -6,10 +6,8 @@ import pytest
 from repro.evaluation import (
     adjusted_rand_index,
     evaluation_mask,
-    normalized_mutual_information,
     overall_f_measure,
 )
-from repro.evaluation.external import pairwise_f_measure
 
 
 @pytest.fixture()
@@ -64,16 +62,6 @@ class TestOverallFMeasure:
             assert 0.0 <= score <= 1.0
 
 
-class TestPairwiseF:
-    def test_perfect(self, truth):
-        assert pairwise_f_measure(truth, truth) == pytest.approx(1.0)
-
-    def test_worse_for_random_partition(self, truth):
-        rng = np.random.default_rng(0)
-        prediction = rng.integers(0, 3, size=truth.size)
-        assert pairwise_f_measure(truth, prediction) < pairwise_f_measure(truth, truth)
-
-
 class TestAdjustedRandIndex:
     def test_perfect_and_permuted(self, truth):
         assert adjusted_rand_index(truth, truth) == pytest.approx(1.0)
@@ -93,27 +81,6 @@ class TestAdjustedRandIndex:
         assert adjusted_rand_index([0, 0, 1, 1], [0, 0, 1, 2]) == pytest.approx(0.5714, abs=1e-3)
         # Crossing partition carries no adjusted agreement.
         assert adjusted_rand_index([0, 0, 1, 1], [0, 0, 0, 1]) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestNMI:
-    def test_perfect(self, truth):
-        assert normalized_mutual_information(truth, truth) == pytest.approx(1.0)
-
-    def test_independent_partitions_near_zero(self):
-        rng = np.random.default_rng(0)
-        truth = rng.integers(0, 4, size=2000)
-        prediction = rng.integers(0, 4, size=2000)
-        assert normalized_mutual_information(truth, prediction) < 0.02
-
-    def test_bounded(self, truth):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            prediction = rng.integers(0, 3, size=truth.size)
-            assert 0.0 <= normalized_mutual_information(truth, prediction) <= 1.0
-
-    def test_single_cluster_both_sides(self):
-        labels = np.zeros(10, dtype=int)
-        assert normalized_mutual_information(labels, labels) == pytest.approx(1.0)
 
 
 class TestEvaluationMask:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.evaluation import silhouette_samples, silhouette_score, simplified_silhouette
-from repro.evaluation.internal import davies_bouldin_index
+from repro.evaluation import silhouette_samples, silhouette_score
 
 
 @pytest.fixture()
@@ -105,25 +104,3 @@ class TestSilhouetteInfiniteDistances:
         samples = silhouette_samples(D, labels, metric="precomputed")
         np.testing.assert_array_equal(samples, [0.0, -1.0, 1.0, 1.0])
         assert silhouette_score(D, labels, metric="precomputed") == 0.25
-
-
-class TestSimplifiedSilhouette:
-    def test_agrees_qualitatively_with_full_silhouette(self, two_tight_clusters):
-        X, labels = two_tight_clusters
-        assert simplified_silhouette(X, labels) > 0.9
-
-    def test_single_cluster_returns_zero(self, two_tight_clusters):
-        X, _ = two_tight_clusters
-        assert simplified_silhouette(X, np.zeros(X.shape[0], dtype=int)) == 0.0
-
-
-class TestDaviesBouldin:
-    def test_lower_for_better_partition(self, two_tight_clusters):
-        X, labels = two_tight_clusters
-        rng = np.random.default_rng(2)
-        random_labels = rng.integers(0, 2, size=labels.size)
-        assert davies_bouldin_index(X, labels) < davies_bouldin_index(X, random_labels)
-
-    def test_single_cluster_returns_zero(self, two_tight_clusters):
-        X, _ = two_tight_clusters
-        assert davies_bouldin_index(X, np.zeros(X.shape[0], dtype=int)) == 0.0

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from repro.evaluation import paired_t_test
-from repro.evaluation.significance import best_is_significant
 
 
 class TestPairedTTest:
@@ -44,22 +43,3 @@ class TestPairedTTest:
     def test_too_few_pairs_rejected(self):
         with pytest.raises(ValueError):
             paired_t_test([1.0], [2.0])
-
-
-class TestBestIsSignificant:
-    def test_winner_beats_all(self):
-        best = np.array([0.9, 0.91, 0.89, 0.92, 0.9])
-        other_a = best - 0.2
-        other_b = best - 0.3
-        assert best_is_significant(best, [other_a, other_b])
-
-    def test_not_significant_when_tied_with_one(self):
-        best = np.array([0.9, 0.91, 0.89, 0.92, 0.9])
-        tied = best + np.array([0.01, -0.01, 0.02, -0.02, 0.0])
-        worse = best - 0.3
-        assert not best_is_significant(best, [tied, worse])
-
-    def test_not_significant_when_actually_worse(self):
-        best = np.array([0.5, 0.52, 0.49, 0.51, 0.5])
-        better = best + 0.2
-        assert not best_is_significant(best, [better])

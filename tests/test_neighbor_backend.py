@@ -21,7 +21,7 @@ from repro.core.cvcp import CVCP
 from repro.core.distance_backend import (
     DISTANCE_BACKENDS,
     EXACT_DISTANCE_BACKENDS,
-    get_distance_backend,
+    tier_pairwise_distances,
 )
 from repro.core.executor import ExecutionSpec
 from repro.experiments import ExperimentConfig, run_trial, trial_artifact_key
@@ -64,9 +64,8 @@ class TestBackendRegistry:
         assert "neighbors" not in EXACT_DISTANCE_BACKENDS
 
     def test_full_matrix_requests_are_rejected_with_guidance(self):
-        backend = get_distance_backend("neighbors")
         with pytest.raises(ValueError, match="cannot materialise"):
-            backend.pairwise(np.zeros((4, 2)))
+            tier_pairwise_distances(np.zeros((4, 2)), "euclidean", "neighbors")
 
 
 class TestExecutionSpecSurface:

@@ -9,7 +9,6 @@ from repro.constraints import constraints_from_labels
 from repro.core import constraint_f_score
 from repro.evaluation import (
     adjusted_rand_index,
-    normalized_mutual_information,
     overall_f_measure,
 )
 from repro.evaluation.confusion import constraint_confusion, pair_confusion_matrix
@@ -62,11 +61,6 @@ class TestExternalMeasureProperties:
     def test_ari_at_most_one(self, pair):
         truth, prediction = pair
         assert adjusted_rand_index(truth, prediction) <= 1.0 + 1e-12
-
-    @given(paired_labelings())
-    def test_nmi_bounded(self, pair):
-        truth, prediction = pair
-        assert 0.0 <= normalized_mutual_information(truth, prediction) <= 1.0
 
     @given(paired_labelings())
     def test_pair_confusion_sums_to_all_pairs(self, pair):

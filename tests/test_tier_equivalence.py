@@ -24,7 +24,7 @@ from repro.clustering.distances import (
 )
 from repro.clustering.hierarchy import build_tree_structure, mutual_reachability
 from repro.clustering.kernels import condense_tree, minimum_spanning_tree, single_linkage_tree
-from repro.core.distance_backend import get_distance_backend
+from repro.core.distance_backend import tier_pairwise_distances
 from repro.utils.cache import cached_pairwise_distances, clear_distance_cache
 
 import tier_oracle as oracle
@@ -131,9 +131,8 @@ class TestStructurePhase:
         # at several panel widths, then the kernels downstream.
         n_samples = matrix.shape[0]
         min_pts = min(min_pts, n_samples)
-        backend = get_distance_backend(tier)
         clear_distance_cache()
-        stored = backend.pairwise(matrix, metric="precomputed")
+        stored = tier_pairwise_distances(matrix, "precomputed", tier)
         widths = {} if block is None else {"block_rows": block}
         core = k_nearest_distances(stored, min_pts, **widths)
         mreach = mutual_reachability(stored, core)

@@ -11,7 +11,6 @@ from repro.utils import (
     check_positive_int,
     check_random_state,
 )
-from repro.utils.rng import spawn_rng
 from repro.utils.validation import unique_labels
 
 
@@ -73,14 +72,6 @@ class TestCheckRandomState:
     def test_invalid_type(self):
         with pytest.raises(TypeError):
             check_random_state("seed")
-
-    def test_spawn_rng_produces_independent_children(self):
-        parent = check_random_state(3)
-        children = spawn_rng(parent, 4)
-        assert len(children) == 4
-        draws = [child.integers(0, 10**9) for child in children]
-        assert len(set(draws)) > 1
-
 
 class TestValidation:
     def test_check_array_2d_accepts_lists(self):
