@@ -43,10 +43,10 @@ from repro.experiments.pipeline import (
 )
 from repro.experiments.pipeline import run_pipeline as _run_pipeline_spec
 from repro.experiments.runner import (
-    algorithm_factory,
+    TEMPLATE_CLASSES,
     make_side_information,
-    parameter_values_for,
     run_trials,
+    selection_template,
 )
 from repro.utils.rng import check_random_state
 from repro.utils.specs import SpecError, check_enum, check_spec_mapping, unknown_key_problems
@@ -288,9 +288,6 @@ def select_parameter(
         seed=request.seed, n_trials=request.n_trials, n_folds=request.n_folds
     ).with_execution(**dataclasses.asdict(request.execution))
     dataset = get_dataset(request.dataset, random_state=config.seed, metric=config.execution.metric)
-    estimator = algorithm_factory(
-        request.algorithm, config, random_state=config.seed, metric=dataset.metric
-    )
     trials = run_trials(
         dataset,
         request.algorithm,
@@ -304,7 +301,7 @@ def select_parameter(
     mean = lambda values: float(sum(values) / len(values))  # noqa: E731
     return SelectionReport(
         request=request,
-        parameter_name=estimator.tuned_parameter,
+        parameter_name=TEMPLATE_CLASSES[request.algorithm].tuned_parameter,
         selected_value=trials[0].cvcp_value,
         selected_quality=mean([trial.cvcp_quality for trial in trials]),
         expected_quality=mean([trial.expected_quality for trial in trials]),
@@ -371,20 +368,11 @@ def fit(
     )
     rng = check_random_state(seed)
     side = make_side_information(dataset, scenario, amount, random_state=rng)
-    estimator = algorithm_factory(algorithm, config, random_state=rng, metric=dataset.metric)
-    values = parameter_values_for(algorithm, dataset, config)
+    estimator, values = selection_template(algorithm, dataset, config, rng)
     search = CVCP(
-        estimator,
-        values,
-        n_folds=n_folds,
-        refit=True,
-        random_state=rng,
-        execution=config.execution,
+        estimator, values, n_folds=n_folds, refit=True, random_state=rng, execution=config.execution
     )
-    if scenario == "labels":
-        search.fit(dataset.X, labeled_objects=side.labeled_objects)
-    else:
-        search.fit(dataset.X, constraints=side.constraints)
+    side.fit(search, dataset.X)
     labels = tuple(int(label) for label in search.labels_)
     return FitReport(
         algorithm=algorithm,

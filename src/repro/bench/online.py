@@ -92,23 +92,10 @@ def run(deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
     process-wide memo, so neither side smuggles warm state past the
     clock and both pay the identical per-step persistence bill.
     """
-    from repro.constraints.constraint import ConstraintSet
-    from repro.core.cvcp import CVCP
     from repro.datasets.registry import get_dataset
     from repro.experiments.artifacts import ArtifactStore
-    from repro.experiments.online import (
-        StreamSpec,
-        ordered_stream,
-        stream_prefix_sizes,
-        stream_step_key,
-    )
-    from repro.experiments.runner import (
-        algorithm_factory,
-        make_side_information,
-        parameter_values_for,
-    )
+    from repro.experiments.online import StreamPlan, StreamSpec
     from repro.utils.cache import clear_distance_cache
-    from repro.utils.rng import check_random_state, spawn_seeds
 
     if deltas < 2:
         raise ValueError(
@@ -118,58 +105,23 @@ def run(deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
     config = _bench_config()
     stream = StreamSpec(n_deltas=deltas, order="sorted")
     dataset = get_dataset("Iris", random_state=config.seed)
-
-    # Mirror replay_constraint_stream's rng discipline exactly so the
-    # bench exercises the very seeds a real `kind = "online"` run uses.
-    rng = check_random_state(config.seed)
-    side = make_side_information(dataset, "constraints", amount, random_state=rng)
-    arrivals = ordered_stream(side.constraints, stream.order, rng)
-    estimator = algorithm_factory("fosc", config, random_state=rng)
-    values = parameter_values_for("fosc", dataset, config)
-    step_seeds = spawn_seeds(rng, stream.n_deltas)
-    counts = stream_prefix_sizes(len(arrivals), stream.n_deltas)
-
-    def run_step(store: "ArtifactStore", index: int) -> "CVCP":
-        """One store-backed replay step, exactly as ``kind = "online"`` runs it."""
-        key = stream_step_key(config, dataset, amount, stream, index, step_seeds[index])
-        search = CVCP(
-            estimator,
-            values,
-            n_folds=config.n_folds,
-            refit=True,
-            random_state=step_seeds[index],
-            execution=config.execution,
-            artifact_store=store,
-            artifact_scope=key,
-        )
-        search.fit(dataset.X, constraints=ConstraintSet(arrivals[: counts[index]]))
-        store.journal(key).remove()
-        return search
-
-    def selection_of(search: "CVCP") -> tuple[int, list[list[float]], list[int]]:
-        return (
-            int(search.cv_results_.best_value),
-            [
-                [float(score) for score in evaluation.fold_scores]
-                for evaluation in search.cv_results_.evaluations
-            ],
-            [int(label) for label in search.labels_],
-        )
+    # The very plan and step a `kind = "online"` run draws and runs.
+    plan = StreamPlan.draw(dataset, amount, config, stream)
+    estimator = plan.estimator
 
     delta_records: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-online-") as tmp:
         store = ArtifactStore(Path(tmp) / "store")
         clear_distance_cache()
-        for index, count in enumerate(counts):
+        for index, count in enumerate(plan.counts):
             # Incremental: only the new delta, over the warm memo + store
             # state the previous deltas left behind (the `kind = "online"`
             # steady state).
             before = store.stats_for("structure")
             tick = time.perf_counter()
-            search = run_step(store, index)
+            incremental = plan.run_step(index, store)
             incremental_s = time.perf_counter() - tick
             after = store.stats_for("structure")
-            incremental = selection_of(search)
 
             # Cold: replay the whole accumulated stream from scratch —
             # cleared memo, empty store, structure phase and every earlier
@@ -179,23 +131,22 @@ def run(deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
             clear_distance_cache()
             tick = time.perf_counter()
             for cold_index in range(index + 1):
-                cold_search = run_step(cold_store, cold_index)
+                cold = plan.run_step(cold_index, cold_store)
             cold_s = time.perf_counter() - tick
-            cold = selection_of(cold_search)
 
             # Guarantee the warm-memo steady state the next delta starts
             # from (the cold replay above cleared the process-local memo;
             # its own structure builds normally refill it, but the next
             # incremental timing must not depend on that side effect).
             estimator.warm_structures(
-                dataset.X, [estimator.clone(**{estimator.tuned_parameter: value}) for value in values]
+                dataset.X, [estimator.clone(**{estimator.tuned_parameter: value}) for value in plan.values]
             )
 
             delta_records.append(
                 {
                     "step": index,
                     "queries": int(count),
-                    "value": incremental[0],
+                    "value": incremental.value,
                     "cold_s": cold_s,
                     "incremental_s": incremental_s,
                     "speedup": cold_s / incremental_s if incremental_s > 0 else 0.0,
@@ -234,7 +185,7 @@ def run(deltas: int = N_DELTAS, amount: float = AMOUNT) -> dict:
             "order": stream.order,
             "minpts_range": [int(value) for value in config.minpts_range],
             "n_folds": int(config.n_folds),
-            "total_constraints": len(arrivals),
+            "total_constraints": len(plan.arrivals),
         },
     }
     return make_record("online", measured, METRICS, context=context)

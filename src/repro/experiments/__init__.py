@@ -32,7 +32,6 @@
 from repro.experiments.artifacts import (
     ArtifactStore,
     StoreStats,
-    dataset_fingerprint,
     trial_config_fingerprint,
 )
 
@@ -108,7 +107,6 @@ from repro.experiments.reporting import (
 __all__ = [
     "ArtifactStore",
     "StoreStats",
-    "dataset_fingerprint",
     "trial_config_fingerprint",
     "ConfigError",
     "PipelineResult",

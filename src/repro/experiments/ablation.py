@@ -18,9 +18,11 @@ of them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from repro.clustering.base import BaseClusterer
 from repro.constraints.closure import transitive_closure
 from repro.constraints.constraint import ConstraintSet
 from repro.core.cvcp import CVCP
@@ -28,13 +30,14 @@ from repro.core.folds import CVCPFold
 from repro.core.scoring import score_partition
 from repro.datasets.base import Dataset
 from repro.evaluation.external import overall_f_measure
-from repro.experiments.artifacts import ArtifactStore, dataset_fingerprint, trial_config_fingerprint
+from repro.experiments.artifacts import ArtifactStore, experiment_key
 from repro.experiments.config import ExperimentConfig, default_config
 from repro.experiments.runner import (
     AlgorithmName,
-    algorithm_factory,
+    ScenarioName,
+    SideInformation,
     make_side_information,
-    parameter_values_for,
+    selection_template,
 )
 from repro.utils.rng import RandomStateLike, check_random_state
 
@@ -50,50 +53,40 @@ class AblationResult:
         return sorted(self.measurements.items())
 
 
-def _keyable_seed(random_state: RandomStateLike, config: ExperimentConfig) -> int | None:
-    """Integer seed usable as an artifact key, or ``None`` for generators.
-
-    A generator's state cannot be serialised into a stable key, so ablations
-    handed one always recompute; the common paths (no seed, which falls back
-    to ``config.seed``, or an explicit integer) are cacheable.
-    """
-    if random_state is None:
-        return int(config.seed)
-    if isinstance(random_state, (int, np.integer)):
-        return int(random_state)
-    return None
-
-
-def _ablation_key(
+def _run_ablation(
     name: str,
+    scenario: ScenarioName,
+    measure: Callable[[np.random.Generator, SideInformation, BaseClusterer, list[int]], dict],
     dataset: Dataset,
-    config: ExperimentConfig,
     algorithm: AlgorithmName,
     amount: float,
-    seed: int,
-    extra: dict,
-) -> dict:
-    key = {
-        "ablation": name,
-        "config": trial_config_fingerprint(config),
-        "dataset": dataset_fingerprint(dataset),
-        "algorithm": str(algorithm),
-        "amount": float(amount),
-        "seed": int(seed),
-    }
-    key.update(extra)
-    return key
+    config: ExperimentConfig,
+    random_state: RandomStateLike,
+    store: ArtifactStore | None,
+    **fields,
+) -> AblationResult:
+    """One ablation: served from its ``"ablation"`` artifact, else measured and landed.
 
-
-def _cached_ablation(store: ArtifactStore | None, key: dict | None, compute) -> AblationResult:
-    """Serve an ablation from the store when possible, else compute and persist."""
-    if store is not None and key is not None:
-        cached = store.get("ablation", key)
+    ``measure(rng, side, estimator, values)`` returns the measurements;
+    it receives the generator after the side information of ``scenario``
+    and the template have been drawn from it.  A generator
+    ``random_state`` cannot be serialised into a stable key, so such
+    ablations always recompute; no seed (``config.seed``) or an integer is
+    cacheable.  ``fields`` are the ablation's own key entries.
+    """
+    seed = random_state if random_state is not None else config.seed
+    key = None
+    if store is not None and isinstance(seed, (int, np.integer)):
+        key = experiment_key(config, dataset, algorithm, amount, ablation=name, seed=int(seed), **fields)
+        cached = store.fetch("ablation", key)
         if cached is not None:
             return AblationResult(name=cached["name"], measurements=dict(cached["measurements"]))
-    result = compute()
-    if store is not None and key is not None:
-        store.put("ablation", key, {"name": result.name, "measurements": result.measurements})
+    rng = check_random_state(seed)
+    side = make_side_information(dataset, scenario, amount, random_state=rng)
+    estimator, values = selection_template(algorithm, dataset, config, rng)
+    result = AblationResult(name=name, measurements=measure(rng, side, estimator, values))
+    if key is not None:
+        store.land("ablation", key, {"name": result.name, "measurements": result.measurements})
     return result
 
 
@@ -149,21 +142,11 @@ def closure_leakage_ablation(
     training time.
     """
     config = config or default_config()
-    seed = _keyable_seed(random_state, config)
-    key = None
-    if seed is not None:
-        key = _ablation_key("closure-leakage", dataset, config, algorithm, amount, seed, {})
 
-    def compute() -> AblationResult:
-        rng = check_random_state(random_state if random_state is not None else config.seed)
-
-        side = make_side_information(dataset, "constraints", amount, random_state=rng)
-        estimator = algorithm_factory(algorithm, config, random_state=rng)
-        values = parameter_values_for(algorithm, dataset, config)
-
+    def measure(rng, side, estimator, values) -> dict:
         proper = CVCP(estimator, values, n_folds=config.n_folds, refit=False, random_state=rng,
                       execution=config.execution)
-        proper.fit(dataset.X, constraints=side.constraints)
+        side.fit(proper, dataset.X)
 
         naive_folds = _naive_constraint_folds(
             transitive_closure(side.constraints, strict=False), proper.cv_results_.n_folds, rng
@@ -181,16 +164,15 @@ def closure_leakage_ablation(
                 )
             naive_best = max(naive_best, float(np.mean(fold_scores)))
 
-        return AblationResult(
-            name="closure-leakage",
-            measurements={
-                "proper_best_internal_score": float(proper.cv_results_.best_score),
-                "naive_best_internal_score": float(naive_best),
-                "inflation": float(naive_best - proper.cv_results_.best_score),
-            },
-        )
+        return {
+            "proper_best_internal_score": float(proper.cv_results_.best_score),
+            "naive_best_internal_score": float(naive_best),
+            "inflation": float(naive_best - proper.cv_results_.best_score),
+        }
 
-    return _cached_ablation(store, key, compute)
+    return _run_ablation(
+        "closure-leakage", "constraints", measure, dataset, algorithm, amount, config, random_state, store
+    )
 
 
 def fold_count_ablation(
@@ -205,32 +187,31 @@ def fold_count_ablation(
 ) -> AblationResult:
     """External quality of the CVCP-selected parameter for several fold counts."""
     config = config or default_config()
-    seed = _keyable_seed(random_state, config)
-    key = None
-    if seed is not None:
-        extra = {"fold_counts": [int(count) for count in fold_counts]}
-        key = _ablation_key("fold-count", dataset, config, algorithm, amount, seed, extra)
 
-    def compute() -> AblationResult:
-        rng = check_random_state(random_state if random_state is not None else config.seed)
-
-        side = make_side_information(dataset, "labels", amount, random_state=rng)
-        estimator = algorithm_factory(algorithm, config, random_state=rng)
-        values = parameter_values_for(algorithm, dataset, config)
-        exclude = side.involved_objects
-
+    def measure(rng, side, estimator, values) -> dict:
         measurements: dict[str, float] = {}
         for n_folds in fold_counts:
             search = CVCP(estimator, values, n_folds=n_folds, refit=True,
                           random_state=int(rng.integers(0, 2**31 - 1)),
                           execution=config.execution)
-            search.fit(dataset.X, labeled_objects=side.labeled_objects)
+            side.fit(search, dataset.X)
             measurements[f"n_folds={n_folds}"] = overall_f_measure(
-                dataset.y, search.labels_, exclude=exclude
+                dataset.y, search.labels_, exclude=side.involved_objects
             )
-        return AblationResult(name="fold-count", measurements=measurements)
+        return measurements
 
-    return _cached_ablation(store, key, compute)
+    return _run_ablation(
+        "fold-count",
+        "labels",
+        measure,
+        dataset,
+        algorithm,
+        amount,
+        config,
+        random_state,
+        store,
+        fold_counts=[int(count) for count in fold_counts],
+    )
 
 
 def scorer_ablation(
@@ -245,27 +226,28 @@ def scorer_ablation(
 ) -> AblationResult:
     """External quality of the parameter chosen under different internal scorers."""
     config = config or default_config()
-    seed = _keyable_seed(random_state, config)
-    key = None
-    if seed is not None:
-        extra = {"scorers": [str(scoring) for scoring in scorers]}
-        key = _ablation_key("internal-scorer", dataset, config, algorithm, amount, seed, extra)
 
-    def compute() -> AblationResult:
-        rng = check_random_state(random_state if random_state is not None else config.seed)
-
-        side = make_side_information(dataset, "labels", amount, random_state=rng)
-        estimator = algorithm_factory(algorithm, config, random_state=rng)
-        values = parameter_values_for(algorithm, dataset, config)
-        exclude = side.involved_objects
-
+    def measure(rng, side, estimator, values) -> dict:
         measurements: dict[str, float] = {}
         for scoring in scorers:
             search = CVCP(estimator, values, n_folds=config.n_folds, scoring=scoring,
                           refit=True, random_state=int(rng.integers(0, 2**31 - 1)),
                           execution=config.execution)
-            search.fit(dataset.X, labeled_objects=side.labeled_objects)
-            measurements[scoring] = overall_f_measure(dataset.y, search.labels_, exclude=exclude)
-        return AblationResult(name="internal-scorer", measurements=measurements)
+            side.fit(search, dataset.X)
+            measurements[scoring] = overall_f_measure(
+                dataset.y, search.labels_, exclude=side.involved_objects
+            )
+        return measurements
 
-    return _cached_ablation(store, key, compute)
+    return _run_ablation(
+        "internal-scorer",
+        "labels",
+        measure,
+        dataset,
+        algorithm,
+        amount,
+        config,
+        random_state,
+        store,
+        scorers=[str(scoring) for scoring in scorers],
+    )

@@ -54,6 +54,7 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.core.distance_backend import approx_key_entry
 from repro.utils.cache import array_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -123,6 +124,32 @@ def dataset_fingerprint(dataset: "Dataset") -> str:
     if metric != "euclidean":
         parts += f"|metric={metric}"
     return hashlib.sha256(parts.encode("utf-8")).hexdigest()
+
+
+def experiment_key(
+    config: "ExperimentConfig", dataset: "Dataset", algorithm: str, amount: float, **fields: Any
+) -> dict[str, Any]:
+    """Artifact-store key of one experiment unit: a trial, an online step or an ablation.
+
+    Every such key pins the trial-relevant config fields, the data-set
+    content, the algorithm and the amount of side information; ``fields``
+    adds the per-kind entries (the scenario, the oracle spec, seeds, the
+    stream position, the ablation name).  The exact distance tiers
+    (blockwise/memmap) are bit-identical and deliberately share keys.
+    The ``neighbors`` tier is approximate, so its keys carry an extra
+    ``approx`` entry — the tier name and the resolved ``epsilon`` /
+    ``k_neighbors`` — and can never shadow (or be shadowed by) an
+    exact-tier entry.
+    """
+    execution = config.execution
+    return {
+        "config": trial_config_fingerprint(config),
+        "dataset": dataset_fingerprint(dataset),
+        "algorithm": str(algorithm),
+        "amount": float(amount),
+        **fields,
+        **approx_key_entry(execution.distance_backend, execution.epsilon, execution.k_neighbors),
+    }
 
 
 @dataclasses.dataclass
@@ -241,6 +268,22 @@ class ArtifactStore:
             raise
         self._count(writes=1, kind=kind)
         return path
+
+    def fetch(self, kind: str, key: dict[str, Any]) -> Any | None:
+        """:meth:`get`, dropping the key's cell journal on a hit.
+
+        A kill between an artifact's :meth:`land` and its journal removal
+        leaves the journal behind; the hit path self-heals the store.
+        """
+        payload = self.get(kind, key)
+        if payload is not None:
+            self.journal(key).remove()
+        return payload
+
+    def land(self, kind: str, key: dict[str, Any], payload: Any) -> None:
+        """:meth:`put` a finished unit's artifact, then drop its cell journal."""
+        self.put(kind, key, payload)
+        self.journal(key).remove()
 
     def journal(self, scope: dict[str, Any]) -> "CellJournal":
         """The cell journal of one in-flight scope (a trial or step key)."""

@@ -44,21 +44,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.clustering.base import BaseClusterer
 from repro.constraints.constraint import ConstraintSet
-from repro.constraints.oracles import ConstraintOracle
+from repro.constraints.oracles import ConstraintOracle, PerfectOracle
 from repro.core.cvcp import CVCP
-from repro.core.distance_backend import approx_key_entry
-from repro.experiments.artifacts import (
-    ArtifactStore,
-    dataset_fingerprint,
-    trial_config_fingerprint,
-)
+from repro.experiments.artifacts import ArtifactStore, experiment_key
 from repro.experiments.config import ExperimentConfig, default_config
-from repro.experiments.runner import (
-    algorithm_factory,
-    make_side_information,
-    parameter_values_for,
-)
+from repro.experiments.runner import make_side_information, selection_template
 from repro.utils.rng import RandomStateLike, check_random_state, spawn_seeds
 from repro.utils.specs import SpecError, check_positive_int, check_spec_mapping, unknown_key_problems
 
@@ -261,28 +253,22 @@ def stream_step_key(
 ) -> dict:
     """Artifact-store key of one online re-selection step.
 
-    Mirrors :func:`~repro.experiments.runner.trial_artifact_key`: the
-    trial-relevant config fields, the data-set content, the oracle spec,
-    the amount, the stream shape and the step's position + derived seed.
-    The exact distance tiers share keys; the approximate ``neighbors``
-    tier carries its own ``approx`` entry.
+    An :func:`~repro.experiments.artifacts.experiment_key` of a FOSC
+    constraint selection that also pins the oracle spec, the stream shape
+    and the step's position and derived seed.
     """
-    from repro.constraints.oracles import PerfectOracle
-
     oracle = oracle if oracle is not None else PerfectOracle()
-    key = {
-        "config": trial_config_fingerprint(config),
-        "dataset": dataset_fingerprint(dataset),
-        "algorithm": "fosc",
-        "scenario": "constraints",
-        "amount": float(amount),
-        "oracle": oracle.spec(),
-        "stream": {"n_deltas": int(stream.n_deltas), "order": str(stream.order)},
-        "step": int(step),
-        "step_seed": int(step_seed),
-    }
-    execution = config.execution
-    return {**key, **approx_key_entry(execution.distance_backend, execution.epsilon, execution.k_neighbors)}
+    return experiment_key(
+        config,
+        dataset,
+        "fosc",
+        amount,
+        scenario="constraints",
+        oracle=oracle.spec(),
+        stream={"n_deltas": int(stream.n_deltas), "order": str(stream.order)},
+        step=int(step),
+        step_seed=int(step_seed),
+    )
 
 
 def ordered_stream(
@@ -300,6 +286,95 @@ def ordered_stream(
     if order == "shuffled":
         return [base[index] for index in permutation]
     return base
+
+
+@dataclass(frozen=True)
+class StreamPlan:
+    """Everything one constraint stream's replay draws up-front, in draw order.
+
+    The one derivation of a stream, read by
+    :func:`replay_constraint_stream`, the delta-equivalence suite and
+    ``repro bench online``: the oracle's constraints in arrival order,
+    the FOSC template and its MinPts grid, one seed and one prefix size
+    per step.  :meth:`run_step` is the one re-selection of a step.
+    """
+
+    dataset: "Dataset"
+    amount: float
+    config: ExperimentConfig
+    stream: StreamSpec
+    oracle: ConstraintOracle | None
+    arrivals: list
+    estimator: BaseClusterer
+    values: list[int]
+    step_seeds: list[int]
+    counts: list[int]
+
+    @classmethod
+    def draw(
+        cls,
+        dataset: "Dataset",
+        amount: float,
+        config: ExperimentConfig,
+        stream: StreamSpec,
+        oracle: ConstraintOracle | None = None,
+        random_state: RandomStateLike = None,
+    ) -> "StreamPlan":
+        """Draw the plan from ``random_state`` (``None`` = ``config.seed``)."""
+        rng = check_random_state(random_state if random_state is not None else config.seed)
+        side = make_side_information(dataset, "constraints", amount, random_state=rng, oracle=oracle)
+        arrivals = ordered_stream(side.constraints, stream.order, rng)
+        estimator, values = selection_template("fosc", dataset, config, rng)
+        step_seeds = spawn_seeds(rng, stream.n_deltas)
+        counts = stream_prefix_sizes(len(arrivals), stream.n_deltas)
+        return cls(
+            dataset, amount, config, stream, oracle, arrivals, estimator, values, step_seeds, counts
+        )
+
+    def step_key(self, index: int) -> dict:
+        """The ``"online"`` artifact key of step ``index``."""
+        return stream_step_key(
+            self.config, self.dataset, self.amount, self.stream, index, self.step_seeds[index], self.oracle
+        )
+
+    def run_step(self, index: int, store: ArtifactStore | None = None) -> "OnlineStep":
+        """Re-select on the first ``counts[index]`` arrivals: a full CVCP fit, refit included.
+
+        With a ``store`` the step is served from its ``"online"`` artifact
+        when present; otherwise its grid journals each finished cell and
+        the step lands as one artifact.  Without one it is the cold,
+        store-free reference selection.
+        """
+        key = self.step_key(index) if store is not None else None
+        if key is not None:
+            cached = store.fetch("online", key)
+            if cached is not None:
+                return OnlineStep.from_payload(cached)
+        config = self.config
+        search = CVCP(
+            self.estimator,
+            self.values,
+            n_folds=config.n_folds,
+            refit=True,
+            random_state=self.step_seeds[index],
+            execution=config.execution,
+            artifact_store=store,
+            artifact_scope=key,
+        )
+        search.fit(self.dataset.X, constraints=ConstraintSet(self.arrivals[: self.counts[index]]))
+        step = OnlineStep(
+            step=index,
+            queries=self.counts[index],
+            value=int(search.cv_results_.best_value),
+            fold_scores=[
+                [float(score) for score in evaluation.fold_scores]
+                for evaluation in search.cv_results_.evaluations
+            ],
+            labels=[int(label) for label in search.labels_],
+        )
+        if key is not None:
+            store.land("online", key, step.to_payload())
+        return step
 
 
 def replay_constraint_stream(
@@ -325,98 +400,12 @@ def replay_constraint_stream(
     """
     config = config or default_config()
     stream = stream or StreamSpec()
-    rng = check_random_state(random_state if random_state is not None else config.seed)
-
-    side = make_side_information(
-        dataset, "constraints", amount, random_state=rng, oracle=oracle
-    )
-    arrivals = ordered_stream(side.constraints, stream.order, rng)
-    estimator = algorithm_factory("fosc", config, random_state=rng)
-    values = parameter_values_for("fosc", dataset, config)
-    step_seeds = spawn_seeds(rng, stream.n_deltas)
-    counts = stream_prefix_sizes(len(arrivals), stream.n_deltas)
-
-    steps: list[OnlineStep] = []
-    for index, (count, step_seed) in enumerate(zip(counts, step_seeds)):
-        key = None
-        if store is not None:
-            key = stream_step_key(config, dataset, amount, stream, index, step_seed, oracle)
-            cached = store.get("online", key)
-            if cached is not None:
-                # A kill between the step's put and its journal removal
-                # leaves the journal behind; the hit drops it.
-                store.journal(key).remove()
-                steps.append(OnlineStep.from_payload(cached))
-                continue
-        prefix = ConstraintSet(arrivals[:count])
-        search = CVCP(
-            estimator,
-            values,
-            n_folds=config.n_folds,
-            refit=True,
-            random_state=step_seed,
-            execution=config.execution,
-            artifact_store=store,
-            artifact_scope=key,
-        )
-        search.fit(dataset.X, constraints=prefix)
-        step = OnlineStep(
-            step=index,
-            queries=count,
-            value=int(search.cv_results_.best_value),
-            fold_scores=[
-                [float(score) for score in evaluation.fold_scores]
-                for evaluation in search.cv_results_.evaluations
-            ],
-            labels=[int(label) for label in search.labels_],
-        )
-        steps.append(step)
-        if store is not None and key is not None:
-            store.put("online", key, step.to_payload())
-            store.journal(key).remove()
+    plan = StreamPlan.draw(dataset, amount, config, stream, oracle, random_state)
     return OnlineReplay(
         dataset=dataset.name,
         amount=float(amount),
         stream=stream,
-        parameter_values=list(values),
-        total_constraints=len(arrivals),
-        steps=steps,
-    )
-
-
-def cold_selection(
-    dataset: "Dataset",
-    constraints: ConstraintSet,
-    step_seed: int,
-    *,
-    config: ExperimentConfig | None = None,
-    template_seed_rng: np.random.Generator | None = None,
-) -> tuple[int, list[list[float]], list[int]]:
-    """One cold CVCP selection on an accumulated constraint set.
-
-    The reference the delta-equivalence suite compares against: no
-    artifact store, and the caller is expected to have cleared the
-    process-wide caches.  Returns ``(value, fold_scores, labels)`` in
-    the same shapes an :class:`OnlineStep` records.
-    """
-    config = config or default_config()
-    rng = template_seed_rng if template_seed_rng is not None else np.random.default_rng(0)
-    estimator = algorithm_factory("fosc", config, random_state=rng)
-    values = parameter_values_for("fosc", dataset, config)
-    search = CVCP(
-        estimator,
-        values,
-        n_folds=config.n_folds,
-        refit=True,
-        random_state=step_seed,
-        execution=config.execution,
-    )
-    search.fit(dataset.X, constraints=constraints)
-    return (
-        int(search.cv_results_.best_value),
-        [
-            [float(score) for score in evaluation.fold_scores]
-            for evaluation in search.cv_results_.evaluations
-        ],
-        [int(label) for label in search.labels_],
+        parameter_values=list(plan.values),
+        total_constraints=len(plan.arrivals),
+        steps=[plan.run_step(index, store) for index in range(stream.n_deltas)],
     )

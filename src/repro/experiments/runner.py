@@ -31,22 +31,21 @@ from repro.constraints.generation import constraints_from_labels
 from repro.constraints.oracles import ConstraintOracle, PerfectOracle
 from repro.core import admissibility
 from repro.core.cvcp import CVCP
-from repro.core.distance_backend import approx_key_entry, resolve_distance_backend
+from repro.core.distance_backend import resolve_distance_backend
 from repro.core.executor import run_tasks
 from repro.core.model_selection import expected_quality
 from repro.datasets.base import Dataset
 from repro.evaluation.external import overall_f_measure
 from repro.evaluation.internal import silhouette_score
-from repro.experiments.artifacts import (
-    ArtifactStore,
-    dataset_fingerprint,
-    trial_config_fingerprint,
-)
+from repro.experiments.artifacts import ArtifactStore, experiment_key
 from repro.experiments.config import ExperimentConfig, default_config, k_range_for_dataset
 from repro.utils.rng import RandomStateLike, check_random_state, spawn_seeds
 
 AlgorithmName = Literal["fosc", "mpck"]
 ScenarioName = Literal["labels", "constraints"]
+
+#: The template estimator class of each algorithm name.
+TEMPLATE_CLASSES: dict[str, type[BaseClusterer]] = {"fosc": FOSCOpticsDend, "mpck": MPCKMeans}
 
 
 @dataclass
@@ -69,6 +68,12 @@ class SideInformation:
         if self.scenario == "labels":
             return constraints_from_labels(self.labeled_objects)
         return self.constraints
+
+    def fit(self, search: CVCP, X) -> CVCP:
+        """Fit ``search`` on ``X`` with this side information: the labels or the constraints."""
+        if self.scenario == "labels":
+            return search.fit(X, labeled_objects=self.labeled_objects)
+        return search.fit(X, constraints=self.constraints)
 
 
 @dataclass
@@ -205,6 +210,19 @@ def parameter_values_for(
     return k_range_for_dataset(dataset, max_k=config.max_k)
 
 
+def selection_template(
+    algorithm: AlgorithmName, dataset: Dataset, config: ExperimentConfig, rng: np.random.Generator
+) -> tuple[BaseClusterer, list[int]]:
+    """The template estimator and its parameter grid for one CVCP selection.
+
+    The template is built under the data set's own metric (the one the
+    drivers' keys fingerprint), drawing its seed from ``rng``; the grid
+    draws nothing.
+    """
+    estimator = algorithm_factory(algorithm, config, random_state=rng, metric=dataset.metric)
+    return estimator, parameter_values_for(algorithm, dataset, config)
+
+
 def trial_artifact_key(
     config: ExperimentConfig,
     dataset: Dataset,
@@ -214,46 +232,28 @@ def trial_artifact_key(
     trial_seed: int,
     oracle: ConstraintOracle | None = None,
 ) -> dict:
-    """Artifact-store key of one trial.
+    """Artifact-store key of one trial (see :func:`~repro.experiments.artifacts.experiment_key`).
 
-    The key pins everything the trial's result depends on: the
-    trial-relevant config fields, the data-set content, the algorithm, the
-    scenario/amount of side information, the oracle spec (which supervision
-    source answered the queries, with all its parameters), and the trial
-    seed from which every ``(value_index, fold)`` grid cell inside the
-    trial derives.
-
-    The exact distance tiers (blockwise/memmap) are bit-identical and
-    deliberately share keys.  The ``neighbors`` tier is approximate, so its
-    trials carry an extra ``approx`` entry — the tier name and the resolved
-    ``epsilon``/``k_neighbors`` — and can never shadow (or be shadowed by)
-    an exact-tier entry.
+    Besides the common entries it pins the scenario, the oracle spec
+    (which supervision source answered the queries, with all its
+    parameters) and the trial seed from which every ``(value_index,
+    fold)`` grid cell inside the trial derives.
     """
     oracle = oracle if oracle is not None else PerfectOracle()
-    key = {
-        "config": trial_config_fingerprint(config),
-        "dataset": dataset_fingerprint(dataset),
-        "algorithm": str(algorithm),
-        "scenario": str(scenario),
-        "amount": float(amount),
-        "oracle": oracle.spec(),
-        "trial_seed": int(trial_seed),
-    }
-    execution = config.execution
-    return {**key, **approx_key_entry(execution.distance_backend, execution.epsilon, execution.k_neighbors)}
+    return experiment_key(
+        config,
+        dataset,
+        algorithm,
+        amount,
+        scenario=str(scenario),
+        oracle=oracle.spec(),
+        trial_seed=int(trial_seed),
+    )
 
 
-def _load_cached_trial(store: ArtifactStore, key: dict) -> "TrialResult | None":
-    """Fetch a persisted trial; on a hit, also drop any leftover cell journal.
-
-    A kill between a trial's put and its journal removal leaves the
-    journal behind — the hit path self-heals the store.
-    """
-    cached = store.get("trial", key)
-    if cached is None:
-        return None
-    store.journal(key).remove()
-    return TrialResult.from_dict(cached)
+def _cached_trial(store: ArtifactStore, key: dict) -> "TrialResult | None":
+    cached = store.fetch("trial", key)
+    return None if cached is None else TrialResult.from_dict(cached)
 
 
 def run_trial(
@@ -295,15 +295,14 @@ def run_trial(
         key = trial_artifact_key(
             config, dataset, algorithm, scenario, amount, int(random_state), oracle
         )
-        cached = _load_cached_trial(store, key)
+        cached = _cached_trial(store, key)
         if cached is not None:
             return cached
     cell_store = store if key is not None else None
     rng = check_random_state(random_state)
 
     side = make_side_information(dataset, scenario, amount, random_state=rng, oracle=oracle)
-    estimator = algorithm_factory(algorithm, config, random_state=rng, metric=dataset.metric)
-    values = parameter_values_for(algorithm, dataset, config)
+    estimator, values = selection_template(algorithm, dataset, config, rng)
 
     # Internal scores through CVCP (no refit: the refits per parameter value
     # below double as the final models).
@@ -317,10 +316,7 @@ def run_trial(
         artifact_store=cell_store,
         artifact_scope=key,
     )
-    if scenario == "labels":
-        search.fit(dataset.X, labeled_objects=side.labeled_objects)
-    else:
-        search.fit(dataset.X, constraints=side.constraints)
+    side.fit(search, dataset.X)
     internal_scores = [evaluation.mean_score for evaluation in search.cv_results_.evaluations]
 
     # External quality of every parameter value with all side information.
@@ -396,8 +392,7 @@ def run_trial(
         correlation=_pearson(internal_scores, external_scores),
     )
     if journal is not None:
-        store.put("trial", key, result.to_dict())
-        journal.remove()
+        store.land("trial", key, result.to_dict())
     return result
 
 
@@ -496,7 +491,7 @@ def run_trials(
         # missing ones computed by workers (without per-cell persistence,
         # which would contend across processes) and written back here.
         results: list[TrialResult | None] = [
-            _load_cached_trial(store, key) if store is not None else None for _, key in plan
+            _cached_trial(store, key) if store is not None else None for _, key in plan
         ]
         pending = [index for index, result in enumerate(results) if result is None]
         inner = config.with_execution(backend="serial")
@@ -508,9 +503,7 @@ def run_trials(
                 # an interrupted batch keeps its finished trials on disk.
                 # Dropping the journal clears cells an earlier grid-level
                 # attempt at this trial left in flight.
-                key = plan[pending[position]][1]
-                store.put("trial", key, result.to_dict())
-                store.journal(key).remove()
+                store.land("trial", plan[pending[position]][1], result.to_dict())
 
         computed = run_tasks(
             _run_trial_task, tasks, backend=backend, n_jobs=config.execution.n_jobs,

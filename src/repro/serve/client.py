@@ -19,6 +19,8 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.serve.schemas import JOB_STATES
+
 __all__ = ["ServeClient", "ServeError"]
 
 
@@ -92,7 +94,7 @@ class ServeClient:
         deadline = time.monotonic() + timeout
         while True:
             view = self.job(job_id)
-            if view["state"] in ("done", "failed"):
+            if view["state"] in JOB_STATES[2:]:  # done or failed
                 return view
             if time.monotonic() > deadline:
                 raise TimeoutError(f"job {job_id} still {view['state']} after {timeout:g}s")

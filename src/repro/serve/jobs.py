@@ -33,8 +33,10 @@ from typing import Mapping
 from repro import api
 from repro.experiments.artifacts import ArtifactStore, key_digest
 from repro.experiments.fleet import enumerate_units
-from repro.serve.schemas import JobProgress, JobView
+from repro.serve.schemas import JOB_STATES, JobProgress, JobView
 from repro.utils.specs import SpecError, check_spec_mapping
+
+QUEUED, RUNNING, DONE, FAILED = JOB_STATES
 
 __all__ = ["JobManager", "QueueFullError"]
 
@@ -59,7 +61,7 @@ class _Job:
         self.kind = kind
         self.spec = None
         self.request = None
-        self.state = "queued"
+        self.state = QUEUED
         self.error: str | None = None
         self.total_units = 0
         self.done_units = 0
@@ -129,7 +131,7 @@ class JobManager:
                 existing.dedup_joins += 1
                 return self._view(existing, deduplicated=True)
             pending = sum(
-                1 for other in self._jobs.values() if other.state in ("queued", "running")
+                1 for other in self._jobs.values() if other.state in (QUEUED, RUNNING)
             )
             if pending >= self.max_pending:
                 raise QueueFullError(
@@ -166,7 +168,7 @@ class JobManager:
 
     def _run(self, job: _Job) -> None:
         with self._lock:
-            job.state = "running"
+            job.state = RUNNING
         store = ArtifactStore(
             self.root, on_event=lambda event, kind: self._observe(job, event, kind)
         )
@@ -182,10 +184,10 @@ class JobManager:
             with self._lock:
                 job.result = result
                 job.report_paths = paths
-                job.state = "done"
+                job.state = DONE
         except Exception as exc:  # noqa: BLE001 - the job's error IS the result
             with self._lock:
-                job.state = "failed"
+                job.state = FAILED
                 job.error = f"{type(exc).__name__}: {exc}"
         finally:
             with self._lock:
@@ -262,7 +264,7 @@ class JobManager:
             "writes": totals["writes"],
             "hit_rate": (totals["hits"] / requests) if requests else 0.0,
             "jobs_total": len(states),
-            "jobs_active": sum(1 for state in states if state in ("queued", "running")),
+            "jobs_active": sum(1 for state in states if state in (QUEUED, RUNNING)),
         }
 
     def shutdown(self, *, wait: bool = True) -> None:

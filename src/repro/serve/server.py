@@ -32,7 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 import repro
-from repro.serve.jobs import JobManager, QueueFullError
+from repro.serve.jobs import DONE, JobManager, QueueFullError
 from repro.serve.schemas import ServeSettings
 from repro.utils.specs import SpecError
 
@@ -120,7 +120,7 @@ class _Handler(BaseHTTPRequestHandler):
         if view is None:
             self._send_error(404, f"unknown job {job_id!r}")
             return
-        if view.state != "done":
+        if view.state != DONE:
             self._send_error(409, f"job {job_id} is {view.state}; its report is not ready")
             return
         if fmt not in ("json", "txt"):

@@ -224,7 +224,7 @@ class TestSchemaDocsInSync:
     def test_determinism_page_covers_the_online_contract(self):
         determinism_page = (DOCS_DIR / "determinism.md").read_text(encoding="utf-8")
         assert "delta-equivalence" in determinism_page
-        assert "cold_selection" in determinism_page
+        assert "StreamPlan.run_step" in determinism_page
         assert "structure" in determinism_page
 
     def test_architecture_page_covers_the_online_layer(self):

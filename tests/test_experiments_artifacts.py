@@ -254,6 +254,23 @@ class TestTrialResume:
         assert fresh == resumed
         assert fresh == run_trials(dataset, "fosc", "labels", 0.1, 2, config=TINY, random_state=3)
 
+    def test_trials_placement_landing_drops_a_grid_attempts_journal(self, tmp_path, dataset):
+        from repro.utils.rng import spawn_seeds
+
+        store = ArtifactStore(tmp_path / "store")
+        # Cells an interrupted grid-placement attempt at both trials left behind.
+        for seed in spawn_seeds(np.random.default_rng(3), 2):
+            key = trial_artifact_key(TINY, dataset, "fosc", "labels", 0.1, seed)
+            store.journal(key).put("grid", 0, 0, 0.5)
+        assert store.count("cell") == 2
+        threaded = TINY.with_execution(backend="thread", n_jobs=2)
+        run_trials(
+            dataset, "fosc", "labels", 0.1, 2, config=threaded, random_state=3,
+            parallelize="trials", store=store,
+        )
+        assert store.count("trial") == 2
+        assert store.count("cell") == 0
+
     def test_trials_parallel_interrupted_batch_keeps_finished_trials(self, tmp_path, dataset, monkeypatch):
         import repro.experiments.runner as runner_module
 

@@ -42,7 +42,6 @@ ALLOWLIST = {
     "ConstraintConfusion": "docs/architecture.md",
     "PairedTTestResult": "docs/architecture.md",
     "CacheStats": "docs/architecture.md",
-    "JOB_STATES": "docs/architecture.md",
     "StoreStats": "docs/architecture.md",
     "ComparisonRow": "docs/architecture.md",
     "RobustnessRow": "docs/architecture.md",

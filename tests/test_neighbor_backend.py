@@ -347,12 +347,41 @@ class TestArtifactFingerprinting:
         assert result.to_dict() == cached_exact
 
 
-class TestApproxKeyPins:
-    """The three keys carrying the neighbors tier's ``approx`` entry, pinned.
+class _KeyProbe(ArtifactStore):
+    """A store that records the key an ablation looks up and serves a hit."""
 
-    The expected dicts were computed by the code before the entry moved
-    into :func:`repro.core.distance_backend.approx_key_entry`; a changed
-    byte here would orphan every stored neighbors-tier artifact.
+    def __init__(self, root):
+        super().__init__(root)
+        self.keys = []
+
+    def get(self, kind, key):
+        self.keys.append(key)
+        return {"name": kind, "measurements": {}}
+
+
+def ablation_key(config, dataset):
+    import tempfile
+
+    from repro.experiments.ablation import fold_count_ablation
+
+    with tempfile.TemporaryDirectory() as root:
+        probe = _KeyProbe(root)
+        fold_count_ablation(
+            dataset, amount=0.25, fold_counts=(2, 3), config=config, random_state=123, store=probe
+        )
+    (key,) = probe.keys
+    return key
+
+
+class TestApproxKeyPins:
+    """The four keys carrying the neighbors tier's ``approx`` entry, pinned.
+
+    The structure, trial and online dicts were computed by the code before
+    the entry moved into :func:`repro.core.distance_backend.approx_key_entry`;
+    a changed byte here would orphan every stored neighbors-tier artifact.
+    The ablation dict is the earlier ablation key (which had no ``approx``
+    entry) plus the entry; the exact-tier ablation key stays byte-identical
+    to that earlier key.
     """
 
     X = np.arange(24, dtype=np.float64).reshape(8, 3)
@@ -379,6 +408,27 @@ class TestApproxKeyPins:
             "online": stream_step_key(
                 config, dataset, 0.5, StreamSpec(n_deltas=3, order="sorted"), 1, 77
             ),
+            "ablation": ablation_key(config, dataset),
+        }
+
+    def exact_ablation_key(self):
+        from repro.datasets.base import Dataset
+
+        dataset = Dataset(name="pinned", X=self.X, y=np.array([0, 0, 0, 0, 1, 1, 1, 1]))
+        config = ExperimentConfig(
+            n_trials=2, n_folds=3, minpts_range=(3, 4), datasets=("pinned",), seed=11,
+        ).with_execution(distance_backend="blockwise")
+        return ablation_key(config, dataset)
+
+    def exact_ablation_expected(self):
+        return {
+            "ablation": "fold-count",
+            "config": self.CONFIG_FP,
+            "dataset": self.DATASET_FP,
+            "algorithm": "fosc",
+            "amount": 0.25,
+            "seed": 123,
+            "fold_counts": [2, 3],
         }
 
     def expected(self, approx_epsilon):
@@ -418,6 +468,7 @@ class TestApproxKeyPins:
                 "step_seed": 77,
                 "approx": approx,
             },
+            "ablation": {**self.exact_ablation_expected(), "approx": approx},
         }
 
     @pytest.mark.parametrize(
@@ -428,5 +479,13 @@ class TestApproxKeyPins:
 
         keys = self.keys(epsilon)
         expected = self.expected(approx_epsilon)
+        assert set(keys) == set(expected)
         for name, key in keys.items():
             assert canonical_json(key) == canonical_json(expected[name]), name
+
+    def test_exact_tier_ablation_key_is_the_earlier_key(self):
+        from repro.experiments.artifacts import canonical_json
+
+        assert canonical_json(self.exact_ablation_key()) == canonical_json(
+            self.exact_ablation_expected()
+        )

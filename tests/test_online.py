@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli.main import main
-from repro.constraints.constraint import ConstraintSet
 from repro.constraints.oracles import NoisyOracle, PerfectOracle
 from repro.datasets.registry import get_dataset
 from repro.experiments.artifacts import ArtifactStore
@@ -31,20 +30,12 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.online import (
     STREAM_ORDERS,
     OnlineStep,
+    StreamPlan,
     StreamSpec,
-    cold_selection,
-    ordered_stream,
     replay_constraint_stream,
     stream_prefix_sizes,
-    stream_step_key,
-)
-from repro.experiments.runner import (
-    algorithm_factory,
-    make_side_information,
-    parameter_values_for,
 )
 from repro.utils.cache import clear_distance_cache
-from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.specs import SpecError
 
 from kernel_oracle import reference_kernels
@@ -72,29 +63,18 @@ def iris():
 
 
 def reference_selections(dataset, amount, config, stream, seed):
-    """Cold per-delta selections, mirroring the replay's rng discipline."""
-    rng = check_random_state(seed)
-    side = make_side_information(dataset, "constraints", amount, random_state=rng)
-    arrivals = ordered_stream(side.constraints, stream.order, rng)
-    algorithm_factory("fosc", config, random_state=rng)  # keep the seed stream aligned
-    parameter_values_for("fosc", dataset, config)
-    step_seeds = spawn_seeds(rng, stream.n_deltas)
-    counts = stream_prefix_sizes(len(arrivals), stream.n_deltas)
+    """Cold per-delta selections: every step of the replay's own stream plan,
+    store-free, each from cleared process-wide caches."""
+    plan = StreamPlan.draw(dataset, amount, config, stream, random_state=seed)
     references = []
-    for count, step_seed in zip(counts, step_seeds):
+    for index in range(stream.n_deltas):
         clear_distance_cache()
-        references.append(
-            cold_selection(dataset, ConstraintSet(arrivals[:count]), step_seed, config=config)
-        )
+        references.append(plan.run_step(index))
     return references
 
 
 def assert_delta_equivalent(replay, references):
-    assert len(replay.steps) == len(references)
-    for step, (value, fold_scores, labels) in zip(replay.steps, references):
-        assert step.value == value
-        assert step.fold_scores == fold_scores
-        assert step.labels == labels
+    assert replay.steps == references
 
 
 class TestDeltaEquivalence:
@@ -192,16 +172,9 @@ class TestResume:
             iris, 0.1, config=TINY, stream=stream, random_state=TINY.seed, store=store
         )
         # Keep only the first two completed steps, as a mid-stream kill would.
-        rng = check_random_state(TINY.seed)
-        side = make_side_information(iris, "constraints", 0.1, random_state=rng)
-        arrivals = ordered_stream(side.constraints, stream.order, rng)
-        algorithm_factory("fosc", TINY, random_state=rng)
-        parameter_values_for("fosc", iris, TINY)
-        step_seeds = spawn_seeds(rng, stream.n_deltas)
+        plan = StreamPlan.draw(iris, 0.1, TINY, stream, random_state=TINY.seed)
         for step in (2, 3):
-            assert store.delete(
-                "online", stream_step_key(TINY, iris, 0.1, stream, step, step_seeds[step])
-            )
+            assert store.delete("online", plan.step_key(step))
         clear_distance_cache()
         resumed = replay_constraint_stream(
             iris, 0.1, config=TINY, stream=stream, random_state=TINY.seed, store=store
