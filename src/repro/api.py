@@ -49,7 +49,7 @@ from repro.experiments.runner import (
     selection_template,
 )
 from repro.utils.rng import check_random_state
-from repro.utils.specs import SpecError, check_enum, check_spec_mapping, unknown_key_problems
+from repro.utils.specs import SpecError, SpecTable, check_enum
 
 __all__ = [
     "FitReport",
@@ -143,7 +143,7 @@ def run_pipeline(
 
 
 @dataclass(frozen=True)
-class SelectionRequest:
+class SelectionRequest(SpecTable, table="select"):
     """A declarative CVCP parameter-selection request.
 
     The serve layer accepts this as the ``{"select": {...}}`` POST body;
@@ -200,46 +200,6 @@ class SelectionRequest:
                 problems.append(f"select.{path}: {problem.body}")
         if problems:
             raise SpecError("select", problems)
-
-    def to_spec(self) -> dict:
-        """JSON-ready mapping (the serve POST body under ``"select"``)."""
-        spec: dict = {
-            "algorithm": self.algorithm,
-            "dataset": self.dataset,
-            "scenario": self.scenario,
-            "amount": self.amount,
-            "n_trials": self.n_trials,
-            "n_folds": self.n_folds,
-            "seed": self.seed,
-        }
-        execution = self.execution.to_spec()
-        if execution:
-            spec["execution"] = execution
-        return spec
-
-    @classmethod
-    def from_spec(cls, spec: Mapping) -> "SelectionRequest":
-        """Validate a request mapping, collecting every problem."""
-        spec = check_spec_mapping(spec, "select")
-        known = (
-            "algorithm", "dataset", "scenario", "amount", "n_trials", "n_folds", "seed",
-            "execution",
-        )
-        problems = unknown_key_problems(spec, known, "select")
-        kwargs: dict = {key: spec[key] for key in known if key in spec and key != "execution"}
-        if "execution" in spec:
-            try:
-                kwargs["execution"] = ExecutionSpec.from_spec(spec["execution"])
-            except SpecError as exc:
-                problems.extend(f"select.{problem}" for problem in exc.problems)
-        built = None
-        try:
-            built = cls(**kwargs)
-        except SpecError as exc:
-            problems.extend(exc.problems)
-        if problems or built is None:
-            raise SpecError("select", problems)
-        return built
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ from repro.core.executor import BACKENDS
 from repro.datasets.registry import DATASET_NAMES, get_dataset
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.fleet import fleet_status, format_fleet_status, run_worker
-from repro.experiments.online import STREAM_ORDERS, StreamSpec
+from repro.experiments.online import STREAM_ORDERS
 from repro.experiments.pipeline import (
     ConfigError,
+    PipelineSpec,
     load_pipeline_spec,
     validate_pipeline_file,
 )
@@ -317,14 +318,20 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _command_run(args: argparse.Namespace, *, reports_only: bool = False) -> int:
+def _load_spec(config: str) -> PipelineSpec | None:
+    """Load a pipeline config, or print why it cannot be loaded and return ``None``."""
     try:
-        spec = load_pipeline_spec(args.config)
+        return load_pipeline_spec(config)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
-        return 2
     except OSError as exc:
-        print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
+        print(f"cannot read config {config}: {exc}", file=sys.stderr)
+    return None
+
+
+def _command_run(args: argparse.Namespace, *, reports_only: bool = False) -> int:
+    spec = _load_spec(args.config)
+    if spec is None:
         return 2
     if args.artifacts_root:
         spec = spec.with_overrides(artifacts_root=Path(args.artifacts_root))
@@ -339,13 +346,7 @@ def _command_run(args: argparse.Namespace, *, reports_only: bool = False) -> int
             )
             return 2
         try:
-            # Round-trip through the spec validator so a CLI-supplied
-            # delta count gets the same checks as a [stream] table.
-            stream = StreamSpec.from_spec(
-                spec.stream.with_overrides(
-                    n_deltas=stream_deltas, order=stream_order
-                ).to_spec()
-            )
+            stream = spec.stream.with_overrides(n_deltas=stream_deltas, order=stream_order)
         except SpecError as exc:
             print(exc, file=sys.stderr)
             return 2
@@ -374,10 +375,14 @@ def _command_run(args: argparse.Namespace, *, reports_only: bool = False) -> int
             # store would declare every unit permanently unfinished.
             print("--force cannot be combined with --worker", file=sys.stderr)
             return 2
-        settings = spec.fleet.with_overrides(
-            lease_ttl_s=getattr(args, "lease_ttl", None),
-            poll_interval_s=getattr(args, "poll_interval", None),
-        )
+        try:
+            settings = spec.fleet.with_overrides(
+                lease_ttl_s=getattr(args, "lease_ttl", None),
+                poll_interval_s=getattr(args, "poll_interval", None),
+            )
+        except SpecError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         report = run_worker(
             spec,
             store=store,
@@ -408,13 +413,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     settings = ServeSettings()
     artifacts_root = Path(".repro-artifacts")
     if args.config:
-        try:
-            spec = load_pipeline_spec(args.config)
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
+        spec = _load_spec(args.config)
+        if spec is None:
             return 2
         settings = spec.serve
         artifacts_root = Path(spec.artifacts_root)
@@ -451,13 +451,8 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_status(args: argparse.Namespace) -> int:
-    try:
-        spec = load_pipeline_spec(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
+    spec = _load_spec(args.config)
+    if spec is None:
         return 2
     if args.artifacts_root:
         spec = spec.with_overrides(artifacts_root=Path(args.artifacts_root))

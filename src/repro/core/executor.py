@@ -30,19 +30,19 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.admissibility import DATASET_METRICS
-from repro.utils.specs import SpecError, check_enum, check_spec_mapping, unknown_key_problems
+from repro.utils.specs import SpecError, SpecTable, check_enum
 
 #: The recognised backend names, in order of increasing isolation.
 BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True)
-class ExecutionSpec:
+class ExecutionSpec(SpecTable, table="execution"):
     """The execution engine as one validated, picklable value.
 
     What :class:`~repro.core.cvcp.CVCP` takes as ``execution=spec`` and
@@ -122,42 +122,6 @@ class ExecutionSpec:
             )
         if problems:
             raise SpecError("execution", problems)
-
-    def to_spec(self) -> dict:
-        """JSON/TOML-ready mapping; inherit-the-default fields are omitted."""
-        spec: dict[str, object] = {}
-        if self.backend is not None:
-            spec["backend"] = self.backend
-        if self.n_jobs is not None:
-            spec["n_jobs"] = self.n_jobs
-        if self.distance_backend is not None:
-            spec["distance_backend"] = self.distance_backend
-        if self.epsilon is not None:
-            spec["epsilon"] = self.epsilon
-        if self.k_neighbors is not None:
-            spec["k_neighbors"] = self.k_neighbors
-        if self.metric is not None:
-            spec["metric"] = self.metric
-        return spec
-
-    @classmethod
-    def from_spec(cls, spec: Mapping) -> "ExecutionSpec":
-        """Validate a mapping (e.g. an ``[execution]`` table) into a spec.
-
-        Collects every problem before raising :class:`SpecError`.
-        """
-        spec = check_spec_mapping(spec, "execution")
-        known = ("backend", "n_jobs", "distance_backend", "epsilon", "k_neighbors", "metric")
-        problems = unknown_key_problems(spec, known, "execution")
-        kwargs = {key: spec[key] for key in known if key in spec}
-        built = None
-        try:
-            built = cls(**kwargs)
-        except SpecError as exc:
-            problems.extend(exc.problems)
-        if problems or built is None:
-            raise SpecError("execution", problems)
-        return built
 
 
 def derive_seed(master_seed: int, *coordinates: int) -> int:

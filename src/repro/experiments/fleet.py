@@ -45,20 +45,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import socket
 import threading
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.constraints.oracles import ConstraintOracle
 from repro.experiments.artifacts import ArtifactStore, key_digest
 from repro.experiments.runner import run_trial, trial_plan
-from repro.utils.specs import SpecError, check_spec_mapping, unknown_key_problems
+from repro.utils.specs import SpecError, SpecTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.datasets.base import Dataset
@@ -75,7 +76,7 @@ DEFAULT_POLL_INTERVAL_S = 0.5
 
 
 @dataclass(frozen=True)
-class FleetSettings:
+class FleetSettings(SpecTable, table="fleet"):
     """The ``[fleet]`` pipeline-config table.
 
     Attributes
@@ -92,36 +93,17 @@ class FleetSettings:
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S
     poll_interval_s: float = DEFAULT_POLL_INTERVAL_S
 
-    def with_overrides(self, **overrides: float) -> "FleetSettings":
-        """A copy with the given fields replaced (CLI flag overrides)."""
-        return replace(self, **{key: value for key, value in overrides.items() if value is not None})
-
-    def to_spec(self) -> dict:
-        """JSON/TOML-ready ``[fleet]`` table (the shared spec protocol)."""
-        return {"lease_ttl_s": self.lease_ttl_s, "poll_interval_s": self.poll_interval_s}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "FleetSettings":
-        """Validate a ``[fleet]`` table mapping into settings.
-
-        Collects every problem before raising
-        :class:`~repro.utils.specs.SpecError`.
-        """
-        spec = check_spec_mapping(spec, "fleet")
-        known = ("lease_ttl_s", "poll_interval_s")
-        problems = unknown_key_problems(spec, known, "fleet")
-        kwargs: dict[str, float] = {}
-        for key in known:
-            if key not in spec:
-                continue
-            value = spec[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+    def __post_init__(self) -> None:
+        problems = []
+        for key in ("lease_ttl_s", "poll_interval_s"):
+            value = getattr(self, key)
+            # ``0 < value < inf`` also rejects NaN.
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
                 problems.append(f"fleet.{key}: must be a positive number of seconds, got {value!r}")
             else:
-                kwargs[key] = float(value)
+                object.__setattr__(self, key, float(value))
         if problems:
             raise SpecError("fleet", problems)
-        return cls(**kwargs)
 
 
 def default_worker_id() -> str:

@@ -38,7 +38,7 @@ with the final selection.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import ceil
 from typing import TYPE_CHECKING
 
@@ -52,7 +52,7 @@ from repro.experiments.artifacts import ArtifactStore, experiment_key
 from repro.experiments.config import ExperimentConfig, default_config
 from repro.experiments.runner import make_side_information, selection_template
 from repro.utils.rng import RandomStateLike, check_random_state, spawn_seeds
-from repro.utils.specs import SpecError, check_positive_int, check_spec_mapping, unknown_key_problems
+from repro.utils.specs import SpecError, SpecTable, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.datasets.base import Dataset
@@ -74,7 +74,7 @@ DEFAULT_N_DELTAS = 4
 
 
 @dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(SpecTable, table="stream"):
     """The ``[stream]`` pipeline-config table (``kind = "online"`` only).
 
     Attributes
@@ -91,38 +91,15 @@ class StreamSpec:
     n_deltas: int = DEFAULT_N_DELTAS
     order: str = "sorted"
 
-    def with_overrides(self, **overrides) -> "StreamSpec":
-        """A copy with the given fields replaced (CLI flag overrides)."""
-        return replace(self, **{key: value for key, value in overrides.items() if value is not None})
-
-    def to_spec(self) -> dict:
-        """JSON/TOML-ready ``[stream]`` table (the shared spec protocol)."""
-        return {"n_deltas": self.n_deltas, "order": self.order}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "StreamSpec":
-        """Validate a ``[stream]`` table mapping into a spec.
-
-        Collects every problem before raising
-        :class:`~repro.utils.specs.SpecError`.
-        """
-        spec = check_spec_mapping(spec, "stream")
-        known = ("n_deltas", "order")
-        problems = unknown_key_problems(spec, known, "stream")
-        kwargs: dict[str, object] = {}
-        if "n_deltas" in spec and check_positive_int(problems, "stream", "n_deltas", spec["n_deltas"]):
-            kwargs["n_deltas"] = spec["n_deltas"]
-        if "order" in spec:
-            value = spec["order"]
-            if not isinstance(value, str) or value not in STREAM_ORDERS:
-                problems.append(
-                    f"stream.order: must be one of {', '.join(STREAM_ORDERS)}, got {value!r}"
-                )
-            else:
-                kwargs["order"] = value
+    def __post_init__(self) -> None:
+        problems: list[str] = []
+        check_positive_int(problems, "stream", "n_deltas", self.n_deltas)
+        if not isinstance(self.order, str) or self.order not in STREAM_ORDERS:
+            problems.append(
+                f"stream.order: must be one of {', '.join(STREAM_ORDERS)}, got {self.order!r}"
+            )
         if problems:
             raise SpecError("stream", problems)
-        return cls(**kwargs)
 
 
 @dataclass

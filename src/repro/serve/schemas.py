@@ -1,8 +1,9 @@
 """Request/response schemas of the serve layer.
 
 Everything the HTTP surface exchanges with clients is defined here as
-frozen dataclasses with explicit ``as_dict`` (responses) or
-``to_spec``/``from_spec`` (config) conversions, so the wire format is a
+frozen dataclasses with explicit ``as_dict`` (responses) or the shared
+``to_spec``/``from_spec`` (config, :class:`~repro.utils.specs.SpecTable`)
+conversions, so the wire format is a
 stable, documented contract rather than whatever the handlers happen to
 serialise.  The module is deliberately import-light (stdlib +
 :mod:`repro.utils.specs` only): :mod:`repro.experiments.pipeline` imports
@@ -12,17 +13,16 @@ the HTTP machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
-from repro.utils.specs import SpecError, check_positive_int, check_spec_mapping, unknown_key_problems
+from repro.utils.specs import SpecError, SpecTable, check_positive_int
 
 #: Lifecycle states a submitted job moves through, in order.
 JOB_STATES: tuple[str, ...] = ("queued", "running", "done", "failed")
 
 
 @dataclass(frozen=True)
-class ServeSettings:
+class ServeSettings(SpecTable, table="serve"):
     """The ``[serve]`` config table: knobs of the ``repro serve`` layer.
 
     Attributes
@@ -63,52 +63,6 @@ class ServeSettings:
             check_positive_int(problems, "serve", key, getattr(self, key))
         if problems:
             raise SpecError("serve", problems)
-
-    def with_overrides(
-        self,
-        *,
-        host: str | None = None,
-        port: int | None = None,
-        workers: int | None = None,
-        max_pending: int | None = None,
-    ) -> "ServeSettings":
-        """Copy with the given fields replaced (CLI flag overrides); ``None`` keeps."""
-        updates = {
-            key: value
-            for key, value in (
-                ("host", host),
-                ("port", port),
-                ("workers", workers),
-                ("max_pending", max_pending),
-            )
-            if value is not None
-        }
-        return replace(self, **updates) if updates else self
-
-    def to_spec(self) -> dict:
-        """JSON/TOML-ready ``[serve]`` table mapping."""
-        return {
-            "host": self.host,
-            "port": self.port,
-            "workers": self.workers,
-            "max_pending": self.max_pending,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Mapping) -> "ServeSettings":
-        """Validate a ``[serve]`` table mapping, collecting every problem."""
-        spec = check_spec_mapping(spec, "serve")
-        known = ("host", "port", "workers", "max_pending")
-        problems = unknown_key_problems(spec, known, "serve")
-        kwargs = {key: spec[key] for key in known if key in spec}
-        built = None
-        try:
-            built = cls(**kwargs)
-        except SpecError as exc:
-            problems.extend(exc.problems)
-        if problems or built is None:
-            raise SpecError("serve", problems)
-        return built
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,28 @@
 """The shared ``to_spec()`` / ``from_spec()`` declarative-surface protocol.
 
-The repository grew ad-hoc "describe me as a JSON-able mapping"
-surfaces — oracle ``spec()`` dicts and the pipeline's ``[execution]`` /
-``[fleet]`` / ``[serve]`` config tables.  This module is the one contract
-they all implement:
+The pipeline's settings tables — ``[execution]``, ``[stream]``,
+``[fleet]``, ``[serve]`` and the serve layer's ``"select"`` request —
+are frozen dataclasses that inherit :class:`SpecTable`, which writes the
+protocol once, from the dataclass fields:
 
 * ``obj.to_spec()`` returns a JSON-serialisable mapping that fully
-  describes the object (no ``None`` placeholders: absent keys mean
-  "default", which keeps the mappings round-trippable through TOML,
-  which has no null);
+  describes the object: every field that is not ``None``, in field
+  order (absent keys mean "default", which keeps the mappings
+  round-trippable through TOML, which has no null); a nested table is
+  its own ``to_spec()``, left out when empty;
 * ``Type.from_spec(mapping)`` validates the mapping — collecting *every*
-  problem, not just the first — and rebuilds an equal object, raising
-  :class:`SpecError` otherwise;
+  problem, not just the first: unknown keys, then the nested tables'
+  problems, then the constructor's — and rebuilds an equal object,
+  raising :class:`SpecError` otherwise;
+* ``obj.with_overrides(**fields)`` is a copy with the non-``None``
+  fields replaced (the CLI flag overlays);
 * ``Type.from_spec(obj.to_spec()) == obj`` holds for every implementor
   (the round-trip law; ``tests/test_api.py`` locks it in).
+
+Each type checks its own fields in ``__post_init__``, so a value built
+directly, by ``with_overrides`` or by ``from_spec`` passes the same
+checks with the same problem texts.  Oracle ``spec()`` dicts follow the
+same ``to_spec``/``from_spec`` contract, dispatching on their ``name``.
 
 :class:`SpecError` is the shared validation-error type.  It subclasses
 ``ValueError`` so pre-protocol ``except ValueError`` call sites keep
@@ -23,7 +32,8 @@ attributes the CLI and the serve layer render from.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Protocol, runtime_checkable
+from dataclasses import fields, replace
+from typing import Callable, Iterable, Mapping
 
 
 class SpecError(ValueError):
@@ -50,14 +60,63 @@ class SpecError(ValueError):
         super().__init__(f"invalid {label} {source}:\n{details}")
 
 
-@runtime_checkable
-class Specable(Protocol):
-    """Structural type of every ``to_spec``/``from_spec`` implementor."""
+class SpecTable:
+    """The spec protocol of a frozen dataclass that is one config table.
 
-    def to_spec(self) -> dict: ...  # pragma: no cover - protocol stub
+    Subclasses name their table (``class StreamSpec(SpecTable,
+    table="stream")``; a subclass of theirs inherits it) and declare only
+    their fields and a ``__post_init__`` raising ``SpecError(table,
+    problems)``.  A field whose default is itself a :class:`SpecTable` is
+    a nested table.
+    """
+
+    _table: str
+
+    def __init_subclass__(cls, *, table: str | None = None, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if table is not None:
+            cls._table = table
+
+    def to_spec(self) -> dict:
+        """JSON/TOML-ready mapping; ``None`` fields and empty nested tables are omitted."""
+        spec = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, SpecTable):
+                value = value.to_spec() or None
+            if value is not None:
+                spec[field.name] = value
+        return spec
 
     @classmethod
-    def from_spec(cls, spec: Mapping) -> "Specable": ...  # pragma: no cover - protocol stub
+    def from_spec(cls, spec: Mapping):
+        """Validate a table mapping into a value, collecting every problem."""
+        table, own = cls._table, fields(cls)
+        spec = check_spec_mapping(spec, table)
+        problems = unknown_key_problems(spec, tuple(field.name for field in own), table)
+        kwargs = {}
+        for field in own:
+            if field.name not in spec:
+                continue
+            value = spec[field.name]
+            if isinstance(field.default, SpecTable):
+                try:
+                    value = type(field.default).from_spec(value)
+                except SpecError as exc:
+                    problems.extend(f"{table}.{problem}" for problem in exc.problems)
+                    continue
+            kwargs[field.name] = value
+        try:
+            built = cls(**kwargs)
+        except SpecError as exc:
+            raise SpecError(table, problems + exc.problems) from None
+        if problems:
+            raise SpecError(table, problems)
+        return built
+
+    def with_overrides(self, **overrides):
+        """A copy with the non-``None`` overrides replaced (CLI flag overlays)."""
+        return replace(self, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def check_spec_mapping(spec: object, source: str) -> Mapping:
@@ -109,7 +168,7 @@ def check_nonempty_list(
     return value
 
 
-def assert_roundtrip(obj: Specable) -> None:
+def assert_roundtrip(obj: SpecTable) -> None:
     """Raise ``AssertionError`` unless ``from_spec(to_spec(obj)) == obj``.
 
     A debugging/test helper, not a hot-path check.

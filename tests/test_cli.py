@@ -245,6 +245,37 @@ class TestValidateCommand:
         assert main(["validate-config", str(tmp_path / "absent.toml")]) == 2
 
 
+class TestConfigLoading:
+    """``run``, ``report``, ``serve`` and ``status`` report an unloadable config alike."""
+
+    COMMANDS = ("run", "report", "serve", "status")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_file(self, command, tmp_path, capsys):
+        path = tmp_path / "absent.toml"
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cannot read config {path}: [Errno 2] No such file or directory: '{path}'\n"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_invalid_file(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.toml"
+        path.write_text("[experiment]\nkind = 'nope'\n", encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"invalid pipeline config {path}:\n"
+            "  - experiment.name: required; must be letters/digits/._- "
+            "(used as the report directory name), got None\n"
+            "  - experiment.kind: must be one of comparison, correlation, curves, trials, "
+            "ablation, robustness, online; got 'nope'\n"
+        )
+
+
 class TestDatasetsCommand:
     def test_list_prints_registry(self, capsys):
         assert main(["datasets", "list"]) == 0

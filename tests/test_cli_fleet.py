@@ -90,6 +90,38 @@ class TestRunWorkerCli:
         assert "claimed" in out
 
 
+class TestFleetDurationChecks:
+    """``--lease-ttl``/``--poll-interval`` and ``[fleet]`` get the same checks."""
+
+    def test_bad_cli_durations_exit_2_before_any_work(self, tmp_path, capsys):
+        quickstart = Path(__file__).resolve().parent.parent / "examples" / "quickstart.toml"
+        root = tmp_path / "store"
+        argv = ["run", str(quickstart), "--artifacts-root", str(root), "--worker",
+                "--lease-ttl", "-1", "--poll-interval", "-5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid spec fleet:\n"
+            "  - fleet.lease_ttl_s: must be a positive number of seconds, got -1.0\n"
+            "  - fleet.poll_interval_s: must be a positive number of seconds, got -5.0\n"
+        )
+        assert not list(root.glob("trial/*/*.json"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "+inf"])
+    @pytest.mark.parametrize("key", ["lease_ttl_s", "poll_interval_s"])
+    def test_validate_config_rejects_non_finite_durations(self, key, value, tmp_path, capsys):
+        config = write_config(tmp_path, root=tmp_path / "store")
+        with config.open("a", encoding="utf-8") as handle:
+            handle.write(f"\n[fleet]\n{key} = {value}\n")
+        assert main(["validate-config", str(config)]) == 2
+        shown = repr(float(value))
+        assert capsys.readouterr().out == (
+            f"{config}: INVALID\n"
+            f"  - fleet.{key}: must be a positive number of seconds, got {shown}\n"
+        )
+
+
 class TestStatusCli:
     def test_status_on_fresh_and_finished_store(self, tmp_path, capsys):
         config = write_config(tmp_path, root=tmp_path / "store")

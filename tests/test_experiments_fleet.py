@@ -33,6 +33,7 @@ from repro.experiments.fleet import (
     write_worker_record,
 )
 from repro.experiments.pipeline import load_pipeline_spec, run_pipeline, validate_pipeline_mapping
+from repro.utils.specs import SpecError
 
 DIGEST = "a" * 64
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -495,6 +496,24 @@ class TestFleetSettings:
         settings = FleetSettings(lease_ttl_s=10.0, poll_interval_s=0.2)
         assert settings.with_overrides(lease_ttl_s=None, poll_interval_s=None) == settings
         assert settings.with_overrides(lease_ttl_s=3.0).lease_ttl_s == 3.0
+
+    @pytest.mark.parametrize("value", [-1.0, 0, float("nan"), float("inf"), True, "60"])
+    def test_every_construction_checks_the_durations(self, value):
+        line = f"fleet.lease_ttl_s: must be a positive number of seconds, got {value!r}"
+        for build in (
+            lambda: FleetSettings(lease_ttl_s=value),
+            lambda: FleetSettings().with_overrides(lease_ttl_s=value),
+            lambda: FleetSettings.from_spec({"lease_ttl_s": value}),
+        ):
+            with pytest.raises(SpecError) as excinfo:
+                build()
+            assert excinfo.value.source == "fleet"
+            assert excinfo.value.problems == [line]
+
+    def test_durations_are_coerced_to_float(self):
+        settings = FleetSettings(lease_ttl_s=30, poll_interval_s=1)
+        assert settings.to_spec() == {"lease_ttl_s": 30.0, "poll_interval_s": 1.0}
+        assert all(isinstance(value, float) for value in settings.to_spec().values())
 
     def test_default_worker_id_env_override(self, monkeypatch):
         monkeypatch.setenv(WORKER_ID_ENV_VAR, "pinned-identity")

@@ -250,6 +250,23 @@ class TestStreamSpec:
         assert "stream.order" in message
         assert "stream.cadence" in message
 
+    @pytest.mark.parametrize(
+        "fields, line",
+        [
+            ({"n_deltas": 0}, "stream.n_deltas: must be a positive integer, got 0"),
+            ({"order": "bogus"}, "stream.order: must be one of sorted, shuffled, got 'bogus'"),
+        ],
+    )
+    def test_every_construction_checks_the_fields(self, fields, line):
+        for build in (
+            lambda: StreamSpec(**fields),
+            lambda: StreamSpec().with_overrides(**fields),
+            lambda: StreamSpec.from_spec(fields),
+        ):
+            with pytest.raises(SpecError) as excinfo:
+                build()
+            assert str(excinfo.value) == f"invalid spec stream:\n  - {line}"
+
     def test_rejects_boolean_deltas(self):
         with pytest.raises(SpecError, match="n_deltas"):
             StreamSpec.from_spec({"n_deltas": True})
