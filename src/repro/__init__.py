@@ -21,94 +21,48 @@ Quick start::
     print(search.best_params_, search.best_score_)
 """
 
-from repro.constraints import (
-    Constraint,
-    ConstraintSet,
-    MUST_LINK,
-    CANNOT_LINK,
-    transitive_closure,
-    constraints_from_labels,
-    sample_labeled_objects,
-    build_constraint_pool,
-    sample_constraint_subset,
-)
-from repro.clustering import (
-    KMeans,
-    COPKMeans,
-    MPCKMeans,
-    SeededKMeans,
-    ConstrainedKMeans,
-    FOSC,
-    FOSCOpticsDend,
-)
-from repro.core import (
-    CVCP,
-    CVCPResult,
-    CVCPAlgorithmSelector,
-    constraint_f_score,
-    expected_quality,
-)
-from repro.evaluation import (
-    overall_f_measure,
-    adjusted_rand_index,
-    silhouette_score,
-    paired_t_test,
-)
-from repro.datasets import (
-    Dataset,
-    make_iris_like,
-    make_wine_like,
-    make_ionosphere_like,
-    make_ecoli_like,
-    make_zyeast_like,
-    make_aloi_k5_like,
-    make_aloi_collection,
-    get_dataset,
-    get_dataset_collection,
-)
+from repro.utils.exports import lazy_exports
 
 __version__ = "0.10.0"
 
-__all__ = [
-    "__version__",
-    # constraints
-    "Constraint",
-    "ConstraintSet",
-    "MUST_LINK",
-    "CANNOT_LINK",
-    "transitive_closure",
-    "constraints_from_labels",
-    "sample_labeled_objects",
-    "build_constraint_pool",
-    "sample_constraint_subset",
-    # clustering
-    "KMeans",
-    "COPKMeans",
-    "MPCKMeans",
-    "SeededKMeans",
-    "ConstrainedKMeans",
-    "FOSC",
-    "FOSCOpticsDend",
-    # core
-    "CVCP",
-    "CVCPResult",
-    "CVCPAlgorithmSelector",
-    "constraint_f_score",
-    "expected_quality",
-    # evaluation
-    "overall_f_measure",
-    "adjusted_rand_index",
-    "silhouette_score",
-    "paired_t_test",
-    # datasets
-    "Dataset",
-    "make_iris_like",
-    "make_wine_like",
-    "make_ionosphere_like",
-    "make_ecoli_like",
-    "make_zyeast_like",
-    "make_aloi_k5_like",
-    "make_aloi_collection",
-    "get_dataset",
-    "get_dataset_collection",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "__version__": ".",
+        "Constraint": ".constraints",
+        "ConstraintSet": ".constraints",
+        "MUST_LINK": ".constraints",
+        "CANNOT_LINK": ".constraints",
+        "transitive_closure": ".constraints",
+        "constraints_from_labels": ".constraints",
+        "sample_labeled_objects": ".constraints",
+        "build_constraint_pool": ".constraints",
+        "sample_constraint_subset": ".constraints",
+        "KMeans": ".clustering",
+        "COPKMeans": ".clustering",
+        "MPCKMeans": ".clustering",
+        "SeededKMeans": ".clustering",
+        "ConstrainedKMeans": ".clustering",
+        "FOSC": ".clustering",
+        "FOSCOpticsDend": ".clustering",
+        "CVCP": ".core",
+        "CVCPResult": ".core",
+        "CVCPAlgorithmSelector": ".core",
+        "constraint_f_score": ".core",
+        "expected_quality": ".core",
+        "overall_f_measure": ".evaluation",
+        "adjusted_rand_index": ".evaluation",
+        "silhouette_score": ".evaluation",
+        "paired_t_test": ".evaluation",
+        "Dataset": ".datasets",
+        "make_iris_like": ".datasets",
+        "make_wine_like": ".datasets",
+        "make_ionosphere_like": ".datasets",
+        "make_ecoli_like": ".datasets",
+        "make_zyeast_like": ".datasets",
+        "make_aloi_k5_like": ".datasets",
+        "make_aloi_collection": ".datasets",
+        "get_dataset": ".datasets",
+        "get_dataset_collection": ".datasets",
+    },
+)

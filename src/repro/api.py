@@ -17,7 +17,9 @@ dataclasses instead of sprawling keyword lists:
 Everything here routes through the same internals as the batch CLI, so a
 pipeline submitted through this facade (or over HTTP) produces a
 ``summary.json`` byte-identical to ``repro run`` of the same spec, and
-identical requests are served from cached trials.
+identical requests are served from cached trials.  The experiment stack
+is imported inside the functions that run it, so a caller that only
+selects (``CVCP`` through :mod:`repro`) never loads it.
 """
 
 from __future__ import annotations
@@ -25,31 +27,18 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core import admissibility
 from repro.core.cvcp import CVCP
 from repro.core.executor import ExecutionSpec
-from repro.datasets.base import Dataset
-from repro.datasets.registry import DATASET_NAMES, REGISTRY_METRICS, get_dataset
-from repro.experiments.artifacts import ArtifactStore
-from repro.experiments.config import QUICK_CONFIG
-from repro.experiments.pipeline import (
-    ALGORITHMS,
-    SCENARIOS,
-    PipelineSpec,
-    load_pipeline_spec,
-    pipeline_spec_from_mapping,
-)
-from repro.experiments.pipeline import run_pipeline as _run_pipeline_spec
-from repro.experiments.runner import (
-    TEMPLATE_CLASSES,
-    make_side_information,
-    run_trials,
-    selection_template,
-)
 from repro.utils.rng import check_random_state
 from repro.utils.specs import SpecError, SpecTable, check_enum
+
+if TYPE_CHECKING:
+    from repro.datasets.base import Dataset
+    from repro.experiments.artifacts import ArtifactStore
+    from repro.experiments.pipeline import PipelineSpec
 
 __all__ = [
     "FitReport",
@@ -66,6 +55,8 @@ __all__ = [
 
 def open_store(root: str | Path, *, refresh: bool = False) -> ArtifactStore:
     """Open (or create on first write) the artifact store at ``root``."""
+    from repro.experiments.artifacts import ArtifactStore
+
     return ArtifactStore(root, refresh=refresh)
 
 
@@ -78,6 +69,12 @@ def load_spec(source: str | Path | Mapping | PipelineSpec) -> PipelineSpec:
     Raises :class:`~repro.experiments.pipeline.ConfigError` listing every
     validation problem.
     """
+    from repro.experiments.pipeline import (
+        PipelineSpec,
+        load_pipeline_spec,
+        pipeline_spec_from_mapping,
+    )
+
     if isinstance(source, PipelineSpec):
         return source
     if isinstance(source, Mapping):
@@ -127,12 +124,14 @@ def run_pipeline(
     its own artifacts); ``artifacts_root`` relocates the store — the serve
     layer pins it to the server's root so every client shares one cache.
     """
+    from repro.experiments.pipeline import run_pipeline as run_spec
+
     spec = load_spec(source)
     if artifacts_root is not None:
         spec = spec.with_overrides(artifacts_root=Path(artifacts_root))
     if execution is not None:
         spec = spec.with_execution(**dataclasses.asdict(execution))
-    result = _run_pipeline_spec(spec, store=store, write_reports=write_reports)
+    result = run_spec(spec, store=store, write_reports=write_reports)
     return PipelineRunReport(
         spec=result.spec,
         summary=result.summary,
@@ -161,6 +160,9 @@ class SelectionRequest(SpecTable, table="select"):
     execution: ExecutionSpec = ExecutionSpec()
 
     def __post_init__(self) -> None:
+        from repro.datasets.registry import DATASET_NAMES, REGISTRY_METRICS
+        from repro.experiments.pipeline import ALGORITHMS, SCENARIOS
+
         problems = []
         check_enum(problems, "select", "algorithm", self.algorithm, ALGORITHMS)
         canonical = {name.lower(): name for name in DATASET_NAMES}
@@ -244,6 +246,10 @@ def select_parameter(
     with a ``store`` every completed trial is persisted and an identical
     request is served entirely from cache.
     """
+    from repro.datasets.registry import get_dataset
+    from repro.experiments.config import QUICK_CONFIG
+    from repro.experiments.runner import TEMPLATE_CLASSES, run_trials
+
     config = QUICK_CONFIG.with_overrides(
         seed=request.seed, n_trials=request.n_trials, n_folds=request.n_folds
     ).with_execution(**dataclasses.asdict(request.execution))
@@ -312,6 +318,11 @@ def fit(
     the algorithm's parameter range, refits the winner, and returns the
     resulting partition.
     """
+    from repro.datasets.registry import get_dataset
+    from repro.experiments.config import QUICK_CONFIG
+    from repro.experiments.pipeline import ALGORITHMS, SCENARIOS
+    from repro.experiments.runner import make_side_information, selection_template
+
     if algorithm not in ALGORITHMS:
         raise SpecError("fit", [f"fit.algorithm: must be one of {', '.join(ALGORITHMS)}; got {algorithm!r}"])
     if scenario not in SCENARIOS:

@@ -21,36 +21,25 @@ plain :class:`~repro.clustering.kmeans.KMeans`,
 hierarchy machinery in :mod:`repro.clustering.hierarchy`.
 """
 
-from repro.clustering.base import BaseClusterer, ClusteringResult
-from repro.clustering.distances import (
-    pairwise_distances,
-    euclidean_distances,
-)
-from repro.clustering.kmeans import KMeans, kmeans_plus_plus_init
-from repro.clustering.copkmeans import COPKMeans
-from repro.clustering.mpckmeans import MPCKMeans
-from repro.clustering.seeded_kmeans import SeededKMeans, ConstrainedKMeans
-from repro.clustering.hierarchy import (
-    mutual_reachability,
-    build_single_linkage_tree,
-    CondensedTreeArrays,
-)
-from repro.clustering.fosc import FOSC, FOSCOpticsDend
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "BaseClusterer",
-    "ClusteringResult",
-    "pairwise_distances",
-    "euclidean_distances",
-    "KMeans",
-    "kmeans_plus_plus_init",
-    "COPKMeans",
-    "MPCKMeans",
-    "SeededKMeans",
-    "ConstrainedKMeans",
-    "mutual_reachability",
-    "build_single_linkage_tree",
-    "CondensedTreeArrays",
-    "FOSC",
-    "FOSCOpticsDend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "BaseClusterer": ".base",
+        "ClusteringResult": ".base",
+        "pairwise_distances": ".distances",
+        "euclidean_distances": ".distances",
+        "KMeans": ".kmeans",
+        "kmeans_plus_plus_init": ".kmeans",
+        "COPKMeans": ".copkmeans",
+        "MPCKMeans": ".mpckmeans",
+        "SeededKMeans": ".seeded_kmeans",
+        "ConstrainedKMeans": ".seeded_kmeans",
+        "mutual_reachability": ".hierarchy",
+        "build_single_linkage_tree": ".hierarchy",
+        "CondensedTreeArrays": ".hierarchy",
+        "FOSC": ".fosc",
+        "FOSCOpticsDend": ".fosc",
+    },
+)

@@ -16,62 +16,34 @@ framework (Pourrajabi et al., EDBT 2014):
   pipeline config drives by name.
 """
 
-from repro.constraints.constraint import (
-    CANNOT_LINK,
-    MUST_LINK,
-    Constraint,
-    ConstraintSet,
-    cannot_link,
-    must_link,
-)
-from repro.constraints.closure import (
-    InconsistentConstraintsError,
-    transitive_closure,
-    is_consistent,
-    must_link_components,
-)
-from repro.constraints.generation import (
-    constraints_from_labels,
-    sample_labeled_objects,
-    build_constraint_pool,
-    sample_constraint_subset,
-)
-from repro.constraints.oracles import (
-    ActiveOracle,
-    BudgetedOracle,
-    ConstraintOracle,
-    NoisyOracle,
-    PerfectOracle,
-    make_oracle,
-    oracle_from_spec,
-    oracle_names,
-    register_oracle,
-    repair_closure_consistency,
-)
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "MUST_LINK",
-    "CANNOT_LINK",
-    "Constraint",
-    "ConstraintSet",
-    "must_link",
-    "cannot_link",
-    "transitive_closure",
-    "is_consistent",
-    "must_link_components",
-    "InconsistentConstraintsError",
-    "constraints_from_labels",
-    "sample_labeled_objects",
-    "build_constraint_pool",
-    "sample_constraint_subset",
-    "ConstraintOracle",
-    "PerfectOracle",
-    "NoisyOracle",
-    "BudgetedOracle",
-    "ActiveOracle",
-    "make_oracle",
-    "oracle_from_spec",
-    "oracle_names",
-    "register_oracle",
-    "repair_closure_consistency",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "MUST_LINK": ".constraint",
+        "CANNOT_LINK": ".constraint",
+        "Constraint": ".constraint",
+        "ConstraintSet": ".constraint",
+        "must_link": ".constraint",
+        "cannot_link": ".constraint",
+        "transitive_closure": ".closure",
+        "is_consistent": ".closure",
+        "must_link_components": ".closure",
+        "InconsistentConstraintsError": ".closure",
+        "constraints_from_labels": ".generation",
+        "sample_labeled_objects": ".generation",
+        "build_constraint_pool": ".generation",
+        "sample_constraint_subset": ".generation",
+        "ConstraintOracle": ".oracles",
+        "PerfectOracle": ".oracles",
+        "NoisyOracle": ".oracles",
+        "BudgetedOracle": ".oracles",
+        "ActiveOracle": ".oracles",
+        "make_oracle": ".oracles",
+        "oracle_from_spec": ".oracles",
+        "oracle_names": ".oracles",
+        "register_oracle": ".oracles",
+        "repair_closure_consistency": ".oracles",
+    },
+)

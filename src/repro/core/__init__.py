@@ -17,67 +17,35 @@ semi-supervised clustering.  The workflow (Section 3) is
 Silhouette baseline is computed per trial in :mod:`repro.experiments.runner`.
 """
 
-from repro.core.folds import (
-    CVCPFold,
-    label_scenario_folds,
-    constraint_scenario_folds,
-    make_folds,
-)
-from repro.core.scoring import (
-    constraint_f_score,
-    constraint_accuracy_score,
-    score_partition,
-    SCORERS,
-)
-from repro.core.model_selection import (
-    ParameterEvaluation,
-    CVCPResult,
-    expected_quality,
-)
-from repro.core.cvcp import CVCP, NoTestConstraintsWarning
-from repro.core.distance_backend import (
-    DISTANCE_BACKENDS,
-    clear_spill_directory,
-    resolve_distance_backend,
-    spill_directory,
-)
-from repro.core.executor import (
-    BACKENDS,
-    ExecutionSpec,
-    derive_seed,
-    resolve_n_jobs,
-    run_tasks,
-)
-from repro.core.algorithm_selection import (
-    AlgorithmCandidate,
-    AlgorithmSelectionResult,
-    CVCPAlgorithmSelector,
-)
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "AlgorithmCandidate",
-    "AlgorithmSelectionResult",
-    "CVCPAlgorithmSelector",
-    "CVCPFold",
-    "label_scenario_folds",
-    "constraint_scenario_folds",
-    "make_folds",
-    "constraint_f_score",
-    "constraint_accuracy_score",
-    "score_partition",
-    "SCORERS",
-    "ParameterEvaluation",
-    "CVCPResult",
-    "expected_quality",
-    "CVCP",
-    "NoTestConstraintsWarning",
-    "DISTANCE_BACKENDS",
-    "clear_spill_directory",
-    "resolve_distance_backend",
-    "spill_directory",
-    "BACKENDS",
-    "ExecutionSpec",
-    "derive_seed",
-    "resolve_n_jobs",
-    "run_tasks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "AlgorithmCandidate": ".algorithm_selection",
+        "AlgorithmSelectionResult": ".algorithm_selection",
+        "CVCPAlgorithmSelector": ".algorithm_selection",
+        "CVCPFold": ".folds",
+        "label_scenario_folds": ".folds",
+        "constraint_scenario_folds": ".folds",
+        "make_folds": ".folds",
+        "constraint_f_score": ".scoring",
+        "constraint_accuracy_score": ".scoring",
+        "score_partition": ".scoring",
+        "SCORERS": ".scoring",
+        "ParameterEvaluation": ".model_selection",
+        "CVCPResult": ".model_selection",
+        "expected_quality": ".model_selection",
+        "CVCP": ".cvcp",
+        "NoTestConstraintsWarning": ".cvcp",
+        "DISTANCE_BACKENDS": ".distance_backend",
+        "clear_spill_directory": ".distance_backend",
+        "resolve_distance_backend": ".distance_backend",
+        "spill_directory": ".distance_backend",
+        "BACKENDS": ".executor",
+        "ExecutionSpec": ".executor",
+        "derive_seed": ".executor",
+        "resolve_n_jobs": ".executor",
+        "run_tasks": ".executor",
+    },
+)

@@ -19,7 +19,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import warnings
 from dataclasses import dataclass
@@ -334,6 +333,8 @@ class CVCP:
             # started — map instead of recomputing.  The neighbors tier has
             # no full matrix to warm — its graph memo is warmed lazily in
             # whichever worker builds it first.
+            import multiprocessing
+
             if resolved != "neighbors" and (
                 multiprocessing.get_start_method() == "fork" or resolved == "memmap"
             ):
@@ -499,12 +500,11 @@ class CVCP:
         """
         if not getattr(self.estimator, "structure_caching", False):
             return
-        if (
-            self.execution.backend == "process"
-            and self.artifact_store is None
-            and multiprocessing.get_start_method() != "fork"
-        ):
-            return
+        if self.execution.backend == "process" and self.artifact_store is None:
+            import multiprocessing
+
+            if multiprocessing.get_start_method() != "fork":
+                return
         self.estimator.warm_structures(
             X,
             [self._make_estimator(self.parameter_values[index], 0) for index in value_indices],

@@ -28,7 +28,6 @@ pickling round-trip of :mod:`concurrent.futures`).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -192,7 +191,13 @@ def run_tasks(
             if on_result is not None:
                 on_result(index, results[-1])
         return results
-    pool_type = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
+    # The pool machinery (multiprocessing for a process pool) loads only when a pool is built.
+    from concurrent.futures import as_completed
+
+    if backend == "thread":
+        from concurrent.futures import ThreadPoolExecutor as pool_type
+    else:
+        from concurrent.futures import ProcessPoolExecutor as pool_type
     with pool_type(max_workers=max_workers, initializer=initializer, initargs=initargs) as pool:
         if on_result is None:
             chunksize = max(1, len(tasks) // (max_workers * 4))

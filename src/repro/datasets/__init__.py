@@ -20,39 +20,27 @@ rationale), plus loaders that pick up the real CSV files when available.
   experiment harness.
 """
 
-from repro.datasets.base import Dataset
-from repro.datasets.synthetic import (
-    make_blobs,
-    make_two_moons,
-)
-from repro.datasets.uci_like import (
-    make_iris_like,
-    make_wine_like,
-    make_ionosphere_like,
-    make_ecoli_like,
-    make_zyeast_like,
-)
-from repro.datasets.aloi import make_aloi_k5_like, make_aloi_collection
-from repro.datasets.loaders import load_csv_dataset, load_real_dataset
-from repro.datasets.text import make_text_blobs, load_precomputed_dataset
-from repro.datasets.registry import DATASET_NAMES, get_dataset, get_dataset_collection
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "make_blobs",
-    "make_two_moons",
-    "make_iris_like",
-    "make_wine_like",
-    "make_ionosphere_like",
-    "make_ecoli_like",
-    "make_zyeast_like",
-    "make_aloi_k5_like",
-    "make_aloi_collection",
-    "load_csv_dataset",
-    "load_real_dataset",
-    "make_text_blobs",
-    "load_precomputed_dataset",
-    "DATASET_NAMES",
-    "get_dataset",
-    "get_dataset_collection",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Dataset": ".base",
+        "make_blobs": ".synthetic",
+        "make_two_moons": ".synthetic",
+        "make_iris_like": ".uci_like",
+        "make_wine_like": ".uci_like",
+        "make_ionosphere_like": ".uci_like",
+        "make_ecoli_like": ".uci_like",
+        "make_zyeast_like": ".uci_like",
+        "make_aloi_k5_like": ".aloi",
+        "make_aloi_collection": ".aloi",
+        "load_csv_dataset": ".loaders",
+        "load_real_dataset": ".loaders",
+        "make_text_blobs": ".text",
+        "load_precomputed_dataset": ".text",
+        "DATASET_NAMES": ".registry",
+        "get_dataset": ".registry",
+        "get_dataset_collection": ".registry",
+    },
+)

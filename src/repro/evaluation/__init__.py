@@ -11,31 +11,20 @@
   significant differences in the result tables.
 """
 
-from repro.evaluation.confusion import (
-    ConstraintConfusion,
-    constraint_confusion,
-    pair_confusion_matrix,
-)
-from repro.evaluation.external import (
-    overall_f_measure,
-    adjusted_rand_index,
-    evaluation_mask,
-)
-from repro.evaluation.internal import (
-    silhouette_score,
-    silhouette_samples,
-)
-from repro.evaluation.significance import PairedTTestResult, paired_t_test
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "ConstraintConfusion",
-    "constraint_confusion",
-    "pair_confusion_matrix",
-    "overall_f_measure",
-    "adjusted_rand_index",
-    "evaluation_mask",
-    "silhouette_score",
-    "silhouette_samples",
-    "PairedTTestResult",
-    "paired_t_test",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ConstraintConfusion": ".confusion",
+        "constraint_confusion": ".confusion",
+        "pair_confusion_matrix": ".confusion",
+        "overall_f_measure": ".external",
+        "adjusted_rand_index": ".external",
+        "evaluation_mask": ".external",
+        "silhouette_score": ".internal",
+        "silhouette_samples": ".internal",
+        "PairedTTestResult": ".significance",
+        "paired_t_test": ".significance",
+    },
+)

@@ -29,138 +29,68 @@
   behind ``repro dashboard``.
 """
 
-from repro.experiments.artifacts import (
-    ArtifactStore,
-    StoreStats,
-    trial_config_fingerprint,
-)
+from repro.utils.exports import lazy_exports
 
-from repro.experiments.config import (
-    ExperimentConfig,
-    PAPER_CONFIG,
-    QUICK_CONFIG,
-    default_config,
-    k_range_for_dataset,
-    MINPTS_RANGE,
-    LABEL_FRACTIONS,
-    CONSTRAINT_FRACTIONS,
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ArtifactStore": ".artifacts",
+        "StoreStats": ".artifacts",
+        "trial_config_fingerprint": ".artifacts",
+        "ConfigError": ".pipeline",
+        "PipelineResult": ".pipeline",
+        "PipelineSpec": ".pipeline",
+        "load_pipeline_spec": ".pipeline",
+        "pipeline_spec_from_mapping": ".pipeline",
+        "run_pipeline": ".pipeline",
+        "validate_pipeline_file": ".pipeline",
+        "trial_artifact_key": ".runner",
+        "render_report": ".reporting",
+        "write_report": ".reporting",
+        "ExperimentConfig": ".config",
+        "PAPER_CONFIG": ".config",
+        "QUICK_CONFIG": ".config",
+        "default_config": ".config",
+        "k_range_for_dataset": ".config",
+        "MINPTS_RANGE": ".config",
+        "LABEL_FRACTIONS": ".config",
+        "CONSTRAINT_FRACTIONS": ".config",
+        "TrialResult": ".runner",
+        "run_trial": ".runner",
+        "run_trials": ".runner",
+        "make_side_information": ".runner",
+        "algorithm_factory": ".runner",
+        "correlation_table": ".correlation",
+        "CorrelationTable": ".correlation",
+        "comparison_table": ".comparison",
+        "ComparisonRow": ".comparison",
+        "ComparisonTable": ".comparison",
+        "aloi_distribution": ".comparison",
+        "parameter_curves": ".figures",
+        "ParameterCurves": ".figures",
+        "NoiseRobustnessTable": ".robustness",
+        "RobustnessRow": ".robustness",
+        "noise_robustness_table": ".robustness",
+        "closure_leakage_ablation": ".ablation",
+        "fold_count_ablation": ".ablation",
+        "scorer_ablation": ".ablation",
+        "format_table": ".reporting",
+        "format_correlation_table": ".reporting",
+        "format_comparison_table": ".reporting",
+        "format_boxplot_summary": ".reporting",
+        "format_robustness_table": ".reporting",
+        "FleetSettings": ".fleet",
+        "FleetStats": ".fleet",
+        "FleetStatus": ".fleet",
+        "LeaseManager": ".fleet",
+        "TrialUnit": ".fleet",
+        "WorkerRunReport": ".fleet",
+        "enumerate_units": ".fleet",
+        "fleet_status": ".fleet",
+        "format_fleet_status": ".fleet",
+        "run_worker": ".fleet",
+        "work_steal": ".fleet",
+        "render_dashboard": ".dashboard",
+        "write_dashboard": ".dashboard",
+    },
 )
-from repro.experiments.pipeline import (
-    ConfigError,
-    PipelineResult,
-    PipelineSpec,
-    load_pipeline_spec,
-    pipeline_spec_from_mapping,
-    run_pipeline,
-    validate_pipeline_file,
-)
-from repro.experiments.runner import (
-    TrialResult,
-    run_trial,
-    run_trials,
-    make_side_information,
-    algorithm_factory,
-    trial_artifact_key,
-)
-from repro.experiments.correlation import correlation_table, CorrelationTable
-from repro.experiments.comparison import (
-    comparison_table,
-    ComparisonRow,
-    ComparisonTable,
-    aloi_distribution,
-)
-from repro.experiments.figures import parameter_curves, ParameterCurves
-from repro.experiments.robustness import (
-    NoiseRobustnessTable,
-    RobustnessRow,
-    noise_robustness_table,
-)
-from repro.experiments.ablation import (
-    closure_leakage_ablation,
-    fold_count_ablation,
-    scorer_ablation,
-)
-from repro.experiments.dashboard import render_dashboard, write_dashboard
-from repro.experiments.fleet import (
-    FleetSettings,
-    FleetStats,
-    FleetStatus,
-    LeaseManager,
-    TrialUnit,
-    WorkerRunReport,
-    enumerate_units,
-    fleet_status,
-    format_fleet_status,
-    run_worker,
-    work_steal,
-)
-from repro.experiments.reporting import (
-    format_table,
-    format_correlation_table,
-    format_comparison_table,
-    format_boxplot_summary,
-    format_robustness_table,
-    render_report,
-    write_report,
-)
-
-__all__ = [
-    "ArtifactStore",
-    "StoreStats",
-    "trial_config_fingerprint",
-    "ConfigError",
-    "PipelineResult",
-    "PipelineSpec",
-    "load_pipeline_spec",
-    "pipeline_spec_from_mapping",
-    "run_pipeline",
-    "validate_pipeline_file",
-    "trial_artifact_key",
-    "render_report",
-    "write_report",
-    "ExperimentConfig",
-    "PAPER_CONFIG",
-    "QUICK_CONFIG",
-    "default_config",
-    "k_range_for_dataset",
-    "MINPTS_RANGE",
-    "LABEL_FRACTIONS",
-    "CONSTRAINT_FRACTIONS",
-    "TrialResult",
-    "run_trial",
-    "run_trials",
-    "make_side_information",
-    "algorithm_factory",
-    "correlation_table",
-    "CorrelationTable",
-    "comparison_table",
-    "ComparisonRow",
-    "ComparisonTable",
-    "aloi_distribution",
-    "parameter_curves",
-    "ParameterCurves",
-    "NoiseRobustnessTable",
-    "RobustnessRow",
-    "noise_robustness_table",
-    "closure_leakage_ablation",
-    "fold_count_ablation",
-    "scorer_ablation",
-    "format_table",
-    "format_correlation_table",
-    "format_comparison_table",
-    "format_boxplot_summary",
-    "format_robustness_table",
-    "FleetSettings",
-    "FleetStats",
-    "FleetStatus",
-    "LeaseManager",
-    "TrialUnit",
-    "WorkerRunReport",
-    "enumerate_units",
-    "fleet_status",
-    "format_fleet_status",
-    "run_worker",
-    "work_steal",
-    "render_dashboard",
-    "write_dashboard",
-]

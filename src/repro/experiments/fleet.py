@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import socket
+import sys
 import threading
 import time
 import uuid
@@ -97,8 +97,12 @@ class FleetSettings(SpecTable, table="fleet"):
         problems = []
         for key in ("lease_ttl_s", "poll_interval_s"):
             value = getattr(self, key)
-            # ``0 < value < inf`` also rejects NaN.
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+            # The upper bound rejects inf and an int too large for a float; NaN fails both.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0 < value <= sys.float_info.max
+            ):
                 problems.append(f"fleet.{key}: must be a positive number of seconds, got {value!r}")
             else:
                 object.__setattr__(self, key, float(value))

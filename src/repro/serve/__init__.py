@@ -21,39 +21,26 @@ Layout:
 * :mod:`repro.serve.client` — a small urllib client
   (:class:`ServeClient`) used by the tests, the load bench and CI.
 
-The heavy submodules load lazily so importing
+Each name loads its submodule when first read
+(:mod:`repro.utils.exports`), so importing
 :class:`~repro.serve.schemas.ServeSettings` (which the pipeline config
 layer does) never drags in the HTTP machinery.
 """
 
-from repro.serve.schemas import JOB_STATES, JobProgress, JobView, ServeSettings
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "JOB_STATES",
-    "JobManager",
-    "JobProgress",
-    "JobView",
-    "QueueFullError",
-    "ReproServer",
-    "ServeClient",
-    "ServeError",
-    "ServeSettings",
-    "make_server",
-]
-
-_LAZY = {
-    "JobManager": "repro.serve.jobs",
-    "QueueFullError": "repro.serve.jobs",
-    "ReproServer": "repro.serve.server",
-    "make_server": "repro.serve.server",
-    "ServeClient": "repro.serve.client",
-    "ServeError": "repro.serve.client",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        return getattr(importlib.import_module(_LAZY[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "JOB_STATES": ".schemas",
+        "JobManager": ".jobs",
+        "JobProgress": ".schemas",
+        "JobView": ".schemas",
+        "QueueFullError": ".jobs",
+        "ReproServer": ".server",
+        "ServeClient": ".client",
+        "ServeError": ".client",
+        "ServeSettings": ".schemas",
+        "make_server": ".server",
+    },
+)

@@ -1,33 +1,21 @@
-"""Small shared utilities (validation, RNG handling, disjoint sets, caches)."""
+"""Small shared utilities (validation, RNG handling, disjoint sets, caches, lazy exports)."""
 
-from repro.utils.cache import (
-    CacheStats,
-    MemoCache,
-    array_fingerprint,
-    cached_pairwise_distances,
-    clear_distance_cache,
-    distance_cache_stats,
-)
-from repro.utils.disjoint_set import DisjointSet
-from repro.utils.rng import check_random_state
-from repro.utils.validation import (
-    check_array_2d,
-    check_labels,
-    check_fraction,
-    check_positive_int,
-)
+from repro.utils.exports import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "MemoCache",
-    "array_fingerprint",
-    "cached_pairwise_distances",
-    "clear_distance_cache",
-    "distance_cache_stats",
-    "DisjointSet",
-    "check_random_state",
-    "check_array_2d",
-    "check_labels",
-    "check_fraction",
-    "check_positive_int",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "CacheStats": ".cache",
+        "MemoCache": ".cache",
+        "array_fingerprint": ".cache",
+        "cached_pairwise_distances": ".cache",
+        "clear_distance_cache": ".cache",
+        "distance_cache_stats": ".cache",
+        "DisjointSet": ".disjoint_set",
+        "check_random_state": ".rng",
+        "check_array_2d": ".validation",
+        "check_labels": ".validation",
+        "check_fraction": ".validation",
+        "check_positive_int": ".validation",
+    },
+)

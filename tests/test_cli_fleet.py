@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from repro import api
 from repro.cli.main import main
+from repro.experiments.pipeline import ConfigError
 
 FLEET_TOML = """\
 [experiment]
@@ -120,6 +122,23 @@ class TestFleetDurationChecks:
             f"{config}: INVALID\n"
             f"  - fleet.{key}: must be a positive number of seconds, got {shown}\n"
         )
+
+    def test_an_int_too_large_for_a_float_is_a_problem_not_a_crash(self, tmp_path, capsys):
+        """A 401-digit JSON integer once escaped as an ``OverflowError`` from ``float()``."""
+        huge = 10**400
+        mapping = {
+            "experiment": {"name": "huge", "kind": "trials", "algorithm": "fosc",
+                           "scenario": "labels", "amounts": [0.1], "datasets": ["Iris"]},
+            "fleet": {"lease_ttl_s": huge},
+        }
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(mapping), encoding="utf-8")
+        problem = f"fleet.lease_ttl_s: must be a positive number of seconds, got {huge!r}"
+        assert main(["validate-config", str(config)]) == 2
+        assert capsys.readouterr().out == f"{config}: INVALID\n  - {problem}\n"
+        with pytest.raises(ConfigError) as excinfo:
+            api.load_spec(mapping)
+        assert problem in excinfo.value.problems
 
 
 class TestStatusCli:

@@ -389,9 +389,11 @@ class TestMemmapSpillLifecycle:
 
     def test_memmap_warm_happens_even_under_spawn(self, spill_dir, blobs_dataset, monkeypatch):
         """The spill pre-warm is not gated on the fork start method."""
+        import multiprocessing
+
         import repro.core.cvcp as cvcp_module
 
-        monkeypatch.setattr(cvcp_module.multiprocessing, "get_start_method", lambda: "spawn")
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda: "spawn")
         warmed = []
         original = cvcp_module.cached_pairwise_distances
 

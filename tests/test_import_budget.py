@@ -1,15 +1,19 @@
-"""Cold-start budget: the heavy scipy submodules stay off every dense path.
+"""Cold-start budget: a run imports only what it calls.
 
 ``import repro`` sits in front of every CVCP selection, fleet worker and
 ``repro serve`` start-up.  ``scipy.stats`` is only needed by the paired
 t-test, ``scipy.sparse`` only by CSR inputs and the ``neighbors`` tier, so
 the package, the API, the CLI and a dense selection must load none of
-them.  The import checks run in a fresh interpreter, because the test process
-itself has long since imported everything.
+them.  The packages export lazily (:mod:`repro.utils.exports`), so the
+package, the API and a dense selection load no experiment, serve, bench or
+CLI module either, and no executor pool machinery.  The import checks run
+in a fresh interpreter, because the test process itself has long since
+imported everything.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -37,6 +41,20 @@ HEAVY_MODULES = (
     "repro.core.neighbor_graph",
 )
 
+#: Module families that ``import repro``, ``import repro.api`` and a dense
+#: selection never call, so must not load.
+UNCALLED_MODULES = (
+    "repro.experiments",
+    "repro.serve",
+    "repro.bench",
+    "repro.cli",
+    "multiprocessing",
+    "concurrent.futures",
+)
+
+#: package -> ``__all__`` name -> the file that defines it.
+ORIGINS = json.loads((REPO_ROOT / "tests" / "data" / "export_origins.json").read_text(encoding="utf-8"))
+
 DENSE_FIT = """
 from repro import CVCP, FOSCOpticsDend, make_iris_like, sample_labeled_objects
 from repro.utils.cache import clear_distance_cache
@@ -49,11 +67,16 @@ clear_distance_cache()
 """
 
 
-def heavy_modules_after(code: str) -> list[str]:
-    """The :data:`HEAVY_MODULES` a fresh interpreter holds after running ``code``."""
+def modules_after(code: str, families: tuple[str, ...] = HEAVY_MODULES) -> list[str]:
+    """The modules of ``families`` a fresh interpreter holds after running ``code``.
+
+    A family is a module and its submodules.
+    """
     script = (
         f"import sys\n{code}\n"
-        f"import json\nprint(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))\n"
+        "import json\n"
+        f"print(json.dumps(sorted(m for m in sys.modules for f in {families!r} "
+        "if m == f or m.startswith(f + '.'))))\n"
     )
     completed = subprocess.run(
         [sys.executable, "-c", script],
@@ -67,11 +90,40 @@ def heavy_modules_after(code: str) -> list[str]:
 
 @pytest.mark.parametrize("target", ["repro", "repro.api", "repro.cli.main"])
 def test_import_loads_no_heavy_module(target):
-    assert heavy_modules_after(f"import {target}") == []
+    assert modules_after(f"import {target}") == []
 
 
 def test_dense_selection_and_cache_clear_load_no_heavy_module():
-    assert heavy_modules_after(DENSE_FIT) == []
+    assert modules_after(DENSE_FIT) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import repro", "import repro.api", "import repro.api\n" + DENSE_FIT],
+    ids=["repro", "repro.api", "dense-selection"],
+)
+def test_setup_loads_no_uncalled_module(code):
+    assert modules_after(code, UNCALLED_MODULES) == []
+
+
+def module_of(path: str) -> str:
+    parts = path.removeprefix("src/").removesuffix(".py").split("/")
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@pytest.mark.parametrize("package_name", sorted(ORIGINS))
+def test_every_export_is_its_defining_modules_object(package_name):
+    package = importlib.import_module(package_name)
+    origins = ORIGINS[package_name]
+    assert sorted(package.__all__) == sorted(origins)
+    listed = dir(package)
+    namespace: dict = {}
+    exec(f"from {package_name} import *", namespace)
+    for name, path in origins.items():
+        defined = getattr(importlib.import_module(module_of(path)), name)
+        assert getattr(package, name) is defined, name
+        assert name in listed, name
+        assert namespace[name] is defined, name
 
 
 def test_paired_t_test_loads_scipy_stats_only_when_called():
@@ -86,7 +138,7 @@ reference = stats.ttest_rel(first, second)
 assert abs(result.statistic - reference.statistic) <= 1e-9 * abs(reference.statistic)
 assert abs(result.p_value - reference.pvalue) <= 1e-9 * reference.pvalue
 """
-    assert "scipy.stats" in heavy_modules_after(code)
+    assert "scipy.stats" in modules_after(code)
 
 
 class TestSparsePath:
@@ -115,6 +167,7 @@ class TestSparsePath:
 def test_clear_distance_cache_empties_a_loaded_neighbor_graph_memo():
     from repro.core.neighbor_graph import cached_neighbor_graph, neighbor_graph_cache_stats
 
+    clear_distance_cache()  # graphs an earlier test in this process left behind
     X = np.random.default_rng(0).normal(size=(20, 2))
     cached_neighbor_graph(X, epsilon=2.0, k_neighbors=5)
     assert neighbor_graph_cache_stats().size == 1
@@ -139,4 +192,4 @@ class TestIsSparse:
             "from repro.utils.validation import is_sparse\n"
             "assert not is_sparse(np.eye(2))"
         )
-        assert heavy_modules_after(code) == []
+        assert modules_after(code) == []

@@ -6,7 +6,8 @@ benchmark or one of the two extensions reaches it.  This test checks a
 static stand-in for that rule on every package ``__all__``: each entry must
 appear in ``src/`` outside the module that defines it and outside the
 package ``__init__``s, or in ``benchmarks/`` or ``perfbench/``.  Examples,
-like tests, only demonstrate a name; they do not keep it.
+like tests, only demonstrate a name; they do not keep it.  The defining
+module of a name is read from its package's export table.
 
 A name the static pass misses stays only with an ``ALLOWLIST`` entry whose
 value is the test, doc or extension example that reads it.  Stale entries
@@ -16,6 +17,8 @@ fail too, so the list only shrinks as names become reached or go.
 from __future__ import annotations
 
 import ast
+import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -49,6 +52,8 @@ ALLOWLIST = {
     "FleetStatus": "docs/architecture.md",
     "TrialUnit": "docs/architecture.md",
     "WorkerRunReport": "docs/architecture.md",
+    "ReproServer": "docs/architecture.md",
+    "ServeError": "docs/architecture.md",
     "render_dashboard": "docs/architecture.md",
     "PAPER_CONFIG": "docs/architecture.md",
     "MINPTS_RANGE": "docs/architecture.md",
@@ -73,34 +78,77 @@ ALLOWLIST = {
 }
 
 
+#: package -> ``__all__`` name -> defining file, recorded from the package
+#: re-exports as they stood before every package exported through
+#: ``lazy_exports``.  A name added to or removed from an ``__all__`` updates
+#: this map.
+ORIGINS = json.loads((REPO / "tests" / "data" / "export_origins.json").read_text(encoding="utf-8"))
+
+
 def module_file(module: str) -> Path:
     path = SRC / (module.replace(".", "/") + ".py")
     return path if path.exists() else SRC / module.replace(".", "/") / "__init__.py"
 
 
-def defining_file(path: Path, name: str) -> Path:
-    """The file that defines ``name``, following re-exports through ``__init__``s."""
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+def package_name(init: Path) -> str:
+    return ".".join(init.relative_to(SRC).parent.parts)
+
+
+def package_exports(init: Path) -> tuple[list[str], dict[str, str]]:
+    """A package ``__init__``'s ``__all__``, and each name -> the module it comes from.
+
+    Reads a ``lazy_exports`` table (name -> relative module), or else a
+    literal ``__all__`` and the ``from … import …`` statements.
+    """
+    names: list[str] = []
+    origins: dict[str, str] = {}
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.ImportFrom) and node.module:
             for alias in node.names:
-                if (alias.asname or alias.name) == name:
-                    origin = module_file(node.module)
-                    if origin.name == "__init__.py":
-                        return defining_file(origin, alias.name)
-                    return origin
-    return path
+                origins[alias.asname or alias.name] = node.module
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if getattr(node.value.func, "id", None) == "lazy_exports":
+                table = ast.literal_eval(node.value.args[1])
+                names = list(table)
+                origins.update(
+                    (name, importlib.util.resolve_name(module, package_name(init)))
+                    for name, module in table.items()
+                )
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names = ast.literal_eval(node.value)
+    return names, origins
+
+
+def defining_file(path: Path, name: str) -> Path:
+    """The file that defines ``name``, following re-exports through ``__init__``s."""
+    module = package_exports(path)[1].get(name)
+    if module is None:
+        return path
+    origin = module_file(module)
+    if origin.name == "__init__.py" and origin != path:
+        return defining_file(origin, name)
+    return origin
+
+
+def export_origins() -> dict[str, dict[str, str]]:
+    """Every package -> its ``__all__`` entries -> the file that defines each."""
+    return {
+        package_name(init): {
+            name: str(defining_file(init, name).relative_to(REPO))
+            for name in package_exports(init)[0]
+        }
+        for init in sorted(SRC.rglob("__init__.py"))
+    }
 
 
 def exported_names() -> dict[str, set[Path]]:
     """Every package ``__all__`` entry -> the files that define it."""
     exported: dict[str, set[Path]] = {}
-    for init in sorted(SRC.rglob("__init__.py")):
-        for node in ast.parse(init.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-            ):
-                for name in ast.literal_eval(node.value):
-                    exported.setdefault(name, set()).add(defining_file(init, name))
+    for names in export_origins().values():
+        for name, path in names.items():
+            exported.setdefault(name, set()).add(REPO / path)
     return exported
 
 
@@ -129,6 +177,11 @@ def test_every_exported_name_is_reached_or_allowlisted(unreached):
 
 def test_allowlist_has_no_stale_entries(unreached):
     assert sorted(ALLOWLIST.keys() - unreached) == []
+
+
+def test_every_export_resolves_to_its_recorded_defining_file():
+    """Reading the export tables must find the files the eager imports named."""
+    assert export_origins() == ORIGINS
 
 
 @pytest.mark.parametrize("name", sorted(ALLOWLIST))
